@@ -227,11 +227,27 @@ def _audit_overlay(network: PastNetwork, report: AuditReport) -> None:
     * every routing-table entry refers to a live node — witnesses purge
       failed entries eagerly and recovered nodes re-announce, so at
       fixpoint (all crashed nodes recovered or their failure propagated)
-      no stale entry should survive.
+      no stale entry should survive;
+    * every leaf set is structurally sound: at most ``l`` members and
+      ``l/2`` per side, disjoint sides, owner not a member, members
+      strictly ascending.
     """
     pastry = network.pastry
     for node in pastry.nodes():
-        for peer_id in node.leafset.sorted_members():
+        leafset = node.leafset
+        members = leafset.sorted_members()
+        smaller, larger = leafset.smaller, leafset.larger
+        half = leafset.l // 2
+        if (
+            len(leafset) > leafset.l
+            or len(smaller) > half
+            or len(larger) > half
+            or not set(smaller).isdisjoint(larger)
+            or leafset.owner_id in leafset
+            or any(a >= b for a, b in zip(members, members[1:]))
+        ):
+            report.add("overlay", f"node {node.node_id:#x} leaf set is malformed")
+        for peer_id in members:
             peer = pastry.get_live(peer_id)
             if peer is None:
                 report.add(
@@ -239,7 +255,7 @@ def _audit_overlay(network: PastNetwork, report: AuditReport) -> None:
                     f"node {node.node_id:#x} leaf set lists dead node {peer_id:#x}",
                 )
                 continue
-            if node.node_id not in peer.leafset.members():
+            if node.node_id not in peer.leafset:
                 report.add(
                     "overlay",
                     f"leaf-set asymmetry: {node.node_id:#x} lists {peer_id:#x} "

@@ -282,7 +282,7 @@ class PastNetwork:
         path_nodes = [net.node(i) for i in result.path]
         terminus = path_nodes[-1]
         pastry_node.leafset.add(terminus.node_id)
-        pastry_node.leafset.add_all(terminus.leafset.members())
+        pastry_node.leafset.add_all(terminus.leafset.sorted_members())
         pastry_node.consider_neighbor(seed.node_id)
         for n_id in seed.neighborhood:
             pastry_node.consider_neighbor(n_id)
@@ -294,7 +294,7 @@ class PastNetwork:
         for member in pastry_node.leafset.sorted_members():
             pastry_node.routing_table.consider(member)
         net._register(pastry_node)
-        contacts = set(pastry_node.leafset.members())
+        contacts = set(pastry_node.leafset.sorted_members())
         contacts.update(pastry_node.routing_table.entries())
         contacts.update(pastry_node.neighborhood)
         contacts.update(p.node_id for p in path_nodes)

@@ -378,10 +378,8 @@ class PastNode(PastryApplication):
             request.failure_reason = str(exc)
             return False
 
-        neighborhood = set(self.leafset.members())
-        neighborhood.add(self.node_id)
         reclaimed_any = False
-        for member_id in sorted(neighborhood):
+        for member_id in self.leafset.sorted_members_with_owner():
             member = self.network.past_node_or_none(member_id)
             if member is None:
                 continue
@@ -474,8 +472,7 @@ class PastNode(PastryApplication):
         self, key: int, kset: List[int], new_id: int, k: int
     ) -> Optional[int]:
         """The node pushed out of the k closest by the newcomer, if any."""
-        old_members = [m for m in self.leafset.members() | {self.node_id} if m != new_id]
-        old_kset = idspace.sort_by_distance(old_members, key)[:k]
+        old_kset = [m for m in self.leafset.closest_nodes(key, k + 1) if m != new_id][:k]
         displaced = [m for m in old_kset if m not in kset]
         return displaced[0] if displaced else None
 
@@ -551,11 +548,11 @@ class PastNode(PastryApplication):
                 return
             holders = [
                 m
-                for m in self.leafset.members() | {self.node_id}
+                for m in self.leafset.sorted_members_with_owner()
                 if (node := self.network.past_node_or_none(m)) is not None
                 and node.store.holds_file(fid)
             ]
-            if idspace.sort_by_distance(holders, key)[0] != self.node_id:
+            if idspace.closest_of(holders, key) != self.node_id:
                 return
         all_ok = True
         for member_id in needs:
@@ -819,7 +816,7 @@ class PastNode(PastryApplication):
     def _long_reach_divert(self, cert: FileCertificate, replica_set: List[int]) -> bool:
         """§3.5 fallback: search the leaf sets of my two extreme members."""
         fid = cert.file_id
-        exclude = set(replica_set) | {self.node_id} | set(self.leafset.members())
+        exclude = {*replica_set, *self.leafset.sorted_members_with_owner()}
         candidates = []
         for extreme_id in self.leafset.extremes():
             if extreme_id is None:

@@ -10,160 +10,119 @@ replica diversion and replica maintenance.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Iterable, List, Optional, Set, Tuple
 
 from . import idspace
+
+_SPACE = idspace.ID_SPACE
 
 
 class LeafSet:
     """The leaf set of a single Pastry node.
 
-    The set is maintained as a plain member set plus derived, lazily
-    recomputed views of the ``l/2`` clockwise (larger) and ``l/2``
-    counterclockwise (smaller) sides.  Membership is trimmed by the
-    union of the per-direction rankings (see :meth:`_recompute`), while
-    the side views partition members by their genuinely nearer
-    direction.  As long as no member has ever been trimmed, the leaf set
-    contains every node it was told about and the node has global
-    knowledge of the ring; once the set overflows and drops a member,
-    that guarantee is gone for good (the identity of the dropped node is
-    forgotten), which :meth:`covers` must account for.
+    The whole state is one list of ids in ring order (ascending, wrapping
+    at the end) that *contains the owner*: the slots after the owner are
+    its clockwise successors nearest first, the slots before it its
+    counterclockwise predecessors.  Every query is index arithmetic around
+    the owner's slot or a bisect for the key.
+
+    Membership is trimmed *direction-blind*: a member stays while it is
+    among the ``l/2`` nearest clockwise successors or the ``l/2`` nearest
+    counterclockwise predecessors, each ranked over ALL members.  On the
+    ring that is "whenever an insert makes ``l + 1`` members, drop the one
+    at clockwise index ``l/2``" — the only member in neither ranking.  This
+    guarantees a node never forgets a true ring-adjacent neighbour: in a
+    clustered ring a node's clockwise successor can be
+    counterclockwise-*nearer*, and a trim that first bucketed members by
+    nearer direction would overflow that bucket and drop the successor —
+    stranding keys at a node that cannot see its own successor (a real
+    misrouting bug this rule fixed).
+
+    The side *views* (:attr:`smaller`, :attr:`larger`, :meth:`extremes`,
+    :meth:`is_full`) stay direction-faithful: a member belongs to the side
+    it is genuinely nearer to (ties go clockwise), at most ``l/2`` per
+    side.  Repair and fullness signals depend on this: were the smaller
+    side padded with far successors merely because they are the
+    ccw-nearest members known, a node that lost its predecessors would
+    look "full", pick repair donors on the wrong arc, and never refill — a
+    kept member may therefore appear in neither view (it is still
+    routable via :meth:`members`).
+
+    As long as no member has ever been trimmed, the leaf set contains
+    every node it was told about and the node has global knowledge of the
+    ring; once it overflows and drops a member that guarantee is gone for
+    good (the dropped node's identity is forgotten), which :meth:`covers`
+    must account for.
+
+    The trim is *eager* (inside :meth:`add`).  That equals trimming a whole
+    batch of adds at the next read — a dropped member only falls further
+    back in both rankings as more arrive — unless a :meth:`remove` lands
+    between an ``add`` and the next read: a batch trim would let the
+    removal promote a member the eager trim has already forgotten.  Every
+    caller reads (``in``, ``members()``, ``is_full()``) before it removes,
+    so the order is load-bearing only for code that stops doing so.
     """
 
-    __slots__ = (
-        "owner_id", "l", "_members", "_dirty", "_smaller", "_larger",
-        "_ever_trimmed", "_sorted", "_with_owner",
-    )
+    __slots__ = ("owner_id", "l", "_ring", "_pos", "_antipode", "_ever_trimmed")
 
     def __init__(self, owner_id: int, l: int):
         if l < 2 or l % 2 != 0:
             raise ValueError(f"leaf set size l must be a positive even number, got {l}")
         self.owner_id = owner_id
         self.l = l
-        self._members: Set[int] = set()
-        self._dirty = True
-        self._smaller: List[int] = []  # sorted by ccw distance from owner, nearest first
-        self._larger: List[int] = []  # sorted by cw distance from owner, nearest first
+        self._ring: List[int] = [owner_id]  # members and owner, ascending
+        self._pos = 0  # the owner's index in _ring
+        #: The farthest id that still counts as clockwise-nearer (ties go
+        #: clockwise): members in the arc (owner, antipode] are "larger".
+        self._antipode = (owner_id + _SPACE // 2) % _SPACE
         self._ever_trimmed = False
-        #: Maintained ordered views, built lazily on first request after
-        #: a mutation batch instead of re-sorted at every consumer:
-        #: members ascending, and the same plus the owner (the candidate
-        #: pool of every closest-* query).  ``None`` means stale — they
-        #: must NOT be built eagerly in :meth:`_recompute`, which runs
-        #: once per mutation batch whether or not anyone needs them.
-        self._sorted: Optional[tuple] = ()
-        self._with_owner: Optional[tuple] = (owner_id,)
 
     # ------------------------------------------------------------------ views
 
-    def _recompute(self) -> None:
-        if not self._dirty:
-            return
+    def _sides(self) -> Tuple[int, int]:
+        """Sizes of the (smaller, larger) side views."""
+        ring = self._ring
+        n = len(ring)
+        cw_nearer = (bisect_right(ring, self._antipode) - self._pos - 1) % n
         half = self.l // 2
-        # Membership is trimmed *direction-blind*: keep the union of the
-        # l/2 nearest clockwise successors and the l/2 nearest
-        # counterclockwise predecessors, each ranked over ALL members.
-        # This is what guarantees a node never forgets a true
-        # ring-adjacent neighbor: in a clustered ring a node's clockwise
-        # successor can be counterclockwise-*nearer*, and a trim that
-        # first buckets members by nearer direction would overflow that
-        # bucket and drop the successor — stranding keys at a node that
-        # cannot see its own successor (a real misrouting bug this rule
-        # fixed).
-        ranked_cw = sorted(
-            self._members, key=lambda i: idspace.clockwise_distance(self.owner_id, i)
-        )
-        ranked_ccw = sorted(
-            self._members,
-            key=lambda i: idspace.counterclockwise_distance(self.owner_id, i),
-        )
-        keep = set(ranked_cw[:half]) | set(ranked_ccw[:half])
-        if len(keep) != len(self._members):
-            self._ever_trimmed = True
-            self._members = keep
-        # The side *views* stay direction-faithful: each member belongs
-        # to the side it is genuinely nearer to (ties go clockwise).
-        # Repair and fullness signals depend on this: if the smaller
-        # side were padded with far successors merely because they are
-        # the ccw-nearest members known, a node that lost its
-        # predecessors would look "full", pick repair donors on the
-        # wrong arc, and never refill — a kept member may therefore
-        # appear in neither view (it is still routable via `members`).
-        self._larger = sorted(
-            (
-                m
-                for m in self._members
-                if idspace.clockwise_distance(self.owner_id, m)
-                <= idspace.counterclockwise_distance(self.owner_id, m)
-            ),
-            key=lambda i: idspace.clockwise_distance(self.owner_id, i),
-        )[:half]
-        self._smaller = sorted(
-            (
-                m
-                for m in self._members
-                if idspace.counterclockwise_distance(self.owner_id, m)
-                < idspace.clockwise_distance(self.owner_id, m)
-            ),
-            key=lambda i: idspace.counterclockwise_distance(self.owner_id, i),
-        )[:half]
-        # Recompute only runs when membership changed, so the ordered
-        # views are stale exactly now; they are rebuilt on demand.
-        self._sorted = None
-        self._with_owner = None
-        self._dirty = False
+        return min(half, n - 1 - cw_nearer), min(half, cw_nearer)
 
     @property
     def smaller(self) -> List[int]:
         """Members on the counterclockwise side, nearest first."""
-        self._recompute()
-        return list(self._smaller)
+        pos = self._pos
+        return [self._ring[pos - i] for i in range(1, self._sides()[0] + 1)]
 
     @property
     def larger(self) -> List[int]:
         """Members on the clockwise side, nearest first."""
-        self._recompute()
-        return list(self._larger)
+        base = self._pos - len(self._ring)  # negative index: wraps for free
+        return [self._ring[base + i] for i in range(1, self._sides()[1] + 1)]
 
     def members(self) -> Set[int]:
         """All current leaf-set members (excluding the owner)."""
-        self._recompute()
-        return set(self._members)
+        return set(self.sorted_members())
 
     def sorted_members(self) -> Tuple[int, ...]:
-        """Members ascending, as a shared immutable view.
-
-        Equivalent to ``sorted(ls.members())`` without the per-call set
-        copy and re-sort; the tuple is rebuilt at most once per
-        membership change, and only if actually requested.  Ints sort by
-        value, so the view is hashseed-independent and byte-identical to
-        what every caller's ad-hoc ``sorted(members())`` used to produce.
-        """
-        self._recompute()
-        if self._sorted is None:
-            self._sorted = tuple(sorted(self._members))
-        return self._sorted
+        """Members ascending, as an immutable snapshot."""
+        return tuple(self._ring[: self._pos] + self._ring[self._pos + 1 :])
 
     def sorted_members_with_owner(self) -> Tuple[int, ...]:
-        """Members plus the owner, ascending (shared immutable view)."""
-        self._recompute()
-        if self._with_owner is None:
-            self._with_owner = tuple(sorted(self._members | {self.owner_id}))
-        return self._with_owner
+        """Members plus the owner, ascending (immutable snapshot)."""
+        return tuple(self._ring)
 
     def __contains__(self, node_id: int) -> bool:
-        self._recompute()
-        return node_id in self._members
+        ring = self._ring
+        i = bisect_left(ring, node_id)
+        return i < len(ring) and ring[i] == node_id and i != self._pos
 
     def __len__(self) -> int:
-        self._recompute()
-        return len(self._members)
+        return len(self._ring) - 1
 
     def is_full(self) -> bool:
         """Whether both sides hold their full complement of ``l/2`` nodes."""
-        self._recompute()
-        half = self.l // 2
-        return len(self._smaller) == half and len(self._larger) == half
+        return self._sides() == (self.l // 2, self.l // 2)
 
     @property
     def ever_trimmed(self) -> bool:
@@ -174,17 +133,22 @@ class LeafSet:
         may exclude live nodes it ought to know about.  Routing and
         failure repair use this to decide when a rebuild is warranted.
         """
-        self._recompute()
         return self._ever_trimmed
 
     # ---------------------------------------------------------------- updates
 
     def add(self, node_id: int) -> None:
         """Consider ``node_id`` for membership (no-op for self/duplicates)."""
-        if node_id == self.owner_id or node_id in self._members:
+        ring = self._ring
+        i = bisect_left(ring, node_id)
+        if i < len(ring) and ring[i] == node_id:
             return
-        self._members.add(node_id)
-        self._dirty = True
+        ring.insert(i, node_id)
+        if i <= self._pos:
+            self._pos += 1
+        if len(ring) > self.l + 1:
+            self._pop((self._pos + 1 + self.l // 2) % len(ring))
+            self._ever_trimmed = True
 
     def add_all(self, node_ids: Iterable[int]) -> None:
         for node_id in node_ids:
@@ -192,11 +156,17 @@ class LeafSet:
 
     def remove(self, node_id: int) -> bool:
         """Remove a (failed) node.  Returns True if it was a member."""
-        if node_id in self._members:
-            self._members.discard(node_id)
-            self._dirty = True
-            return True
-        return False
+        ring = self._ring
+        i = bisect_left(ring, node_id)
+        if i == len(ring) or ring[i] != node_id or i == self._pos:
+            return False
+        self._pop(i)
+        return True
+
+    def _pop(self, index: int) -> None:
+        del self._ring[index]
+        if index < self._pos:
+            self._pos -= 1
 
     # ---------------------------------------------------------------- queries
 
@@ -207,9 +177,9 @@ class LeafSet:
         its own leaf set cannot absorb a replica (§3.5).  Either element may
         be ``None`` when that side is empty.
         """
-        self._recompute()
-        low = self._smaller[-1] if self._smaller else None
-        high = self._larger[-1] if self._larger else None
+        n_smaller, n_larger = self._sides()
+        low = self._ring[self._pos - n_smaller] if n_smaller else None
+        high = self._ring[self._pos + n_larger - len(self._ring)] if n_larger else None
         return low, high
 
     def covers(self, key: int) -> bool:
@@ -232,33 +202,35 @@ class LeafSet:
         covers its actual arc, with an empty side's extreme standing at
         the owner.
         """
-        self._recompute()
-        if not self.is_full() and not self._ever_trimmed:
+        n_smaller, n_larger = self._sides()
+        half = self.l // 2
+        if not self._ever_trimmed and not n_smaller == half == n_larger:
             return True
-        low = self._smaller[-1] if self._smaller else self.owner_id
-        high = self._larger[-1] if self._larger else self.owner_id
+        ring = self._ring
+        low = ring[self._pos - n_smaller]
+        high = ring[self._pos + n_larger - len(ring)]
         # Arc from `low` clockwise through the owner to `high`.  The two
-        # half-arcs are measured separately and summed *without* reducing
-        # modulo the ring size: each is at most half the ring (sides are
-        # direction-faithful), but if they jointly wrap the whole ring a
-        # single mod-reduced span would silently truncate it to a sliver.
-        span = idspace.clockwise_distance(low, self.owner_id) + idspace.clockwise_distance(
-            self.owner_id, high
-        )
-        if span >= idspace.ID_SPACE:
-            return True
-        offset = idspace.clockwise_distance(low, key)
-        return offset <= span
+        # half-arcs are summed without reducing modulo the ring size; the
+        # sides are direction-faithful (ccw strictly under half the ring,
+        # cw at most half), so the sum cannot reach a full turn.
+        span = (self.owner_id - low) % _SPACE + (high - self.owner_id) % _SPACE
+        return (key - low) % _SPACE <= span
 
     def closest_to(self, key: int, include_self: bool = True) -> Optional[int]:
         """Numerically closest node to ``key`` among members (and owner)."""
-        self._recompute()
-        # closest_of's tie-break is a strict total order, so feeding it
-        # the cached view / live set (no per-call copy) returns the same
-        # node the old copy-then-scan did.
-        if include_self:
-            return idspace.closest_of(self.sorted_members_with_owner(), key)
-        return idspace.closest_of(self._members, key)
+        if not include_self:
+            found = self.closest_nodes(key, 1, include_self=False)
+            return found[0] if found else None
+        # The nearest id by ring distance is the key's predecessor or its
+        # successor in ring order (one and the same on a one-node ring);
+        # ties on distance go to the smaller id, as in closest_nodes.
+        ring = self._ring
+        i = bisect_left(ring, key)
+        below, above = ring[i - 1], ring[i - len(ring)]
+        d_below, d_above = (key - below) % _SPACE, (above - key) % _SPACE
+        if d_below < d_above or (d_below == d_above and below < above):
+            return below
+        return above
 
     def closest_nodes(self, key: int, k: int, include_self: bool = True) -> List[int]:
         """The ``k`` members (optionally incl. owner) numerically closest to ``key``.
@@ -266,13 +238,14 @@ class LeafSet:
         This is how a PAST node determines the replica set for a fileId it
         coordinates: the k nodes with nodeIds closest to the fileId, all of
         which must appear in its leaf set (PAST requires ``k <= l/2 + 1``).
+        Ties on distance go to the smaller id.
         """
-        self._recompute()
-        if include_self:
-            candidates = self.sorted_members_with_owner()
-        else:
-            candidates = self._members
-        return idspace.sort_by_distance(candidates, key)[:k]
+        # Still a distance sort of all l + 1 candidates, as before the ring:
+        # every join and failure calls this once per stored file per
+        # witness, and walking outward from the key's bisect point instead
+        # (O(k + log l)) is its own step (DESIGN.md §4g, "staged").
+        pool = self._ring if include_self else self.sorted_members()
+        return idspace.sort_by_distance(pool, key)[:k]
 
     def state_rows(self) -> dict:
         """Debug/illustration view used by Figure-1 style state dumps."""

@@ -280,7 +280,7 @@ class PastryNetwork:
         # state, restoring Pastry's invariants (O(log N) messages).
         # Sorted: learn() mutates peer state, so the announcement order
         # must not depend on set iteration order.
-        contacts = set(node.leafset.members())
+        contacts = set(node.leafset.sorted_members())
         contacts.update(node.routing_table.entries())
         contacts.update(node.neighborhood)
         contacts.update(p.node_id for p in path_nodes)
@@ -378,7 +378,7 @@ class PastryNetwork:
         node = self._nodes.get(node_id)
         if node is None:
             raise KeyError(f"node {node_id} is not live")
-        node._crash_witnesses = set(node.leafset.members())
+        node._crash_witnesses = node.leafset.members()
         node.alive = False
         self._deregister(node_id)
         self._failed[node_id] = node

@@ -105,7 +105,12 @@ class PastryNode:
         return list(self._neighborhood)
 
     def consider_neighbor(self, node_id: int) -> None:
-        """Offer a node for the neighborhood set (kept sorted by proximity)."""
+        """Offer a node for the neighborhood set (kept sorted by proximity).
+
+        Equal distances keep arrival order (the sort is stable), so a full
+        set refuses an offer that is not strictly nearer than its farthest
+        member.
+        """
         if node_id == self.node_id or node_id in self._neighborhood:
             return
         self._neighborhood.append(node_id)
@@ -193,10 +198,10 @@ class PastryNode:
         """
         pulls = 0
         for _ in range(self.l):
-            before = self.leafset.members()
             # sorted_members() snapshots an immutable tuple, so the adds
             # below never perturb this round's iteration order.
-            for donor_id in self.leafset.sorted_members():
+            before = self.leafset.sorted_members()
+            for donor_id in before:
                 donor = self.network.get_live(donor_id)
                 if donor is None:
                     continue
@@ -208,7 +213,7 @@ class PastryNode:
                 for member in donor_members:
                     if self.network.is_live(member):
                         self.leafset.add(member)
-            if self.leafset.members() == before:
+            if self.leafset.sorted_members() == before:
                 break
         return pulls
 
@@ -228,7 +233,7 @@ class PastryNode:
         # members found there — Z alone cannot always supply both sides
         # (see exchange_leafsets).
         self.leafset.add(terminus.node_id)
-        self.leafset.add_all(terminus.leafset.members())
+        self.leafset.add_all(terminus.leafset.sorted_members())
         self.exchange_leafsets()
         # Neighborhood set from A (the proximity-nearby contact).
         self.consider_neighbor(seed.node_id)
@@ -245,7 +250,7 @@ class PastryNode:
         # contacted member, so the pre-exchange membership is stale by
         # now; routing entries are derived from the set's *current*
         # members, re-read after the last suspension.
-        if not self.leafset.members():
+        if len(self.leafset) == 0:
             return  # every contact vanished while the exchange was in flight
         for member in self.leafset.sorted_members():
             self.routing_table.consider(member)
@@ -352,9 +357,9 @@ class PastryNode:
         """
         if self.leafset.is_full() or not self.leafset.ever_trimmed:
             return False
-        before = self.leafset.members()
+        before = self.leafset.sorted_members()
         self.exchange_leafsets()
-        return self.leafset.members() != before
+        return self.leafset.sorted_members() != before
 
     def repair_table_entry(self, row: int, col: int) -> Optional[int]:
         """Lazily repair a dead routing-table slot (the Pastry protocol).
@@ -392,7 +397,7 @@ class PastryNode:
 
     def _rare_case_candidates(self, key: int, row: int) -> Set[int]:
         """Known live nodes usable when the routing-table slot is empty."""
-        pool: Set[int] = set(self.leafset.members())
+        pool: Set[int] = set(self.leafset.sorted_members())
         pool.update(self.routing_table.entries())
         pool.update(self._neighborhood)
         out: Set[int] = set()

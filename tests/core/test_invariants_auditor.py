@@ -115,6 +115,21 @@ class TestOverlayAudit:
             for v in report.violations
         )
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda ring: ring.reverse(),              # not ascending
+        lambda ring: ring.append(ring[-1]),       # duplicate member
+        lambda ring: ring.extend(range(1, 40)),   # more than l members
+    ])
+    def test_detects_malformed_leafset(self, net, corrupt):
+        node = net.pastry.nodes()[0]
+        corrupt(node.leafset._ring)
+        report = audit(net, check_overlay=True)
+        assert any(
+            v.kind == "overlay" and "malformed" in v.detail
+            and f"{node.node_id:#x}" in v.detail
+            for v in report.violations
+        )
+
     def test_detects_dead_overlay_entries(self, net):
         # Phase-1 crash with no keep-alive expiry: every surviving
         # leaf-set and routing-table reference to the victim is stale.

@@ -1,7 +1,7 @@
 """The transport seam: how engine-pure node logic reaches time and network.
 
-ROADMAP item 2 wants the same ``PastNode``/``PastryNode`` logic to run
-over a real asyncio transport as well as the deterministic simulator.
+The same ``PastNode``/``PastryNode`` logic runs over real TCP
+(``repro.net``) as well as under the deterministic simulator.
 The precondition is an architectural boundary: node logic must reach the
 clock, timers, routed messages and direct RPCs through *one* interface,
 so that swapping the engine is a constructor argument rather than a
@@ -15,8 +15,9 @@ primitives directly.
 :class:`Transport` documents the contract.  It is a structural protocol
 (duck typing, no ``abc`` machinery) so the simulator-backed
 implementation — :class:`~repro.netsim.transport.SimTransport`,
-re-exported here — pays no dispatch overhead on the hot path, and a
-future ``AsyncioTransport`` only needs to match the method signatures.
+re-exported here — pays no dispatch overhead on the hot path, and the
+real-TCP engine, :class:`~repro.net.asyncio_transport.AsyncioTransport`,
+only has to match the method signatures (``core`` never imports it).
 
 Under ``SimTransport`` every ``send`` completes synchronously, so
 handlers keep today's run-to-completion atomicity.  Under a concurrent

@@ -9,13 +9,17 @@ target node's server, and is decoded and dispatched there.  Nothing is
 shortcut in-process — if a payload cannot survive the codec, the call
 fails, which is exactly the property the wire analyzer proves statically.
 
-Topology: one asyncio event loop in a background thread runs one TCP
-server per node (127.0.0.1, kernel-assigned ports).  Driver threads and
-remote handlers issue RPCs by scheduling a round-trip coroutine on the
-loop and blocking on its future.  Handlers run on an executor thread
-pool — never on the loop thread — so a handler that itself sends nested
-RPCs (insert coordination fanning out ``accept_replica``, repair chains)
-cannot deadlock the loop.
+Topology: the *calling* thread (a driver, or an executor thread issuing
+a nested RPC) encodes its request, checks a blocking ``TCP_NODELAY``
+socket out of a per-target free list, sends, reads the reply and decodes
+it — it never enters the event loop.  One asyncio *loop* thread runs one
+TCP server per node (127.0.0.1, kernel-assigned ports): it accepts,
+frames incoming bytes (an :class:`asyncio.Protocol` per connection),
+writes replies and fires timers.  Each complete request goes to an
+*executor* thread, which decodes it, dispatches under the node's lock
+and encodes the reply — never on the loop thread — so a handler that
+itself sends nested RPCs (insert coordination fanning out
+``accept_replica``, repair chains) cannot deadlock the loop.
 
 Semantics relative to ``SimTransport``:
 
@@ -40,31 +44,31 @@ Semantics relative to ``SimTransport``:
   as under the simulator, and its retry policy takes over.
 
 Failure discipline (see DESIGN.md §4k): every RPC runs under **one**
-wall-clock deadline derived from the client's
-:class:`~repro.core.resilience.RetryPolicy` (falling back to the flat
-``timeout``); failed checkouts to live peers re-dial with seeded
-jittered backoff; per-peer in-flight RPCs are capped at a high-water
-mark past which sends are rejected, not queued; and every swallowed
-failure is classified into the :class:`~repro.net.faults.WireStats`
-counters instead of vanishing into a blanket ``except``.
+wall-clock expiry derived from the client's
+:class:`~repro.core.resilience.RetryPolicy` (or the flat ``timeout``),
+handed to each blocking socket call as its timeout; refused dials to
+live peers re-dial with seeded jittered backoff; per-peer in-flight
+RPCs past a high-water mark are rejected, not queued; and every
+swallowed failure is classified into the
+:class:`~repro.net.faults.WireStats` counters.
 """
 
 from __future__ import annotations
 
 import asyncio
 import random
+import socket
 import threading
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import fields, is_dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.resilience import RetryPolicy
 from ..core.seeding import derive_seed
 from ..pastry.network import MAX_ROUTE_HOPS, RouteResult, RoutingError
-from .codec import CodecError, WireCodec
+from .codec import CodecError, WireCodec, take_frame
 from .faults import InjectedLoss, InjectedReset, WireFaultPlan, WireStats
 
 __all__ = ["AsyncioTransport", "Backpressure", "RemoteCallError"]
@@ -76,10 +80,8 @@ __all__ = ["AsyncioTransport", "Backpressure", "RemoteCallError"]
 #: retry rather than stall).
 ROUTE_DEADLINE_LEGS = 8
 
-#: Slack added to the driver-side future wait beyond the in-loop
-#: deadline: the coroutine is cancelled *at* the deadline, the slack
-#: only covers loop-scheduling lag before the cancellation lands.
-DEADLINE_GRACE = 5.0
+#: Bytes asked of each reply ``recv``: a whole frame, nearly always.
+_RECV_BYTES = 65536
 
 #: How a handler's owning class is reached from the target's PastryNode.
 #: Keys are the class names pinned in the wire schema's rpc table.
@@ -126,10 +128,7 @@ def _merge_value(old: Any, new: Any) -> None:
                 object.__setattr__(old, f.name, new_field)
     elif isinstance(old, list):
         old[:] = new
-    elif isinstance(old, set):
-        old.clear()
-        old.update(new)
-    elif isinstance(old, dict):
+    elif isinstance(old, (set, dict)):
         old.clear()
         old.update(new)
 
@@ -145,6 +144,80 @@ class _PeriodicTimer:
         if not self.stopped:
             self.stopped = True
             self._cancel()
+
+
+def _left(expiry: float) -> float:
+    """Seconds left of an RPC's one expiry, for its next blocking step."""
+    remaining = expiry - time.perf_counter()
+    if remaining <= 0.0:
+        raise socket.timeout("RPC deadline passed")
+    return remaining
+
+
+def _exchange(sock: socket.socket, blob: bytes, expiry: float) -> bytes:
+    """Send one frame and read the reply's payload, all before ``expiry``."""
+    sock.settimeout(_left(expiry))
+    sock.sendall(blob)
+    buf = bytearray()
+    while True:
+        chunk = sock.recv(_RECV_BYTES)
+        if not chunk:
+            raise ConnectionResetError("peer closed mid-call")
+        buf += chunk
+        payload = take_frame(buf)  # CodecError on an oversize prefix
+        if payload is not None:
+            if buf:
+                raise CodecError(f"{len(buf)} bytes after the reply frame")
+            return payload
+        sock.settimeout(_left(expiry))
+
+
+class _Connection(asyncio.Protocol):
+    """One accepted connection: framed on the loop, served off it.
+
+    Frames are served in order, as the lock-step client expects: while a
+    payload is with the executor later bytes only accumulate, and
+    writing its reply resumes the framing.
+    """
+
+    def __init__(self, owner: "AsyncioTransport", node_id: int):
+        self.owner = owner
+        self.node_id = node_id
+        self.transport: Optional[asyncio.Transport] = None
+        self.buffer = bytearray()
+        self.busy = False
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.owner._server_conns.setdefault(self.node_id, set()).add(transport)
+
+    def connection_lost(self, exc) -> None:
+        self.owner._server_conns.get(self.node_id, set()).discard(self.transport)
+
+    def data_received(self, data: bytes) -> None:
+        self.buffer += data
+        owner = self.owner
+        while not self.busy:
+            try:
+                payload = take_frame(self.buffer)
+            except CodecError:  # oversize prefix: not a peer to keep
+                return self.transport.abort()
+            if payload is None:
+                return
+            if payload == owner._ping:
+                # The codec is deterministic, so a ping is recognised by
+                # its bytes and answered here, without a handler thread.
+                self.transport.write(owner._pong[self.node_id in owner.overlay._nodes])
+            else:
+                self.busy = True
+                owner._executor.submit(owner._serve_frame, self, payload)
+
+    def reply(self, blob: bytes) -> None:
+        """Loop thread: write one reply, then frame what queued behind it."""
+        self.busy = False
+        if not self.transport.is_closing():
+            self.transport.write(blob)
+            self.data_received(b"")
 
 
 class AsyncioTransport:
@@ -194,16 +267,24 @@ class AsyncioTransport:
         self.codec = WireCodec()
         self._ports: Dict[int, int] = {}
         self._servers: Dict[int, asyncio.AbstractServer] = {}
-        self._pool: Dict[int, List[Tuple[asyncio.StreamReader, asyncio.StreamWriter]]] = {}
-        #: Per-peer checked-out connection counts (loop thread only).
+        #: Guards what concurrent callers share: free lists, in-flight
+        #: counts, fault-plan and backoff draws (call order is draw
+        #: order) and the wire counters.  Never held across I/O.
+        self._lock = threading.Lock()
+        #: Idle client sockets by the *port* they dialed: a restarted
+        #: node binds a new port, so its old sockets are never reused.
+        self._free: Dict[int, List[socket.socket]] = {}
+        #: Per-peer in-flight RPC counts.
         self._active: Dict[int, int] = {}
-        #: Accepted server-side connections, so a kill can sever them.
-        self._server_conns: Dict[int, Set[asyncio.StreamWriter]] = {}
+        #: Accepted connections, so a kill can sever them (loop thread).
+        self._server_conns: Dict[int, Set[asyncio.Transport]] = {}
         #: Nodes whose process was killed: no serve-on-first-contact
         #: resurrection until an explicit ensure_server (the restart).
         self._down: Set[int] = set()
-        #: Jittered-backoff draws for re-dials (loop thread only).
+        #: Jittered-backoff draws for re-dials.
         self._backoff_rng = random.Random(derive_seed(seed, "wire-backoff"))
+        self._ping = self.codec.encode({"op": "ping"})
+        self._pong = [self.codec.encode_frame({"ok": alive}) for alive in (False, True)]
         self._t0 = time.perf_counter()
         #: Per-node dispatch locks: a node's handlers are serialized (the
         #: engine state is not thread-safe), re-entrantly so a handler's
@@ -273,14 +354,8 @@ class AsyncioTransport:
         nested RPCs) before the sockets are torn down, so a durable
         backend never sees a mutation cut off mid-handler.
         """
-        deadline = time.perf_counter() + timeout
         with self._inflight_cv:
-            while self._inflight > 0:
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    return False
-                self._inflight_cv.wait(remaining)
-        return True
+            return self._inflight_cv.wait_for(lambda: self._inflight == 0, timeout)
 
     def close(self) -> None:
         """Stop every server and the loop thread."""
@@ -370,10 +445,6 @@ class AsyncioTransport:
                 # guarantee holds.
                 reply = self._loopback(target_id, frame)
             else:
-                # reliable=True matches the simulator's semantics: the
-                # fault plan is skipped (join/recovery state exchanges
-                # assume a reliable substrate), though the real network
-                # can of course still fail the call.
                 reply = self._request(
                     target_id, frame,
                     link=None if reliable else (origin_id, target_id),
@@ -447,224 +518,174 @@ class AsyncioTransport:
         return self.timeout * max(1, legs)
 
     def _note_failure(self, exc: BaseException) -> None:
-        """Classify a swallowed transport failure into :attr:`wire`.
-
-        Injected losses are counted by the plan at decision time and
-        backpressure rejections at the reject site; everything else the
-        old blanket ``except`` hid becomes a named counter.
-        """
+        """Classify a swallowed transport failure into :attr:`wire` (injected
+        losses are counted by the plan, rejections at the reject site)."""
         if isinstance(exc, (InjectedLoss, Backpressure)):
             return
-        if isinstance(exc, asyncio.TimeoutError):
-            self.wire.timeouts += 1
-        elif isinstance(exc, (ConnectionResetError, BrokenPipeError)):
-            self.wire.resets += 1
-        elif isinstance(exc, ConnectionRefusedError):
-            self.wire.refused += 1
+        with self._lock:
+            if isinstance(exc, asyncio.TimeoutError):
+                self.wire.timeouts += 1
+            elif isinstance(exc, (ConnectionResetError, BrokenPipeError)):
+                self.wire.resets += 1
+            elif isinstance(exc, ConnectionRefusedError):
+                self.wire.refused += 1
 
     def _run(self, coro):
         """Run a coroutine on the loop thread, blocking the caller."""
         return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
 
-    def _request(
-        self,
-        target_id: int,
-        frame: dict,
-        deadline: Optional[float] = None,
-        link: Optional[Tuple[int, int]] = None,
-        dup_ok: bool = False,
-    ) -> dict:
-        """One encoded round-trip to a node's server.
+    def _request(self, target_id: int, frame: dict,
+                 deadline: Optional[float] = None,
+                 link: Optional[Tuple[int, int]] = None,
+                 dup_ok: bool = False) -> dict:
+        """One encoded round-trip to a node's server, on the calling thread.
 
-        Safe from any thread except the loop thread itself (handlers run
-        on the executor, so nested RPCs arrive here, not on the loop).
+        One expiry governs the whole leg — injected delay, dial and
+        re-dials, write, reply read: each blocking step gets what is
+        left of it as its timeout, and a lapse anywhere surfaces as
+        :class:`asyncio.TimeoutError` (which ``socket.timeout`` is not
+        before Python 3.10).
 
-        One deadline governs the whole leg — checkout, write, and the
-        reply read — enforced in-loop by ``wait_for`` (the old split of
-        an in-loop read timeout plus a doubled driver-side future wait
-        could leave a leg alive for twice its nominal budget).  Both the
-        in-loop expiry and the belt-and-suspenders driver-side wait
-        normalize to :class:`asyncio.TimeoutError`.
-
-        ``link`` names the (src, dst) pair the installed fault plan is
-        consulted about; ``None`` legs (loopback, the driver's hand-off
-        to the origin's own server) are never injected.
+        ``link`` is the (src, dst) pair the fault plan is asked about;
+        ``None`` legs (the driver's hand-off to the origin's own server,
+        ``reliable`` sends) are never injected.
         """
         blob = self.codec.encode_frame(frame)
         if deadline is None:
             deadline = self.rpc_deadline()
-        future = asyncio.run_coroutine_threadsafe(
-            asyncio.wait_for(
-                self._roundtrip(target_id, blob, link=link, dup_ok=dup_ok),
-                timeout=deadline,
-            ),
-            self._loop,
-        )
-        try:
-            return self.codec.decode(future.result(timeout=deadline + DEADLINE_GRACE))
-        except InjectedLoss:
-            # Must re-raise as itself: on 3.11+ concurrent.futures'
-            # TimeoutError *is* the builtin, so the clause below would
-            # otherwise swallow the injected flavor and misclassify it
-            # as a real timeout.
-            raise
-        except FuturesTimeout:
-            # The loop never even cancelled the leg in time; give up on
-            # the future and normalize to the asyncio flavor.
-            future.cancel()
-            raise asyncio.TimeoutError(
-                f"no reply from node {target_id:#x}"
-            ) from None
-
-    async def _roundtrip(
-        self,
-        target_id: int,
-        blob: bytes,
-        link: Optional[Tuple[int, int]] = None,
-        dup_ok: bool = False,
-    ) -> bytes:
+        expiry = time.perf_counter() + deadline
         faults = self.faults
         verdict = None
         if faults is not None and link is not None:
-            verdict = faults.decide(link[0], link[1])
+            with self._lock:
+                verdict = faults.decide(link[0], link[1])
             if verdict.lost:
                 # Fail fast instead of burning the real deadline: to the
                 # caller an injected drop and a timed-out reply are the
-                # same undelivered RPC.
-                raise InjectedLoss(
-                    f"injected loss on link {link[0]:#x}->{link[1]:#x}"
-                )
-            if verdict.delay > 0.0:
-                await asyncio.sleep(min(verdict.delay, 1.0))
+                # same undelivered RPC.  Raised outside the ``try``,
+                # which would rebrand it a genuine timeout.
+                raise InjectedLoss(f"injected loss on link {link[0]:#x}->{link[1]:#x}")
+        try:
+            if verdict is not None and verdict.delay > 0.0:
+                time.sleep(min(verdict.delay, 1.0, _left(expiry)))
+            payload = self._roundtrip(target_id, blob, expiry, verdict, dup_ok)
+        except socket.timeout:
+            raise asyncio.TimeoutError(f"no reply from node {target_id:#x}") from None
+        return self.codec.decode(payload)
+
+    def _roundtrip(self, target_id: int, blob: bytes, expiry: float,
+                   verdict, dup_ok: bool) -> bytes:
         port = self._ports.get(target_id)
         if port is None:
             # Live nodes serve on first contact (a joining node's peers
             # are dialed before any explicit serve_all()); dead nodes
             # refuse, which is what probes are for.  Killed processes
             # stay dead until their explicit ensure_server restart.
-            if target_id in self.overlay._nodes and target_id not in self._down:
-                port = await self._start_server(target_id)
-            else:
+            if target_id not in self.overlay._nodes or target_id in self._down:
                 raise ConnectionRefusedError(f"node {target_id:#x} is not serving")
-        conn = await self._checkout(target_id, port)
-        reader, writer = conn
+            port = self._run(self._start_server(target_id))
+        with self._lock:
+            active = self._active.get(target_id, 0)
+            if active >= self.pool_limit:
+                # Reject-not-queue: queueing would only hide the overload
+                # from the caller's retry policy, which owns recovery.
+                self.wire.rejected += 1
+                raise Backpressure(f"node {target_id:#x}: {active} RPCs in flight")
+            self._active[target_id] = active + 1
+            free = self._free.get(port)
+            sock = free.pop() if free else None
+        keep = False
         try:
-            try:
-                if verdict is not None and verdict.reset:
-                    # Tear the link mid-frame: the server sees a
-                    # half-written length prefix, the caller a reset.
-                    writer.write(blob[:2])
-                    await writer.drain()
-                    writer.close()
-                    raise InjectedReset(
-                        f"injected reset on link to node {target_id:#x}"
-                    )
-                writer.write(blob)
-                await writer.drain()
-                payload = await self._read_frame(reader)
-                if (payload is not None and dup_ok
-                        and verdict is not None and verdict.duplicate):
-                    # The receiver gets the frame twice (the sim's
-                    # duplicated hop): downstream handlers re-run, the
-                    # second reply is drained and discarded so the
-                    # pooled connection stays frame-aligned.
-                    writer.write(blob)
-                    await writer.drain()
-                    await self._read_frame(reader)
-            except BaseException:
-                writer.close()
-                raise
-            if payload is None:
-                writer.close()
-                raise ConnectionResetError(f"node {target_id:#x} closed mid-call")
-            self._pool.setdefault(target_id, []).append(conn)
+            if sock is None:
+                sock, port = self._checkout(target_id, port, expiry)
+            if verdict is not None and verdict.reset:
+                # Mid-frame tear: the server sees half a length prefix.
+                sock.sendall(blob[:2])
+                raise InjectedReset(f"injected reset on link to node {target_id:#x}")
+            payload = _exchange(sock, blob, expiry)
+            if dup_ok and verdict is not None and verdict.duplicate:
+                # The receiver gets the frame twice (the sim's duplicated
+                # hop): downstream handlers re-run; the second reply is
+                # drained so the pooled socket stays frame-aligned.
+                _exchange(sock, blob, expiry)
+            keep = True
             return payload
         finally:
-            self._active[target_id] = self._active.get(target_id, 1) - 1
+            with self._lock:
+                self._active[target_id] -= 1
+                # A socket that outlived its server is stale.
+                keep = keep and self._ports.get(target_id) == port
+                if keep:
+                    self._free.setdefault(port, []).append(sock)
+            if sock is not None and not keep:
+                sock.close()
 
-    async def _checkout(self, target_id: int, port: int):
-        if self._active.get(target_id, 0) >= self.pool_limit:
-            # Reject-not-queue: past the high-water mark the peer is
-            # overloaded and queueing would only hide it; the caller's
-            # retry policy owns the recovery.
-            self.wire.rejected += 1
-            raise Backpressure(
-                f"node {target_id:#x}: {self.pool_limit} RPCs already in flight"
-            )
-        free = self._pool.get(target_id)
-        conn = None
-        while free:
-            reader, writer = free.pop()
-            if not writer.is_closing():
-                conn = reader, writer
-                break
-        if conn is None:
-            try:
-                conn = await asyncio.open_connection(self.host, port)
-            except OSError:
-                if target_id not in self.overlay._nodes or target_id in self._down:
-                    raise
-                conn = await self._redial(target_id)
-        self._active[target_id] = self._active.get(target_id, 0) + 1
-        return conn
+    def _connect(self, port: int, expiry: float) -> socket.socket:
+        sock = socket.create_connection((self.host, port), timeout=_left(expiry))
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return sock
 
-    async def _redial(self, target_id: int):
+    def _checkout(self, target_id: int, port: int, expiry: float):
+        """Dial a fresh socket for a reserved in-flight slot; (socket, port)."""
+        try:
+            return self._connect(port, expiry), port
+        except OSError:
+            if target_id not in self.overlay._nodes or target_id in self._down:
+                raise
+            return self._redial(target_id, expiry)
+
+    def _redial(self, target_id: int, expiry: float):
         """Re-dial a live peer with seeded, jittered exponential backoff.
 
-        A refused connection to a peer the overlay says is alive is
-        usually a restart race (its server is rebinding); backing off
-        and re-dialing rides it out.  Dead peers never get here — their
-        refusal is the failure-detection signal and must stay prompt.
+        A refused dial to a peer the overlay says is alive is usually a
+        restart race (its server is rebinding).  Dead peers never get
+        here: their refusal is the failure-detection signal.
         """
         delay = self.reconnect_backoff
-        for attempt in range(self.reconnect_attempts):
-            await asyncio.sleep(delay * (1.0 + self._backoff_rng.random()))
+        for _ in range(self.reconnect_attempts):
+            with self._lock:
+                jitter = self._backoff_rng.random()
+            time.sleep(min(delay * (1.0 + jitter), _left(expiry)))
             delay *= 2.0
             if target_id not in self.overlay._nodes or target_id in self._down:
                 break
             port = self._ports.get(target_id)
             if port is None:
-                port = await self._start_server(target_id)
+                port = self._run(self._start_server(target_id))
             try:
-                conn = await asyncio.open_connection(self.host, port)
+                sock = self._connect(port, expiry)
             except OSError:
                 continue
-            self.wire.reconnects += 1
-            return conn
+            with self._lock:
+                self.wire.reconnects += 1
+            return sock, port
         raise ConnectionRefusedError(
             f"node {target_id:#x} still unreachable after "
             f"{self.reconnect_attempts} re-dials"
         )
 
-    @staticmethod
-    async def _read_frame(reader: asyncio.StreamReader) -> Optional[bytes]:
-        try:
-            header = await reader.readexactly(4)
-            length = int.from_bytes(header, "big")
-            return await reader.readexactly(length)
-        except (asyncio.IncompleteReadError, ConnectionResetError):
-            return None
-
     # --------------------------------------------------------- server side
 
     async def _start_server(self, node_id: int) -> int:
-        server = await asyncio.start_server(
-            lambda r, w: self._serve_conn(node_id, r, w), self.host, 0
+        server = await self._loop.create_server(
+            lambda: _Connection(self, node_id), self.host, 0
         )
-        port = server.sockets[0].getsockname()[1]
+        if node_id in self._ports:  # lost a first-contact race while awaiting
+            server.close()
+            return self._ports[node_id]
         self._servers[node_id] = server
-        self._ports[node_id] = port
+        port = self._ports[node_id] = server.sockets[0].getsockname()[1]
         return port
 
     async def _stop_server(self, node_id: int) -> None:
         server = self._servers.pop(node_id, None)
-        self._ports.pop(node_id, None)
-        for reader, writer in self._pool.pop(node_id, []):
-            writer.close()
+        with self._lock:
+            for sock in self._free.pop(self._ports.pop(node_id, None), ()):
+                sock.close()
         # A dead process severs its accepted connections too: a client
         # blocked on a reply sees a reset, not a silent stall.
-        for writer in list(self._server_conns.pop(node_id, set())):
-            writer.close()
+        for conn in list(self._server_conns.pop(node_id, ())):
+            conn.abort()
         if server is not None:
             server.close()
             await server.wait_closed()
@@ -672,45 +693,24 @@ class AsyncioTransport:
     async def _close_all(self) -> None:
         for node_id in list(self._servers):
             await self._stop_server(node_id)
-        # Connection handlers are parked on reads; cancel and reap them
-        # so nothing still needs the loop after it stops.
+        # Timers are parked in sleeps; cancel and reap them so nothing
+        # still needs the loop after it stops.
         me = asyncio.current_task()
         tasks = [t for t in asyncio.all_tasks(self._loop) if t is not me]
         for task in tasks:
             task.cancel()
         await asyncio.gather(*tasks, return_exceptions=True)
 
-    async def _serve_conn(self, node_id: int, reader, writer) -> None:
-        conns = self._server_conns.setdefault(node_id, set())
-        conns.add(writer)
+    def _serve_frame(self, conn: _Connection, payload: bytes) -> None:
+        """Executor thread (handlers may block in nested RPCs): decode,
+        dispatch, encode; the loop only writes.  Nobody reads this job's
+        future, so an undecodable frame or unencodable result is *answered*."""
         try:
-            while True:
-                payload = await self._read_frame(reader)
-                if payload is None:
-                    break
-                frame = self.codec.decode(payload)
-                if frame.get("op") == "ping":
-                    reply = {"ok": node_id in self.overlay._nodes}
-                else:
-                    # Handlers run on the executor: they may issue nested
-                    # RPCs, which must not block the loop thread.
-                    reply = await self._loop.run_in_executor(
-                        self._executor, self._dispatch, node_id, frame
-                    )
-                writer.write(self.codec.encode_frame(reply))
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        except asyncio.CancelledError:
-            # Shutdown cancels parked handlers; exit cleanly so the
-            # stream protocol's done-callback finds no pending exception.
-            pass
-        finally:
-            conns.discard(writer)
-            try:
-                writer.close()
-            except RuntimeError:
-                pass  # loop already closing underneath us
+            reply = self._dispatch(conn.node_id, self.codec.decode(payload))
+            blob = self.codec.encode_frame(reply)
+        except Exception:
+            blob = self.codec.encode_frame({"error": traceback.format_exc()})
+        self._loop.call_soon_threadsafe(conn.reply, blob)
 
     def _loopback(self, node_id: int, frame: dict) -> dict:
         """Dispatch a self-RPC inline, still round-tripping the codec."""

@@ -17,7 +17,10 @@ definitions, so a drifted schema fails loudly at import time rather
 than corrupting payloads.
 
 Frame format (used by :mod:`repro.net.asyncio_transport`): a 4-byte
-big-endian payload length followed by one encoded value.
+big-endian payload length followed by one encoded value;
+:meth:`WireCodec.encode_frame` writes it and :func:`take_frame` reads
+it back out of a receive buffer, refusing prefixes above
+:data:`MAX_FRAME_BYTES`.
 """
 
 from __future__ import annotations
@@ -27,14 +30,22 @@ import json
 import struct
 from dataclasses import fields, is_dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Tuple, Type
+from typing import Any, Dict, List, Optional, Tuple, Type
 
-__all__ = ["CodecError", "WireCodec", "load_wire_schema", "SCHEMA_PATH"]
+__all__ = [
+    "CodecError", "MAX_FRAME_BYTES", "WireCodec", "load_wire_schema",
+    "SCHEMA_PATH", "take_frame",
+]
 
 #: The golden schema committed next to this module by ``--write-schema``.
 SCHEMA_PATH = Path(__file__).resolve().parent / "wire_schema.json"
 
 _SCHEMA_VERSION = 1
+
+#: Largest payload a frame's length prefix may announce: the receiver
+#: refuses a bigger one instead of buffering up to 4 GiB on a peer's
+#: say-so.  A constant of the format, not an option.
+MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 # One-byte type tags.  Order is part of the wire format; never reuse.
 _T_NONE = b"N"
@@ -57,6 +68,27 @@ _F64 = struct.Struct(">d")
 
 class CodecError(ValueError):
     """A value outside the certified wire grammar, or corrupt bytes."""
+
+
+def take_frame(buf: bytearray) -> Optional[bytes]:
+    """Pop one complete frame's payload off the front of ``buf``.
+
+    Returns ``None`` (and leaves ``buf`` alone) while the frame is still
+    incomplete, however the bytes were chunked on the way in; raises
+    :class:`CodecError` as soon as the prefix announces more than
+    :data:`MAX_FRAME_BYTES`.
+    """
+    if len(buf) < _LEN.size:
+        return None
+    (length,) = _LEN.unpack_from(buf)
+    if length > MAX_FRAME_BYTES:
+        raise CodecError(f"frame announces {length} bytes (limit {MAX_FRAME_BYTES})")
+    end = _LEN.size + length
+    if len(buf) < end:
+        return None
+    payload = bytes(buf[_LEN.size:end])
+    del buf[:end]
+    return payload
 
 
 def load_wire_schema(path: Path = SCHEMA_PATH) -> dict:

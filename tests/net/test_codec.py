@@ -13,7 +13,14 @@ import struct
 import pytest
 
 from repro.core.messages import InsertRequest, LookupRequest
-from repro.net.codec import SCHEMA_PATH, CodecError, WireCodec, load_wire_schema
+from repro.net.codec import (
+    MAX_FRAME_BYTES,
+    SCHEMA_PATH,
+    CodecError,
+    WireCodec,
+    load_wire_schema,
+    take_frame,
+)
 from repro.security.certificates import FileCertificate, StoreReceipt
 
 
@@ -212,3 +219,30 @@ class TestFrames:
         payload = frame[4:]
         assert length == len(payload)
         assert codec.decode(payload) == value
+
+    def test_take_frame_reassembles_any_chunking(self, codec):
+        values = [{"op": "ping"}, ["second", 2**70], b"\x00" * 300]
+        stream = b"".join(codec.encode_frame(v) for v in values)
+        for step in (1, 3, 7, len(stream)):
+            buf, seen = bytearray(), []
+            for i in range(0, len(stream), step):
+                buf += stream[i:i + step]
+                while True:
+                    payload = take_frame(buf)
+                    if payload is None:
+                        break
+                    seen.append(codec.decode(payload))
+            assert seen == values and not buf
+
+    def test_take_frame_leaves_an_incomplete_frame_alone(self, codec):
+        frame = codec.encode_frame("half")
+        for cut in (0, 2, 4, len(frame) - 1):
+            buf = bytearray(frame[:cut])
+            assert take_frame(buf) is None
+            assert buf == frame[:cut]
+
+    def test_take_frame_refuses_an_oversize_prefix(self):
+        at_limit = bytearray(struct.pack(">I", MAX_FRAME_BYTES) + b"x")
+        assert take_frame(at_limit) is None  # allowed, merely incomplete
+        with pytest.raises(CodecError, match="limit"):
+            take_frame(bytearray(struct.pack(">I", MAX_FRAME_BYTES + 1)))

@@ -1,8 +1,10 @@
 """Request messages routed through the Pastry overlay by PAST.
 
-Requests are mutable envelopes: routing carries them node to node and the
-intercepting node records its response in the message.  The network layer
-then translates the envelope into a client-facing result object.
+Requests are envelopes: routing carries one from hop to hop, the
+intercepting node records its response in it, and it comes back to the
+sender in ``RouteResult.message`` — the object the sender passed in is
+not the reply.  The network layer then translates the returned envelope
+into a client-facing result object.
 """
 
 from __future__ import annotations

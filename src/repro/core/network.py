@@ -393,14 +393,17 @@ class PastNetwork:
                 )
                 self._record_insert(result)
                 return result
-            request = InsertRequest(cert, client_id, content=content)
-            route = self.transport.route(client_id, idspace.routing_key(fid), message=request)
+            route = self.transport.route(
+                client_id, idspace.routing_key(fid),
+                message=InsertRequest(cert, client_id, content=content),
+            )
             total_hops += route.hops
             if policy is not None and (route.lost or route.dropped):
-                request, route, retry_hops = self._reroute_insert(
+                route, retry_hops = self._reroute_insert(
                     cert, client_id, content, policy
                 )
                 total_hops += retry_hops
+            request = route.message
             coordinator_id = request.coordinator_id or route.terminus
             coordinator = self._past.get(coordinator_id)
             ok = coordinator is not None and coordinator.coordinate_insert(request)
@@ -443,19 +446,19 @@ class PastNetwork:
         Retries keep the same salt — the transport lost the message, the
         fileId's neighborhood never refused it — and run with randomized
         routing so each retry is likely to avoid the previous path (§2.3).
-        Returns the last (request, route) pair plus the hops spent.
+        Returns the last route (its ``message`` is the request as the
+        coordinator-to-be left it) plus the hops spent.
         """
         hops = 0
-        request = None
         route = None
         saved = self.pastry.randomize_routing
         if policy.randomize_retries:
             self.pastry.randomize_routing = True
         try:
             for retry in range(1, policy.max_attempts):
-                request = InsertRequest(cert, client_id, content=content)
                 route = self.transport.route(
-                    client_id, idspace.routing_key(cert.file_id), message=request
+                    client_id, idspace.routing_key(cert.file_id),
+                    message=InsertRequest(cert, client_id, content=content),
                 )
                 hops += route.hops
                 if not (route.lost or route.dropped):
@@ -463,11 +466,11 @@ class PastNetwork:
         finally:
             if self.pastry.randomize_routing != saved:
                 self.pastry.randomize_routing = saved
-        if request is None:  # max_attempts == 1: no retry budget
+        if route is None:  # max_attempts == 1: no retry budget
             request = InsertRequest(cert, client_id, content=content)
             request.failure_reason = "request lost in transit"
-            route = RouteResult(lost=True)
-        return request, route, hops
+            route = RouteResult(lost=True, message=request)
+        return route, hops
 
     def _record_insert(self, result: InsertResult) -> None:
         self.stats.record_insert(
@@ -515,13 +518,13 @@ class PastNetwork:
             return self._lookup_with_policy(file_id, client_id, policy)
         self.clock += 1
         for _attempt in range(retries + 1):
-            request = LookupRequest(file_id, client_id)
             route = self.transport.route(
-                client_id, idspace.routing_key(file_id), message=request,
-                collect_distance=True,
+                client_id, idspace.routing_key(file_id),
+                message=LookupRequest(file_id, client_id), collect_distance=True,
             )
             if not route.dropped:
                 break
+        request = route.message
         success = request.source is not None and not route.dropped
         hops = route.hops + request.extra_hops
         if success:
@@ -585,10 +588,11 @@ class PastNetwork:
                         and self.transport.now() - wall_start > policy.op_deadline):
                     break
                 attempts = attempt
-                request = LookupRequest(file_id, client_id)
                 route = self.transport.route(
-                    client_id, key, message=request, collect_distance=True
+                    client_id, key, message=LookupRequest(file_id, client_id),
+                    collect_distance=True,
                 )
+                request = route.message
                 total_hops += route.hops
                 total_distance += route.distance
                 elapsed += route.latency
@@ -603,7 +607,8 @@ class PastNetwork:
                 # the holders may be crashed, partitioned, or mid-repair.
                 # Hedge: ask each of the k replica holders directly.
                 if policy.hedge and route.terminus is not None:
-                    hedged = self._hedged_fetch(request, route.terminus, key)
+                    request = self._hedged_fetch(request, route.terminus, key)
+                    hedged = request.source is not None
                     if hedged:
                         break
                 elapsed += policy.attempt_timeout
@@ -642,7 +647,9 @@ class PastNetwork:
             integrity_failovers=request.integrity_failures,
         )
 
-    def _hedged_fetch(self, request: LookupRequest, terminus_id: int, key: int) -> bool:
+    def _hedged_fetch(
+        self, request: LookupRequest, terminus_id: int, key: int
+    ) -> LookupRequest:
         """Ask each replica holder directly until one serves the file.
 
         The terminus (numerically closest live node) knows the replica
@@ -650,22 +657,26 @@ class PastNetwork:
         holder, each individually subject to the fault plane, stopping at
         the first that answers.  This is the "fall back across the k
         replica holders" hedge: it converts "the routed request happened
-        to traverse no live holder" into at most k extra RPCs.
+        to traverse no live holder" into at most k extra RPCs.  Returns
+        the request as the last holder reached left it — served
+        (``source`` set) or not, failed verified reads counted either way.
         """
         terminus = self._past.get(terminus_id)
         if terminus is None:
-            return False
+            return request
         for holder_id in terminus.replica_set_for(key):
             holder = self._past.get(holder_id)
             if holder is None:
                 continue
             request.extra_hops += 1
-            delivered, served = self.transport.send(
-                request.client_id, holder_id, holder._try_satisfy_lookup, request
+            delivered, reply = self.transport.send(
+                request.client_id, holder_id, holder.fetch, request
             )
-            if delivered and served:
-                return True
-        return False
+            if delivered:
+                request = reply
+                if request.source is not None:
+                    break
+        return request
 
     # ------------------------------------------------------------- reclaim
 
@@ -678,10 +689,11 @@ class PastNetwork:
         """
         self.clock += 1
         cert = owner.issue_reclaim_certificate(file_id)
-        request = ReclaimRequest(cert, client_id)
         route = self.transport.route(
-            client_id, idspace.routing_key(file_id), message=request
+            client_id, idspace.routing_key(file_id),
+            message=ReclaimRequest(cert, client_id),
         )
+        request = route.message
         coordinator_id = request.coordinator_id or route.terminus
         coordinator = self._past.get(coordinator_id)
         ok = coordinator is not None and coordinator.coordinate_reclaim(request)

@@ -17,7 +17,7 @@ Terminology from the paper, used throughout:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, Optional, Set
+from typing import TYPE_CHECKING, Iterable, List, Optional, Set, Tuple, Union
 
 from ..netsim.faults import READ_CORRUPT, READ_OK
 from ..pastry import idspace
@@ -106,6 +106,12 @@ class PastNode(PastryApplication):
             self._maintain_after_failure(failed_id)
 
     # --------------------------------------------------------------- lookup
+
+    def fetch(self, msg: LookupRequest) -> LookupRequest:
+        """The hedged-fetch RPC: the request as this node leaves it, served
+        (``source`` set) or not, failed verified reads counted either way."""
+        self._try_satisfy_lookup(msg)
+        return msg
 
     def _try_satisfy_lookup(self, msg: LookupRequest) -> bool:
         """Serve a lookup locally if possible (replica, cache or pointer).
@@ -200,7 +206,7 @@ class PastNode(PastryApplication):
             request.failure_reason = "insufficient nodes for k replicas"
             return False
 
-        placed: List[int] = []
+        receipts: List[StoreReceipt] = []
         for member_id in replica_set:
             # The leaf set can name a member that crashed but has not
             # been detected yet (the store RPC goes out and times out:
@@ -209,54 +215,48 @@ class PastNode(PastryApplication):
             # the insert must roll back (and the client re-salts or
             # retries) rather than crash the coordinator.
             member = self.network.past_node_or_none(member_id)
-            delivered, stored = self.network.transport.send(
+            delivered, reply = self.network.transport.send(
                 self.node_id, member_id,
                 None if member is None else member.accept_replica,
-                request, replica_set,
+                cert, request.content, replica_set,
             )
-            if delivered and stored:
-                placed.append(member_id)
+            if delivered and isinstance(reply, StoreReceipt):
+                receipts.append(reply)
             else:
-                for placed_id in placed:
-                    holder = self.network.past_node_or_none(placed_id)
+                for receipt in receipts:
+                    holder = self.network.past_node_or_none(receipt.node_id)
                     if holder is not None:
                         holder.abort_replica(cert.file_id)
-                request.receipts.clear()
-                request.replica_diversions = 0
-                if not delivered and request.failure_reason is None:
-                    request.failure_reason = "replica-set member unreachable"
-                if request.failure_reason is None:
-                    request.failure_reason = "no storage within leaf set"
+                request.failure_reason = (
+                    reply if delivered else "replica-set member unreachable"
+                )
                 return False
+        request.receipts = receipts
+        request.replica_diversions = sum(r.diverted for r in receipts)
         request.accepted = True
         return True
 
-    def accept_replica(self, request: InsertRequest, replica_set: List[int]) -> bool:
-        """Store a primary replica, or divert it within the leaf set (§3.3)."""
-        cert = request.certificate
+    def accept_replica(
+        self, cert: FileCertificate, content: Optional[bytes], replica_set: List[int]
+    ) -> Union[StoreReceipt, str]:
+        """Store a primary replica, or divert it within the leaf set (§3.3).
+
+        Returns this node's store receipt, or the reason it refused.
+        """
         try:
             cert.verify()
-            cert.verify_content(cert.size, request.content)
+            cert.verify_content(cert.size, content)
         except CertificateError as exc:
-            request.failure_reason = f"certificate: {exc}"
-            return False
+            return f"certificate: {exc}"
 
         if self.store.can_accept(cert.size, self.config.t_pri):
             self.store.store_replica(cert, diverted=False)
-            request.receipts.append(
-                self.smartcard.issue_store_receipt(cert.file_id, self.node_id, False)
-            )
-            return True
+            return self.smartcard.issue_store_receipt(cert.file_id, self.node_id, False)
 
         # Replica diversion: pick node B, install pointers on A (self) and C.
-        diverted_to = self._divert_replica(cert, replica_set)
-        if diverted_to is None:
-            return False
-        request.replica_diversions += 1
-        request.receipts.append(
-            self.smartcard.issue_store_receipt(cert.file_id, self.node_id, True)
-        )
-        return True
+        if self._divert_replica(cert, replica_set) is None:
+            return "no storage within leaf set"
+        return self.smartcard.issue_store_receipt(cert.file_id, self.node_id, True)
 
     def _divert_replica(self, cert: FileCertificate, replica_set: List[int]) -> Optional[int]:
         """Divert one replica; returns B's nodeId or None if diversion failed."""
@@ -571,11 +571,14 @@ class PastNode(PastryApplication):
                 self._displaced_member(key, kset, member_id, cert.k)
                 if is_newcomer else None
             )
-            delivered, repaired = self.network.transport.send(
+            delivered, reply = self.network.transport.send(
                 self.node_id, member_id, member.apply_member_repair,
                 fid, cert, displaced_id, is_newcomer, seen,
             )
-            if not delivered or not repaired:
+            repaired, resolved = reply if delivered else (False, None)
+            if resolved is not None:
+                seen.add(resolved)
+            if not repaired:
                 all_ok = False
         # Confirm-reread: the member repairs above suspend at their RPCs;
         # re-test the flag after them rather than acting on the value the
@@ -595,24 +598,25 @@ class PastNode(PastryApplication):
         displaced_id: Optional[int],
         is_newcomer: bool,
         seen: Set[int],
-    ) -> bool:
+    ) -> Tuple[bool, Optional[int]]:
         """The member-side body of one §3.5 repair RPC.
 
         Drops this node's stale entry, takes the join-time pointer
         shortcut when the coordinator offers one (it names the displaced
         holder directly), and otherwise re-acquires a real replica.
         ``seen`` is the coordinator's set of already-resolved physical
-        replicas, extended in place so later repairs in the same pass
-        avoid the same target.  Returns True when this node ends up
-        with a usable entry.
+        replicas.  Returns ``(repaired, resolved_target)``: whether this
+        node ends up with a usable entry, and the physical replica a
+        join offer resolved to, which the coordinator adds to ``seen``
+        so later repairs in the same pass avoid the same target.
         """
         self.drop_pointer_and_deref(fid)
-        if is_newcomer:
-            if self.receive_join_offer(cert, displaced_id, forbidden_targets=seen):
-                seen.add(self.store.pointers[fid].target_id
-                         if fid in self.store.pointers else self.node_id)
-                return True
-        return self.replicate_file(cert)
+        if is_newcomer and self.receive_join_offer(
+            cert, displaced_id, forbidden_targets=seen
+        ):
+            pointer = self.store.pointers.get(fid)
+            return True, self.node_id if pointer is None else pointer.target_id
+        return self.replicate_file(cert), None
 
     def request_repair(self, fid: int) -> None:
         """Ask every current kset member to re-check the file's invariant.

@@ -50,11 +50,18 @@ class Transport:
     Message plane:
 
     * ``route(origin_id, key, message=None, collect_distance=False)`` —
-      overlay-routed delivery towards ``key`` (Pastry's ``route``).
+      overlay-routed delivery towards ``key`` (Pastry's ``route``); the
+      message in its final state comes back as ``RouteResult.message``.
     * ``send(origin_id, target_id, call, *args, reliable=..., **kwargs)
       -> (delivered, result)`` — one direct RPC; ``delivered`` is False
       when the message was lost or the target unreachable.
     * ``probe(origin_id, peer_id) -> bool`` — one keep-alive probe.
+
+    Arguments and messages go in by value and replies are values: all a
+    caller may use of a call is ``result`` / ``RouteResult.message``.
+    What a handler or up-call does to the objects it was handed is not
+    observable by the caller (the simulator happens to pass references,
+    a socket cannot), so callers never read back what they passed in.
 
     Implementations must be deterministic functions of their inputs and
     any engine state they encapsulate: the schedule explorer replays

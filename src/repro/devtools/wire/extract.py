@@ -22,10 +22,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..framework import ModuleInfo
 
 #: Modules whose dataclasses may cross the seam as message payloads.
-#: ``repro.core.messages`` holds the mutable request envelopes (their
-#: in-place mutation is the reply channel; a real transport ships the
-#: mutated copy back — see AsyncioTransport's copy-restore writeback)
-#: and ``repro.security.certificates`` the frozen certificate/receipt
+#: ``repro.core.messages`` holds the request envelopes (routed hop to
+#: hop and returned in ``RouteResult.message``) and
+#: ``repro.security.certificates`` the frozen certificate/receipt
 #: records embedded in them.
 MESSAGE_MODULES = ("repro.core.messages", "repro.security.certificates")
 

@@ -20,7 +20,7 @@ from typing import Dict, Optional
 from ..framework import LintError
 from .extract import WireAnalysis
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: The committed golden schema, packaged next to the codec that uses it.
 DEFAULT_SCHEMA_PATH = Path(__file__).resolve().parents[2] / "net" / "wire_schema.json"

@@ -31,14 +31,10 @@ Semantics relative to ``SimTransport``:
   exchanges assume a reliable substrate); the real network can still
   fail the call.  A sim :class:`FaultPlan` on the overlay is rejected
   at construction — wire faults are installed via ``install_faults``.
-* Mutable arguments (message dataclasses, lists, sets, dicts) are
-  round-tripped: the reply carries their post-handler state and the
-  driver merges it back into the caller's objects, preserving the
-  in-process mutation contract (``accept_replica`` filling receipts,
-  ``apply_member_repair`` growing ``seen``).
 * ``route`` is hop-by-hop: each node's server runs the ``forward``
   up-call locally, then chains the frame to the next hop's server; the
-  final state flows back along the chain.  A leg the fault plane (or
+  message's final state flows back along the chain into
+  ``RouteResult.message``.  A leg the fault plane (or
   the real network) loses ends the chain with a ``lost`` verdict that
   rides the replies back — the client sees ``RouteResult.lost``, same
   as under the simulator, and its retry policy takes over.
@@ -62,7 +58,6 @@ import threading
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields, is_dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.resilience import RetryPolicy
@@ -79,6 +74,19 @@ __all__ = ["AsyncioTransport", "Backpressure", "RemoteCallError"]
 #: deeper chains fail the leg, report it lost, and let the client
 #: retry rather than stall).
 ROUTE_DEADLINE_LEGS = 8
+
+#: Seconds one RPC leg may take when no :class:`RetryPolicy` sets it.
+RPC_TIMEOUT = 30.0
+
+#: Per-peer in-flight high-water mark (sends past it are rejected).
+POOL_LIMIT = 32
+
+#: Re-dials of a refused live peer, and the first backoff they double.
+RECONNECT_ATTEMPTS = 3
+RECONNECT_BACKOFF = 0.05
+
+#: Handler threads (a handler blocks its thread while its nested RPCs run).
+MAX_WORKERS = 64
 
 #: Bytes asked of each reply ``recv``: a whole frame, nearly always.
 _RECV_BYTES = 65536
@@ -107,30 +115,6 @@ class Backpressure(ConnectionError):
     policy decides what happens next.  Rejecting (instead of queueing)
     keeps an overloaded peer from accumulating unbounded waiters.
     """
-
-
-def _merge_value(old: Any, new: Any) -> None:
-    """Write a decoded post-handler value back into the caller's object.
-
-    Mutable containers merge in place so caller-held aliases observe the
-    mutation; mutable dataclass fields recurse one level for the same
-    reason (``InsertRequest.receipts`` is read through the original
-    request object).  Immutables need no merge — they cannot have been
-    mutated remotely.
-    """
-    if is_dataclass(old) and not type(old).__dataclass_params__.frozen:
-        for f in fields(old):
-            old_field = getattr(old, f.name)
-            new_field = getattr(new, f.name)
-            if isinstance(old_field, (list, set, dict)):
-                _merge_value(old_field, new_field)
-            else:
-                object.__setattr__(old, f.name, new_field)
-    elif isinstance(old, list):
-        old[:] = new
-    elif isinstance(old, (set, dict)):
-        old.clear()
-        old.update(new)
 
 
 class _PeriodicTimer:
@@ -233,12 +217,7 @@ class AsyncioTransport:
         self,
         overlay: Any,
         host: str = "127.0.0.1",
-        max_workers: int = 64,
-        timeout: float = 30.0,
         policy: Optional[RetryPolicy] = None,
-        pool_limit: int = 32,
-        reconnect_attempts: int = 3,
-        reconnect_backoff: float = 0.05,
         seed: int = 0,
     ):
         if getattr(overlay, "fault_plan", None) is not None:
@@ -247,18 +226,13 @@ class AsyncioTransport:
                 "belong to the deterministic simulator (wire faults are "
                 "a WireFaultPlan, installed via install_faults)"
             )
-        if pool_limit < 1:
-            raise ValueError("pool_limit must be at least 1")
         self.overlay = overlay
         self.host = host
-        self.timeout = timeout
+        self.timeout = RPC_TIMEOUT
         #: Per-RPC deadlines derive from this policy when set; the flat
         #: ``timeout`` is only the policy-less fallback.
         self.policy = policy
-        #: Per-peer in-flight high-water mark (reject past it).
-        self.pool_limit = pool_limit
-        self.reconnect_attempts = reconnect_attempts
-        self.reconnect_backoff = reconnect_backoff
+        self.pool_limit = POOL_LIMIT
         #: Installed socket-level fault plan (None = zero-cost clean wire).
         self.faults: Optional[WireFaultPlan] = None
         #: Classified failure counters (satellite of the fault plane:
@@ -280,6 +254,8 @@ class AsyncioTransport:
         self._server_conns: Dict[int, Set[asyncio.Transport]] = {}
         #: Nodes whose process was killed: no serve-on-first-contact
         #: resurrection until an explicit ensure_server (the restart).
+        #: Like ``_ports`` and ``_servers`` it changes only on the loop
+        #: thread, so a kill and a start of one node cannot interleave.
         self._down: Set[int] = set()
         #: Jittered-backoff draws for re-dials.
         self._backoff_rng = random.Random(derive_seed(seed, "wire-backoff"))
@@ -297,7 +273,7 @@ class AsyncioTransport:
         self._inflight = 0
         self._inflight_cv = threading.Condition()
         self._executor = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="repro-rpc"
+            max_workers=MAX_WORKERS, thread_name_prefix="repro-rpc"
         )
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
@@ -320,11 +296,7 @@ class AsyncioTransport:
         ensure clears the down flag, the way a restarted process binds
         its port again.
         """
-        self._down.discard(node_id)
-        port = self._ports.get(node_id)
-        if port is not None:
-            return port
-        return self._run(self._start_server(node_id))
+        return self._run(self._start_server(node_id, restart=True))
 
     def stop_server(self, node_id: int) -> None:
         """Stop a node's server (a crashed node stops answering probes).
@@ -334,9 +306,7 @@ class AsyncioTransport:
         the node is marked down, so serve-on-first-contact cannot
         resurrect it — only an explicit :meth:`ensure_server` restart.
         """
-        self._down.add(node_id)
-        if node_id in self._ports:
-            self._run(self._stop_server(node_id))
+        self._run(self._stop_server(node_id, kill=True))
 
     def kill_server(self, node_id: int) -> None:
         """Alias of :meth:`stop_server`, named for chaos harness intent."""
@@ -362,6 +332,7 @@ class AsyncioTransport:
         self._run(self._close_all())
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(timeout=5)
+        self._loop.close()
         self._executor.shutdown(wait=False)
 
     def __enter__(self) -> "AsyncioTransport":
@@ -432,7 +403,6 @@ class AsyncioTransport:
         frame = {
             "op": "call",
             "handler": handler,
-            "target": target_id,
             "args": list(args),
             "kwargs": kwargs,
         }
@@ -456,10 +426,6 @@ class AsyncioTransport:
             raise RemoteCallError(
                 f"{handler} on node {target_id:#x} raised:\n{reply['error']}"
             )
-        for old, new in zip(args, reply["args"]):
-            _merge_value(old, new)
-        for key, new in reply["kwargs"].items():
-            _merge_value(kwargs[key], new)
         return True, reply["result"]
 
     def probe(self, origin_id: int, peer_id: int) -> bool:
@@ -493,19 +459,18 @@ class AsyncioTransport:
                 f"route({key:#x}) from node {origin_id:#x} raised:\n{reply['error']}"
             )
         if reply.get("lost"):
-            result = RouteResult(path=reply.get("path") or [], lost=True)
-            overlay.stats.record_route(result.hops, result.distance)
-            return result
-        if message is not None and reply["message"] is not None:
-            _merge_value(message, reply["message"])
-        result = RouteResult(path=reply["path"])
-        result.terminus = reply["terminus"]
-        result.intercepted = reply["intercepted"]
-        if collect_distance:
-            result.distance = sum(
-                overlay.distance(a, b)
-                for a, b in zip(result.path, result.path[1:])
+            # No hop's reply came back: the message is as it was sent.
+            result = RouteResult(reply.get("path") or [], lost=True, message=message)
+        else:
+            result = RouteResult(
+                path=reply["path"], terminus=reply["terminus"],
+                intercepted=reply["intercepted"], message=reply["message"],
             )
+            if collect_distance:
+                result.distance = sum(
+                    overlay.distance(a, b)
+                    for a, b in zip(result.path, result.path[1:])
+                )
         overlay.stats.record_route(result.hops, result.distance)
         return result
 
@@ -641,17 +606,15 @@ class AsyncioTransport:
         restart race (its server is rebinding).  Dead peers never get
         here: their refusal is the failure-detection signal.
         """
-        delay = self.reconnect_backoff
-        for _ in range(self.reconnect_attempts):
+        delay = RECONNECT_BACKOFF
+        for _ in range(RECONNECT_ATTEMPTS):
             with self._lock:
                 jitter = self._backoff_rng.random()
             time.sleep(min(delay * (1.0 + jitter), _left(expiry)))
             delay *= 2.0
             if target_id not in self.overlay._nodes or target_id in self._down:
                 break
-            port = self._ports.get(target_id)
-            if port is None:
-                port = self._run(self._start_server(target_id))
+            port = self._run(self._start_server(target_id))  # idempotent
             try:
                 sock = self._connect(port, expiry)
             except OSError:
@@ -661,23 +624,31 @@ class AsyncioTransport:
             return sock, port
         raise ConnectionRefusedError(
             f"node {target_id:#x} still unreachable after "
-            f"{self.reconnect_attempts} re-dials"
+            f"{RECONNECT_ATTEMPTS} re-dials"
         )
 
     # --------------------------------------------------------- server side
 
-    async def _start_server(self, node_id: int) -> int:
-        server = await self._loop.create_server(
-            lambda: _Connection(self, node_id), self.host, 0
-        )
-        if node_id in self._ports:  # lost a first-contact race while awaiting
-            server.close()
-            return self._ports[node_id]
-        self._servers[node_id] = server
-        port = self._ports[node_id] = server.sockets[0].getsockname()[1]
-        return port
+    async def _start_server(self, node_id: int, restart: bool = False) -> int:
+        if restart:
+            self._down.discard(node_id)
+        if node_id not in self._ports:
+            server = await self._loop.create_server(
+                lambda: _Connection(self, node_id), self.host, 0
+            )
+            if node_id in self._down:  # killed while this dial was binding
+                server.close()
+                raise ConnectionRefusedError(f"node {node_id:#x} is not serving")
+            if node_id in self._ports:  # lost a first-contact race meanwhile
+                server.close()
+            else:
+                self._servers[node_id] = server
+                self._ports[node_id] = server.sockets[0].getsockname()[1]
+        return self._ports[node_id]
 
-    async def _stop_server(self, node_id: int) -> None:
+    async def _stop_server(self, node_id: int, kill: bool = False) -> None:
+        if kill:
+            self._down.add(node_id)
         server = self._servers.pop(node_id, None)
         with self._lock:
             for sock in self._free.pop(self._ports.pop(node_id, None), ()):
@@ -752,10 +723,8 @@ class AsyncioTransport:
         target = node
         for attr in path:
             target = getattr(target, attr)
-        args = frame["args"]
-        kwargs = frame["kwargs"]
-        result = getattr(target, method_name)(*args, **kwargs)
-        return {"result": result, "args": args, "kwargs": kwargs}
+        result = getattr(target, method_name)(*frame["args"], **frame["kwargs"])
+        return {"result": result}
 
     def _dispatch_route(self, node_id: int, frame: dict) -> dict:
         overlay = self.overlay

@@ -40,7 +40,7 @@ __all__ = [
 #: The golden schema committed next to this module by ``--write-schema``.
 SCHEMA_PATH = Path(__file__).resolve().parent / "wire_schema.json"
 
-_SCHEMA_VERSION = 1
+_SCHEMA_VERSION = 2
 
 #: Largest payload a frame's length prefix may announce: the receiver
 #: refuses a bigger one instead of buffering up to 4 GiB on a peer's

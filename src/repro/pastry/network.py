@@ -18,7 +18,7 @@ from __future__ import annotations
 import bisect
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from ..netsim import MessageStats, TorusTopology
 from ..netsim.faults import FaultPlan
@@ -92,6 +92,9 @@ class RouteResult:
     lost: bool = False
     #: Virtual-time latency injected by the fault plane along the path.
     latency: float = 0.0
+    #: The routed message in its final state: whatever the up-calls along
+    #: the path recorded in it comes back here, not in the caller's object.
+    message: Any = None
 
     @property
     def hops(self) -> int:
@@ -460,7 +463,7 @@ class PastryNetwork:
         current = self._nodes.get(origin_id)
         if current is None:
             raise KeyError(f"origin {origin_id} is not a live node")
-        result = RouteResult(path=[current.node_id])
+        result = RouteResult(path=[current.node_id], message=message)
         duplicate_from: List[int] = []
         while True:
             if (

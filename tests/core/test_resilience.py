@@ -125,8 +125,9 @@ class TestResilientLookup:
         net.pastry.fault_plan = FaultPlan(seed=2, loss=1.0)
         terminus = net.past_node_or_none(net.pastry.k_closest_live(key, 1)[0])
         request = LookupRequest(fid, node_ids[0])
-        assert not net._hedged_fetch(request, terminus.node_id, key)
-        assert request.source is None
+        unserved = net._hedged_fetch(request, terminus.node_id, key)
+        assert unserved.source is None
+        assert unserved.extra_hops == len(terminus.replica_set_for(key))
 
 
 class TestResilientInsert:

@@ -186,7 +186,7 @@ class TestWireHandlerTotal:
     def test_dead_schema_handler_is_flagged(self, tmp_path):
         schema = tmp_path / "wire_schema.json"
         schema.write_text(json.dumps({
-            "version": 1,
+            "version": 2,
             "rpcs": {
                 "Store.fetch": {"module": "repro.core.fixture"},
                 "Store.stale_handler": {"module": "repro.core.fixture"},

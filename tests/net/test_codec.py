@@ -192,7 +192,7 @@ class TestRejections:
 class TestSchemaBinding:
     def test_committed_schema_loads(self):
         schema = load_wire_schema()
-        assert schema["version"] == 1
+        assert schema["version"] == 2
         assert "messages" in schema and schema["messages"]
 
     def test_missing_schema_raises(self, tmp_path):

@@ -9,12 +9,14 @@ is exercised here from several threads and in awkward chunkings.
 """
 
 import asyncio
+import gc
 import os
 import socket
 import sys
 import threading
 import time
 import types
+import warnings
 
 import pytest
 
@@ -42,10 +44,10 @@ def ask(transport, client, target, fid=1):
     )
 
 
-def call_frame(codec, target, fid):
+def call_frame(codec, fid):
     return codec.encode_frame({
         "op": "call", "handler": "LocalStore.holds_file",
-        "target": target.node_id, "args": [fid], "kwargs": {},
+        "args": [fid], "kwargs": {},
     })
 
 
@@ -224,6 +226,59 @@ class TestRestartLeavesNoStaleSocket:
         assert transport._active[victim.node_id] == 0
 
 
+class TestLifecycleBelongsToTheLoop:
+    def test_kill_during_a_first_contact_dial_is_not_undone_by_it(
+        self, cluster, monkeypatch
+    ):
+        """A dial that found the node unserved is still binding its
+        server when the kill lands: the dial must be refused, and the
+        node must stay dead until its explicit restart."""
+        net, transport, client, victim = cluster
+        transport._run(transport._stop_server(victim.node_id))  # unserved, not killed
+        create_server = transport._loop.create_server
+        parked = threading.Event()
+        release = transport._loop.create_future()
+
+        async def parked_create_server(*args, **kwargs):
+            parked.set()
+            await release
+            return await create_server(*args, **kwargs)
+
+        monkeypatch.setattr(transport._loop, "create_server", parked_create_server)
+        dialed = []
+        dial = threading.Thread(
+            target=lambda: dialed.append(
+                transport.probe(client.node_id, victim.node_id)
+            )
+        )
+        dial.start()
+        assert parked.wait(timeout=10)
+        transport.kill_server(victim.node_id)
+        transport._loop.call_soon_threadsafe(release.set_result, None)
+        dial.join(timeout=10)
+        assert not dial.is_alive()
+        assert dialed == [False]
+        assert victim.node_id not in transport._ports
+        assert victim.node_id not in transport._servers
+        assert transport.probe(client.node_id, victim.node_id) is False
+        assert transport.wire.refused == 2
+        transport.ensure_server(victim.node_id)
+        assert transport.probe(client.node_id, victim.node_id) is True
+
+    def test_close_leaves_nothing_for_the_collector_to_warn_about(self, monkeypatch):
+        gc.collect()  # earlier tests' garbage is not this one's business
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            net, transport = build_cluster(4, seed=3, engine="asyncio")
+            transport.serve_all()
+            transport.close()
+            del net, transport
+            gc.collect()
+        assert unraisable == []
+
+
 class RecordingTransport:
     """Stands in for the asyncio transport of one accepted connection."""
 
@@ -264,8 +319,10 @@ class TestServerFraming:
     """``_Connection.data_received`` fed on the loop thread, as asyncio does."""
 
     @pytest.fixture
-    def conn(self, cluster):
+    def conn(self, cluster, monkeypatch):
         net, transport, client, target = cluster
+        # A reply is nothing but its result, so the result names the request.
+        monkeypatch.setattr(LocalStore, "holds_file", lambda self, fid: -fid)
         conn = at._Connection(transport, target.node_id)
         recorder = RecordingTransport()
         transport._loop.call_soon_threadsafe(conn.connection_made, recorder)
@@ -274,32 +331,32 @@ class TestServerFraming:
             for chunk in chunks:
                 transport._loop.call_soon_threadsafe(conn.data_received, chunk)
 
-        return feed, recorder, transport.codec, target
+        return feed, recorder, transport.codec
 
     def test_one_frame_a_byte_at_a_time(self, conn):
-        feed, recorder, codec, target = conn
-        blob = call_frame(codec, target, 7)
+        feed, recorder, codec = conn
+        blob = call_frame(codec, 7)
         feed(*(blob[i:i + 1] for i in range(len(blob))))
         (reply,) = recorder.replies(1, codec)
-        assert reply == {"result": False, "args": [7], "kwargs": {}}
+        assert reply == {"result": -7}
 
     def test_two_frames_in_one_chunk_are_answered_in_order(self, conn):
-        feed, recorder, codec, target = conn
-        feed(call_frame(codec, target, 1) + call_frame(codec, target, 2))
+        feed, recorder, codec = conn
+        feed(call_frame(codec, 1) + call_frame(codec, 2))
         first, second = recorder.replies(2, codec)
-        assert (first["args"], second["args"]) == ([1], [2])
+        assert (first, second) == ({"result": -1}, {"result": -2})
 
     def test_chunk_split_inside_the_header(self, conn):
-        feed, recorder, codec, target = conn
-        blob = call_frame(codec, target, 9)
+        feed, recorder, codec = conn
+        blob = call_frame(codec, 9)
         ping = codec.encode_frame({"op": "ping"})
         feed(blob[:2], blob[2:] + ping[:3], ping[3:])
         reply, pong = recorder.replies(2, codec)
-        assert reply["args"] == [9]
+        assert reply == {"result": -9}
         assert pong == {"ok": True}
 
     def test_oversize_prefix_aborts_without_buffering(self, conn):
-        feed, recorder, codec, target = conn
+        feed, recorder, codec = conn
         feed((MAX_FRAME_BYTES + 1).to_bytes(4, "big") + b"x" * 64)
         with recorder.cv:
             assert recorder.cv.wait_for(lambda: recorder.aborted, timeout=10)

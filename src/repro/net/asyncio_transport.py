@@ -5,12 +5,14 @@ protocol, so the same engine-pure ``PastNode``/``PastryNode`` logic that
 runs under the deterministic simulator serves real concurrent traffic:
 every direct RPC and every routed message is encoded by the schema-pinned
 :class:`~repro.net.codec.WireCodec`, crosses a localhost TCP socket to the
-target node's server, and is decoded and dispatched there.  Nothing is
-shortcut in-process — if a payload cannot survive the codec, the call
+target node's server, and is decoded and dispatched there.  A node
+talking to itself (a handler's self-RPC, a route's first step) skips the
+socket; nothing skips the codec — if a payload cannot survive it, the call
 fails, which is exactly the property the wire analyzer proves statically.
 
 Topology: the *calling* thread (a driver, or an executor thread issuing
-a nested RPC) encodes its request, checks a blocking ``TCP_NODELAY``
+a nested RPC) takes a route's first step itself, at the client's access
+node; otherwise it encodes its request, checks a blocking ``TCP_NODELAY``
 socket out of a per-target free list, sends, reads the reply and decodes
 it — it never enters the event loop.  One asyncio *loop* thread runs one
 TCP server per node (127.0.0.1, kernel-assigned ports): it accepts,
@@ -31,10 +33,11 @@ Semantics relative to ``SimTransport``:
   exchanges assume a reliable substrate); the real network can still
   fail the call.  A sim :class:`FaultPlan` on the overlay is rejected
   at construction — wire faults are installed via ``install_faults``.
-* ``route`` is hop-by-hop: each node's server runs the ``forward``
-  up-call locally, then chains the frame to the next hop's server; the
-  message's final state flows back along the chain into
-  ``RouteResult.message``.  A leg the fault plane (or
+* ``route`` starts at the client's access node, like the simulator's:
+  the origin runs its ``forward`` up-call on the calling thread, each
+  hop chains the frame to the next hop's server (h overlay hops, h
+  socket round trips), and the message's final state flows back along
+  the chain into ``RouteResult.message``.  A leg the fault plane (or
   the real network) loses ends the chain with a ``lost`` verdict that
   rides the replies back — the client sees ``RouteResult.lost``, same
   as under the simulator, and its retry policy takes over.
@@ -68,11 +71,9 @@ from .faults import InjectedLoss, InjectedReset, WireFaultPlan, WireStats
 
 __all__ = ["AsyncioTransport", "Backpressure", "RemoteCallError"]
 
-#: Deadline multiplier for routed messages: the driver-side request
-#: blocks until the whole hop-by-hop chain returns, so its deadline
-#: covers this many chained legs (overlay routes are O(log n) hops;
-#: deeper chains fail the leg, report it lost, and let the client
-#: retry rather than stall).
+#: Deadline multiplier for a route's chained leg, which blocks until the
+#: rest of the chain returns (overlay routes are O(log n) hops; deeper
+#: chains fail the leg, report it lost, and let the client retry).
 ROUTE_DEADLINE_LEGS = 8
 
 #: Seconds one RPC leg may take when no :class:`RetryPolicy` sets it.
@@ -409,10 +410,8 @@ class AsyncioTransport:
         try:
             if getattr(self._serving, "node", None) == target_id:
                 # Loopback self-RPC from inside this node's own handler
-                # (a coordinator in its own replica set).  Going through
-                # the socket would deadlock on the node's dispatch lock;
-                # the payload still round-trips the codec, so the wire
-                # guarantee holds.
+                # (a coordinator in its own replica set): the socket
+                # would deadlock on the node's dispatch lock.
                 reply = self._loopback(target_id, frame)
             else:
                 reply = self._request(
@@ -443,17 +442,15 @@ class AsyncioTransport:
         overlay = self.overlay
         if origin_id not in overlay._nodes:
             raise KeyError(f"origin {origin_id} is not a live node")
-        try:
-            reply = self._request(
-                origin_id,
-                {"op": "route", "key": key, "message": message, "path": []},
-                deadline=self.rpc_deadline(ROUTE_DEADLINE_LEGS),
-            )
-        except (OSError, asyncio.TimeoutError) as exc:
-            # The client's request (or the whole chain's reply) never
-            # came back: same observable as the simulator's lost route.
-            self._note_failure(exc)
+        if origin_id in self._down:
+            # A killed process refuses its own client like any peer.
+            self._note_failure(ConnectionRefusedError())
             reply = {"lost": True, "path": []}
+        else:
+            # The client is its access node (paper §2.2): the origin's
+            # step runs here, and only overlay hops cross a socket.
+            frame = {"op": "route", "key": key, "message": message, "path": []}
+            reply = self._loopback(origin_id, frame)
         if "error" in reply:
             raise RemoteCallError(
                 f"route({key:#x}) from node {origin_id:#x} raised:\n{reply['error']}"
@@ -512,8 +509,7 @@ class AsyncioTransport:
         before Python 3.10).
 
         ``link`` is the (src, dst) pair the fault plan is asked about;
-        ``None`` legs (the driver's hand-off to the origin's own server,
-        ``reliable`` sends) are never injected.
+        ``None`` legs (``reliable`` sends) are never injected.
         """
         blob = self.codec.encode_frame(frame)
         if deadline is None:
@@ -684,10 +680,13 @@ class AsyncioTransport:
         self._loop.call_soon_threadsafe(conn.reply, blob)
 
     def _loopback(self, node_id: int, frame: dict) -> dict:
-        """Dispatch a self-RPC inline, still round-tripping the codec."""
-        wire = self.codec.decode(self.codec.encode(frame))
-        reply = self._dispatch(node_id, wire)
-        return self.codec.decode(self.codec.encode(reply))
+        """Dispatch on the calling thread (a handler's self-RPC, a route's
+        step at its origin), the frame and the reply through the codec."""
+        codec = self.codec
+        reply = self._dispatch(node_id, codec.decode(codec.encode(frame)))
+        if reply.get("terminus", node_id) != node_id:
+            return reply  # read off a chained socket: decoded once already
+        return codec.decode(codec.encode(reply))
 
     def _node_lock(self, node_id: int) -> threading.RLock:
         return self._locks.setdefault(node_id, threading.RLock())

@@ -70,6 +70,10 @@ class CodecError(ValueError):
     """A value outside the certified wire grammar, or corrupt bytes."""
 
 
+def _truncated(blob: bytes) -> CodecError:
+    return CodecError(f"corrupt wire bytes at offset {len(blob)}: value cut short")
+
+
 def take_frame(buf: bytearray) -> Optional[bytes]:
     """Pop one complete frame's payload off the front of ``buf``.
 
@@ -214,6 +218,8 @@ class WireCodec:
     def decode(self, blob: bytes) -> Any:
         value, offset = self._decode(blob, 0)
         if offset != len(blob):
+            if offset > len(blob):  # a length prefix reached past the end
+                raise _truncated(blob)
             raise CodecError(f"{len(blob) - offset} trailing bytes after value")
         return value
 
@@ -268,6 +274,8 @@ class WireCodec:
                 return cls(*values), offset
         except (IndexError, struct.error, UnicodeDecodeError) as exc:
             raise CodecError(f"corrupt wire bytes at offset {offset}: {exc}") from None
+        if not tag:  # read at or past the end: the blob stops inside a value
+            raise _truncated(blob)
         raise CodecError(f"unknown wire tag {tag!r} at offset {offset - 1}")
 
     @staticmethod

@@ -179,6 +179,30 @@ class TestRejections:
         with pytest.raises(CodecError):
             codec.decode(blob[:-3])
 
+    @pytest.mark.parametrize("value", ["hello world", 2**130 + 17, b"\x00\xff" * 7])
+    def test_value_cut_short_is_reported_where_the_blob_ends(self, codec, value):
+        blob = codec.encode(value)
+        with pytest.raises(CodecError, match=f"corrupt wire bytes at offset {len(blob) - 3}:"):
+            codec.decode(blob[:-3])
+
+    def test_length_prefix_past_the_end_raises(self, codec):
+        # The first element announces more bytes than the blob has left,
+        # so the second is looked for beyond the end.
+        blob = bytearray(codec.encode(["abc", 1]))
+        blob[9] = 200
+        with pytest.raises(CodecError, match=f"corrupt wire bytes at offset {len(blob)}:"):
+            codec.decode(bytes(blob))
+
+    def test_container_announcing_more_items_than_it_has_raises(self, codec):
+        blob = bytearray(codec.encode([1, 2]))
+        blob[4] = 5
+        with pytest.raises(CodecError, match=f"corrupt wire bytes at offset {len(blob)}:"):
+            codec.decode(bytes(blob))
+
+    def test_empty_blob_raises(self, codec):
+        with pytest.raises(CodecError, match="corrupt wire bytes at offset 0:"):
+            codec.decode(b"")
+
     def test_unknown_tag_raises(self, codec):
         with pytest.raises(CodecError, match="unknown wire tag"):
             codec.decode(b"Q")

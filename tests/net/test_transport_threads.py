@@ -5,12 +5,14 @@ the loop thread accepts, frames, writes replies and fires timers; an
 executor thread decodes, dispatches under the node lock and encodes
 (DESIGN.md §4i).  What used to be serialized by living on the loop —
 the free lists, the in-flight counts, the framing of a byte stream —
-is exercised here from several threads and in awkward chunkings.
+is exercised here from several threads and in awkward chunkings.  The
+calling thread also takes a route's first step, at its own access node.
 """
 
 import asyncio
 import gc
 import os
+import random
 import socket
 import sys
 import threading
@@ -20,6 +22,9 @@ import warnings
 
 import pytest
 
+from repro.core.config import PastConfig
+from repro.core.messages import LookupRequest
+from repro.core.node import PastNode
 from repro.core.storage import LocalStore
 from repro.net import asyncio_transport as at
 from repro.net.codec import MAX_FRAME_BYTES, CodecError, take_frame
@@ -449,16 +454,16 @@ class TestTimeoutFlavour:
             for peer in peers:
                 peer.close()
 
-    def test_stalled_origin_loses_the_route_with_one_timeout(self, cluster, monkeypatch):
+    def test_stalled_next_hop_is_one_timeout_and_lost(self, cluster, monkeypatch):
         net, transport, client, target = cluster
         release = threading.Event()
         peer = PeerScript(lambda conn: release.wait(10))
         transport.policy = None
         transport.timeout = 0.01  # a route budgets ROUTE_DEADLINE_LEGS of these
         try:
-            monkeypatch.setitem(transport._ports, client.node_id, peer.port)
+            monkeypatch.setitem(transport._ports, target.node_id, peer.port)
             result = transport.route(client.node_id, target.node_id)
-            assert result.lost
+            assert result.lost and result.path == [client.node_id]
             assert transport.wire.timeouts == 1
         finally:
             release.set()
@@ -491,3 +496,145 @@ class TestTimeoutFlavour:
         peer.close()
         assert sent == (False, None)
         assert (transport.wire.resets, transport.wire.timeouts) == (1, 0)
+
+
+class TestRouteStartsAtItsOrigin:
+    """A client routes from its own access node: the origin's step runs
+    on the calling thread, and only overlay hops cross a socket."""
+
+    @pytest.fixture
+    def requests(self, monkeypatch):
+        """Targets of every ``_request`` made while the test runs."""
+        request, targets = at.AsyncioTransport._request, []
+
+        def counted(self, target_id, *args, **kwargs):
+            targets.append(target_id)
+            return request(self, target_id, *args, **kwargs)
+
+        monkeypatch.setattr(at.AsyncioTransport, "_request", counted)
+        return targets
+
+    @pytest.fixture
+    def forwards(self, monkeypatch):
+        """(node, thread) of every ``forward`` up-call made while the test runs."""
+        forward, seen = PastNode.forward, []
+
+        def recording(self, node, message, key, next_id):
+            seen.append((self.node_id, threading.get_ident()))
+            return forward(self, node, message, key, next_id)
+
+        monkeypatch.setattr(PastNode, "forward", recording)
+        return seen
+
+    def test_one_request_per_overlay_hop(self, requests):
+        # Leaf sets of 8 among 24 nodes: routes of up to three hops.
+        net, transport = build_cluster(
+            24, seed=5, engine="asyncio", config=PastConfig(seed=5, b=2, l=8, k=3)
+        )
+        try:
+            rng = random.Random(11)
+            origins = sorted(net.pastry.node_ids)
+            hops = set()
+            for _ in range(60):
+                del requests[:]
+                result = transport.route(rng.choice(origins), rng.getrandbits(128))
+                assert requests == result.path[1:]  # so result.hops of them
+                hops.add(result.hops)
+            assert hops >= {0, 1, 2}
+            assert transport.wire.snapshot() == dict.fromkeys(transport.wire.snapshot(), 0)
+        finally:
+            transport.close()
+
+    def test_zero_hop_route_touches_no_socket(self, cluster, requests, monkeypatch):
+        net, transport, client, target = cluster
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a route its origin answers dialed a socket")
+
+        monkeypatch.setattr(socket, "create_connection", boom)
+        result = transport.route(client.node_id, client.node_id)
+        assert (result.path, result.terminus, result.lost) == (
+            [client.node_id], client.node_id, False)
+        assert requests == []
+
+    def test_origin_forwards_on_the_calling_thread(self, cluster, forwards):
+        net, transport, client, target = cluster
+        result = transport.route(client.node_id, target.node_id)
+        assert result.path == [client.node_id, target.node_id]
+        (first, first_thread), (second, second_thread) = forwards
+        assert (first, second) == (client.node_id, target.node_id)
+        assert first_thread == threading.get_ident() != second_thread
+
+    def test_killed_origin_loses_the_route_to_one_refusal(self, cluster, forwards, requests):
+        net, transport, client, target = cluster
+        transport.kill_server(client.node_id)
+        result = transport.route(client.node_id, target.node_id)
+        assert result.lost and result.path == []
+        assert transport.wire.refused == 1
+        assert forwards == [] and requests == []
+        transport.ensure_server(client.node_id)  # the restart
+        assert transport.route(client.node_id, target.node_id).terminus == target.node_id
+        assert transport.wire.refused == 1
+
+    def test_origin_that_is_no_live_node_is_a_key_error(self, cluster):
+        net, transport, client, target = cluster
+        with pytest.raises(KeyError, match="not a live node"):
+            transport.route(client.node_id ^ 1, target.node_id)
+
+    def test_handler_exception_at_the_origin_is_a_remote_call_error(
+        self, cluster, monkeypatch
+    ):
+        net, transport, client, target = cluster
+
+        def forward(self, node, message, key, next_id):
+            raise ZeroDivisionError("forward blew up")
+
+        monkeypatch.setattr(PastNode, "forward", forward)
+        with pytest.raises(at.RemoteCallError, match="ZeroDivisionError"):
+            transport.route(client.node_id, client.node_id)
+        assert transport.drain(timeout=10) is True
+
+    def test_drain_waits_for_an_origin_step_in_flight(self, cluster, monkeypatch):
+        net, transport, client, target = cluster
+        entered, release = threading.Event(), threading.Event()
+
+        def deliver(self, node, message, key):
+            entered.set()
+            release.wait(10)
+
+        monkeypatch.setattr(PastNode, "deliver", deliver)
+        worker = threading.Thread(
+            target=transport.route, args=(client.node_id, client.node_id)
+        )
+        worker.start()
+        try:
+            assert entered.wait(10), "the origin never delivered"
+            assert transport.drain(timeout=0.1) is False
+        finally:
+            release.set()
+        assert transport.drain(timeout=10) is True
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+
+    def test_zero_hop_reply_is_a_value(self, cluster, monkeypatch):
+        net, transport, client, target = cluster
+
+        def deliver(self, node, message, key):
+            message.extra_hops += 7
+
+        monkeypatch.setattr(PastNode, "deliver", deliver)
+        sent = LookupRequest(file_id=5, client_id=client.node_id)
+        result = transport.route(client.node_id, client.node_id, sent)
+        assert result.hops == 0 and result.message is not sent
+        assert result.message == LookupRequest(5, client.node_id, extra_hops=7)
+        assert sent == LookupRequest(5, client.node_id)
+
+    @pytest.mark.parametrize("hops", [0, 1])
+    def test_unencodable_field_is_a_codec_error(self, cluster, forwards, hops):
+        net, transport, client, target = cluster
+        key = (client, target)[hops].node_id
+        assert transport.route(client.node_id, key).hops == hops
+        del forwards[:]
+        with pytest.raises(CodecError, match="outside the certified wire grammar"):
+            transport.route(client.node_id, key, LookupRequest(object(), client.node_id))
+        assert forwards == []  # refused before any up-call ran

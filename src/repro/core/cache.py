@@ -50,8 +50,14 @@ class GreedyDualSizePolicy(EvictionPolicy):
 
     Maintains ``H(d) = L + cost(d)/size(d)``; evicts the minimal-``H`` file
     and inflates ``L`` to the victim's ``H``.  A lazy heap holds
-    ``(H, seq, file_id)`` entries; stale entries are skipped on pop.
+    ``(H, seq, file_id)`` entries; stale entries are skipped on pop, and
+    the heap is rebuilt from the live weights once most of it is stale (a
+    cache that never fills never pops).  ``(H, seq)`` is a strict total
+    order, so the victim order does not depend on the heap's layout.
     """
+
+    #: Stale heap entries tolerated beyond one per live weight.
+    _HEAP_SLACK = 64
 
     def __init__(self, cost_fn: Callable[[int, int], float] = None):
         self._cost_fn = cost_fn if cost_fn is not None else (lambda fid, size: 1.0)
@@ -78,6 +84,12 @@ class GreedyDualSizePolicy(EvictionPolicy):
         self._weights[file_id] = (h, self._seq)
         self._sizes[file_id] = size
         heapq.heappush(self._heap, (h, self._seq, file_id))
+        self._drop_stale_entries()
+
+    def _drop_stale_entries(self) -> None:
+        if len(self._heap) > 2 * len(self._weights) + self._HEAP_SLACK:
+            self._heap = [(h, seq, fid) for fid, (h, seq) in self._weights.items()]
+            heapq.heapify(self._heap)
 
     def on_insert(self, file_id: int, size: int) -> None:
         self._set_weight(file_id, size)
@@ -90,6 +102,7 @@ class GreedyDualSizePolicy(EvictionPolicy):
     def on_remove(self, file_id: int) -> None:
         self._weights.pop(file_id, None)
         self._sizes.pop(file_id, None)
+        self._drop_stale_entries()
 
     def victim(self) -> Optional[int]:
         while self._heap:

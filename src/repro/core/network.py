@@ -833,10 +833,8 @@ class PastNetwork:
                     node.on_diverted_target_failed(fid)
                 else:
                     # Re-establish the keep-alive pair dropped at failure
-                    # (idempotent: skip referrers that are already back).
-                    replica = target.store.get_replica(fid)
-                    if node.node_id not in replica.referrers:
-                        replica.referrers.add(node.node_id)
+                    # (idempotent: a referrer that is already back stays).
+                    target.store.get_replica(fid).add_referrer(node.node_id)
         for fid in list(node.store.primaries):
             if fid not in node.store.primaries:
                 # Confirm-reread: maybe_discard() suspends at its

@@ -72,9 +72,7 @@ class PastNode(PastryApplication):
         key); outside that span the answer is no.
         """
         ls = self.leafset
-        if not ls.covers(key):
-            return False
-        return self.node_id in ls.closest_nodes(key, self.config.k)
+        return ls.covers(key) and ls.owner_rank(key) < self.config.k
 
     def replica_set_for(self, key: int) -> List[int]:
         """The k nodes numerically closest to ``key``, from my leaf set."""
@@ -283,24 +281,29 @@ class PastNode(PastryApplication):
         space (or uniform-random, as an ablation)."""
         exclude = set(replica_set)
         exclude.add(self.node_id)
+        random_pick = self.config.divert_target_policy == "random"
+        # Ascending ids: rng.choice under the "random" ablation needs a
+        # hashseed-independent candidate order, and of two members with
+        # equal free space the one met first is the one to keep.
         candidates = []
-        # Sorted: the candidate order feeds rng.choice under the "random"
-        # ablation policy, so it must be hashseed-independent.
+        best_id, best_free = None, 0
         for member_id in self.leafset.sorted_members():
             if member_id in exclude:
                 continue
             member = self.network.past_node_or_none(member_id)
             if member is None:
                 continue
-            if member.store.holds_file(file_id):
+            store = member.store
+            if random_pick:
+                if not store.holds_file(file_id):
+                    candidates.append(member_id)
                 continue
-            candidates.append(member)
-        if not candidates:
-            return None
-        if self.config.divert_target_policy == "random":
-            return self.network.rng.choice(candidates).node_id
-        best = max(candidates, key=lambda n: (n.store.free, -n.node_id))
-        return best.node_id
+            free = store.free
+            if (best_id is None or free > best_free) and not store.holds_file(file_id):
+                best_id, best_free = member_id, free
+        if candidates:
+            return self.network.rng.choice(candidates)
+        return best_id
 
     def _install_backup_pointer(
         self, cert: FileCertificate, b_id: int, key: int, exclude: Set[int]
@@ -331,7 +334,7 @@ class PastNode(PastryApplication):
         )
         replica = b_node.store.diverted_in.get(cert.file_id)
         if replica is not None:
-            replica.referrers.add(c_id)
+            replica.add_referrer(c_id)
 
     def accept_diverted_replica(self, cert: FileCertificate, referrer_id: int) -> bool:
         """Node B's half of replica diversion: the stricter t_div policy."""
@@ -344,7 +347,7 @@ class PastNode(PastryApplication):
         if not self.store.can_accept(cert.size, self.config.t_div):
             return False
         replica = self.store.store_replica(cert, diverted=True)
-        replica.referrers.add(referrer_id)
+        replica.add_referrer(referrer_id)
         return True
 
     def abort_replica(self, file_id: int) -> None:
@@ -746,7 +749,7 @@ class PastNode(PastryApplication):
         if target is not None:
             replica = target.store.get_replica(fid)
             if replica is not None:
-                replica.referrers.discard(self.node_id)
+                replica.drop_referrer(self.node_id)
 
     def receive_join_offer(
         self,
@@ -770,7 +773,7 @@ class PastNode(PastryApplication):
             displaced = self.network.past_node_or_none(displaced_id)
             if displaced is not None and displaced.store.holds_file(fid):
                 self.store.add_pointer(cert, displaced_id, primary=True)
-                displaced.store.get_replica(fid).referrers.add(self.node_id)
+                displaced.store.get_replica(fid).add_referrer(self.node_id)
                 return True
         if self.store.can_accept(cert.size, self.config.t_pri):
             self.store.store_replica(cert, diverted=False)
@@ -886,7 +889,7 @@ class PastNode(PastryApplication):
         replica = self.store.get_replica(fid)
         if replica is None:
             return
-        replica.referrers.discard(failed_id)
+        replica.drop_referrer(failed_id)
         survivors = [
             self.network.past_node_or_none(r) for r in sorted(replica.referrers)
         ]

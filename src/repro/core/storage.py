@@ -26,7 +26,7 @@ primaries.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Set
+from typing import TYPE_CHECKING, AbstractSet, Callable, Dict, Iterable, List, Optional
 
 from ..netsim.faults import READ_CORRUPT, READ_ERROR, READ_OK
 from ..security import FileCertificate
@@ -40,6 +40,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Extra :meth:`LocalStore.verify_replica` verdict beyond the plan's
 #: READ_OK/READ_CORRUPT/READ_ERROR: the replica is not on this disk.
 REPLICA_MISSING = "missing"
+
+#: The referrers of a replica nothing points to: nearly every replica, so
+#: one immutable value shared by all of them instead of a set apiece.
+_NO_REFERRERS: AbstractSet[int] = frozenset()
 
 
 class StoredReplica:
@@ -60,7 +64,6 @@ class StoredReplica:
         self,
         certificate: FileCertificate,
         diverted: bool = False,
-        referrers: Optional[Set[int]] = None,
         corrupted: bool = False,
         stored_at: float = 0.0,
         last_checked: float = 0.0,
@@ -70,7 +73,9 @@ class StoredReplica:
         #: Nodes holding a diversion pointer to this replica (for diverted
         #: replicas: the diverting primary A and the backup C).  These pairs
         #: exchange explicit keep-alives when leaf sets drift apart (§3.5).
-        self.referrers: Set[int] = referrers if referrers is not None else set()
+        #: Read it like any set; write through :meth:`add_referrer` and
+        #: :meth:`drop_referrer`, which own a set only while it has members.
+        self.referrers: AbstractSet[int] = _NO_REFERRERS
         #: The on-disk bytes no longer match the certificate (torn write or
         #: bit rot).  Maintained by :meth:`LocalStore.verify_replica`; the
         #: invariant audit reads this flag instead of re-consulting the
@@ -88,6 +93,18 @@ class StoredReplica:
     @property
     def size(self) -> int:
         return self.certificate.size
+
+    def add_referrer(self, node_id: int) -> None:
+        if self.referrers:
+            self.referrers.add(node_id)
+        else:
+            self.referrers = {node_id}
+
+    def drop_referrer(self, node_id: int) -> None:
+        if node_id in self.referrers:
+            self.referrers.remove(node_id)
+            if not self.referrers:
+                self.referrers = _NO_REFERRERS
 
     def observed_content_hash(self) -> bytes:
         """The hash a reader recomputes over this copy's on-disk bytes.

@@ -25,7 +25,16 @@ class LeafSet:
     at the end) that *contains the owner*: the slots after the owner are
     its clockwise successors nearest first, the slots before it its
     counterclockwise predecessors.  Every query is index arithmetic around
-    the owner's slot or a bisect for the key.
+    the owner's slot or a bisect for the key; :meth:`closest_nodes` alone
+    still sorts.
+
+    One thing is remembered between calls: the arc :meth:`covers` tests
+    against (``_arc``), asked for at every hop of every route and moved only
+    by membership changes.  It is cleared at the two places ``_ring``
+    changes — the insert in :meth:`add` and ``_pop`` — and recomputed by
+    the next :meth:`covers`, not in place: a join or a repair adds and
+    removes members in bursts with no route in between, and paying for the
+    arc on each of them cost more than it saved.
 
     Membership is trimmed *direction-blind*: a member stays while it is
     among the ``l/2`` nearest clockwise successors or the ``l/2`` nearest
@@ -64,7 +73,7 @@ class LeafSet:
     so the order is load-bearing only for code that stops doing so.
     """
 
-    __slots__ = ("owner_id", "l", "_ring", "_pos", "_antipode", "_ever_trimmed")
+    __slots__ = ("owner_id", "l", "_ring", "_pos", "_antipode", "_ever_trimmed", "_arc")
 
     def __init__(self, owner_id: int, l: int):
         if l < 2 or l % 2 != 0:
@@ -77,6 +86,9 @@ class LeafSet:
         #: clockwise): members in the arc (owner, antipode] are "larger".
         self._antipode = (owner_id + _SPACE // 2) % _SPACE
         self._ever_trimmed = False
+        #: What :meth:`covers` remembers: ``(low, span)``, a full turn for
+        #: global knowledge, None once ``_ring`` has changed since.
+        self._arc: Optional[Tuple[int, int]] = None
 
     # ------------------------------------------------------------------ views
 
@@ -144,6 +156,7 @@ class LeafSet:
         if i < len(ring) and ring[i] == node_id:
             return
         ring.insert(i, node_id)
+        self._arc = None
         if i <= self._pos:
             self._pos += 1
         if len(ring) > self.l + 1:
@@ -165,6 +178,7 @@ class LeafSet:
 
     def _pop(self, index: int) -> None:
         del self._ring[index]
+        self._arc = None
         if index < self._pos:
             self._pos -= 1
 
@@ -202,19 +216,24 @@ class LeafSet:
         covers its actual arc, with an empty side's extreme standing at
         the owner.
         """
-        n_smaller, n_larger = self._sides()
-        half = self.l // 2
-        if not self._ever_trimmed and not n_smaller == half == n_larger:
-            return True
-        ring = self._ring
-        low = ring[self._pos - n_smaller]
-        high = ring[self._pos + n_larger - len(ring)]
-        # Arc from `low` clockwise through the owner to `high`.  The two
-        # half-arcs are summed without reducing modulo the ring size; the
-        # sides are direction-faithful (ccw strictly under half the ring,
-        # cw at most half), so the sum cannot reach a full turn.
-        span = (self.owner_id - low) % _SPACE + (high - self.owner_id) % _SPACE
-        return (key - low) % _SPACE <= span
+        arc = self._arc
+        if arc is None:
+            n_smaller, n_larger = self._sides()
+            half = self.l // 2
+            if not self._ever_trimmed and not n_smaller == half == n_larger:
+                arc = (0, _SPACE)  # global knowledge: no key is outside a full turn
+            else:
+                ring = self._ring
+                low = ring[self._pos - n_smaller]
+                high = ring[self._pos + n_larger - len(ring)]
+                # Arc from `low` clockwise through the owner to `high`.  The
+                # two half-arcs are summed without reducing modulo the ring
+                # size; the sides are direction-faithful (ccw strictly under
+                # half the ring, cw at most half), so the sum cannot reach a
+                # full turn.
+                arc = (low, (self.owner_id - low) % _SPACE + (high - self.owner_id) % _SPACE)
+            self._arc = arc
+        return (key - arc[0]) % _SPACE <= arc[1]
 
     def closest_to(self, key: int, include_self: bool = True) -> Optional[int]:
         """Numerically closest node to ``key`` among members (and owner)."""
@@ -246,6 +265,28 @@ class LeafSet:
         # (O(k + log l)) is its own step (DESIGN.md §4g, "staged").
         pool = self._ring if include_self else self.sorted_members()
         return idspace.sort_by_distance(pool, key)[:k]
+
+    def owner_rank(self, key: int) -> int:
+        """The owner's index in ``closest_nodes(key, l + 1)``, without the sort.
+
+        With the owner at ring distance ``d`` from the key, the ids that
+        precede it are those strictly inside the arc ``(key - d, key + d)``
+        plus the id at the arc's other end — the owner's mirror image, at
+        distance ``d`` too — when that is a member and the smaller of the
+        two.  The owner sits on one end of that arc, so its own slot and one
+        bisect for the mirror count what lies between.
+        """
+        ring, owner = self._ring, self.owner_id
+        d = (owner - key) % _SPACE
+        if d == 0:
+            return 0
+        if d <= _SPACE - d:  # the owner is clockwise of the key
+            mirror = (key - d) % _SPACE
+            i = bisect_right(ring, mirror)
+            return (self._pos - i) % len(ring) + (ring[i - 1] == mirror < owner)
+        mirror = (2 * key - owner) % _SPACE
+        i = bisect_left(ring, mirror)
+        return (i - self._pos - 1) % len(ring) + (ring[i - len(ring)] == mirror < owner)
 
     def state_rows(self) -> dict:
         """Debug/illustration view used by Figure-1 style state dumps."""

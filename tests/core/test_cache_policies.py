@@ -92,6 +92,67 @@ class TestGreedyDualSize:
             assert p.weight(fid) >= vw - 1e-12
 
 
+class UncompactedGreedyDualSize(GreedyDualSizePolicy):
+    """The policy with its heap left to grow: stale entries go only when
+    ``victim`` pops them.  The reference for the victim order."""
+
+    def _drop_stale_entries(self):
+        pass
+
+
+class TestGreedyDualSizeHeapIsBounded:
+    def test_hits_on_a_cache_that_never_fills_leave_no_trail(self):
+        p = GreedyDualSizePolicy()
+        p.on_insert(1, 100)
+        for _ in range(10_000):
+            p.on_hit(1)
+        assert len(p._heap) <= 2 + p._HEAP_SLACK
+        assert p.victim() == 1
+
+    def test_removals_leave_no_trail(self):
+        p = GreedyDualSizePolicy()
+        for fid in range(5_000):
+            p.on_insert(fid, 1 + fid % 97)
+        for fid in range(4_990):
+            p.on_remove(fid)
+        assert len(p._heap) <= 2 * 10 + p._HEAP_SLACK
+        assert {fid for _, _, fid in p._heap} >= set(range(4_990, 5_000))
+        assert p.victim() == 4_999  # the largest of the survivors
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_victim_sequence_is_that_of_the_uncompacted_heap(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        policies = GreedyDualSizePolicy(), UncompactedGreedyDualSize()
+        live, victims = [], ([], [])
+        for _ in range(6_000):
+            op = rng.choices(["insert", "hit", "remove", "evict"], [4, 14, 2, 1])[0]
+            if op == "insert" or not live:
+                # Few distinct sizes, so equal H values are told apart by seq.
+                fid, size = rng.getrandbits(40), rng.choice([1, 10, 10, 500])
+                live.append(fid)
+                for p in policies:
+                    p.on_insert(fid, size)
+            elif op == "hit":
+                fid = rng.choice(live)
+                for p in policies:
+                    p.on_hit(fid)
+            elif op == "remove":
+                fid = live.pop(rng.randrange(len(live)))
+                for p in policies:
+                    p.on_remove(fid)
+            else:
+                for p, seen in zip(policies, victims):
+                    seen.append(p.victim())
+                    p.on_evict(seen[-1])
+                live.remove(victims[0][-1])
+        assert victims[0] == victims[1] and len(victims[0]) > 200
+        assert policies[0].inflation == policies[1].inflation
+        assert len(policies[0]._heap) < len(policies[1]._heap)
+        assert len(policies[0]._heap) <= 2 * len(live) + policies[0]._HEAP_SLACK
+
+
 class TestLRU:
     def test_victim_is_least_recent(self):
         p = LRUPolicy()

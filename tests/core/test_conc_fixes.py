@@ -324,8 +324,8 @@ class TestFailureDetectionReferrerConfirmReread:
         a.store.add_pointer(cert, target.node_id, primary=True)
         b.store.add_pointer(cert, target.node_id, primary=False)
         replica = target.store.get_replica(fid)
-        replica.referrers.add(a.node_id)
-        replica.referrers.add(b.node_id)
+        replica.add_referrer(a.node_id)
+        replica.add_referrer(b.node_id)
         return net, fid, target, a, b
 
     def test_referrer_that_dropped_its_pointer_mid_failover_is_skipped(
@@ -393,7 +393,7 @@ class TestFailureDetectionPointerConfirmReread:
         for fid, tgt in ((f1, t1), (f2, t2)):
             cert = net.certificate_of(fid)
             referrer.store.add_pointer(cert, tgt.node_id, primary=False)
-            tgt.store.get_replica(fid).referrers.add(referrer.node_id)
+            tgt.store.get_replica(fid).add_referrer(referrer.node_id)
         return net, referrer, (f1, t1), (f2, t2)
 
     def test_target_that_shed_replica_mid_rebind_is_skipped(self, monkeypatch):

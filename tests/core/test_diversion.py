@@ -145,6 +145,80 @@ class TestReplicaDiversion:
         assert node.accept_diverted_replica(small, referrer_id=1)
 
 
+def choose_by_max_over_candidates(node, file_id, replica_set):
+    """``_choose_diversion_target`` as it was before it became one pass: the
+    full candidate list, then a keyed ``max`` (or the ablation's one draw)."""
+    exclude = set(replica_set) | {node.node_id}
+    candidates = []
+    for member_id in node.leafset.sorted_members():
+        member = node.network.past_node_or_none(member_id)
+        if member_id in exclude or member is None or member.store.holds_file(file_id):
+            continue
+        candidates.append(member)
+    if not candidates:
+        return None
+    if node.config.divert_target_policy == "random":
+        return node.network.rng.choice(candidates).node_id
+    return max(candidates, key=lambda n: (n.store.free, -n.node_id)).node_id
+
+
+class TestDiversionTargetChoice:
+    """The one-pass pick of node B against the definition it replaced."""
+
+    @pytest.mark.parametrize("policy", ["max_free", "random"])
+    def test_same_target_as_max_over_the_candidate_list(self, policy):
+        import random
+
+        net = build_past(n=30, capacity=1_000_000, k=3, l=16, seed=75,
+                         divert_target_policy=policy)
+        owner = net.create_client("owner")
+        rng = random.Random(75)
+        net.crash_node(net.nodes()[-1].node_id)  # stale in leaf sets, not yet detected
+        targets = []
+        for trial in range(60):
+            node = net.nodes()[rng.randrange(len(net.nodes()))]
+            members = node.leafset.sorted_members()
+            fid = rng.getrandbits(idspace.FILE_ID_BITS)
+            cert = owner.issue_file_certificate(fid, 1_000, 3, 0, 0)
+            for member_id in members:
+                member = net.past_node_or_none(member_id)
+                if member is None:
+                    continue
+                # Three levels of free space: ties everywhere.
+                member.store.used = rng.choice([0, 400_000, 800_000])
+                if rng.random() < 0.15:
+                    member.store.store_replica(cert, diverted=rng.random() < 0.5)
+            replica_set = (
+                members if trial % 10 == 9  # every member excluded: no target
+                else node.replica_set_for(idspace.routing_key(fid))
+            )
+            before = net.rng.getstate()
+            want = choose_by_max_over_candidates(node, fid, replica_set)
+            drawn = net.rng.getstate()
+            net.rng.setstate(before)
+            assert node._choose_diversion_target(fid, replica_set) == want
+            assert net.rng.getstate() == drawn  # the ablation's one draw, or none
+            targets.append(want)
+        assert None in targets and len(set(targets)) > 10
+
+    def test_holds_file_is_asked_only_of_a_member_that_would_win(self, monkeypatch):
+        from repro.core.storage import LocalStore
+
+        net = build_past(n=30, capacity=1_000_000, k=3, l=16, seed=76)
+        node = net.nodes()[0]
+        members = node.leafset.sorted_members()
+        for rank, member_id in enumerate(members):
+            net.past_node(member_id).store.used = 10 * rank  # first member is best
+        asked = []
+        real = LocalStore.holds_file
+        monkeypatch.setattr(
+            LocalStore, "holds_file",
+            lambda store, fid: asked.append(store.node_id) or real(store, fid),
+        )
+        assert node._choose_diversion_target(1, []) == members[0]
+        assert asked == [members[0]]
+
+
 class TestFileDiversion:
     def test_resalting_changes_fileid_namespace_region(self):
         """Failed inserts retry with a new salt up to 4 attempts (§3.4)."""

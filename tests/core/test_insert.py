@@ -155,3 +155,32 @@ class TestQuotaScalesWithK:
         assert result.success
         assert owner.quota_used == 10_000
         assert len(result.receipts) == 1
+
+
+class TestWritePathSortsOnlyForTheReplicaSet:
+    """"Am I among the k closest?" is asked at every hop of an insert or
+    reclaim route and answered by rank; only naming the replica set sorts."""
+
+    def test_one_sort_per_undiverted_insert_and_none_per_reclaim(self, monkeypatch):
+        net = build_past(n=80, capacity=5_000_000, k=3, l=8, seed=51)
+        owner = net.create_client("owner")
+        sorts = []
+        real = idspace.sort_by_distance
+        monkeypatch.setattr(
+            idspace, "sort_by_distance",
+            lambda ids, target: sorts.append(target) or real(ids, target),
+        )
+        inserted, routed = [], 0
+        for i, origin in enumerate(net.nodes()[::4]):
+            del sorts[:]
+            result = net.insert(f"f{i}", owner, 10_000, origin.node_id)
+            assert result.success and result.attempts == 1
+            assert result.replica_diversions == 0
+            assert sorts == [idspace.routing_key(result.file_id)]
+            inserted.append(result.file_id)
+            routed += result.hops > 0
+        assert routed > len(inserted) // 2  # the count is about routed requests
+        for fid, origin in zip(inserted, net.nodes()[1::4]):
+            del sorts[:]
+            assert net.reclaim(fid, owner, origin.node_id).success
+            assert sorts == []

@@ -10,6 +10,7 @@ only order the two are required to agree on).
 
 from bisect import bisect_left
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.pastry import idspace
@@ -144,6 +145,7 @@ def assert_same(ls, ref, keys):
     for key in keys + list(ref.member_set)[:3]:
         assert (key in ls) == (key in ref.member_set)
         assert ls.covers(key) == ref.covers(key)
+        assert ls.owner_rank(key) == ref.closest_nodes(key, ls.l + 2, True).index(ls.owner_id)
         for include_self in (True, False):
             assert ls.closest_to(key, include_self) == ref.closest_to(key, include_self)
             for k in (1, paper_k, paper_k + 1, ls.l + 3):
@@ -166,6 +168,41 @@ def test_ring_leafset_matches_reference_after_every_operation(scenario):
         else:
             assert ls.remove(node_id) == ref.remove(node_id)
         assert_same(ls, ref, keys)
+
+
+@pytest.mark.parametrize("owner", [0, 1, HALF - 1, HALF, SPACE - 1])
+@pytest.mark.parametrize("member", [None, "mirror", "antipode", "successor"])
+def test_owner_rank_on_the_smallest_rings(owner, member):
+    """A ring of the owner alone, then of the owner and one member placed
+    where the rank's arc degenerates: the owner's mirror image about the
+    key (the tie), its antipode (the arc is the whole ring), its successor."""
+    ls, ref = LeafSet(owner, 4), ReferenceLeafSet(owner, 4)
+    keys = [0, SPACE - 1, owner, (owner + HALF) % SPACE, (owner - HALF) % SPACE,
+            (owner + 7) % SPACE, (owner - 7) % SPACE]
+    assert_same(ls, ref, keys)
+    if member is not None:
+        node_id = {
+            "mirror": (owner + 14) % SPACE,  # the keys owner +- 7 sit midway
+            "antipode": (owner + HALF) % SPACE,
+            "successor": (owner + 1) % SPACE,
+        }[member]
+        ls.add(node_id)
+        ref.add(node_id)
+        assert_same(ls, ref, keys + [(owner - 14) % SPACE])
+
+
+def test_covers_forgets_its_arc_when_the_ring_changes():
+    """``covers`` remembers the arc between calls; every mutation that moves
+    an extreme (a nearer add, the trim it causes, a removal) must clear it."""
+    ls = LeafSet(1000, 4)
+    ls.add_all([900, 950, 1050, 1100])
+    assert ls.covers(900) and ls.covers(1100) and not ls.covers(899)
+    ls.add(1025)  # trims 1100: the clockwise extreme moves in
+    assert ls.ever_trimmed and not ls.covers(1100) and ls.covers(1050)
+    assert ls.remove(900)  # the counterclockwise extreme moves in
+    assert not ls.covers(900) and ls.covers(950)
+    ls.add(800)  # and out again
+    assert ls.covers(800) and not ls.covers(799)
 
 
 def test_trim_is_eager_so_remove_before_read_cannot_resurrect_a_member():

@@ -1,5 +1,11 @@
 """Tests for the simulated key pairs and signatures."""
 
+import hashlib
+import hmac
+import random
+import sys
+import threading
+
 import pytest
 
 from repro.security import KeyPair, SignatureError, SignedBlob
@@ -39,6 +45,65 @@ class TestKeyPair:
     def test_signatures_differ_per_message(self):
         kp = KeyPair("alice")
         assert kp.sign(b"a") != kp.sign(b"b")
+
+
+class TestTagsAreHmacSha256:
+    """The key schedule runs once per pair; the tags must not know."""
+
+    @staticmethod
+    def secret_of(label: str, seed: bytes) -> bytes:
+        return hashlib.sha256(b"secret|" + label.encode("utf-8") + b"|" + seed).digest()
+
+    def test_tags_equal_the_standard_library_hmac(self):
+        rng = random.Random(20)
+        messages = [b"", b"m", rng.randbytes(63), rng.randbytes(64), rng.randbytes(65),
+                    rng.randbytes(1 << 20)]
+        for i in range(40):
+            label, seed = f"owner-{rng.getrandbits(32)}", rng.randbytes(i % 7)
+            kp = KeyPair(label, seed)
+            secret = self.secret_of(label, seed)
+            for message in messages + [rng.randbytes(rng.randrange(300))]:
+                tag = kp.sign(message)
+                assert tag == hmac.new(secret, message, hashlib.sha256).digest()
+                assert KeyPair.verify(kp.public, message, tag)
+
+    def test_verify_rejects_a_forged_or_truncated_tag(self):
+        kp = KeyPair("alice", b"seed")
+        message = bytes(range(200))
+        tag = kp.sign(message)
+        for i in (0, 31):
+            forged = bytearray(tag)
+            forged[i] ^= 0x80
+            assert not KeyPair.verify(kp.public, message, bytes(forged))
+        assert not KeyPair.verify(kp.public, message, tag[:-1])
+
+    def test_threads_sharing_one_key_agree(self):
+        """tcp_serve's executor threads sign and verify through one registry
+        entry; nothing a signature touches may be left half-written."""
+        kp = KeyPair("shared", b"key")
+        messages = [b"message-%d" % i for i in range(2000)]
+        expected = [kp.sign(m) for m in messages]
+        wrong = []
+
+        def work(offset: int) -> None:
+            for i in range(len(messages)):
+                j = (i + offset) % len(messages)
+                tag = kp.sign(messages[j])
+                if tag != expected[j] or not KeyPair.verify(kp.public, messages[j], tag):
+                    wrong.append(j)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(250 * t,)) for t in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
 
 class TestSignedBlob:

@@ -283,39 +283,11 @@ def cmd_serve(args) -> str:
     lines = []
     if args.chaos:
         from .experiments.live_chaos import (
-            LiveChaosConfig, live_chaos_bench, run_live_sweep,
+            LiveChaosConfig, render_live_chaos, run_live_sweep,
         )
 
         report = run_live_sweep(LiveChaosConfig(seed=args.seed))
-        bench = live_chaos_bench(report)
-        if args.out:
-            with open(args.out, "w") as fh:
-                json.dump(bench, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            lines.append(f"bench written to {args.out}")
-        lines.append(
-            f"live chaos on {report.nodes} nodes / {report.files} files: "
-            f"lookups {report.lookups_succeeded}/{report.lookups_attempted} "
-            f"(steady {report.steady_succeeded}/{report.steady_attempted}, "
-            f"degraded {report.degraded_succeeded}/{report.degraded_attempted})"
-        )
-        lines.append(
-            f"injected: {report.injected}  observed: {report.wire}"
-        )
-        lines.append(
-            f"kills {report.kills_applied}  restarts {report.restarts_applied} "
-            f"(recovered_all={report.recovered_all})  "
-            f"lost files {report.lost_files}  "
-            f"audit {'ok' if report.audit_ok else 'VIOLATED'}  "
-            f"parity {'ok' if report.parity.get('ok') else 'DIVERGED'}"
-        )
-        failures = report.oracle_failures()
-        lines.append(
-            "all live chaos oracles satisfied" if not failures
-            else "FAIL: " + "; ".join(failures)
-        )
-        lines.append(f"bench checksum: {bench['checksum']}")
-        return "\n".join(lines)
+        return render_live_chaos(report, bench_out=args.out)
     if args.differential:
         diff = run_differential(
             n_nodes=min(args.nodes, 16), n_files=args.files, seed=args.seed

@@ -473,6 +473,20 @@ class LocalStore:
             self.pointers[fid] = DiversionPointer(cert, target, primary=primary)
         return len(state.replicas) + len(state.pointers)
 
+    def reopen(self, backend: "WalBackend") -> int:
+        """Restart from ``backend``'s journal: RAM is lost, the disk is not.
+
+        The wipe runs with no backend attached — :meth:`wipe_disk` tells
+        an attached backend the media is gone (``note_wipe``), which
+        would discard the very journal being recovered from.  Returns
+        the number of entries restored; the caller rejoins the overlay.
+        """
+        self.backend = None
+        self.wipe_disk()
+        restored = self.restore_state(backend.state)
+        self.backend = backend
+        return restored
+
     # -------------------------------------------------------------- queries
 
     def holds_file(self, file_id: int) -> bool:

@@ -1,11 +1,11 @@
 """The concurrency-readiness checks packaged as lint rules.
 
-Four rules in their own catalogue (:func:`conc_rules`), mirroring the
-perf catalogue's contract: resolvable by name through
-``repro.devtools.rules.get_rules`` but never part of ``all_rules()`` —
-the determinism gate stays a zero-findings gate, while conc findings
-are tracked against their own committed accepted-debt baseline
-(``benchmarks/conc_baseline.json``) and CI fails only on *new* ones.
+Four rules in their own catalogue (:func:`conc_rules`): resolvable by
+name through ``repro.devtools.rules.get_rules`` but never part of
+``all_rules()`` — the determinism gate stays a zero-findings gate, while
+conc findings are tracked against their own committed accepted-debt
+baseline (``benchmarks/conc_baseline.json``) and CI fails only on *new*
+ones.
 
 Finding messages deliberately contain no line numbers: the baseline key
 is ``rule|path|message``, so a finding survives unrelated edits to the

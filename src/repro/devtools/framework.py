@@ -214,7 +214,7 @@ def run_rules(modules: Sequence[ModuleInfo], rules: Sequence[Rule]) -> List[Find
 
 # ----------------------------------------------------- catalogue plumbing
 #
-# Every rule family (the determinism gate, perf, conc, wire) ships the
+# Every rule family (the determinism gate, conc, wire) ships the
 # same CLI surface: ``--select``/``--ignore`` name resolution, a
 # committed accepted-debt baseline, and ``--changed`` incremental runs.
 # The helpers below are that surface, implemented once; each front door

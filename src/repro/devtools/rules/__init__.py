@@ -42,22 +42,20 @@ def get_rules(
     ``ignore`` then removes rules from that selection.  Unknown names in
     either list raise :class:`LintError`.
 
-    The perf catalogue (``perf-*``, see :mod:`repro.devtools.perf`),
-    the conc catalogue (``conc-*``, see :mod:`repro.devtools.conc`) and
+    The conc catalogue (``conc-*``, see :mod:`repro.devtools.conc`) and
     the wire catalogue (``wire-*``, see :mod:`repro.devtools.wire`) are
     resolvable by name but never part of the default set: their findings
-    are tracked against their own committed baselines (or their own
-    zero-findings gates), not the correctness gate.
+    are tracked against their own committed baseline (conc) or their own
+    zero-findings gate (wire), not the correctness gate.
     """
     from ..conc.rules import conc_rules
-    from ..perf.rules import perf_rules
     from ..wire.rules import wire_rules
 
     return resolve_rules(
         all_rules(),
         select=names,
         ignore=ignore,
-        extra=[*perf_rules(), *conc_rules(), *wire_rules()],
+        extra=[*conc_rules(), *wire_rules()],
     )
 
 

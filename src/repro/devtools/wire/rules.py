@@ -1,9 +1,9 @@
 """The wire-safety checks packaged as lint rules.
 
-Four rules in their own catalogue (:func:`wire_rules`), mirroring the
-perf/conc contract: resolvable by name through
+Four rules in their own catalogue (:func:`wire_rules`), under the conc
+catalogue's contract: resolvable by name through
 ``repro.devtools.rules.get_rules`` but never part of ``all_rules()``.
-Unlike perf/conc there is no accepted-debt baseline — the wire surface
+Unlike conc there is no accepted-debt baseline — the wire surface
 gates at **zero findings with zero suppressions**, because every finding
 is a payload the real transport cannot ship.
 

@@ -653,18 +653,14 @@ def _kill_and_restart(
     )
 
     # The kill lost RAM: rebuild the in-memory tables from durable state
-    # only, then rejoin.  restore_state bypasses the journal hooks (the
+    # only, then rejoin.  reopen() bypasses the journal hooks (the
     # records are already in the WAL), and _reconcile_recovered repairs
     # whatever the lost unsynced tail made stale.
     # Confirm-reread: repair_all() suspends at its repair RPCs; the
     # victim must still be in the failed set before its tables go.
     if victim not in net._failed_past:
         raise RuntimeError("victim vanished from the failed set")
-    fallen = net._failed_past[victim]
-    fallen.store.backend = None
-    fallen.store.wipe_disk()
-    restored = fallen.store.restore_state(reborn.state)
-    fallen.store.backend = reborn
+    restored = net._failed_past[victim].store.reopen(reborn)
     net.recover_node(victim)
 
     return CrashRestartCell(
@@ -1031,43 +1027,11 @@ def _main_crash_restart(args) -> int:
 def _main_live(args) -> int:
     # Imported here: the live harness pulls in repro.net (real sockets),
     # which the sim-only scenarios should not pay for.
-    from .live_chaos import LiveChaosConfig, live_chaos_bench, run_live_sweep
+    from .live_chaos import LiveChaosConfig, render_live_chaos, run_live_sweep
 
     report = run_live_sweep(LiveChaosConfig(seed=args.seed))
-    bench = live_chaos_bench(report)
-    failures = report.oracle_failures()
-    if args.bench_out:
-        out = Path(args.bench_out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(bench, sort_keys=True, indent=2) + "\n")
-    if args.json:
-        print(json.dumps(
-            {
-                "seed": args.seed,
-                "report": asdict(report),
-                "bench": bench,
-                "failures": failures,
-            },
-            sort_keys=True, indent=2,
-        ))
-    else:
-        print(
-            f"live-chaos  nodes {report.nodes}  files {report.files}"
-            f"  lookups {report.lookups_succeeded}/{report.lookups_attempted}"
-            f"  steady {report.steady_succeeded}/{report.steady_attempted}"
-            f"  kills {report.kills_applied}"
-            f"  restarts {report.restarts_applied}"
-            f"  lost-files {report.lost_files}"
-            f"  audit {'ok' if report.audit_ok else 'VIOLATED'}"
-            f"  parity {'ok' if report.parity.get('ok') else 'DIVERGED'}"
-        )
-        print("bench checksum:", bench["checksum"])
-        if failures:
-            for f in failures:
-                print("FAIL:", f)
-        else:
-            print("all live chaos oracles satisfied")
-    return 1 if failures else 0
+    print(render_live_chaos(report, bench_out=args.bench_out, as_json=args.json))
+    return 1 if report.oracle_failures() else 0
 
 
 def _combined_digest(reports: List[ChaosReport]) -> str:
@@ -1075,21 +1039,6 @@ def _combined_digest(reports: List[ChaosReport]) -> str:
     for r in reports:
         h.update(r.digest.encode("ascii"))
     return h.hexdigest()
-
-
-def __getattr__(name: str):
-    """Lazy re-export of the live (real-TCP) chaos harness.
-
-    ``repro.experiments.chaos.run_live_sweep`` is the documented entry
-    point, but importing :mod:`repro.net` (sockets, codec) is deferred
-    so the sim-only scenarios never pay for it.
-    """
-    if name in ("LiveChaosConfig", "LiveChaosReport", "run_live_sweep",
-                "live_chaos_bench"):
-        from . import live_chaos
-
-        return getattr(live_chaos, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via CLI tests

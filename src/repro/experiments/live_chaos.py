@@ -47,13 +47,12 @@ from typing import Dict, List, Optional
 
 from ..core import PastConfig, PastNetwork, RetryPolicy, derive_seed
 from ..core.invariants import audit
-from ..net.differential import build_cluster, graceful_shutdown
+from ..net.differential import build_cluster, graceful_shutdown, restart_from_wal
 from ..net.faults import WireFaultPlan, decision_parity
 from ..netsim.faults import FaultSpec
-from ..store import WalBackend
 
 __all__ = ["LiveChaosConfig", "LiveChaosReport", "run_live_sweep",
-           "live_chaos_bench"]
+           "live_chaos_bench", "render_live_chaos"]
 
 
 @dataclass
@@ -237,24 +236,10 @@ def _detect(net: PastNetwork, victim: int) -> None:
 
 def _restart(net: PastNetwork, transport, data_dir: Path, victim: int,
              pre_files: Dict[int, List[int]]) -> bool:
-    """Bring a killed node back from its WAL; True if recovery was exact.
-
-    Mirrors :func:`repro.net.differential._restart_from_wal`: reopen the
-    journal (snapshot + replay), rebuild the in-memory store, judge WAL
-    fidelity against the pre-kill entry set *before* the overlay
-    reconciles, then rejoin and serve again.
-    """
-    reborn = WalBackend(
-        data_dir / f"{victim:032x}", node_id=victim, sync_every=1
-    )
-    fallen = net._failed_past[victim]
-    fallen.store.backend = None
-    fallen.store.wipe_disk()
-    fallen.store.restore_state(reborn.state)
-    recovered_all = sorted(fallen.store.file_ids()) == pre_files[victim]
-    fallen.store.backend = reborn
-    net.recover_node(victim)
-    transport.ensure_server(victim)
+    """Bring a killed node back from its WAL; True if recovery was exact."""
+    recovered_all = restart_from_wal(
+        net, transport, data_dir, victim, pre_files[victim]
+    )["recovered_all"]
     if victim not in net._failed_past:  # confirm the rebirth registered
         net.repair_all()
     return recovered_all
@@ -435,3 +420,45 @@ def live_chaos_bench(report: LiveChaosReport) -> Dict[str, object]:
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     payload["checksum"] = hashlib.sha256(blob.encode("utf-8")).hexdigest()
     return payload
+
+
+def render_live_chaos(report: LiveChaosReport, bench_out: Optional[str] = None,
+                      as_json: bool = False) -> str:
+    """Write the bench payload to ``bench_out`` (if given); render the run.
+
+    The one report behind both front doors, ``repro serve --chaos`` and
+    ``python -m repro.experiments.chaos --scenario live``.
+    """
+    bench = live_chaos_bench(report)
+    failures = report.oracle_failures()
+    if bench_out:
+        out = Path(bench_out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(json.dumps(bench, sort_keys=True, indent=2) + "\n")
+    if as_json:
+        return json.dumps(
+            {
+                "seed": report.seed,
+                "report": asdict(report),
+                "bench": bench,
+                "failures": failures,
+            },
+            sort_keys=True, indent=2,
+        )
+    lines = [f"bench written to {bench_out}"] if bench_out else []
+    lines += [
+        f"live chaos on {report.nodes} nodes / {report.files} files: "
+        f"lookups {report.lookups_succeeded}/{report.lookups_attempted} "
+        f"(steady {report.steady_succeeded}/{report.steady_attempted}, "
+        f"degraded {report.degraded_succeeded}/{report.degraded_attempted})",
+        f"injected: {report.injected}  observed: {report.wire}",
+        f"kills {report.kills_applied}  restarts {report.restarts_applied} "
+        f"(recovered_all={report.recovered_all})  "
+        f"lost files {report.lost_files}  "
+        f"audit {'ok' if report.audit_ok else 'VIOLATED'}  "
+        f"parity {'ok' if report.parity.get('ok') else 'DIVERGED'}",
+        "all live chaos oracles satisfied" if not failures
+        else "FAIL: " + "; ".join(failures),
+        f"bench checksum: {bench['checksum']}",
+    ]
+    return "\n".join(lines)

@@ -45,6 +45,7 @@ __all__ = [
     "run_differential",
     "run_serve",
     "graceful_shutdown",
+    "restart_from_wal",
 ]
 
 #: Capacity per node: ample, so the differential exercises placement and
@@ -251,35 +252,44 @@ def _restart_from_wal(
 ) -> Dict[str, Any]:
     """Kill one live node and bring it back from its WAL, over real TCP.
 
-    The same sequence a killed process performs on restart: reopen the
-    journal directory (recovery = snapshot + replay), rebuild the
-    in-memory store from the recovered state, rejoin the overlay.  The
-    surviving nodes see an ordinary failure + recovery.
+    The surviving nodes see an ordinary failure + recovery.
     """
-    from ..store import WalBackend
-
     node = net.past_node_or_none(victim)
     pre_files = sorted(node.store.file_ids())
-    old = node.store.backend
-    old.crash()  # kill -9: no flush; sync_every=1 means nothing unsynced
+    # kill -9: no flush; sync_every=1 means nothing unsynced
+    node.store.backend.crash()
     net.crash_node(victim)
     transport.stop_server(victim)
     net.process_failure_detection(victim)
     net.repair_all()
+    return restart_from_wal(net, transport, data_dir, victim, pre_files)
+
+
+def restart_from_wal(
+    net: PastNetwork,
+    transport: AsyncioTransport,
+    data_dir: Path,
+    victim: int,
+    pre_files: List[int],
+) -> Dict[str, Any]:
+    """Bring a killed, detected node back from its journal and serve again.
+
+    The same sequence a killed process performs on restart: reopen the
+    journal directory (recovery = snapshot + replay), rebuild the
+    in-memory store from the recovered state, rejoin the overlay.
+    """
+    from ..store import WalBackend
 
     reborn = WalBackend(
         data_dir / f"{victim:032x}", node_id=victim, sync_every=1
     )
     fallen = net._failed_past[victim]
-    fallen.store.backend = None
-    fallen.store.wipe_disk()
-    restored = fallen.store.restore_state(reborn.state)
+    restored = fallen.store.reopen(reborn)
     # WAL fidelity is judged here, before the overlay reconciles: the
     # journal must reproduce exactly the pre-kill entry set.  The
     # recovery listener may then legitimately prune entries whose
     # responsibility moved while the node was down.
     recovered_all = sorted(fallen.store.file_ids()) == pre_files
-    fallen.store.backend = reborn
     net.recover_node(victim)
     transport.ensure_server(victim)
     return {

@@ -303,6 +303,16 @@ class TestRealTree:
                     "baseline, not inline suppressions"
                 )
 
+    def test_baseline_holds_no_stale_entry(self, real_tree):
+        """The converse: an entry whose finding is gone must leave the file.
+
+        ``--baseline`` ignores entries that match nothing, so without
+        this the accepted debt could never be seen to shrink.
+        """
+        _modules, findings, _ = real_tree
+        stale = load_baseline(str(BASELINE)) - {finding_key(f) for f in findings}
+        assert not stale, "stale conc baseline entries:\n" + "\n".join(sorted(stale))
+
     def test_engine_pure_modules_are_never_blocked(self, real_tree):
         modules, findings, analysis = real_tree
         table = readiness(modules, findings, analysis)

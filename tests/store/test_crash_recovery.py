@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.storage import LocalStore, StoredReplica
 from repro.netsim.faults import (
     CRASH_AFTER_FSYNC,
     CRASH_BEFORE_FSYNC,
@@ -74,6 +75,36 @@ class TestCleanRestart:
         b = open_backend(tmp_path)
         assert b.state.seq == 0
         assert not b.state.replicas and not b.state.pointers
+
+    def test_store_reopen_restores_from_the_journal_and_leaves_it_alone(self, tmp_path):
+        old = open_backend(tmp_path, sync_every=1)
+        fill(old)
+        old.crash()
+        store = LocalStore(capacity=1 << 20)
+        store.backend = old  # the killed process's handle is still attached
+        store.primaries[77] = StoredReplica(make_certificate(77))  # RAM the kill lost
+
+        reborn = open_backend(tmp_path, sync_every=1)
+        seq = reborn.state.seq
+        restored = store.reopen(reborn)
+
+        assert store.backend is reborn
+        assert restored == len(reborn.state.replicas) + len(reborn.state.pointers) == 6
+        assert {
+            fid: (r.certificate, r.diverted)
+            for fid, r in {**store.primaries, **store.diverted_in}.items()
+        } == reborn.state.replicas
+        assert {
+            fid: (p.certificate, p.target_id, p.primary)
+            for fid, p in store.pointers.items()
+        } == reborn.state.pointers
+        assert set(store.diverted_in) == {
+            fid for fid, (_, diverted) in reborn.state.replicas.items() if diverted
+        }
+        assert store.used == sum(c.size for c, _ in reborn.state.replicas.values())
+        # Neither the wipe nor the restore wrote to (or destroyed) the journal.
+        on_disk, _ = recover_state(Vfs(), tmp_path, truncate=False)
+        assert on_disk.seq == reborn.state.seq == seq > 0
 
 
 class TestKillPhaseMatrix:

@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import importlib
+import importlib.util
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.cli import COMMANDS, build_parser, main
@@ -91,3 +96,25 @@ class TestFigureCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert "t_pri" in out and "Figure 2" in out
+
+
+class TestPackaging:
+    """Every advertised front door exists: a console script or a CI
+    ``python -m`` whose module was deleted fails here, not at install."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def test_console_scripts_import_and_are_callable(self):
+        text = (self.ROOT / "pyproject.toml").read_text()
+        section = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        targets = re.findall(r'^[\w-]+ = "([\w.]+):(\w+)"$', section, re.M)
+        assert len(targets) == len(section.strip().splitlines()) > 0
+        for module, attr in targets:
+            assert callable(getattr(importlib.import_module(module), attr))
+
+    def test_ci_module_invocations_resolve(self):
+        ci = (self.ROOT / ".github" / "workflows" / "ci.yml").read_text()
+        modules = set(re.findall(r"python -m (repro[\w.]*)", ci))
+        assert modules
+        for module in sorted(modules):
+            assert importlib.util.find_spec(module) is not None, module

@@ -267,6 +267,10 @@ def cmd_chaos(args) -> str:
     )
 
 
+class CommandFailed(Exception):
+    """A command's own oracle failed: print the message, then exit 1."""
+
+
 def cmd_serve(args) -> str:
     """Boot a real asyncio-TCP cluster and serve insert/lookup traffic.
 
@@ -274,10 +278,9 @@ def cmd_serve(args) -> str:
     schema-certified wire codec (see ``python -m repro.devtools.wire``).
     ``--differential`` first runs the cross-engine oracle: the same
     seeded workload under SimTransport must produce the same outcome
-    checksum as under AsyncioTransport.
+    checksum as under AsyncioTransport.  A checksum mismatch, a failed
+    chaos oracle, a failed lookup or an audit violation exits 1.
     """
-    import json
-
     from .net.differential import run_differential, run_serve
 
     lines = []
@@ -287,7 +290,10 @@ def cmd_serve(args) -> str:
         )
 
         report = run_live_sweep(LiveChaosConfig(seed=args.seed))
-        return render_live_chaos(report, bench_out=args.out)
+        text = render_live_chaos(report, bench_out=args.out)
+        if report.oracle_failures():
+            raise CommandFailed(text)
+        return text
     if args.differential:
         diff = run_differential(
             n_nodes=min(args.nodes, 16), n_files=args.files, seed=args.seed
@@ -297,7 +303,7 @@ def cmd_serve(args) -> str:
         lines.append(f"  sim     {diff['sim']}")
         lines.append(f"  asyncio {diff['asyncio']}")
         if not diff["equal"]:
-            return "\n".join(lines)
+            raise CommandFailed("\n".join(lines))
     bench = run_serve(
         n_nodes=args.nodes, n_files=args.files, seed=args.seed,
         workers=args.workers, data_dir=args.data_dir,
@@ -311,9 +317,7 @@ def cmd_serve(args) -> str:
         )
         return "\n".join(lines)
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(bench, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        chaos.write_bench(args.out, bench)
         lines.append(f"bench written to {args.out}")
     timing = bench["timing"]
     lines.append(
@@ -341,7 +345,10 @@ def cmd_serve(args) -> str:
             f"shutdown: drained={shutdown.get('drained')} "
             f"wals_flushed={shutdown.get('wals_flushed')}"
         )
-    return "\n".join(lines)
+    text = "\n".join(lines)
+    if bench["lookup_failures"] or bench["audit_violations"]:
+        raise CommandFailed(text)
+    return text
 
 
 COMMANDS = {
@@ -401,7 +408,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "list":
         print("available commands:", ", ".join(sorted(COMMANDS)))
         return 0
-    print(COMMANDS[args.command](args))
+    try:
+        print(COMMANDS[args.command](args))
+    except CommandFailed as failed:
+        print(failed)
+        return 1
     return 0
 
 

@@ -21,12 +21,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from ...core import AntiEntropyScrubber, PastConfig, PastNetwork, RetryPolicy
+from ...core.episode import Episode, build_deployment, lognormal_size
 from ...core.seeding import derive_seed
 from ...netsim.eventsim import EventSimulator, SchedulePolicy
 from ...netsim.faults import FaultPlan, StorageFaultPlan
 from ...netsim.trace import ScheduleTrace
 from ...pastry import idspace
-from ...pastry.keepalive import KeepAliveMonitor
 from ...pastry.network import DeliveryRecord, RoutingError
 
 
@@ -69,6 +69,38 @@ def _verify_routes(net: PastNetwork, seed: int, run: ScenarioRun) -> None:
         net.pastry.delivery_log = None
 
 
+def _deploy(seed: int, prefix: str, draw_size, capacities=(500_000, 1_000_000),
+            n_nodes: int = 10, n_files: int = 10, **thresholds) -> tuple:
+    """``(rng, net)``: the seeded RNG and its small l=8, k=3 deployment."""
+    rng = random.Random(seed)
+    net = build_deployment(
+        PastConfig(l=8, k=3, seed=seed, cache_policy="none", **thresholds),
+        [rng.randrange(*capacities) for _ in range(n_nodes)],
+        n_files, draw_size, rng, owner="explore", prefix=prefix,
+    )
+    return rng, net
+
+
+_LOGNORMAL = lognormal_size(2.0, 100_000)
+
+
+def _small_files(rng: random.Random) -> int:
+    return rng.randrange(1_500, 3_500)
+
+
+def _verified(episode: Episode, seed: int) -> ScenarioRun:
+    """Stop probing, then route the verification batch."""
+    episode.monitor.stop()
+    run = ScenarioRun(trace=episode.trace, net=episode.net, sim=episode.sim)
+    _verify_routes(episode.net, seed, run)
+    return run
+
+
+# Event labels below are the closures' historical qualnames: schedule
+# digests cover them, and the committed pins were recorded with these
+# (which is also why ``heal`` stays a local wrapper of ``episode.heal``).
+
+
 def scenario_churn(
     seed: int,
     policy: Optional[SchedulePolicy] = None,
@@ -81,53 +113,25 @@ def scenario_churn(
     replica maintenance runs; the explorer perturbs the order of probe
     rounds, detections and recoveries within each tick.
     """
-    rng = random.Random(seed)
-    config = PastConfig(l=8, k=3, seed=seed, cache_policy="none")
-    net = PastNetwork(config)
-    net.build([rng.randrange(500_000, 1_000_000) for _ in range(10)])
-    owner = net.create_client("explore")
-    node_ids = [n.node_id for n in net.nodes()]
-    for i in range(10):
-        size = min(int(rng.lognormvariate(7.2, 2.0)) + 1, 100_000)
-        net.insert(f"c{i}", owner, size, node_ids[rng.randrange(len(node_ids))])
-
-    if trace is None:
-        trace = ScheduleTrace()
-    sim = EventSimulator(trace=trace, policy=policy)
-    monitor = KeepAliveMonitor(
-        sim, net.pastry, on_detect=net.process_failure_detection,
-        interval=1.0, timeout=3.0,
-    )
-    monitor.start()
-
-    def make_crash(victim: int) -> Callable[[], None]:
-        def crash() -> None:
-            if net.pastry.is_live(victim):
-                net.crash_node(victim)
-                net.wipe_failed_disk(victim)
-        return crash
-
-    def make_recover(victim: int) -> Callable[[], None]:
-        def recover() -> None:
-            if victim in net._failed_past:
-                # The monitor re-watches the recovered node by itself (it
-                # listens for overlay recoveries).
-                net.recover_node(victim)
-        return recover
+    rng, net = _deploy(seed, "c", _LOGNORMAL)
+    episode = Episode(net, trace=trace, policy=policy)
+    episode.monitor.start()
 
     victims = list(net.pastry.node_ids)
     rng.shuffle(victims)
     when = 0.0
     for victim in victims[:3]:
         when += rng.expovariate(0.5)
-        sim.schedule_at(when, make_crash(victim))
-        sim.schedule_at(when + 8.0, make_recover(victim))
-    sim.run_until(when + 12.0)
-    monitor.stop()
-
-    run = ScenarioRun(trace=trace, net=net, sim=sim)
-    _verify_routes(net, seed, run)
-    return run
+        episode.crash_at(
+            when, victim, wipe_disk=True,
+            label="scenario_churn.<locals>.make_crash.<locals>.crash",
+        )
+        episode.recover_at(
+            when + 8.0, victim,
+            label="scenario_churn.<locals>.make_recover.<locals>.recover",
+        )
+    episode.sim.run_until(when + 12.0)
+    return _verified(episode, seed)
 
 
 def scenario_join(
@@ -141,39 +145,22 @@ def scenario_join(
     co-enabled with the whole probe round and the explorer can run it
     before, between, or after any of the probes.
     """
-    rng = random.Random(seed)
-    config = PastConfig(l=8, k=3, seed=seed, cache_policy="none")
-    net = PastNetwork(config)
-    net.build([rng.randrange(500_000, 1_000_000) for _ in range(8)])
-    owner = net.create_client("explore")
-    node_ids = [n.node_id for n in net.nodes()]
-    for i in range(8):
-        size = min(int(rng.lognormvariate(7.2, 2.0)) + 1, 100_000)
-        net.insert(f"j{i}", owner, size, node_ids[rng.randrange(len(node_ids))])
-
-    if trace is None:
-        trace = ScheduleTrace()
-    sim = EventSimulator(trace=trace, policy=policy)
-    monitor = KeepAliveMonitor(
-        sim, net.pastry, on_detect=net.process_failure_detection,
-        interval=1.0, timeout=3.0,
-    )
-    monitor.start()
+    rng, net = _deploy(seed, "j", _LOGNORMAL, n_nodes=8, n_files=8)
+    episode = Episode(net, trace=trace, policy=policy)
+    episode.monitor.start()
 
     def make_join(capacity: int) -> Callable[[], None]:
         def join() -> None:
             for node in net.add_node(capacity):
-                monitor.watch(node.node_id)
+                episode.monitor.watch(node.node_id)
         return join
 
     for tick in (2.0, 3.0, 4.0):
-        sim.schedule_at(tick, make_join(rng.randrange(500_000, 1_000_000)))
-    sim.run_until(8.0)
-    monitor.stop()
-
-    run = ScenarioRun(trace=trace, net=net, sim=sim)
-    _verify_routes(net, seed, run)
-    return run
+        episode.sim.schedule_at(
+            tick, make_join(rng.randrange(500_000, 1_000_000))
+        )
+    episode.sim.run_until(8.0)
+    return _verified(episode, seed)
 
 
 def scenario_divert(
@@ -190,52 +177,25 @@ def scenario_divert(
     the recovery runs first is the explorer's choice, and both orders
     must leave the invariants intact.
     """
-    rng = random.Random(seed)
     # Loose acceptance thresholds (the defaults reject any file larger
     # than a tenth of a node's free space) so a dozen inserts are enough
     # to drive individual nodes into diverting replicas to leaf-set
     # members.
-    config = PastConfig(
-        l=8, k=3, seed=seed, cache_policy="none", t_pri=0.5, t_div=0.25,
+    _, net = _deploy(
+        seed, "d", _small_files, capacities=(10_000, 16_000), n_files=12,
+        t_pri=0.5, t_div=0.25,
     )
-    net = PastNetwork(config)
-    net.build([rng.randrange(10_000, 16_000) for _ in range(10)])
-    owner = net.create_client("explore")
-    node_ids = [n.node_id for n in net.nodes()]
-    for i in range(12):
-        size = rng.randrange(1_500, 3_500)
-        net.insert(f"d{i}", owner, size, node_ids[rng.randrange(len(node_ids))])
-
-    if trace is None:
-        trace = ScheduleTrace()
-    sim = EventSimulator(trace=trace, policy=policy)
-    monitor = KeepAliveMonitor(
-        sim, net.pastry, on_detect=net.process_failure_detection,
-        interval=1.0, timeout=3.0,
-    )
-    monitor.start()
+    episode = Episode(net, trace=trace, policy=policy)
+    episode.monitor.start()
 
     holders = sorted(
         n.node_id for n in net.nodes() if n.store.diverted_in
     )
     victim = holders[0] if holders else sorted(net.pastry.node_ids)[0]
-
-    def crash() -> None:
-        if net.pastry.is_live(victim):
-            net.crash_node(victim)
-
-    def recover() -> None:
-        if victim in net._failed_past:
-            net.recover_node(victim)
-
-    sim.schedule_at(3.0, crash)
-    sim.schedule_at(6.0, recover)
-    sim.run_until(10.0)
-    monitor.stop()
-
-    run = ScenarioRun(trace=trace, net=net, sim=sim)
-    _verify_routes(net, seed, run)
-    return run
+    episode.crash_at(3.0, victim, label="scenario_divert.<locals>.crash")
+    episode.recover_at(6.0, victim, label="scenario_divert.<locals>.recover")
+    episode.sim.run_until(10.0)
+    return _verified(episode, seed)
 
 
 def scenario_chaos(
@@ -254,23 +214,9 @@ def scenario_chaos(
     the explorer searches interleavings of probes, fault decisions,
     crash, restart and client retries.
     """
-    rng = random.Random(seed)
-    config = PastConfig(l=8, k=3, seed=seed, cache_policy="none")
-    net = PastNetwork(config)
-    net.build([rng.randrange(500_000, 1_000_000) for _ in range(10)])
-    owner = net.create_client("explore")
-    node_ids = [n.node_id for n in net.nodes()]
-    for i in range(10):
-        size = min(int(rng.lognormvariate(7.2, 2.0)) + 1, 100_000)
-        net.insert(f"h{i}", owner, size, node_ids[rng.randrange(len(node_ids))])
-
-    if trace is None:
-        trace = ScheduleTrace()
-    sim = EventSimulator(trace=trace, policy=policy)
-    monitor = KeepAliveMonitor(
-        sim, net.pastry, on_detect=net.process_failure_detection,
-        interval=1.0, timeout=3.0,
-    )
+    _, net = _deploy(seed, "h", _LOGNORMAL)
+    episode = Episode(net, trace=trace, policy=policy)
+    sim = episode.sim
     plan = FaultPlan(
         seed=derive_seed(seed, "explore-chaos"), loss=0.15
     ).bind_clock(lambda: sim.now)
@@ -285,36 +231,23 @@ def scenario_chaos(
             origin = live[lookup_rng.randrange(len(live))]
             net.lookup(fid, origin, policy=retry)
 
-    victim = sorted(net.pastry.node_ids)[0]
-
-    def crash() -> None:
-        if net.pastry.is_live(victim):
-            net.crash_node(victim)
-            net.wipe_failed_disk(victim)
-
-    def recover() -> None:
-        if victim in net._failed_past:
-            net.recover_node(victim)
-
     def heal() -> None:
-        net.pastry.fault_plan = None
+        episode.heal()
 
     net.pastry.fault_plan = plan
-    monitor.start()
+    episode.monitor.start()
     for tick in (1.0, 2.0, 3.0, 5.0, 6.0):
         sim.schedule_at(tick + 0.5, lookups)
-    sim.schedule_at(2.0, crash)
-    sim.schedule_at(7.0, recover)
+    victim = sorted(net.pastry.node_ids)[0]
+    episode.crash_at(
+        2.0, victim, wipe_disk=True, label="scenario_chaos.<locals>.crash"
+    )
+    episode.recover_at(7.0, victim, label="scenario_chaos.<locals>.recover")
     sim.schedule_at(8.0, heal)
     # Fault-free tail: a detection timeout plus two probe rounds.
     sim.run_until(13.0)
-    monitor.stop()
-    net.pastry.fault_plan = None  # in case a schedule never ran heal()
-    net.repair_all()
-
-    run = ScenarioRun(trace=trace, net=net, sim=sim)
-    _verify_routes(net, seed, run)
-    return run
+    episode.quiesce()  # heals too, in case a schedule never ran heal()
+    return _verified(episode, seed)
 
 
 def scenario_scrub(
@@ -334,63 +267,30 @@ def scenario_scrub(
     still has a verified donor — under *every* schedule — or the
     audit's integrity oracle trips.
     """
-    rng = random.Random(seed)
-    config = PastConfig(l=8, k=3, seed=seed, cache_policy="none")
-    net = PastNetwork(config)
-    net.build([rng.randrange(500_000, 1_000_000) for _ in range(10)])
-    owner = net.create_client("explore")
-    node_ids = [n.node_id for n in net.nodes()]
-    for i in range(10):
-        size = rng.randrange(1_500, 3_500)
-        net.insert(f"s{i}", owner, size, node_ids[rng.randrange(len(node_ids))])
-
-    if trace is None:
-        trace = ScheduleTrace()
-    sim = EventSimulator(trace=trace, policy=policy)
-    monitor = KeepAliveMonitor(
-        sim, net.pastry, on_detect=net.process_failure_detection,
-        interval=1.0, timeout=3.0,
-    )
+    _, net = _deploy(seed, "s", _small_files)
+    episode = Episode(net, trace=trace, policy=policy)
+    sim = episode.sim
     splan = StorageFaultPlan(
         seed=derive_seed(seed, "explore-scrub"), bitrot_rate=2e-5
     )
     net.install_storage_faults(splan, clock=lambda: sim.now)
-    scrubber = AntiEntropyScrubber(sim, net, interval=1.0, seed=seed)
-
-    victim = sorted(net.pastry.node_ids)[0]
-
-    def crash() -> None:
-        # Disk stays intact: its replicas keep rotting, unverified,
-        # until the node returns and the scrubber reaches them again.
-        if net.pastry.is_live(victim):
-            net.crash_node(victim)
-
-    def recover() -> None:
-        if victim in net._failed_past:
-            net.recover_node(victim)
+    episode.scrubber = AntiEntropyScrubber(sim, net, interval=1.0, seed=seed)
 
     def heal() -> None:
-        if net.storage_faults is not None:
-            net.verify_all_replicas()
-            net.remove_storage_faults()
+        episode.heal()
 
-    monitor.start()
-    scrubber.start()
-    sim.schedule_at(2.0, crash)
-    sim.schedule_at(6.0, recover)
+    episode.monitor.start()
+    episode.scrubber.start()
+    victim = sorted(net.pastry.node_ids)[0]
+    # Disk stays intact: its replicas keep rotting, unverified, until
+    # the node returns and the scrubber reaches them again.
+    episode.crash_at(2.0, victim, label="scenario_scrub.<locals>.crash")
+    episode.recover_at(6.0, victim, label="scenario_scrub.<locals>.recover")
     sim.schedule_at(8.0, heal)
     # Fault-free tail: a detection timeout plus two probe rounds.
     sim.run_until(13.0)
-    monitor.stop()
-    scrubber.stop()
-    net.repair_all()
-    heal()  # in case a truncated schedule never ran the heal event
-    scrubber.scrub_all()
-    scrubber.scrub_all()
-
-    run = ScenarioRun(trace=trace, net=net, sim=sim)
-    _verify_routes(net, seed, run)
-    return run
+    episode.quiesce()  # heals too, in case a truncated schedule never did
+    return _verified(episode, seed)
 
 
 SCENARIOS: Dict[str, ScenarioFn] = {

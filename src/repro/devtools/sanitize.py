@@ -11,12 +11,13 @@ it — which is where the hash-order dependence entered the schedule.
 
 Scenarios:
 
-* ``churn`` — a small seeded PAST deployment under node crashes with
-  keep-alive failure detection and recovery: the workload CI smokes to
-  prove the shipped simulator is hashseed-independent.
-* ``scrub`` — the storage-integrity plane: anti-entropy scrub timers,
-  seeded bit rot and a crash/recovery, reusing the explorer's scrub
-  scenario.
+* ``churn`` — the explorer's churn scenario: a small seeded PAST
+  deployment under node crashes with keep-alive failure detection and
+  recovery; the workload CI smokes to prove the shipped simulator is
+  hashseed-independent.
+* ``scrub`` — the explorer's scrub scenario (the storage-integrity
+  plane): anti-entropy scrub timers, seeded bit rot and a
+  crash/recovery.
 * ``hazard`` — a deliberately broken scenario that schedules events by
   iterating a set of strings (whose order follows ``PYTHONHASHSEED``);
   used by the test suite to prove the harness localises a real bug.
@@ -32,6 +33,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -39,57 +41,6 @@ from ..netsim.eventsim import EventSimulator
 from ..netsim.trace import ScheduleTrace
 
 # --------------------------------------------------------------- scenarios
-
-
-def scenario_churn(seed: int) -> ScheduleTrace:
-    """A small PAST deployment under churn (crash, detect, recover)."""
-    import random
-
-    from ..core import PastConfig, PastNetwork
-    from ..pastry.keepalive import KeepAliveMonitor
-
-    rng = random.Random(seed)
-    config = PastConfig(l=8, k=3, seed=seed, cache_policy="none")
-    net = PastNetwork(config)
-    net.build([rng.randrange(500_000, 1_000_000) for _ in range(12)])
-    owner = net.create_client("sanitize")
-    node_ids = [n.node_id for n in net.nodes()]
-    for i in range(15):
-        size = min(int(rng.lognormvariate(7.2, 2.0)) + 1, 100_000)
-        net.insert(f"s{i}", owner, size, node_ids[rng.randrange(len(node_ids))])
-
-    trace = ScheduleTrace()
-    sim = EventSimulator(trace=trace)
-    monitor = KeepAliveMonitor(
-        sim, net.pastry, on_detect=net.process_failure_detection,
-        interval=1.0, timeout=3.0,
-    )
-    monitor.start()
-
-    def make_crash(victim: int) -> Callable[[], None]:
-        def crash() -> None:
-            if net.pastry.is_live(victim):
-                net.crash_node(victim)
-                net.wipe_failed_disk(victim)
-        return crash
-
-    def make_recover(victim: int) -> Callable[[], None]:
-        def recover() -> None:
-            if victim in net._failed_past:
-                net.recover_node(victim)
-                monitor.forget(victim)
-        return recover
-
-    victims = list(net.pastry.node_ids)
-    rng.shuffle(victims)
-    when = 0.0
-    for victim in victims[:4]:
-        when += rng.expovariate(0.5)
-        sim.schedule_at(when, make_crash(victim))
-        sim.schedule_at(when + 8.0, make_recover(victim))
-    sim.run_until(when + 12.0)
-    monitor.stop()
-    return trace
 
 
 def scenario_hazard(seed: int) -> ScheduleTrace:
@@ -117,16 +68,16 @@ def scenario_hazard(seed: int) -> ScheduleTrace:
     return trace
 
 
-def scenario_scrub(seed: int) -> ScheduleTrace:
-    """The storage-integrity plane: scrub timers, bit rot, a crash."""
-    from .explore.scenarios import scenario_scrub as run_scrub
+def _explored(name: str, seed: int) -> ScheduleTrace:
+    """The explorer's scenario of that name, run under the FIFO schedule."""
+    from .explore.scenarios import SCENARIOS as explored
 
-    return run_scrub(seed).trace
+    return explored[name](seed).trace
 
 
 SCENARIOS: Dict[str, Callable[[int], ScheduleTrace]] = {
-    "churn": scenario_churn,
-    "scrub": scenario_scrub,
+    "churn": partial(_explored, "churn"),
+    "scrub": partial(_explored, "scrub"),
     "hazard": scenario_hazard,
 }
 

@@ -17,8 +17,7 @@ checks end-to-end against a :class:`~repro.netsim.faults.FaultPlan`:
   files hit like that — must be reported lost, by id, by the oracle).
 * **Integrity** — disks fail without nodes dying: a
   :class:`~repro.netsim.faults.StorageFaultPlan` injects silent bit
-  rot, torn writes, read errors and readonly disks.
-  :func:`run_bitrot_sweep` shows the anti-entropy scrubber plus
+  rot.  :func:`run_bitrot_sweep` shows the anti-entropy scrubber plus
   read-repair recovering 100% of the corruption that the no-scrub
   baseline turns into unrecoverable files.
 
@@ -27,12 +26,8 @@ Every run is driven by one seeded :class:`EventSimulator` with a
 with the same config are byte-identical, which CI checks across
 different ``PYTHONHASHSEED`` values.
 
-Oracle soundness: the availability/durability oracles audit the network
-*after* a quiescence protocol — fault plane removed (heal), crashed
-nodes restarted, failure detection run to fixpoint, then a full
-``repair_all()`` pass.  Mid-chaos audits would flag transient states
-(dangling pointers whose repair RPC was lost, undetected crashes) that
-the protocol is explicitly allowed to be in during a recovery period.
+Oracle soundness: every oracle audits the network *after* the
+quiescence protocol in :mod:`repro.core.episode`, never mid-chaos.
 """
 
 from __future__ import annotations
@@ -45,27 +40,18 @@ import sys
 import tempfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..core import (
     AntiEntropyScrubber,
     PastConfig,
     PastNetwork,
     RetryPolicy,
-    audit,
     derive_seed,
 )
-from ..core.invariants import AuditReport
-from ..netsim import (
-    CRASH_PHASES,
-    DISK_READONLY,
-    EventSimulator,
-    FaultPlan,
-    ScheduleTrace,
-    StorageFaultPlan,
-)
+from ..core.episode import Episode, build_deployment, lognormal_size, verdict
+from ..netsim import CRASH_PHASES, FaultPlan, StorageFaultPlan
 from ..pastry import idspace
-from ..pastry.keepalive import KeepAliveMonitor
 from ..store import Vfs, WalBackend, recover_state
 
 import random
@@ -79,24 +65,16 @@ class ChaosConfig:
     n_nodes: int = 20
     n_files: int = 24
     k: int = 5
-    l: int = 8
-    cache_policy: str = "none"
     #: Uniform per-hop message-loss probability while faults are active.
     loss: float = 0.0
-    delay_mean: float = 0.0
-    duplicate: float = 0.0
-    #: Fraction of nodes marked "gray" (flaky links, see FaultPlan).
-    gray_fraction: float = 0.0
-    gray_loss: float = 0.5
     #: Cut half the ring off in [partition_at, partition_heal_at).
     partition: bool = False
     partition_at: float = 4.0
     partition_heal_at: float = 9.0
-    #: Independent crash storm: this many victims, seeded-exponential
-    #: interarrival, each restarting ``restart_after`` later.
+    #: Independent crash storm from ``CRASH_START``: this many victims,
+    #: exponential interarrival, each restarting ``restart_after`` later.
     crash_count: int = 0
     crash_interarrival: float = 10.0
-    crash_start: float = 2.0
     restart_after: float = 5.0
     wipe_disks: bool = True
     #: Overlapping-failure mode: crash the entire replica set of the
@@ -107,19 +85,11 @@ class ChaosConfig:
     #: Client workload: ``lookups_per_tick`` lookups per virtual second.
     lookups_per_tick: int = 8
     duration: float = 25.0
-    probe_interval: float = 1.0
-    probe_timeout: float = 3.0
     #: Client resilience (None = the no-retry baseline client).
     policy: Optional[RetryPolicy] = None
-    #: Storage-fault plane: a StorageFaultPlan is installed iff any of
-    #: these is non-zero (bitrot_rate is per replica-byte per virtual
-    #: second; see netsim.faults).
+    #: Storage-fault plane: a StorageFaultPlan is installed iff this is
+    #: non-zero (per replica-byte per virtual second; see netsim.faults).
     bitrot_rate: float = 0.0
-    partial_write: float = 0.0
-    disk_read_error: float = 0.0
-    #: Flip this many disks to readonly mode at ``readonly_at``.
-    readonly_count: int = 0
-    readonly_at: float = 1.0
     #: Anti-entropy scrubbing: per-node scrub period (0 = scrubber off).
     scrub_interval: float = 0.0
     scrub_jitter: float = 0.0
@@ -146,6 +116,7 @@ class ChaosReport:
     partition_drops: int = 0
     probes_lost: int = 0
     rpcs_lost: int = 0
+    #: Always 0 (like the three disk counters below): kept for ``--json``.
     duplicates: int = 0
     #: Durability oracle (post-quiescence).
     lost_files: int = 0
@@ -190,77 +161,33 @@ class ChaosReport:
         return json.dumps(payload, sort_keys=True, indent=2)
 
 
+#: When a crash storm (or the targeted replica-set kill) begins.
+CRASH_START = 2.0
+_PAPER_SIZES = lognormal_size(1.5, 50_000)
+
+
 def _build_deployment(
     cfg: ChaosConfig, rng: random.Random, backend_factory=None
 ) -> PastNetwork:
     """A clean, fault-free deployment with n_files fully replicated."""
-    config = PastConfig(
-        l=cfg.l, k=cfg.k, seed=cfg.seed, cache_policy=cfg.cache_policy
+    net = build_deployment(
+        PastConfig(l=8, k=cfg.k, seed=cfg.seed, cache_policy="none"),
+        [rng.randrange(500_000, 1_000_000) for _ in range(cfg.n_nodes)],
+        cfg.n_files,
+        _PAPER_SIZES if cfg.file_size is None else (lambda _rng: cfg.file_size),
+        rng, owner="chaos", prefix="x",
+        store_backend_factory=backend_factory,
     )
-    net = PastNetwork(config)
-    if backend_factory is not None:
-        # Installed before build so every admitted node's LocalStore is
-        # born with its durable backend (journaling from record one).
-        net.store_backend_factory = backend_factory
-    net.build([rng.randrange(500_000, 1_000_000) for _ in range(cfg.n_nodes)])
-    owner = net.create_client("chaos")
-    node_ids = [n.node_id for n in net.nodes()]
-    for i in range(cfg.n_files):
-        if cfg.file_size is not None:
-            size = cfg.file_size
-        else:
-            size = min(int(rng.lognormvariate(7.2, 1.5)) + 1, 50_000)
-        result = net.insert(
-            f"x{i}", owner, size, node_ids[rng.randrange(len(node_ids))]
-        )
-        if not result.success:
-            raise RuntimeError("chaos setup could not place its files")
+    if len(net.live_file_ids()) != cfg.n_files:
+        raise RuntimeError("chaos setup could not place its files")
     return net
 
 
-def _make_plan(cfg: ChaosConfig, net: PastNetwork, sim: EventSimulator,
-               rng: random.Random) -> FaultPlan:
-    plan = FaultPlan(
-        seed=derive_seed(cfg.seed, "chaos-faults"),
-        loss=cfg.loss,
-        delay_mean=cfg.delay_mean,
-        duplicate=cfg.duplicate,
-        gray_loss=cfg.gray_loss,
-    ).bind_clock(lambda: sim.now)
-    node_ids = sorted(net.pastry.node_ids)
-    if cfg.gray_fraction > 0.0:
-        shuffled = list(node_ids)
-        rng.shuffle(shuffled)
-        for node_id in shuffled[: max(1, int(cfg.gray_fraction * len(shuffled)))]:
-            plan.mark_gray(node_id)
-    if cfg.partition:
-        plan.add_partition(
-            at=cfg.partition_at,
-            heal_at=cfg.partition_heal_at,
-            group=node_ids[: len(node_ids) // 2],
-        )
-    if cfg.crash_count > 0:
-        shuffled = list(node_ids)
-        rng.shuffle(shuffled)
-        plan.schedule_crash_storm(
-            shuffled[: cfg.crash_count],
-            start=cfg.crash_start,
-            interarrival=cfg.crash_interarrival,
-            restart_after=cfg.restart_after,
-            wipe_disk=cfg.wipe_disks,
-        )
-    return plan
-
-
-def run_chaos(cfg: ChaosConfig, scenario: str = "custom",
-              trace: Optional[ScheduleTrace] = None) -> ChaosReport:
+def run_chaos(cfg: ChaosConfig, scenario: str = "custom") -> ChaosReport:
     """Execute one chaos scenario end to end and audit the aftermath."""
     rng = random.Random(derive_seed(cfg.seed, "chaos-harness"))
     net = _build_deployment(cfg, rng)
     fids = sorted(net.live_file_ids())
-    if trace is None:
-        trace = ScheduleTrace()
-    sim = EventSimulator(trace=trace)
     report = ChaosReport(scenario=scenario, seed=cfg.seed, digest="")
 
     def on_detect(node_id: int) -> None:
@@ -271,46 +198,52 @@ def run_chaos(cfg: ChaosConfig, scenario: str = "custom",
             report.false_detections += 1
         net.process_failure_detection(node_id)
 
-    monitor = KeepAliveMonitor(
-        sim, net.pastry, on_detect=on_detect,
-        interval=cfg.probe_interval, timeout=cfg.probe_timeout,
-    )
-    plan = _make_plan(cfg, net, sim, rng)
+    episode = Episode(net, on_detect=on_detect)
+    sim = episode.sim
+    plan = FaultPlan(
+        seed=derive_seed(cfg.seed, "chaos-faults"), loss=cfg.loss
+    ).bind_clock(lambda: sim.now)
+    node_ids = sorted(net.pastry.node_ids)
+    if cfg.partition:
+        plan.add_partition(
+            at=cfg.partition_at,
+            heal_at=cfg.partition_heal_at,
+            group=node_ids[: len(node_ids) // 2],
+        )
+    if cfg.crash_count > 0:
+        rng.shuffle(node_ids)
+        plan.schedule_crash_storm(
+            node_ids[: cfg.crash_count],
+            start=CRASH_START,
+            interarrival=cfg.crash_interarrival,
+            restart_after=cfg.restart_after,
+            wipe_disk=cfg.wipe_disks,
+        )
 
     splan: Optional[StorageFaultPlan] = None
-    scrubber: Optional[AntiEntropyScrubber] = None
-    if (cfg.bitrot_rate > 0.0 or cfg.partial_write > 0.0
-            or cfg.disk_read_error > 0.0 or cfg.readonly_count > 0):
+    if cfg.bitrot_rate > 0.0:
         splan = StorageFaultPlan(
             seed=derive_seed(cfg.seed, "chaos-disk"),
             bitrot_rate=cfg.bitrot_rate,
-            partial_write=cfg.partial_write,
-            read_error=cfg.disk_read_error,
         )
         net.install_storage_faults(splan, clock=lambda: sim.now)
-        if cfg.readonly_count > 0:
-            shuffled = sorted(net.pastry.node_ids)
-            rng.shuffle(shuffled)
-            for node_id in shuffled[: cfg.readonly_count]:
-                splan.schedule_disk_mode(cfg.readonly_at, node_id, DISK_READONLY)
     if cfg.scrub_interval > 0.0:
-        scrubber = AntiEntropyScrubber(
+        episode.scrubber = AntiEntropyScrubber(
             sim, net,
             interval=cfg.scrub_interval,
             jitter=cfg.scrub_jitter,
             seed=cfg.seed,
         )
-        scrubber.start()
+        episode.scrubber.start()
 
-    target_fid: Optional[int] = None
     if cfg.crash_target_replica_set:
         # §3.5's loss condition, made flesh: every replica holder of one
         # file dies inside a single detection window, disks wiped.
-        target_fid = fids[0]
+        report.target_file_id = hex(fids[0])
         holders = net.pastry.k_closest_live(
-            idspace.routing_key(target_fid), cfg.k
+            idspace.routing_key(fids[0]), cfg.k
         )
-        when = cfg.crash_start
+        when = CRASH_START
         for holder in holders:
             plan.schedule_crash(
                 when, holder,
@@ -319,30 +252,18 @@ def run_chaos(cfg: ChaosConfig, scenario: str = "custom",
             )
             when += cfg.overlap_spacing
 
-    if target_fid is not None:
-        report.target_file_id = hex(target_fid)
-
-    # -- apply the crash schedule through the simulator ------------------
-    def make_crash(event):
-        def crash() -> None:
-            if net.pastry.is_live(event.node_id) and len(net) > cfg.k + 2:
-                net.crash_node(event.node_id)
-                if event.wipe_disk:
-                    net.wipe_failed_disk(event.node_id)
-                report.crashes_applied += 1
-        return crash
-
-    def make_restart(event):
-        def restart() -> None:
-            if event.node_id in net._failed_past:
-                net.recover_node(event.node_id)
-                report.restarts_applied += 1
-        return restart
-
+    # The labels are the closures' historical qualnames: schedule-trace
+    # digests cover them, and the committed pins were recorded with these.
     for event in plan.crashes:
-        sim.schedule_at(event.time, make_crash(event))
+        episode.crash_at(
+            event.time, event.node_id, wipe_disk=event.wipe_disk,
+            label="run_chaos.<locals>.make_crash.<locals>.crash",
+        )
         if event.restart_at is not None:
-            sim.schedule_at(event.restart_at, make_restart(event))
+            episode.recover_at(
+                event.restart_at, event.node_id,
+                label="run_chaos.<locals>.make_restart.<locals>.restart",
+            )
 
     # -- client workload -------------------------------------------------
     lookup_rng = random.Random(derive_seed(cfg.seed, "chaos-clients"))
@@ -368,50 +289,25 @@ def run_chaos(cfg: ChaosConfig, scenario: str = "custom",
         sim.schedule_at(tick, lookup_tick)
         tick += 1.0
 
-    # -- run under faults, then heal and quiesce -------------------------
+    # -- run under faults, then heal and quiesce (core.episode) ----------
     net.pastry.fault_plan = plan
-    monitor.start()
+    episode.monitor.start()
     sim.run_until(cfg.duration)
+    # Detection fixpoint: one full timeout plus two probe intervals of
+    # fault-free probing flushes every pending detection.
+    episode.quiesce(
+        settle=episode.monitor.timeout + 2 * episode.monitor.interval
+    )
 
-    # Heal: the fault plane is removed entirely — loss, partitions and
-    # gray links all end here.
-    net.pastry.fault_plan = None
+    # Fault-plane counters: frozen since quiesce() detached both plans.
+    report.crashes_applied = episode.crashes_applied
+    report.restarts_applied = episode.restarts_applied
     report.messages_lost = plan.stats.messages_lost
     report.partition_drops = plan.stats.partition_drops
     report.probes_lost = plan.stats.probes_lost
     report.rpcs_lost = plan.stats.rpcs_lost
-    report.duplicates = plan.stats.duplicates
-
     if splan is not None:
-        # Materialize rot still latent on never-read replicas (one
-        # verified read each), then retire the disk plane: from here on
-        # disks are healthy, but the corruption already on them stays.
-        net.verify_all_replicas()
         report.bitrot_corruptions = splan.stats.bitrot_corruptions
-        report.partial_writes = splan.stats.partial_writes
-        report.disk_read_errors = splan.stats.read_errors
-        report.writes_refused = splan.stats.writes_refused
-        net.remove_storage_faults()
-
-    # Restart anything still down (operators replace dead machines) so
-    # the overlay audit runs at a true fixpoint; wiped disks stay wiped,
-    # so this cannot resurrect a lost file.
-    for node_id in sorted(net._failed_past):
-        net.recover_node(node_id)
-        report.restarts_applied += 1
-    # Detection fixpoint: one full timeout plus two probe intervals of
-    # fault-free probing flushes every pending detection.
-    sim.run_until(cfg.duration + cfg.probe_timeout + 2 * cfg.probe_interval)
-    monitor.stop()
-    net.repair_all()
-
-    if scrubber is not None:
-        scrubber.stop()
-        # Integrity fixpoint: round one heals every corrupt copy that
-        # still has a verified donor; round two catches copies that a
-        # round-one re-replication or repair just made healable.
-        scrubber.scrub_all()
-        scrubber.scrub_all()
     report.read_repairs = net.integrity.read_repairs
     report.re_replications = net.integrity.re_replications
     report.scrub_rounds = net.integrity.scrub_rounds
@@ -420,44 +316,38 @@ def run_chaos(cfg: ChaosConfig, scenario: str = "custom",
         hex(fid) for fid in sorted(net.integrity.healed_file_ids)
     ]
 
-    # -- oracles ----------------------------------------------------------
-    outcome: AuditReport = audit(net, check_overlay=True)
-    report.audit_ok = outcome.ok
-    report.violations = [str(v) for v in outcome.violations]
-    report.lost_files = outcome.lost_files
-    report.lost_file_ids = [hex(fid) for fid in sorted(outcome.lost_file_ids)]
-    report.corrupt_files = outcome.corrupt_files
-    report.unrecoverable_files = outcome.unrecoverable_files
-    report.unrecoverable_file_ids = [
-        hex(fid) for fid in sorted(outcome.unrecoverable_file_ids)
-    ]
+    verdict(net).fill(report)
     report.degraded_files = len(net.degraded_files)
-    report.digest = trace.digest()
+    report.digest = episode.trace.digest()
     return report
 
 
 # --------------------------------------------------------------- sweeps
 
 
-def run_loss_sweep(
-    seed: int = 0,
-    loss_rates: Optional[Sequence[float]] = None,
-    policy: Optional[RetryPolicy] = None,
-) -> List[ChaosReport]:
-    """Baseline vs. resilient lookups across uniform loss rates.
+def run_loss_sweep(seed: int = 0) -> List[ChaosReport]:
+    """Baseline vs. resilient lookups at 0%, 5% and 10% uniform loss.
 
     For each rate, runs the identical workload twice: once with the
-    bare no-retry client and once under ``policy``.  The acceptance
-    target is ≥99% lookup success at 10% loss with the policy on.
+    bare no-retry client and once under a six-attempt retry policy.  The
+    acceptance target is ≥99% lookup success at 10% loss with it on.
     """
-    loss_rates = list(loss_rates if loss_rates is not None else (0.0, 0.05, 0.10))
-    policy = policy if policy is not None else RetryPolicy(max_attempts=6)
+    policy = RetryPolicy(max_attempts=6)
     out: List[ChaosReport] = []
-    for rate in loss_rates:
+    for rate in (0.0, 0.05, 0.10):
         for pol, tag in ((None, "baseline"), (policy, "retry+hedge")):
             cfg = ChaosConfig(seed=seed, loss=rate, policy=pol)
             out.append(run_chaos(cfg, scenario=f"loss={rate:g}/{tag}"))
     return out
+
+
+def loss_sweep_failures(sweep: List[ChaosReport]) -> List[str]:
+    return [
+        "resilient lookup success under 10% loss fell below 99%: "
+        f"{r.lookup_success:.4f}"
+        for r in sweep
+        if r.scenario == "loss=0.1/retry+hedge" and r.lookup_success < 0.99
+    ]
 
 
 def run_partition_heal(seed: int = 0) -> ChaosReport:
@@ -477,8 +367,15 @@ def run_partition_heal(seed: int = 0) -> ChaosReport:
     return run_chaos(cfg, scenario="partition-heal")
 
 
-def run_durability_demo(seed: int = 0) -> Dict[str, ChaosReport]:
-    """The §3.5 durability claim, both directions.
+def partition_failures(sweep: List[ChaosReport]) -> List[str]:
+    return [
+        "partition/heal lost files or left a dirty audit"
+        for r in sweep if r.lost_files or not r.audit_ok
+    ]
+
+
+def run_durability_demo(seed: int = 0) -> List[ChaosReport]:
+    """The §3.5 durability claim, both directions: [spaced, overlapping].
 
     ``spaced``: loss ≤5%, crash interarrival (10s) ≫ recovery period
     (probe timeout 3s + interval 1s), k=5, wiped disks → re-replication
@@ -513,14 +410,22 @@ def run_durability_demo(seed: int = 0) -> Dict[str, ChaosReport]:
         ),
         scenario="durability/overlapping",
     )
-    return {"spaced": spaced, "overlapping": overlapping}
+    return [spaced, overlapping]
 
 
-def run_bitrot_sweep(
-    seed: int = 0,
-    rates: Optional[Sequence[float]] = None,
-    scrub_interval: float = 0.5,
-) -> List[ChaosReport]:
+def durability_failures(demo: List[ChaosReport]) -> List[str]:
+    spaced, doomed = demo
+    failures = []
+    if spaced.lost_files != 0:
+        failures.append("spaced crash storm lost files (should be zero)")
+    if doomed.target_file_id not in doomed.lost_file_ids:
+        failures.append(
+            "overlapping storm did not report the doomed file as lost"
+        )
+    return failures
+
+
+def run_bitrot_sweep(seed: int = 0) -> List[ChaosReport]:
     """Silent bit rot with and without the anti-entropy scrubber.
 
     Each rate runs the identical deployment twice: scrubbing off (the
@@ -532,10 +437,9 @@ def run_bitrot_sweep(
     report unrecoverable files; the on leg must end with a clean audit,
     zero unrecovered corruption, and the healed fileIds named.
     """
-    rates = list(rates if rates is not None else (2e-5, 6e-5))
     out: List[ChaosReport] = []
-    for rate in rates:
-        for scrub, tag in ((0.0, "scrub-off"), (scrub_interval, "scrub-on")):
+    for rate in (2e-5, 6e-5):
+        for scrub, tag in ((0.0, "scrub-off"), (0.5, "scrub-on")):
             cfg = ChaosConfig(
                 seed=seed,
                 n_nodes=16,
@@ -554,6 +458,28 @@ def run_bitrot_sweep(
             )
             out.append(run_chaos(cfg, scenario=f"bitrot={rate:g}/{tag}"))
     return out
+
+
+def bitrot_failures(sweep: List[ChaosReport]) -> List[str]:
+    failures = []
+    off_legs = [r for r in sweep if r.scenario.endswith("/scrub-off")]
+    if not any(r.unrecoverable_files for r in off_legs):
+        failures.append(
+            "bitrot baseline (scrub off) lost no file contents — the "
+            "sweep proves nothing about the scrubber"
+        )
+    for r in sweep:
+        if not r.scenario.endswith("/scrub-on"):
+            continue
+        if r.unrecoverable_files or r.corrupt_files or not r.audit_ok:
+            failures.append(
+                f"{r.scenario}: unrecovered corruption survived the scrubber"
+            )
+        elif not r.healed_file_ids:
+            failures.append(
+                f"{r.scenario}: scrubber healed nothing — bitrot never bit"
+            )
+    return failures
 
 
 # ------------------------------------------------- crash/restart sweep
@@ -595,23 +521,29 @@ class CrashRestartReport:
     violations: List[str] = field(default_factory=list)
     scrub_rounds: int = 0
 
-    @property
-    def ok(self) -> bool:
-        return (
-            self.audit_ok
-            and self.lost_files == 0
-            and all(c.in_committed_window for c in self.cells)
-            and all(c.replay_idempotent for c in self.cells)
-        )
+    def oracle_failures(self) -> List[str]:
+        """The sweep's three oracles (see :func:`run_crash_restart_sweep`)."""
+        failures = []
+        if self.lost_files:
+            failures.append(
+                f"{self.phase}: lost files with surviving replicas: "
+                + ", ".join(self.lost_file_ids)
+            )
+        if not self.audit_ok:
+            failures.append(f"{self.phase}: post-recovery audit dirty")
+        for c in self.cells:
+            if not c.in_committed_window:
+                failures.append(
+                    f"{self.phase}/{c.victim}: recovered a state outside the "
+                    "committed prefix window"
+                )
+            if not c.replay_idempotent:
+                failures.append(f"{self.phase}/{c.victim}: replay not idempotent")
+        return failures
 
 
 def _kill_and_restart(
-    net: PastNetwork,
-    victim: int,
-    phase: str,
-    base: Path,
-    splan: StorageFaultPlan,
-    sync_every: int,
+    net: PastNetwork, victim: int, phase: str, open_wal
 ) -> CrashRestartCell:
     """kill -9 one node at ``phase``, restart it from its WAL alone."""
     node = net._past[victim]
@@ -621,8 +553,7 @@ def _kill_and_restart(
     synced = backend.synced_seq
     backend.crash(phase)
 
-    net.crash_node(victim)
-    net.process_failure_detection(victim)
+    net.fail_node(victim)
     # Confirm-reread: failure detection suspends at its rebind RPCs; the
     # victim must still be down before the survivors repair around it.
     if victim in net._past:
@@ -633,13 +564,7 @@ def _kill_and_restart(
 
     # Restart: a fresh process sees only the disk.  Opening the backend
     # is recovery (snapshot + replay, torn tail truncated).
-    reborn = WalBackend(
-        base / f"{victim:032x}",
-        node_id=victim,
-        fault_plan=splan,
-        sync_every=sync_every,
-        track_digests=True,
-    )
+    reborn = open_wal(victim, None)
     recovered = reborn.state.state_digest(reborn.codec)
     window = {history[s] for s in range(synced, last_seq + 1) if s in history}
     # Replay idempotence, checked on the real post-crash files: two
@@ -679,42 +604,36 @@ def _kill_and_restart(
     )
 
 
-def _run_crash_restart_phase(
-    seed: int,
-    phase: str,
-    victims_per_phase: int,
-    n_nodes: int,
-    n_files: int,
-    k: int,
-    sync_every: int,
-) -> CrashRestartReport:
+def _run_crash_restart_phase(seed: int, phase: str) -> CrashRestartReport:
     rng = random.Random(derive_seed(seed, f"crash-restart-{phase}"))
     base = Path(tempfile.mkdtemp(prefix="past-crash-restart-"))
     splan = StorageFaultPlan(seed=derive_seed(seed, "crash-restart-disk"))
 
-    def factory(node_id: int, _installed) -> WalBackend:
+    def open_wal(node_id: int, _installed) -> WalBackend:
         # sync_every > 1 opens a real crash window: the unsynced tail is
         # what before-fsync loses and torn-fsync tears mid-record.
         return WalBackend(
             base / f"{node_id:032x}",
             node_id=node_id,
             fault_plan=splan,
-            sync_every=sync_every,
+            sync_every=4,
             track_digests=True,
         )
 
     report = CrashRestartReport(seed=seed, phase=phase)
     try:
-        cfg = ChaosConfig(seed=seed, n_nodes=n_nodes, n_files=n_files, k=k)
-        net = _build_deployment(cfg, rng, backend_factory=factory)
-        sim = EventSimulator(trace=ScheduleTrace())
-        scrubber = AntiEntropyScrubber(sim, net, interval=5.0, seed=seed)
+        cfg = ChaosConfig(seed=seed, n_nodes=14, n_files=16, k=4)
+        net = _build_deployment(cfg, rng, backend_factory=open_wal)
+        episode = Episode(net)
+        episode.scrubber = AntiEntropyScrubber(
+            episode.sim, net, interval=5.0, seed=seed
+        )
         owner = net.create_client("crash-restart")
 
         victims = sorted(net.pastry.node_ids)
         rng.shuffle(victims)
         extra = 0
-        for victim in victims[:victims_per_phase]:
+        for victim in victims[:2]:
             # Churn between kills so every WAL carries fresh records —
             # including an unsynced tail for the kill to bite into.
             for _ in range(3):
@@ -724,14 +643,13 @@ def _run_crash_restart_phase(
                 if not net.pastry.node_ids:
                     break
                 live = net.pastry.node_ids
-                size = min(int(rng.lognormvariate(7.2, 1.5)) + 1, 50_000)
                 net.insert(
-                    f"churn{extra}", owner, size,
+                    f"churn{extra}", owner, _PAPER_SIZES(rng),
                     live[rng.randrange(len(live))],
                 )
                 extra += 1
             net.run_migration()
-            cell = _kill_and_restart(net, victim, phase, base, splan, sync_every)
+            cell = _kill_and_restart(net, victim, phase, open_wal)
             # Confirm-reread: the kill/restart suspended throughout; one
             # cell per victim, whatever interleaved.
             assert cell not in report.cells
@@ -741,23 +659,9 @@ def _run_crash_restart_phase(
         # the overlay still has live members before the final repair.
         if not net.pastry.node_ids:
             raise RuntimeError("overlay emptied out during the sweep")
-        net.repair_all()
-        # Integrity fixpoint, as in run_chaos: two rounds so round-one
-        # re-replications are themselves verified.
-        scrubber.scrub_all()
-        # Confirm-reread: round one suspended at its digest exchanges;
-        # round two only makes sense against the same deployment.
-        if scrubber.network is net:
-            scrubber.scrub_all()
+        episode.quiesce()
         report.scrub_rounds = net.integrity.scrub_rounds
-
-        outcome: AuditReport = audit(net, check_overlay=True)
-        report.audit_ok = outcome.ok
-        report.violations = [str(v) for v in outcome.violations]
-        report.lost_files = outcome.lost_files
-        report.lost_file_ids = [
-            hex(fid) for fid in sorted(outcome.lost_file_ids)
-        ]
+        verdict(net).fill(report)
         for node in net.nodes():
             if node.store.backend is not None:
                 node.store.backend.close()
@@ -766,22 +670,15 @@ def _run_crash_restart_phase(
     return report
 
 
-def run_crash_restart_sweep(
-    seed: int = 0,
-    phases: Optional[Sequence[str]] = None,
-    victims_per_phase: int = 2,
-    n_nodes: int = 14,
-    n_files: int = 16,
-    k: int = 4,
-    sync_every: int = 4,
-) -> List[CrashRestartReport]:
+def run_crash_restart_sweep(seed: int = 0) -> List[CrashRestartReport]:
     """Seeded kill/restart campaign over the durable WAL backend.
 
     Every node runs a real :class:`~repro.store.WalBackend` (through the
     Vfs shim, onto real temp files).  For each kill phase — before the
     fsync barrier, torn mid-flush, after the barrier — the sweep kills
-    seeded victims, restarts each from its journal alone (RAM gone), and
-    rejoins it.  Three oracles, in increasing scope:
+    two seeded victims of a 14-node, k=4 deployment, restarts each from
+    its journal alone (RAM gone), and rejoins it.  Three oracles, in
+    increasing scope:
 
     1. the recovered state digest matches some committed prefix of the
        pre-crash append history (never a state that was never current);
@@ -791,13 +688,7 @@ def run_crash_restart_sweep(
        other replicas may never cost the file (§3.5's claim, now with
        the storage plane actually losing its page cache).
     """
-    phases = list(phases if phases is not None else CRASH_PHASES)
-    return [
-        _run_crash_restart_phase(
-            seed, phase, victims_per_phase, n_nodes, n_files, k, sync_every
-        )
-        for phase in phases
-    ]
+    return [_run_crash_restart_phase(seed, phase) for phase in CRASH_PHASES]
 
 
 def durability_bench(
@@ -867,6 +758,16 @@ def _format_report(r: ChaosReport) -> str:
     return line
 
 
+#: ``--scenario all`` runs these in order: each sweep (a list of
+#: reports) with the oracle that sits beside its runner.
+SIM_SCENARIOS = {
+    "loss-sweep": (run_loss_sweep, loss_sweep_failures),
+    "partition": (lambda seed: [run_partition_heal(seed)], partition_failures),
+    "durability": (run_durability_demo, durability_failures),
+    "bitrot": (run_bitrot_sweep, bitrot_failures),
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments.chaos",
@@ -874,10 +775,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--scenario",
-        choices=[
-            "loss-sweep", "partition", "durability", "bitrot",
-            "crash-restart", "live", "all",
-        ],
+        choices=[*SIM_SCENARIOS, "crash-restart", "live", "all"],
         default="all",
         help="crash-restart runs the durable-WAL kill/restart sweep on "
              "real temp files; live runs the same chaos story over a "
@@ -898,129 +796,68 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _main_crash_restart(args)
     if args.scenario == "live":
         return _main_live(args)
+    if args.bench_out:
+        parser.error("--bench-out needs --scenario crash-restart or live")
 
     reports: List[ChaosReport] = []
     failures: List[str] = []
-    if args.scenario in ("loss-sweep", "all"):
-        sweep = run_loss_sweep(seed=args.seed)
+    for name in SIM_SCENARIOS if args.scenario == "all" else [args.scenario]:
+        run, oracle = SIM_SCENARIOS[name]
+        sweep = run(seed=args.seed)
         reports.extend(sweep)
-        resilient_at_10 = [
-            r for r in sweep if r.scenario == "loss=0.1/retry+hedge"
-        ]
-        if resilient_at_10 and resilient_at_10[0].lookup_success < 0.99:
-            failures.append(
-                "resilient lookup success under 10% loss fell below 99%: "
-                f"{resilient_at_10[0].lookup_success:.4f}"
-            )
-    if args.scenario in ("partition", "all"):
-        r = run_partition_heal(seed=args.seed)
-        reports.append(r)
-        if r.lost_files or not r.audit_ok:
-            failures.append("partition/heal lost files or left a dirty audit")
-    if args.scenario in ("durability", "all"):
-        demo = run_durability_demo(seed=args.seed)
-        reports.extend(demo.values())
-        if demo["spaced"].lost_files != 0:
-            failures.append("spaced crash storm lost files (should be zero)")
-        if demo["overlapping"].target_file_id not in demo["overlapping"].lost_file_ids:
-            failures.append(
-                "overlapping storm did not report the doomed file as lost"
-            )
-    if args.scenario in ("bitrot", "all"):
-        sweep = run_bitrot_sweep(seed=args.seed)
-        reports.extend(sweep)
-        off_legs = [r for r in sweep if r.scenario.endswith("/scrub-off")]
-        on_legs = [r for r in sweep if r.scenario.endswith("/scrub-on")]
-        if not any(r.unrecoverable_files for r in off_legs):
-            failures.append(
-                "bitrot baseline (scrub off) lost no file contents — the "
-                "sweep proves nothing about the scrubber"
-            )
-        for r in on_legs:
-            if r.unrecoverable_files or r.corrupt_files or not r.audit_ok:
-                failures.append(
-                    f"{r.scenario}: unrecovered corruption survived the "
-                    "scrubber"
-                )
-            elif not r.healed_file_ids:
-                failures.append(
-                    f"{r.scenario}: scrubber healed nothing — bitrot never bit"
-                )
-
-    if args.json:
-        print(json.dumps(
-            {
-                "seed": args.seed,
-                "reports": [json.loads(r.to_json()) for r in reports],
-                "failures": failures,
-            },
-            sort_keys=True, indent=2,
-        ))
-    else:
-        for r in reports:
-            print(_format_report(r))
-        print()
-        print("combined trace digest:", _combined_digest(reports))
-        if failures:
-            for f in failures:
-                print("FAIL:", f)
-        else:
-            print("all chaos oracles satisfied")
+        failures.extend(oracle(sweep))
+    lines = [_format_report(r) for r in reports]
+    combined = "".join(r.digest for r in reports).encode("ascii")
+    lines += ["", "combined trace digest: " + hashlib.sha256(combined).hexdigest()]
+    payload = {"reports": [json.loads(r.to_json()) for r in reports]}
+    print(render_run(args.seed, payload, lines, failures, "chaos", args.json))
     return 1 if failures else 0
+
+
+def render_run(seed: int, payload: dict, lines: List[str],
+               failures: List[str], what: str, as_json: bool) -> str:
+    """One run as stable JSON, or as text ending in its oracles' verdict."""
+    if as_json:
+        return json.dumps(
+            {"seed": seed, **payload, "failures": failures},
+            sort_keys=True, indent=2,
+        )
+    verdict_lines = [f"FAIL: {f}" for f in failures]
+    return "\n".join(
+        lines + (verdict_lines or [f"all {what} oracles satisfied"])
+    )
+
+
+def write_bench(path: Optional[str], bench: Dict[str, object]) -> None:
+    """Write a committed-style BENCH payload to ``path`` (if given)."""
+    if path:
+        out = Path(path)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(json.dumps(bench, sort_keys=True, indent=2) + "\n")
 
 
 def _main_crash_restart(args) -> int:
     reports = run_crash_restart_sweep(seed=args.seed)
     bench = durability_bench(reports, args.seed)
-    failures: List[str] = []
+    failures = [f for r in reports for f in r.oracle_failures()]
+    write_bench(args.bench_out, bench)
+    lines = []
     for r in reports:
-        if r.lost_files:
-            failures.append(
-                f"{r.phase}: lost files with surviving replicas: "
-                + ", ".join(r.lost_file_ids)
-            )
-        if not r.audit_ok:
-            failures.append(f"{r.phase}: post-recovery audit dirty")
-        for c in r.cells:
-            if not c.in_committed_window:
-                failures.append(
-                    f"{r.phase}/{c.victim}: recovered a state outside the "
-                    "committed prefix window"
-                )
-            if not c.replay_idempotent:
-                failures.append(f"{r.phase}/{c.victim}: replay not idempotent")
-    if args.bench_out:
-        out = Path(args.bench_out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(bench, sort_keys=True, indent=2) + "\n")
-    if args.json:
-        print(json.dumps(
-            {
-                "seed": args.seed,
-                "reports": [asdict(r) for r in reports],
-                "bench": bench,
-                "failures": failures,
-            },
-            sort_keys=True, indent=2,
-        ))
-    else:
-        for r in reports:
-            tail = " ".join(
-                f"replay={c.records_replayed}+{c.records_skipped}skip"
-                f"/trunc={c.truncated_bytes}B"
-                for c in r.cells
-            )
-            print(
-                f"crash-restart/{r.phase:12s}  kills {len(r.cells)}"
-                f"  lost-files {r.lost_files}"
-                f"  audit {'ok' if r.audit_ok else 'VIOLATED'}  {tail}"
-            )
-        print("bench checksum:", bench["checksum"])
-        if failures:
-            for f in failures:
-                print("FAIL:", f)
-        else:
-            print("all crash-restart oracles satisfied")
+        tail = " ".join(
+            f"replay={c.records_replayed}+{c.records_skipped}skip"
+            f"/trunc={c.truncated_bytes}B"
+            for c in r.cells
+        )
+        lines.append(
+            f"crash-restart/{r.phase:12s}  kills {len(r.cells)}"
+            f"  lost-files {r.lost_files}"
+            f"  audit {'ok' if r.audit_ok else 'VIOLATED'}  {tail}"
+        )
+    lines.append("bench checksum: " + bench["checksum"])
+    payload = {"reports": [asdict(r) for r in reports], "bench": bench}
+    print(render_run(
+        args.seed, payload, lines, failures, "crash-restart", args.json
+    ))
     return 1 if failures else 0
 
 
@@ -1032,13 +869,6 @@ def _main_live(args) -> int:
     report = run_live_sweep(LiveChaosConfig(seed=args.seed))
     print(render_live_chaos(report, bench_out=args.bench_out, as_json=args.json))
     return 1 if report.oracle_failures() else 0
-
-
-def _combined_digest(reports: List[ChaosReport]) -> str:
-    h = hashlib.sha256()
-    for r in reports:
-        h.update(r.digest.encode("ascii"))
-    return h.hexdigest()
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via CLI tests

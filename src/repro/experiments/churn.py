@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..core import PastConfig, PastNetwork, audit, derive_seed
+from ..core.episode import build_deployment, lognormal_size
 from ..workloads import DISTRIBUTIONS
 
 
@@ -48,19 +49,15 @@ class AvailabilityResult:
         return self.available_after_repair / self.files if self.files else 0.0
 
 
-def _build_and_fill(k: int, n_nodes: int, capacity_scale: float, seed: int,
-                    n_files: int, l: int = 16) -> PastNetwork:
-    dist = DISTRIBUTIONS["d1"]
-    rng = random.Random(seed)
-    config = PastConfig(l=l, k=k, seed=seed, cache_policy="none")
-    net = PastNetwork(config)
-    net.build(dist.sample(n_nodes, rng, capacity_scale))
-    owner = net.create_client("avail")
-    node_ids = [n.node_id for n in net.nodes()]
-    for i in range(n_files):
-        size = min(int(rng.lognormvariate(7.2, 2.0)) + 1, 200_000)
-        net.insert(f"a{i}", owner, size, node_ids[rng.randrange(len(node_ids))])
-    return net
+def build_and_fill(rng: random.Random, k: int, n_nodes: int,
+                   capacity_scale: float, seed: int, n_files: int,
+                   owner: str = "avail", prefix: str = "a") -> PastNetwork:
+    """The d1-capacity deployment the availability experiments share."""
+    return build_deployment(
+        PastConfig(l=16, k=k, seed=seed, cache_policy="none"),
+        DISTRIBUTIONS["d1"].sample(n_nodes, rng, capacity_scale),
+        n_files, lognormal_size(2.0, 200_000), rng, owner=owner, prefix=prefix,
+    )
 
 
 def run_availability_sweep(
@@ -78,7 +75,9 @@ def run_availability_sweep(
     for k in k_values:
         for fraction in fail_fractions:
             start = time.perf_counter()
-            net = _build_and_fill(k, n_nodes, capacity_scale, seed, n_files)
+            net = build_and_fill(
+                random.Random(seed), k, n_nodes, capacity_scale, seed, n_files
+            )
             fids = net.live_file_ids()
             rng = random.Random(derive_seed(seed, "availability-victims", k, fraction))
             victims = list(net.pastry.node_ids)
@@ -134,7 +133,9 @@ def run_churn_experiment(
     recoveries".
     """
     start = time.perf_counter()
-    net = _build_and_fill(k, n_nodes, capacity_scale, seed, n_files)
+    net = build_and_fill(
+        random.Random(seed), k, n_nodes, capacity_scale, seed, n_files
+    )
     fids = net.live_file_ids()
     rng = random.Random(derive_seed(seed, "churn-events"))
     failed: List[int] = []

@@ -45,11 +45,12 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from ..core import PastConfig, PastNetwork, RetryPolicy, derive_seed
-from ..core.invariants import audit
+from ..core import PastNetwork, RetryPolicy, derive_seed
+from ..core.episode import Episode, verdict
 from ..net.differential import build_cluster, graceful_shutdown, restart_from_wal
 from ..net.faults import WireFaultPlan, decision_parity
 from ..netsim.faults import FaultSpec
+from .chaos import render_run, write_bench
 
 __all__ = ["LiveChaosConfig", "LiveChaosReport", "run_live_sweep",
            "live_chaos_bench", "render_live_chaos"]
@@ -226,27 +227,7 @@ def _kill(net: PastNetwork, transport, victim: int,
     transport.kill_server(victim)
 
 
-def _detect(net: PastNetwork, victim: int) -> None:
-    """The round-boundary failure-detection + repair pass for one kill."""
-    net.crash_node(victim)
-    net.process_failure_detection(victim)
-    if victim in net._failed_past:  # confirm the crash registered
-        net.repair_all()
-
-
-def _restart(net: PastNetwork, transport, data_dir: Path, victim: int,
-             pre_files: Dict[int, List[int]]) -> bool:
-    """Bring a killed node back from its WAL; True if recovery was exact."""
-    recovered_all = restart_from_wal(
-        net, transport, data_dir, victim, pre_files[victim]
-    )["recovered_all"]
-    if victim not in net._failed_past:  # confirm the rebirth registered
-        net.repair_all()
-    return recovered_all
-
-
-def run_live_sweep(cfg: Optional[LiveChaosConfig] = None,
-                   data_dir: Optional[Path] = None) -> LiveChaosReport:
+def run_live_sweep(cfg: Optional[LiveChaosConfig] = None) -> LiveChaosReport:
     """Seeded insert/lookup workload over localhost TCP under chaos.
 
     Timeline (logical rounds, which are also the fault plan's clock):
@@ -259,8 +240,7 @@ def run_live_sweep(cfg: Optional[LiveChaosConfig] = None,
     repair runs to fixpoint, and the oracles judge the aftermath.
     """
     cfg = cfg or LiveChaosConfig()
-    own_dir = data_dir is None
-    base = Path(tempfile.mkdtemp(prefix="repro-live-")) if own_dir else Path(data_dir)
+    base = Path(tempfile.mkdtemp(prefix="repro-live-"))
     net, transport = build_cluster(
         cfg.n_nodes, cfg.seed, engine="asyncio", data_dir=base,
         policy=cfg.policy,
@@ -284,8 +264,20 @@ def run_live_sweep(cfg: Optional[LiveChaosConfig] = None,
         down: set = set()
         pre_files: Dict[int, List[int]] = {}
 
+        def restart(victim: int) -> None:
+            """Bring a killed node back from its WAL, repair around it."""
+            ok = restart_from_wal(
+                net, transport, base, victim, pre_files[victim]
+            )["recovered_all"]
+            if victim not in net._failed_past:  # confirm the rebirth registered
+                net.repair_all()
+            if report.recovered_all:  # and-fold: one bad restart sticks
+                report.recovered_all = ok
+            report.restarts_applied += 1
+            down.discard(victim)
+
         # Round 0: inserts, under loss (client reroutes lost requests).
-        inserts = []
+        fids = []
         for i in range(cfg.n_files):
             client = _pick_client(net, rng, down)
             content = (rng.getrandbits(8 * 64).to_bytes(64, "big")
@@ -294,20 +286,16 @@ def run_live_sweep(cfg: Optional[LiveChaosConfig] = None,
                 f"live-file-{i}", owner, content=content,
                 client_id=client, policy=cfg.policy,
             )
-            inserts.append(result)
-        report.inserts_attempted = len(inserts)
-        report.inserts_succeeded = sum(1 for r in inserts if r.success)
-        fids = [r.file_id for r in inserts if r.success]
+            if result.success:
+                fids.append(result.file_id)
+        report.inserts_attempted = cfg.n_files
+        report.inserts_succeeded = len(fids)
 
         # Lookup rounds with mid-traffic kills, restarts and partition.
         for r in range(1, cfg.lookup_rounds + 1):
             clock["now"] = float(r)
             for event in plan.due_restarts(clock["now"]):
-                ok = _restart(net, transport, base, event.node_id, pre_files)
-                if report.recovered_all:  # and-fold: one bad restart sticks
-                    report.recovered_all = ok
-                report.restarts_applied += 1
-                down.discard(event.node_id)
+                restart(event.node_id)
             fresh_kills = []
             for event in plan.due_crashes(clock["now"]):
                 _kill(net, transport, event.node_id, pre_files)
@@ -342,35 +330,31 @@ def run_live_sweep(cfg: Optional[LiveChaosConfig] = None,
                     [r, "degraded" if degraded else "steady",
                      succeeded, len(fids)]
                 )
+            # The round-boundary failure-detection + repair pass.
             for victim in fresh_kills:
-                _detect(net, victim)
+                net.fail_node(victim)
+                if victim in net._failed_past:  # confirm the crash registered
+                    net.repair_all()
 
-        # Heal: plan removed, stragglers restarted, repair to fixpoint.
+        # Heal the wire plane, then the shared protocol (core.episode).
+        # Every kill was detected at its round boundary, so stragglers
+        # are the nodes still down; the clock here is the round counter,
+        # so the episode's own simulator has nothing pending.
         clock["now"] = cfg.lookup_rounds + 1.0
         report.injected = plan.injected_snapshot()
         transport.install_faults(None)
-        for event in plan.due_restarts(float("inf")):
-            ok = _restart(net, transport, base, event.node_id, pre_files)
-            if report.recovered_all:  # and-fold: one bad restart sticks
-                report.recovered_all = ok
-            report.restarts_applied += 1
-            down.discard(event.node_id)
-        net.repair_all()
-        net.repair_all()
+        Episode(net).quiesce(restart=restart)
 
         # Oracles: every file retrievable, clean audit, verdict parity.
-        for fid, result in zip(fids, inserts):
+        for fid in fids:
             client = _pick_client(net, rng, down)
             outcome = net.lookup(fid, client_id=client, policy=cfg.policy)
             if not outcome.success:
                 report.lost_files += 1
                 if f"{fid:#x}" not in report.lost_file_ids:
                     report.lost_file_ids.append(f"{fid:#x}")
-        audit_report = audit(net, check_overlay=True)
-        report.audit_ok = audit_report.ok
-        report.violations = [
-            f"{v.kind}: {v.detail}" for v in audit_report.violations
-        ]
+        post = verdict(net)
+        report.audit_ok, report.violations = post.audit_ok, post.violations
         report.parity = decision_parity(
             spec, node_ids, length=256, reset=cfg.reset
         )
@@ -378,8 +362,7 @@ def run_live_sweep(cfg: Optional[LiveChaosConfig] = None,
         return report
     finally:
         report.shutdown = graceful_shutdown(transport, net)
-        if own_dir:
-            shutil.rmtree(base, ignore_errors=True)
+        shutil.rmtree(base, ignore_errors=True)
 
 
 def live_chaos_bench(report: LiveChaosReport) -> Dict[str, object]:
@@ -430,21 +413,7 @@ def render_live_chaos(report: LiveChaosReport, bench_out: Optional[str] = None,
     ``python -m repro.experiments.chaos --scenario live``.
     """
     bench = live_chaos_bench(report)
-    failures = report.oracle_failures()
-    if bench_out:
-        out = Path(bench_out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(bench, sort_keys=True, indent=2) + "\n")
-    if as_json:
-        return json.dumps(
-            {
-                "seed": report.seed,
-                "report": asdict(report),
-                "bench": bench,
-                "failures": failures,
-            },
-            sort_keys=True, indent=2,
-        )
+    write_bench(bench_out, bench)
     lines = [f"bench written to {bench_out}"] if bench_out else []
     lines += [
         f"live chaos on {report.nodes} nodes / {report.files} files: "
@@ -457,8 +426,9 @@ def render_live_chaos(report: LiveChaosReport, bench_out: Optional[str] = None,
         f"lost files {report.lost_files}  "
         f"audit {'ok' if report.audit_ok else 'VIOLATED'}  "
         f"parity {'ok' if report.parity.get('ok') else 'DIVERGED'}",
-        "all live chaos oracles satisfied" if not failures
-        else "FAIL: " + "; ".join(failures),
         f"bench checksum: {bench['checksum']}",
     ]
-    return "\n".join(lines)
+    return render_run(
+        report.seed, {"report": asdict(report), "bench": bench}, lines,
+        report.oracle_failures(), "live chaos", as_json,
+    )

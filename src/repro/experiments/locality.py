@@ -24,7 +24,8 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..core import PastConfig, PastNetwork, derive_seed
+from ..core import PastConfig, derive_seed
+from ..core.episode import build_deployment
 from ..pastry import idspace
 from ..workloads import DISTRIBUTIONS
 
@@ -62,20 +63,14 @@ def run_replica_locality(
     recorded.
     """
     start = time.perf_counter()
-    config = PastConfig(l=32, k=k, seed=seed, cache_policy="none")
-    net = PastNetwork(config)
     rng = random.Random(seed)
-    net.build(DISTRIBUTIONS["d1"].sample(n_nodes, rng, capacity_scale))
-    owner = net.create_client("locality")
+    net = build_deployment(
+        PastConfig(l=32, k=k, seed=seed, cache_policy="none"),
+        DISTRIBUTIONS["d1"].sample(n_nodes, rng, capacity_scale),
+        n_files, lambda _rng: 20_000, rng, owner="locality", prefix="loc",
+    )
     node_ids = [n.node_id for n in net.nodes()]
-
-    files = []
-    for i in range(n_files):
-        result = net.insert(
-            f"loc{i}", owner, 20_000, node_ids[rng.randrange(len(node_ids))]
-        )
-        if result.success:
-            files.append(result.file_id)
+    files = net.live_file_ids()
 
     rank_counts = [0] * k
     stretches = []

@@ -21,10 +21,8 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..core import PastConfig, PastNetwork
-from ..netsim.eventsim import EventSimulator
-from ..pastry.keepalive import KeepAliveMonitor
-from ..workloads import DISTRIBUTIONS
+from ..core.episode import Episode
+from .churn import build_and_fill
 
 
 @dataclass
@@ -42,6 +40,21 @@ class RecoveryResult:
     @property
     def availability(self) -> float:
         return self.available / self.files if self.files else 0.0
+
+
+def _outcome(net, fids: List[int], start: float, detection_delay: float,
+             mean_interarrival: float, crashes: int) -> RecoveryResult:
+    """Probe every file from one node once the episode is over."""
+    probe = net.nodes()[0].node_id
+    return RecoveryResult(
+        detection_delay=detection_delay,
+        mean_interarrival=mean_interarrival,
+        crashes=crashes,
+        files=len(fids),
+        available=sum(net.lookup(fid, probe).success for fid in fids),
+        degraded=len(net.degraded_files),
+        elapsed_s=time.perf_counter() - start,
+    )
 
 
 def run_recovery_window(
@@ -75,57 +88,29 @@ def run_recovery_window(
     for delay in detection_delays:
         start = time.perf_counter()
         rng = random.Random(seed)
-        config = PastConfig(l=16, k=k, seed=seed, cache_policy="none")
-        net = PastNetwork(config)
-        net.build(DISTRIBUTIONS["d1"].sample(n_nodes, rng, capacity_scale))
-        owner = net.create_client("recovery")
-        node_ids = [n.node_id for n in net.nodes()]
-        for i in range(n_files):
-            size = min(int(rng.lognormvariate(7.2, 2.0)) + 1, 200_000)
-            net.insert(f"r{i}", owner, size, node_ids[rng.randrange(len(node_ids))])
+        net = build_and_fill(
+            rng, k, n_nodes, capacity_scale, seed, n_files, "recovery", "r"
+        )
         fids = net.live_file_ids()
 
-        sim = EventSimulator()
+        # The keep-alive monitor stays off: detection is the fixed delay.
+        episode = Episode(net)
+        sim = episode.sim
         crashes = max(1, int(crash_fraction * len(net)))
         when = 0.0
         crash_order = list(net.pastry.node_ids)
         rng.shuffle(crash_order)
-
-        def make_crash(victim):
-            def crash():
-                if not net.pastry.is_live(victim):
-                    return
-                net.crash_node(victim)
-                if disk_loss:
-                    net.wipe_failed_disk(victim)
-                sim.schedule(delay, lambda: net.process_failure_detection(victim))
-                sim.schedule(downtime, lambda: _recover(victim))
-
-            return crash
-
-        def _recover(victim):
-            if victim in net._failed_past:
-                net.recover_node(victim)
-
         for victim in crash_order[:crashes]:
             when += rng.expovariate(1.0 / mean_interarrival)
-            sim.schedule_at(when, make_crash(victim))
-        sim.run()
-        sim_horizon = when + downtime + delay + 1.0
-        sim.run_until(sim_horizon)
-
-        probe = net.nodes()[0].node_id
-        available = sum(net.lookup(fid, probe).success for fid in fids)
-        results.append(
-            RecoveryResult(
-                detection_delay=delay,
-                mean_interarrival=mean_interarrival,
-                crashes=crashes,
-                files=len(fids),
-                available=available,
-                degraded=len(net.degraded_files),
-                elapsed_s=time.perf_counter() - start,
+            episode.crash_at(when, victim, wipe_disk=disk_loss)
+            sim.schedule_at(
+                when + delay,
+                lambda v=victim: net.process_failure_detection(v),
             )
+            episode.recover_at(when + downtime, victim)
+        sim.run()
+        results.append(
+            _outcome(net, fids, start, delay, mean_interarrival, crashes)
         )
     return results
 
@@ -152,47 +137,26 @@ def run_keepalive_recovery(
     """
     start = time.perf_counter()
     rng = random.Random(seed)
-    config = PastConfig(l=16, k=k, seed=seed, cache_policy="none")
-    net = PastNetwork(config)
-    net.build(DISTRIBUTIONS["d1"].sample(n_nodes, rng, capacity_scale))
-    owner = net.create_client("ka-recovery")
-    node_ids = [n.node_id for n in net.nodes()]
-    for i in range(n_files):
-        size = min(int(rng.lognormvariate(7.2, 2.0)) + 1, 200_000)
-        net.insert(f"ka{i}", owner, size, node_ids[rng.randrange(len(node_ids))])
+    net = build_and_fill(
+        rng, k, n_nodes, capacity_scale, seed, n_files, "ka-recovery", "ka"
+    )
     fids = net.live_file_ids()
 
-    sim = EventSimulator()
-    monitor = KeepAliveMonitor(
-        sim,
-        net.pastry,
-        on_detect=net.process_failure_detection,
-        interval=keepalive_interval,
-        timeout=keepalive_timeout,
+    episode = Episode(
+        net, interval=keepalive_interval, timeout=keepalive_timeout
     )
-    monitor.start()
+    episode.monitor.start()
     crash_order = list(net.pastry.node_ids)
     rng.shuffle(crash_order)
     crashes = max(1, int(crash_fraction * len(net)))
     when = 0.0
     for victim in crash_order[:crashes]:
         when += rng.expovariate(1.0 / mean_interarrival)
-        sim.schedule_at(
-            when,
-            lambda v=victim: (net.crash_node(v), net.wipe_failed_disk(v)),
-        )
-    sim.run_until(when + keepalive_timeout + 2 * keepalive_interval + 1.0)
-    monitor.stop()
-    sim.run()
-
-    probe = net.nodes()[0].node_id
-    available = sum(net.lookup(fid, probe).success for fid in fids)
-    return RecoveryResult(
-        detection_delay=keepalive_timeout + keepalive_interval,
-        mean_interarrival=mean_interarrival,
-        crashes=crashes,
-        files=len(fids),
-        available=available,
-        degraded=len(net.degraded_files),
-        elapsed_s=time.perf_counter() - start,
+        episode.crash_at(when, victim, wipe_disk=True)
+    episode.sim.run_until(when + keepalive_timeout + 2 * keepalive_interval + 1.0)
+    episode.monitor.stop()
+    episode.sim.run()
+    return _outcome(
+        net, fids, start, keepalive_timeout + keepalive_interval,
+        mean_interarrival, crashes,
     )

@@ -21,7 +21,8 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..core import PastConfig, PastNetwork
+from ..core import PastConfig
+from ..core.episode import build_deployment
 from ..workloads import DISTRIBUTIONS
 
 
@@ -61,19 +62,14 @@ def run_malicious_routing(
                 l=16, k=3, seed=seed, cache_policy="none",
                 randomize_routing=randomized,
             )
-            net = PastNetwork(config)
-            net.build(DISTRIBUTIONS["d1"].sample(n_nodes, rng, capacity_scale))
-            owner = net.create_client("sec")
-            node_ids = [n.node_id for n in net.nodes()]
-
             # Insert while the network is honest, then corrupt nodes.
-            fids = []
-            for i in range(n_files):
-                res = net.insert(
-                    f"sec{i}", owner, 20_000, node_ids[rng.randrange(len(node_ids))]
-                )
-                if res.success:
-                    fids.append(res.file_id)
+            net = build_deployment(
+                config,
+                DISTRIBUTIONS["d1"].sample(n_nodes, rng, capacity_scale),
+                n_files, lambda _rng: 20_000, rng, owner="sec", prefix="sec",
+            )
+            node_ids = [n.node_id for n in net.nodes()]
+            fids = net.live_file_ids()
             bad = list(node_ids)
             rng.shuffle(bad)
             if not net.pastry.malicious:  # honest until the corruption phase

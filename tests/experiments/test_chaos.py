@@ -1,9 +1,18 @@
 """The chaos harness: reproducibility, availability and §3.5 durability."""
 
 import json
+from pathlib import Path
+
+import pytest
 
 from repro.core import RetryPolicy
-from repro.experiments.chaos import ChaosConfig, run_chaos
+from repro.experiments.chaos import (
+    ChaosConfig,
+    durability_bench,
+    main,
+    run_chaos,
+    run_crash_restart_sweep,
+)
 
 
 def small(seed=3, **kw):
@@ -142,3 +151,24 @@ class TestIntegrity:
         a = run_chaos(self.bitrot(0.5), scenario="rot")
         b = run_chaos(self.bitrot(0.5), scenario="rot")
         assert a.to_json() == b.to_json()
+
+
+class TestCrashRestartSweep:
+    def test_sweep_matches_the_committed_durability_bench(self):
+        """What CI's durability step regenerates and diffs, in tier 1."""
+        committed = json.loads(
+            (Path(__file__).resolve().parents[2] / "benchmarks" / "results"
+             / "BENCH_durability.json").read_text()
+        )
+        reports = run_crash_restart_sweep(seed=1201)
+        assert [r.oracle_failures() for r in reports] == [[], [], []]
+        assert durability_bench(reports, 1201) == committed
+
+
+class TestCli:
+    def test_bench_out_is_refused_where_no_bench_is_written(self, capsys):
+        """Only crash-restart and live produce a BENCH payload."""
+        with pytest.raises(SystemExit) as exc:
+            main(["--scenario", "partition", "--bench-out", "/dev/null"])
+        assert exc.value.code == 2
+        assert "--bench-out" in capsys.readouterr().err

@@ -13,14 +13,23 @@ The pins are hashseed-independent by construction (CI runs the suite
 under PYTHONHASHSEED=0 and 31337).
 """
 
+import hashlib
+
 from repro.core import RetryPolicy
 from repro.devtools.explore.scenarios import SCENARIOS
-from repro.experiments.chaos import ChaosConfig, run_chaos
+from repro.experiments.chaos import SIM_SCENARIOS, ChaosConfig, run_chaos
 
 CHAOS_LOSS_PIN = "3395691d3167eed2c5c6285feca18fcb5bd118a721105901cc6c563dbb6eafaf"
 CHAOS_CRASH_PIN = "357ba7196680e0b3e2678bc96a33361057b42cd4fd136e76031e5ca168065465"
 EXPLORE_CHURN_PIN = "caf43c7fdff90e526cf323389a298afe10109d8779a94b937291c67e283330c2"
 EXPLORE_CHAOS_PIN = "fb377b6d48579b98d76d18c1c783976a2bdded11432dc49f2442883951e661d4"
+# Recorded on the commit preceding the shared fault-episode module
+# (repro.core.episode), which every scenario below now runs on.
+EXPLORE_JOIN_PIN = "2a76d908e7afffd507e2096560c0464435bb70302d06a318006433bc945ef08b"
+EXPLORE_DIVERT_PIN = "a8dbc894126513c9a563f0f0faac2426f6f8f20b53c488ebd9977086617e7091"
+EXPLORE_SCRUB_PIN = "2d71371488bd21ccb7bbefa9038a9a30b8a7cba6819e2d811957ad4839daa239"
+#: ``chaos --scenario all --seed 7``: sha256 over the 13 reports' digests.
+CHAOS_ALL_COMBINED_PIN = "9d28f95acee6019637543db6bc90ebdddd96e85421cc922c089f86b9c6c3f8c3"
 
 
 class TestFaultFreeDigestsAreByteIdentical:
@@ -47,6 +56,22 @@ class TestFaultFreeDigestsAreByteIdentical:
 
     def test_explorer_chaos_scenario_pin(self):
         assert SCENARIOS["chaos"](7).trace.digest() == EXPLORE_CHAOS_PIN
+
+    def test_explorer_join_divert_scrub_scenario_pins(self):
+        assert SCENARIOS["join"](7).trace.digest() == EXPLORE_JOIN_PIN
+        assert SCENARIOS["divert"](7).trace.digest() == EXPLORE_DIVERT_PIN
+        assert SCENARIOS["scrub"](7).trace.digest() == EXPLORE_SCRUB_PIN
+
+    def test_chaos_all_combined_digest_pin(self):
+        """Every sim sweep the CLI's ``--scenario all`` runs, in its
+        order, and each sweep's own acceptance oracle."""
+        combined = hashlib.sha256()
+        for run, oracle in SIM_SCENARIOS.values():
+            sweep = run(seed=7)
+            assert oracle(sweep) == []
+            for report in sweep:
+                combined.update(report.digest.encode("ascii"))
+        assert combined.hexdigest() == CHAOS_ALL_COMBINED_PIN
 
 
 class TestBackendSeamIsPureRefactor:

@@ -98,6 +98,63 @@ class TestFigureCommands:
         assert "t_pri" in out and "Figure 2" in out
 
 
+class TestServeExitStatus:
+    """``repro serve`` reports a failed run through its exit status, not
+    only on screen: CI steps and scripts read the status."""
+
+    BENCH = {
+        "ops": 8, "nodes": 4, "workers": 1, "checksum": "c0ffee",
+        "lookup_failures": 0, "audit_violations": 0,
+        "timing": {"ops_per_sec": 1.0, "wall_s": 1.0, "peak_rss_kb": 1},
+    }
+
+    def serve(self, monkeypatch, *flags, **bench):
+        from repro.net import differential
+
+        monkeypatch.setattr(
+            differential, "run_serve", lambda **kw: {**self.BENCH, **bench}
+        )
+        return main(["serve", "--nodes", "4", *flags])
+
+    def test_clean_serve_exits_zero(self, monkeypatch, capsys):
+        assert self.serve(monkeypatch) == 0
+        assert "outcome checksum: c0ffee" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("field", ["lookup_failures", "audit_violations"])
+    def test_failed_lookup_or_audit_violation_exits_one(
+        self, field, monkeypatch, capsys
+    ):
+        assert self.serve(monkeypatch, **{field: 1}) == 1
+        assert "outcome checksum: c0ffee" in capsys.readouterr().out
+
+    def test_differential_mismatch_exits_one_without_serving(
+        self, monkeypatch, capsys
+    ):
+        from repro.net import differential
+
+        monkeypatch.setattr(
+            differential, "run_differential",
+            lambda **kw: {"equal": False, "sim": "aa", "asyncio": "bb"},
+        )
+        assert self.serve(monkeypatch, "--differential") == 1
+        out = capsys.readouterr().out
+        assert "differential oracle: MISMATCH" in out
+        assert "outcome checksum" not in out
+
+    def test_failed_chaos_oracle_exits_one(self, monkeypatch, capsys):
+        from repro.experiments import live_chaos
+
+        failed = live_chaos.LiveChaosReport(
+            scenario="live-chaos", seed=1, nodes=4, files=2, rounds=1,
+            lost_files=1, lost_file_ids=["0xdead"],
+        )
+        monkeypatch.setattr(live_chaos, "run_live_sweep", lambda cfg: failed)
+        assert main(["serve", "--chaos"]) == 1
+        assert "FAIL: files unretrievable after heal: 0xdead" in (
+            capsys.readouterr().out
+        )
+
+
 class TestPackaging:
     """Every advertised front door exists: a console script or a CI
     ``python -m`` whose module was deleted fails here, not at install."""

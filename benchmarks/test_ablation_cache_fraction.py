@@ -4,31 +4,9 @@ A tiny c refuses to cache all but the smallest routed-through files,
 sacrificing hit rate; c = 1 admits anything smaller than the whole cache.
 """
 
-from repro.analysis import format_table
-from repro.experiments import caching
 
-
-def test_ablation_cache_fraction(benchmark, report, bench_scale):
-    fractions = [0.01, 0.25, 1.0]
-    results = benchmark.pedantic(
-        lambda: caching.run_cache_fraction_ablation(
-            n_nodes=max(40, bench_scale["n_nodes"] // 2),
-            fractions=fractions,
-            seed=bench_scale["seed"],
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    rows = [
-        [c, r.hit_ratio, r.mean_hops, r.utilization * 100]
-        for c, r in sorted(results.items())
-    ]
-    text = format_table(
-        ["c", "hit ratio", "mean hops", "final util %"],
-        rows,
-        title="Ablation - cache insertion fraction c (paper fixes c=1)",
-    )
-    report("ablation_cache_fraction", text)
+def test_ablation_cache_fraction(paper_artifact):
+    results = paper_artifact("ablation_cache_fraction")
 
     assert results[1.0].hit_ratio >= results[0.01].hit_ratio
     assert results[1.0].mean_hops <= results[0.01].mean_hops + 0.05

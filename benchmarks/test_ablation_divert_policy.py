@@ -7,35 +7,9 @@ set's free space better, sustaining an equal-or-better success rate and
 utilization.
 """
 
-from dataclasses import replace
 
-from repro.analysis import format_table
-from repro.experiments import StorageRunConfig, run_storage_trace
-
-
-def test_ablation_divert_policy(benchmark, report, bench_scale):
-    def run_both():
-        base = StorageRunConfig(
-            n_nodes=bench_scale["n_nodes"],
-            capacity_scale=bench_scale["capacity_scale"],
-            seed=bench_scale["seed"],
-        )
-        return {
-            policy: run_storage_trace(replace(base, divert_target_policy=policy))
-            for policy in ("max_free", "random")
-        }
-
-    runs = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    rows = [
-        [policy, r.success_pct, r.replica_diversion_ratio * 100, r.utilization * 100]
-        for policy, r in runs.items()
-    ]
-    text = format_table(
-        ["divert target", "Succeed%", "ReplDiv%", "Util%"],
-        rows,
-        title="Ablation - diversion-target policy (paper uses max free space)",
-    )
-    report("ablation_divert_policy", text)
+def test_ablation_divert_policy(paper_artifact):
+    runs = paper_artifact("ablation_divert_policy")
 
     assert runs["max_free"].success_pct >= runs["random"].success_pct - 1.0
     assert runs["max_free"].utilization >= runs["random"].utilization - 0.02

@@ -7,45 +7,11 @@ codec's throughput and tabulates the storage-overhead trade-off for
 matched fault tolerance.
 """
 
-import os
 
-from repro.analysis import format_table
-from repro.erasure import ReedSolomonCode, storage_overhead
+def test_erasure_overhead_and_throughput(paper_artifact):
+    result = paper_artifact("ablation_erasure")
 
-
-def test_erasure_overhead_and_throughput(benchmark, report):
-    n_data, n_parity = 8, 4
-    code = ReedSolomonCode(n_data, n_parity)
-    shard = 16 * 1024
-    data = [os.urandom(shard) for _ in range(n_data)]
-
-    shards = benchmark(lambda: code.encode(data))
-
-    # Decode from a worst-case loss pattern (all parity needed).
-    surviving = {i: s for i, s in enumerate(shards) if i >= n_parity}
-    decoded = code.decode(surviving)
-    assert decoded == data
-
-    rows = []
-    for k, (nd, np_) in [(3, (8, 2)), (5, (8, 4)), (7, (10, 6))]:
-        cmp = storage_overhead(k, nd, np_)
-        rows.append(
-            [
-                f"k={k} vs RS({nd}+{np_})",
-                cmp["replication_tolerates"],
-                cmp["rs_tolerates"],
-                cmp["replication_overhead"],
-                round(cmp["rs_overhead"], 2),
-                round(cmp["savings_factor"], 2),
-            ]
-        )
-    text = format_table(
-        ["config", "repl tolerates", "RS tolerates", "repl overhead x",
-         "RS overhead x", "savings x"],
-        rows,
-        title="§3.6 ablation - replication vs. Reed-Solomon storage overhead",
-    )
-    report("ablation_erasure", text)
-
-    cmp = storage_overhead(5, 8, 4)
+    # Decoded from a worst-case loss pattern (all parity needed).
+    assert result["decoded"] == result["data"]
+    cmp = result["overheads"][(5, 8, 4)]
     assert cmp["rs_overhead"] < cmp["replication_overhead"]

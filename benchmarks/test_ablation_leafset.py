@@ -5,33 +5,9 @@ increase in performance, but does increase the cost of PAST node arrival
 and departure".
 """
 
-from repro.analysis import format_table
-from repro.experiments import storage
 
-
-def test_ablation_leafset(benchmark, report, bench_scale):
-    sweep = benchmark.pedantic(
-        lambda: storage.run_table2(
-            n_nodes=bench_scale["n_nodes"],
-            capacity_scale=bench_scale["capacity_scale"],
-            seed=bench_scale["seed"],
-            dists=["d1"],
-            leaf_sizes=[8, 16, 32, 48],
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    rows = [
-        [r["l"], r["succeed_pct"], r["file_diversion_pct"],
-         r["replica_diversion_pct"], r["util_pct"]]
-        for r in sweep.rows
-    ]
-    text = format_table(
-        ["l", "Succeed%", "FileDiv%", "ReplDiv%", "Util%"],
-        rows,
-        title="Ablation - leaf-set size sweep on d1 (paper: gains saturate at l=32)",
-    )
-    report("ablation_leafset", text)
+def test_ablation_leafset(paper_artifact):
+    sweep = paper_artifact("ablation_leafset")
 
     by_l = {r["l"]: r for r in sweep.rows}
     # Growing l from 8 to 32 helps...

@@ -7,22 +7,9 @@ Expected shape: a large fraction of inserts fail while a large fraction
 of the aggregate disk space remains stranded.
 """
 
-from repro.analysis import format_table, summarize_run
-from repro.experiments import storage
 
+def test_baseline_no_diversion(paper_artifact):
+    run = paper_artifact("baseline")
 
-def test_baseline_no_diversion(benchmark, report, bench_scale):
-    run = benchmark.pedantic(
-        lambda: storage.run_baseline_no_diversion(**bench_scale), rounds=1, iterations=1
-    )
-    table = format_table(
-        ["metric", "measured", "paper"],
-        [
-            ["insert failures %", run.fail_pct, storage.PAPER_BASELINE["fail_pct"]],
-            ["final utilization %", run.utilization * 100, storage.PAPER_BASELINE["util_pct"]],
-        ],
-        title="Baseline (no diversion): " + summarize_run(run),
-    )
-    report("baseline_no_diversion", table)
     assert run.fail_pct > 25.0
     assert run.utilization < 0.80

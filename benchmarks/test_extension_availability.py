@@ -9,34 +9,9 @@ climbs steeply with k; by k = 5 even 20% simultaneous failures lose
 (essentially) nothing.
 """
 
-from repro.analysis import format_table
-from repro.experiments import churn
 
-
-def test_availability_vs_k(benchmark, report, bench_scale):
-    results = benchmark.pedantic(
-        lambda: churn.run_availability_sweep(
-            k_values=[1, 2, 3, 5],
-            fail_fractions=[0.05, 0.10, 0.20],
-            n_nodes=max(40, bench_scale["n_nodes"] // 2),
-            capacity_scale=bench_scale["capacity_scale"],
-            n_files=400,
-            seed=bench_scale["seed"],
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    rows = [
-        [r.k, f"{r.fail_fraction:.0%}",
-         round(100 * r.availability, 2), round(100 * r.availability_after_repair, 2)]
-        for r in results
-    ]
-    text = format_table(
-        ["k", "simultaneous failures", "available %", "after repair %"],
-        rows,
-        title="Extension - availability vs. replication factor (why k=5)",
-    )
-    report("extension_availability", text)
+def test_availability_vs_k(paper_artifact):
+    results = paper_artifact("availability")
 
     by = {(r.k, r.fail_fraction): r for r in results}
     for fraction in (0.05, 0.10, 0.20):
@@ -46,33 +21,8 @@ def test_availability_vs_k(benchmark, report, bench_scale):
     assert by[(1, 0.20)].availability < 1.0
 
 
-def test_churn_invariants(benchmark, report, bench_scale):
-    result = benchmark.pedantic(
-        lambda: churn.run_churn_experiment(
-            n_nodes=max(40, bench_scale["n_nodes"] // 2),
-            capacity_scale=bench_scale["capacity_scale"],
-            n_files=300,
-            rounds=40,
-            seed=bench_scale["seed"],
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    rows = [
-        [t["round"], t["action"], t["nodes"], t["audit_ok"], t["degraded"]]
-        for t in result.timeline
-    ]
-    text = format_table(
-        ["round", "action", "nodes", "audit ok", "degraded"],
-        rows,
-        title=(
-            "Extension - §5's churn verification: invariants audited during "
-            f"{result.rounds} rounds of failures/recoveries/joins "
-            f"({result.audits_passed}/{result.audits_total} audits clean, "
-            f"{result.final_available}/{result.files} files available)"
-        ),
-    )
-    report("extension_churn", text)
+def test_churn_invariants(paper_artifact):
+    result = paper_artifact("churn")
 
     assert result.audits_passed == result.audits_total
     assert result.lost_files <= result.files * 0.02

@@ -11,56 +11,13 @@ half-empty (the stranded capacity of the baseline experiment).
 
 import statistics
 
-from repro.analysis import format_table
-from repro.experiments import StorageRunConfig, run_storage_trace
+from repro.experiments.storage import node_utilizations
 
 
-def node_utilizations(net):
-    return [n.store.utilization() for n in net.nodes()]
+def test_free_space_balance(paper_artifact):
+    runs = paper_artifact("balance")
 
-
-def test_free_space_balance(benchmark, report, bench_scale):
-    def run():
-        out = {}
-        base = StorageRunConfig(
-            n_nodes=bench_scale["n_nodes"],
-            capacity_scale=bench_scale["capacity_scale"],
-            seed=bench_scale["seed"],
-        )
-        out["diversion"] = run_storage_trace(base, keep_network=True)
-        from dataclasses import replace
-
-        out["none"] = run_storage_trace(
-            replace(base, t_pri=1.0, t_div=0.0, max_insert_attempts=1),
-            keep_network=True,
-        )
-        return out
-
-    runs = benchmark.pedantic(run, rounds=1, iterations=1)
-    rows = []
-    spread = {}
-    for label, run in runs.items():
-        utils = node_utilizations(run.network)
-        spread[label] = statistics.pstdev(utils)
-        rows.append(
-            [
-                label,
-                round(run.utilization * 100, 1),
-                round(100 * min(utils), 1),
-                round(100 * statistics.median(utils), 1),
-                round(100 * max(utils), 1),
-                round(100 * spread[label], 2),
-            ]
-        )
-    text = format_table(
-        ["management", "global util %", "min node %", "median node %",
-         "max node %", "stdev %"],
-        rows,
-        title="Extension - per-node utilization balance (the §3 objective)",
-    )
-    report("extension_balance", text)
-
+    utils = {label: node_utilizations(run) for label, run in runs.items()}
     # Shape: diversion produces a markedly tighter distribution.
-    assert spread["diversion"] < spread["none"]
-    utils = node_utilizations(runs["diversion"].network)
-    assert min(utils) > 0.5  # no node left half-empty under diversion
+    assert statistics.pstdev(utils["diversion"]) < statistics.pstdev(utils["none"])
+    assert min(utils["diversion"]) > 0.5  # no node left half-empty under diversion

@@ -9,52 +9,9 @@ caching run, with and without caching.  Expected shape: caching shifts
 the whole latency distribution down.
 """
 
-from repro.analysis import format_table
-from repro.experiments import caching
-from repro.netsim import LatencyModel, percentiles
 
-
-def test_lookup_latency(benchmark, report, bench_scale):
-    model = LatencyModel()
-
-    def run():
-        out = {}
-        for policy in ("gds", "none"):
-            cfg = caching.CachingRunConfig(
-                n_nodes=max(60, bench_scale["n_nodes"] // 2),
-                capacity_scale=bench_scale["capacity_scale"],
-                seed=bench_scale["seed"],
-                cache_policy=policy,
-            )
-            result = caching.run_caching_trace(cfg, keep_network=True)
-            sizes = {
-                fid: cert.size
-                for fid, cert in result.network._registry.items()
-            }
-            samples = [
-                model.lookup_latency_ms(
-                    e.hops, e.distance, sizes.get(e.file_id, 1024)
-                )
-                for e in result.network.stats.lookups
-                if e.success
-            ]
-            out[policy] = percentiles(samples)
-        return out
-
-    latencies = benchmark.pedantic(run, rounds=1, iterations=1)
-    rows = [
-        [policy, round(p[50], 1), round(p[90], 1), round(p[99], 1)]
-        for policy, p in latencies.items()
-    ]
-    text = format_table(
-        ["policy", "p50 ms", "p90 ms", "p99 ms"],
-        rows,
-        title=(
-            "Extension - estimated lookup latency "
-            f"(per-hop {model.per_hop_ms:.0f} ms anchor from the paper's prototype)"
-        ),
-    )
-    report("extension_latency", text)
+def test_lookup_latency(paper_artifact):
+    latencies = paper_artifact("latency")
 
     assert latencies["gds"][50] <= latencies["none"][50]
     assert latencies["gds"][90] <= latencies["none"][90] + 1.0

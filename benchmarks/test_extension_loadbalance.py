@@ -9,44 +9,9 @@ caching spreads the load of popular files over many more nodes, cutting
 the peak-to-average ratio and the share of the busiest nodes.
 """
 
-from repro.analysis import format_table, load_balance
-from repro.experiments import caching
 
-
-def test_query_load_balance(benchmark, report, bench_scale):
-    def run():
-        out = {}
-        for policy in ("gds", "none"):
-            cfg = caching.CachingRunConfig(
-                n_nodes=max(60, bench_scale["n_nodes"] // 2),
-                capacity_scale=bench_scale["capacity_scale"],
-                seed=bench_scale["seed"],
-                cache_policy=policy,
-                zipf_alpha=1.0,  # a hotter head stresses the balance more
-            )
-            result = caching.run_caching_trace(cfg, keep_network=True)
-            served = result.network.stats.served_per_node()
-            out[policy] = load_balance(served, population=len(result.network))
-        return out
-
-    stats = benchmark.pedantic(run, rounds=1, iterations=1)
-    rows = [
-        [
-            policy,
-            s.responders,
-            s.max_load,
-            round(s.max_to_mean, 2),
-            round(s.gini, 3),
-            round(s.top5_share, 3),
-        ]
-        for policy, s in stats.items()
-    ]
-    text = format_table(
-        ["policy", "responders", "max load", "max/mean", "gini", "top-5 share"],
-        rows,
-        title="Extension - query load balance with and without caching (§4 goal)",
-    )
-    report("extension_loadbalance", text)
+def test_query_load_balance(paper_artifact):
+    stats = paper_artifact("loadbalance")
 
     gds, none = stats["gds"], stats["none"]
     # Caching spreads query load over at least as many nodes...

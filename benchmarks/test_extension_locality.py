@@ -7,41 +7,9 @@ our emulator.  Shape expectations: nearest-replica share well above the
 1/k uniform baseline, and stretch a small constant.
 """
 
-from repro.analysis import format_table
-from repro.experiments import locality
 
-
-def test_replica_locality_and_stretch(benchmark, report, bench_scale):
-    def run():
-        loc = locality.run_replica_locality(
-            n_nodes=2 * bench_scale["n_nodes"],
-            k=5,
-            n_files=150,
-            capacity_scale=1.0,
-            seed=bench_scale["seed"],
-        )
-        stretch = locality.run_route_stretch(
-            n_nodes=2 * bench_scale["n_nodes"], seed=bench_scale["seed"]
-        )
-        return loc, stretch
-
-    loc, stretch = benchmark.pedantic(run, rounds=1, iterations=1)
-    rows = [
-        ["nearest replica share", round(loc.rank_share(0), 3), 0.76],
-        ["top-2 replica share", round(loc.rank_share(1), 3), 0.92],
-        ["uniform baseline (1/k)", round(loc.random_baseline, 3), 0.20],
-        ["route stretch", round(stretch.mean_stretch, 3), 1.5],
-        ["mean route hops", round(stretch.mean_hops, 3), "~log16 N"],
-    ]
-    text = format_table(
-        ["metric", "measured", "paper ([27])"],
-        rows,
-        title=(
-            f"Extension - replica locality over {loc.lookups} lookups, "
-            f"k={loc.k}, {2 * bench_scale['n_nodes']} nodes"
-        ),
-    )
-    report("extension_locality", text)
+def test_replica_locality_and_stretch(paper_artifact):
+    loc, stretch = paper_artifact("locality")
 
     # Shape: locality clearly beats the uniform-random baseline.
     assert loc.rank_share(0) > 1.5 * loc.random_baseline

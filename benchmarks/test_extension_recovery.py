@@ -9,37 +9,9 @@ nothing; once the window grows past the crash interarrival time, losses
 appear and grow with T.
 """
 
-from repro.analysis import format_table
-from repro.experiments import recovery
 
-
-def test_recovery_window(benchmark, report, bench_scale):
-    results = benchmark.pedantic(
-        lambda: recovery.run_recovery_window(
-            detection_delays=[0.0, 1.0, 5.0, 20.0, 50.0],
-            n_nodes=max(40, bench_scale["n_nodes"] // 2),
-            k=3,
-            n_files=300,
-            capacity_scale=bench_scale["capacity_scale"],
-            crash_fraction=0.5,
-            seed=bench_scale["seed"],
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    rows = [
-        [r.detection_delay, r.crashes, round(100 * r.availability, 2), r.degraded]
-        for r in results
-    ]
-    text = format_table(
-        ["detection delay T", "crashes", "available %", "degraded"],
-        rows,
-        title=(
-            "Extension - availability vs. failure-detection window "
-            "(crash interarrival = 1.0; crashes destroy the node's disk)"
-        ),
-    )
-    report("extension_recovery", text)
+def test_recovery_window(paper_artifact):
+    results = paper_artifact("recovery")
 
     by_delay = {r.detection_delay: r for r in results}
     assert by_delay[0.0].availability == 1.0

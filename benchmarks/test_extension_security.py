@@ -9,39 +9,12 @@ routing sustains a higher success rate than deterministic routing at
 every malicious fraction.
 """
 
-from repro.analysis import format_table
-from repro.experiments import security
 
+def test_randomized_routing_vs_malicious(paper_artifact):
+    results = paper_artifact("security")
 
-def test_randomized_routing_vs_malicious(benchmark, report, bench_scale):
-    results = benchmark.pedantic(
-        lambda: security.run_malicious_routing(
-            malicious_fractions=[0.05, 0.10, 0.20],
-            n_nodes=3 * bench_scale["n_nodes"],
-            n_files=100,
-            lookups_per_file=5,
-            retries=6,
-            seed=bench_scale["seed"],
-        ),
-        rounds=1,
-        iterations=1,
-    )
     det = {r.malicious_fraction: r for r in results if not r.randomized}
     ran = {r.malicious_fraction: r for r in results if r.randomized}
-    rows = [
-        [f"{f:.0%}", round(det[f].success_ratio, 3), round(ran[f].success_ratio, 3)]
-        for f in sorted(det)
-    ]
-    text = format_table(
-        ["malicious nodes", "deterministic", "randomized"],
-        rows,
-        title=(
-            "Extension - lookup success under message-dropping nodes "
-            f"({results[0].retries} retries per lookup, §2.3)"
-        ),
-    )
-    report("extension_security", text)
-
     det_mean = sum(r.success_ratio for r in det.values()) / len(det)
     ran_mean = sum(r.success_ratio for r in ran.values()) / len(ran)
     # Shape: randomization helps overall and never hurts much anywhere.

@@ -5,30 +5,10 @@ Paper shape: file diversions are negligible while utilization is below
 appear only at the very end.
 """
 
-from repro.analysis import format_curve
-from ._shared import standard_run
 
-
-def test_figure4(benchmark, report, bench_scale):
-    run = benchmark.pedantic(
-        lambda: standard_run(
-            bench_scale["n_nodes"], bench_scale["capacity_scale"], bench_scale["seed"]
-        ),
-        rounds=1,
-        iterations=1,
-    )
+def test_figure4(paper_artifact):
+    run = paper_artifact("figure4")
     curves = run.stats.file_diversion_curves()
-    pts = [
-        (round(u * 100, 1), round(r1, 4), round(r2, 4), round(r3, 4), round(f, 4))
-        for u, r1, r2, r3, f in curves
-    ]
-    text = format_curve(
-        pts,
-        ["util %", "1 redirect", "2 redirects", "3 redirects", "failures"],
-        title="Figure 4 - cumulative ratio of file diversions and insert failures",
-        max_points=14,
-    )
-    report("figure4_file_diversion", text)
 
     # Shape: below 60% utilization file diversion is (near) zero.
     low = [c for c in curves if c[0] < 0.6]

@@ -5,33 +5,10 @@ below ~10% at 80% utilization — and grows smoothly towards ~16% as the
 system saturates.
 """
 
-from repro.analysis import ascii_plot, format_curve
-from ._shared import standard_run
 
-
-def test_figure5(benchmark, report, bench_scale):
-    run = benchmark.pedantic(
-        lambda: standard_run(
-            bench_scale["n_nodes"], bench_scale["capacity_scale"], bench_scale["seed"]
-        ),
-        rounds=1,
-        iterations=1,
-    )
+def test_figure5(paper_artifact):
+    run = paper_artifact("figure5")
     curve = run.stats.replica_diversion_curve()
-    pts = [(round(u * 100, 1), round(r, 4)) for u, r in curve]
-    text = format_curve(
-        pts,
-        ["util %", "diverted replica ratio"],
-        title="Figure 5 - cumulative ratio of replica diversions vs. utilization",
-        max_points=14,
-    )
-    plot = ascii_plot(
-        {"diverted ratio": [(u * 100, r) for u, r in curve]},
-        title="Figure 5:",
-        x_label="utilization %",
-        y_label="cumulative replica-diversion ratio",
-    )
-    report("figure5_replica_diversion", text + "\n\n" + plot)
 
     # Shape: moderate diverted share at 80% utilization...
     at80 = [r for u, r in curve if u <= 0.80]

@@ -6,37 +6,12 @@ rejected only above ~90% utilization, and the overall failure ratio stays
 tiny below 90%.
 """
 
-from repro.analysis import format_table
 from repro.workloads.web_proxy import PAPER_MEAN_BYTES
-from ._shared import standard_run
 
 
-def test_figure6(benchmark, report, bench_scale):
-    run = benchmark.pedantic(
-        lambda: standard_run(
-            bench_scale["n_nodes"], bench_scale["capacity_scale"], bench_scale["seed"]
-        ),
-        rounds=1,
-        iterations=1,
-    )
+def test_figure6(paper_artifact):
+    run = paper_artifact("figure6")
     scatter = run.stats.failed_insert_sizes()
-    # Summarize the scatter per utilization decile: smallest failed size.
-    rows = []
-    for lo in range(0, 100, 10):
-        bucket = [s for u, s in scatter if lo <= u * 100 < lo + 10]
-        if bucket:
-            rows.append(
-                [f"{lo}-{lo + 10}%", len(bucket), min(bucket), int(sum(bucket) / len(bucket))]
-            )
-    text = format_table(
-        ["util bucket", "# failed", "min failed size (B)", "mean failed size (B)"],
-        rows,
-        title=(
-            "Figure 6 - failed insertions vs. utilization (web workload)\n"
-            "paper shape: smaller files only start failing at high utilization"
-        ),
-    )
-    report("figure6_web_failures", text)
 
     assert scatter, "a saturating run must produce failures"
     # Shape 1: failures skew large relative to the trace mean.

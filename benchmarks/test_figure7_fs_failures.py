@@ -6,32 +6,11 @@ size distribution — failure sizes an order of magnitude larger, overall
 failure ratio still small until the system is nearly full.
 """
 
-from repro.analysis import format_table
-from repro.experiments import storage
 from repro.workloads.filesystem import PAPER_MEDIAN_BYTES
 
 
-def test_figure7(benchmark, report, bench_scale):
-    run, scatter, curve = benchmark.pedantic(
-        lambda: storage.run_figure7(**bench_scale), rounds=1, iterations=1
-    )
-    rows = []
-    for lo in range(0, 100, 10):
-        bucket = [s for u, s in scatter if lo <= u * 100 < lo + 10]
-        if bucket:
-            rows.append(
-                [f"{lo}-{lo + 10}%", len(bucket), min(bucket), int(sum(bucket) / len(bucket))]
-            )
-    text = format_table(
-        ["util bucket", "# failed", "min failed size (B)", "mean failed size (B)"],
-        rows,
-        title=(
-            "Figure 7 - failed insertions vs. utilization (filesystem workload,\n"
-            f"capacities x10): final util {run.utilization * 100:.1f}%, "
-            f"success {run.success_pct:.2f}%"
-        ),
-    )
-    report("figure7_fs_failures", text)
+def test_figure7(paper_artifact):
+    run, scatter, curve = paper_artifact("figure7")
 
     assert run.config.workload == "fs"
     assert scatter, "a saturating run must produce failures"

@@ -6,48 +6,9 @@ hops rise with utilization but stay below the no-caching line even at 99%
 utilization; GD-S performs at least as well as LRU on both metrics.
 """
 
-from repro.analysis import ascii_plot, format_caching_summary, format_curve
-from repro.experiments import caching
 
-
-def test_figure8(benchmark, report, bench_scale):
-    results = benchmark.pedantic(
-        lambda: caching.run_figure8(**bench_scale), rounds=1, iterations=1
-    )
-    blocks = [format_caching_summary(results, title="Figure 8 - caching policies (whole run)")]
-    for policy in ("gds", "lru", "none"):
-        curve = [
-            (round(u * 100), round(h, 3), round(hp, 2), n)
-            for u, h, hp, n in results[policy].curve
-            if n > 50
-        ]
-        blocks.append(
-            format_curve(
-                curve,
-                ["util %", "hit ratio", "mean hops", "lookups"],
-                title=f"  policy={policy}",
-                max_points=10,
-            )
-        )
-    blocks.append(
-        ascii_plot(
-            {p: [(u * 100, h) for u, h, _, n in results[p].curve if n > 50]
-             for p in ("gds", "lru")},
-            title="Figure 8a - global cache hit ratio vs. utilization:",
-            x_label="utilization %",
-            y_label="hit ratio",
-        )
-    )
-    blocks.append(
-        ascii_plot(
-            {p: [(u * 100, hp) for u, _, hp, n in results[p].curve if n > 50]
-             for p in ("gds", "lru", "none")},
-            title="Figure 8b - mean routing hops vs. utilization:",
-            x_label="utilization %",
-            y_label="mean hops",
-        )
-    )
-    report("figure8_caching", "\n".join(blocks))
+def test_figure8(paper_artifact):
+    results = paper_artifact("figure8")
 
     gds, lru, none = results["gds"], results["lru"], results["none"]
     # Shape 1: caching shortens fetch distance vs. no caching.

@@ -7,53 +7,16 @@ distance (about 1.5x in [27]).
 """
 
 import math
-import random
-
-from repro.analysis import format_table
-from repro.pastry import PastryNetwork, idspace
 
 
-def measure(n_nodes: int, seed: int, queries: int = 400):
-    net = PastryNetwork(b=4, l=16, seed=seed)
-    net.build(n_nodes)
-    rng = random.Random(seed + 1)
-    hops = []
-    stretch = []
-    for _ in range(queries):
-        key = rng.getrandbits(idspace.ID_BITS)
-        origin = net.random_node(rng)
-        result = net.route(origin.node_id, key, collect_distance=True)
-        assert result.terminus == net.numerically_closest_live(key)
-        hops.append(result.hops)
-        direct = net.distance(origin.node_id, result.terminus)
-        if direct > 1e-9 and result.distance > 0:
-            stretch.append(result.distance / direct)
-    mean_hops = sum(hops) / len(hops)
-    mean_stretch = sum(stretch) / len(stretch) if stretch else 1.0
-    return mean_hops, max(hops), mean_stretch
+def test_pastry_hops_and_locality(paper_artifact):
+    results = paper_artifact("pastry_routing")
 
-
-def test_pastry_hops_and_locality(benchmark, report):
-    sizes = [100, 400, 1000]
-    results = benchmark.pedantic(
-        lambda: {n: measure(n, seed=5) for n in sizes}, rounds=1, iterations=1
-    )
-    rows = []
-    for n in sizes:
-        mean_hops, max_hops, mean_stretch = results[n]
+    for n, r in results.items():
+        # Every route ended at the numerically closest live node.
+        assert r.misrouted == 0
         bound = math.ceil(math.log(n, 16))
-        rows.append([n, round(mean_hops, 2), max_hops, bound, round(mean_stretch, 2)])
-    text = format_table(
-        ["nodes", "mean hops", "max hops", "ceil(log16 N)", "route stretch"],
-        rows,
-        title="Pastry routing - hop counts vs. the log bound, and locality stretch",
-    )
-    report("pastry_routing", text)
-
-    for n in sizes:
-        mean_hops, max_hops, _ = results[n]
-        bound = math.ceil(math.log(n, 16))
-        assert mean_hops <= bound
-        assert max_hops <= bound + 2
+        assert r.mean_hops <= bound
+        assert r.max_hops <= bound + 2
     # Locality: routes should not wander arbitrarily far.
-    assert results[1000][2] < 4.0
+    assert results[1000].mean_stretch < 4.0

@@ -6,26 +6,9 @@ local balancing); the flatter distributions d3/d4 need more replica
 diversions.
 """
 
-from repro.analysis import format_sweep_table
-from repro.experiments import storage
 
-
-def test_table2(benchmark, report, bench_scale):
-    sweep = benchmark.pedantic(
-        lambda: storage.run_table2(**bench_scale), rounds=1, iterations=1
-    )
-    text = format_sweep_table(
-        sweep,
-        key_field="dist",
-        key_label="Dist",
-        title=(
-            "Table 2 - effects of storage distribution and leaf-set size\n"
-            f"(rows: l=16 block then l=32 block; {bench_scale['n_nodes']} nodes, "
-            f"capacity x{bench_scale['capacity_scale']}; paper used 2250 nodes)"
-        ),
-        paper_key=lambda row: (row["dist"], row["l"]),
-    )
-    report("table2_distributions", text)
+def test_table2(paper_artifact):
+    sweep = paper_artifact("table2")
 
     by_key = {(r["dist"], r["l"]): r for r in sweep.rows}
     # Shape 1: every configuration fills most of the system.

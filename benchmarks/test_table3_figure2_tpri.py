@@ -7,39 +7,9 @@ The cumulative-failure curves (Figure 2) show larger t_pri failing
 earlier (big files grabbed space at low utilization).
 """
 
-from repro.analysis import ascii_plot, format_curve, format_sweep_table
-from repro.experiments import storage
 
-
-def test_table3_figure2(benchmark, report, bench_scale):
-    sweep = benchmark.pedantic(
-        lambda: storage.run_table3(**bench_scale), rounds=1, iterations=1
-    )
-    text = format_sweep_table(
-        sweep,
-        key_field="t_pri",
-        key_label="t_pri",
-        title="Table 3 - insertion statistics and utilization as t_pri varies (t_div=0.05)",
-        paper_key=lambda row: row["t_pri"],
-    )
-    curves = storage.figure2_curves(sweep)
-    blocks = [text, "", "Figure 2 - cumulative failure ratio vs. utilization:"]
-    for t_pri, curve in curves.items():
-        pts = [(round(u * 100, 1), round(r, 5)) for u, r in curve]
-        blocks.append(
-            format_curve(pts, ["util %", "cum. failure ratio"], title=f"  t_pri={t_pri}", max_points=8)
-        )
-    blocks.append(
-        ascii_plot(
-            {f"t_pri={t}": [(u * 100, max(r, 1e-5)) for u, r in c]
-             for t, c in curves.items()},
-            title="Figure 2 (log-y, as in the paper):",
-            x_label="utilization %",
-            y_label="cumulative failure ratio",
-            logy=True,
-        )
-    )
-    report("table3_figure2_tpri", "\n".join(blocks))
+def test_table3_figure2(paper_artifact):
+    sweep = paper_artifact("table3")
 
     rows = {r["t_pri"]: r for r in sweep.rows}
     # Shape: utilization is monotone (non-decreasing) in t_pri...

@@ -6,39 +6,9 @@ failures rise with it; tiny t_div (0.005) almost eliminates diversion's
 benefit, capping utilization near 90%.
 """
 
-from repro.analysis import ascii_plot, format_curve, format_sweep_table
-from repro.experiments import storage
 
-
-def test_table4_figure3(benchmark, report, bench_scale):
-    sweep = benchmark.pedantic(
-        lambda: storage.run_table4(**bench_scale), rounds=1, iterations=1
-    )
-    text = format_sweep_table(
-        sweep,
-        key_field="t_div",
-        key_label="t_div",
-        title="Table 4 - insertion statistics and utilization as t_div varies (t_pri=0.1)",
-        paper_key=lambda row: row["t_div"],
-    )
-    curves = storage.figure3_curves(sweep)
-    blocks = [text, "", "Figure 3 - cumulative failure ratio vs. utilization:"]
-    for t_div, curve in curves.items():
-        pts = [(round(u * 100, 1), round(r, 5)) for u, r in curve]
-        blocks.append(
-            format_curve(pts, ["util %", "cum. failure ratio"], title=f"  t_div={t_div}", max_points=8)
-        )
-    blocks.append(
-        ascii_plot(
-            {f"t_div={t}": [(u * 100, max(r, 1e-5)) for u, r in c]
-             for t, c in curves.items()},
-            title="Figure 3 (log-y, as in the paper):",
-            x_label="utilization %",
-            y_label="cumulative failure ratio",
-            logy=True,
-        )
-    )
-    report("table4_figure3_tdiv", "\n".join(blocks))
+def test_table4_figure3(paper_artifact):
+    sweep = paper_artifact("table4")
 
     rows = {r["t_div"]: r for r in sweep.rows}
     # Shape: utilization is monotone in t_div across the sweep extremes.

@@ -10,9 +10,8 @@ of lookups served.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from typing import Dict
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,3 @@ def load_balance(per_node_served: Dict[int, int], population: int = None) -> Loa
         top5_share=top5,
     )
 
-
-def responder_counts(lookup_events: Iterable, responders: Iterable[int]) -> Dict[int, int]:
-    """Tally served lookups per responder id."""
-    return dict(Counter(responders))

@@ -97,15 +97,18 @@ def format_curve(
 
 
 def summarize_run(run) -> str:
-    """One-line summary of a StorageRunResult."""
+    """One-line summary of a StorageRunResult.
+
+    Outcome fields only: the line is part of a committed artifact, so it
+    must not read ``elapsed_s`` or any other clock.
+    """
     return (
         f"{run.config.workload} x {run.n_files} files on {run.config.n_nodes} nodes "
         f"({run.config.dist}, l={run.config.l}, t_pri={run.config.t_pri}, "
         f"t_div={run.config.t_div}): success={run.success_pct:.2f}% "
         f"util={run.utilization * 100:.1f}% "
         f"file_div={run.file_diversion_ratio * 100:.2f}% "
-        f"replica_div={run.replica_diversion_ratio * 100:.2f}% "
-        f"[{run.elapsed_s:.1f}s]"
+        f"replica_div={run.replica_diversion_ratio * 100:.2f}%"
     )
 
 

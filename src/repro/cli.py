@@ -1,19 +1,21 @@
-"""Command-line interface: run any of the paper's experiments directly.
+"""Command-line interface: print any of the paper's artifacts.
 
 Usage::
 
     python -m repro list
-    python -m repro baseline --nodes 100 --scale 0.25
     python -m repro table2
-    python -m repro table3 | table4
-    python -m repro figure4 | figure5 | figure6 | figure7 | figure8
-    python -m repro availability
-    python -m repro churn
+    python -m repro table2 --nodes 500 --scale 1.0 --seed 7
     python -m repro chaos
     python -m repro serve --nodes 16 --workers 4 --differential
 
-Every command prints the same paper-vs-measured report the benchmark
-suite produces.
+``list`` names every artifact command — the rows of
+:data:`repro.experiments.artifacts.ARTIFACTS` — with the
+``benchmarks/results`` file it regenerates and any parameter it fixes by
+itself.  ``repro <command>`` prints ``render(run(*scale))`` of its row, the
+call ``pytest benchmarks/ --benchmark-only`` makes; at the default scale
+the six rows ``tests/experiments/test_artifacts.py`` runs print exactly
+the committed file, and CI's ``paper`` job checks the rest.  ``chaos`` and
+``serve`` are harnesses, not artifacts.
 """
 
 from __future__ import annotations
@@ -22,220 +24,9 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .analysis import (
-    format_caching_summary,
-    format_curve,
-    format_sweep_table,
-    format_table,
-    summarize_run,
-)
-from .experiments import caching, chaos, churn, locality, recovery, security, storage
-
-
-def _scale_args(args) -> dict:
-    return {
-        "n_nodes": args.nodes,
-        "capacity_scale": args.scale,
-        "seed": args.seed,
-    }
-
-
-def cmd_baseline(args) -> str:
-    run = storage.run_baseline_no_diversion(**_scale_args(args))
-    return format_table(
-        ["metric", "measured", "paper"],
-        [
-            ["insert failures %", run.fail_pct, storage.PAPER_BASELINE["fail_pct"]],
-            ["final utilization %", run.utilization * 100, storage.PAPER_BASELINE["util_pct"]],
-        ],
-        title="Baseline (no diversion): " + summarize_run(run),
-    )
-
-
-def cmd_table2(args) -> str:
-    sweep = storage.run_table2(**_scale_args(args))
-    return format_sweep_table(
-        sweep, "dist", "Dist",
-        "Table 2 - storage distributions x leaf-set size (l=16 block, then l=32)",
-        paper_key=lambda r: (r["dist"], r["l"]),
-    )
-
-
-def cmd_table3(args) -> str:
-    sweep = storage.run_table3(**_scale_args(args))
-    table = format_sweep_table(
-        sweep, "t_pri", "t_pri", "Table 3 - t_pri sweep (t_div=0.05)",
-        paper_key=lambda r: r["t_pri"],
-    )
-    curves = storage.figure2_curves(sweep)
-    blocks = [table, "", "Figure 2 - cumulative failure ratio vs. utilization:"]
-    for t_pri, curve in curves.items():
-        pts = [(round(u * 100, 1), round(r, 5)) for u, r in curve]
-        blocks.append(format_curve(pts, ["util %", "failure ratio"],
-                                   title=f"  t_pri={t_pri}", max_points=8))
-    return "\n".join(blocks)
-
-
-def cmd_table4(args) -> str:
-    sweep = storage.run_table4(**_scale_args(args))
-    table = format_sweep_table(
-        sweep, "t_div", "t_div", "Table 4 - t_div sweep (t_pri=0.1)",
-        paper_key=lambda r: r["t_div"],
-    )
-    curves = storage.figure3_curves(sweep)
-    blocks = [table, "", "Figure 3 - cumulative failure ratio vs. utilization:"]
-    for t_div, curve in curves.items():
-        pts = [(round(u * 100, 1), round(r, 5)) for u, r in curve]
-        blocks.append(format_curve(pts, ["util %", "failure ratio"],
-                                   title=f"  t_div={t_div}", max_points=8))
-    return "\n".join(blocks)
-
-
-def cmd_figure4(args) -> str:
-    _, curves = storage.run_figure4(**_scale_args(args))
-    pts = [
-        (round(u * 100, 1), round(r1, 4), round(r2, 4), round(r3, 4), round(f, 4))
-        for u, r1, r2, r3, f in curves
-    ]
-    return format_curve(
-        pts, ["util %", "1 redirect", "2 redirects", "3 redirects", "failures"],
-        title="Figure 4 - file diversions and insert failures vs. utilization",
-        max_points=14,
-    )
-
-
-def cmd_figure5(args) -> str:
-    _, curve = storage.run_figure5(**_scale_args(args))
-    pts = [(round(u * 100, 1), round(r, 4)) for u, r in curve]
-    return format_curve(
-        pts, ["util %", "diverted replica ratio"],
-        title="Figure 5 - cumulative replica-diversion ratio vs. utilization",
-        max_points=14,
-    )
-
-
-def _failure_table(scatter, title: str) -> str:
-    rows = []
-    for lo in range(0, 100, 10):
-        bucket = [s for u, s in scatter if lo <= u * 100 < lo + 10]
-        if bucket:
-            rows.append(
-                [f"{lo}-{lo + 10}%", len(bucket), min(bucket), int(sum(bucket) / len(bucket))]
-            )
-    return format_table(
-        ["util bucket", "# failed", "min failed size", "mean failed size"], rows, title=title
-    )
-
-
-def cmd_figure6(args) -> str:
-    _, scatter, _ = storage.run_figure6(**_scale_args(args))
-    return _failure_table(scatter, "Figure 6 - failed insertions (web workload)")
-
-
-def cmd_figure7(args) -> str:
-    _, scatter, _ = storage.run_figure7(**_scale_args(args))
-    return _failure_table(
-        scatter, "Figure 7 - failed insertions (filesystem workload, capacities x10)"
-    )
-
-
-def cmd_figure8(args) -> str:
-    results = caching.run_figure8(**_scale_args(args))
-    blocks = [format_caching_summary(results, title="Figure 8 - caching policies")]
-    for policy, res in results.items():
-        curve = [
-            (round(u * 100), round(h, 3), round(hp, 2), n)
-            for u, h, hp, n in res.curve
-            if n > 50
-        ]
-        blocks.append(format_curve(curve, ["util %", "hit ratio", "hops", "lookups"],
-                                   title=f"  policy={policy}", max_points=10))
-    return "\n".join(blocks)
-
-
-def cmd_availability(args) -> str:
-    results = churn.run_availability_sweep(
-        n_nodes=args.nodes, capacity_scale=args.scale, seed=args.seed
-    )
-    rows = [
-        [r.k, f"{r.fail_fraction:.0%}", r.files,
-         round(100 * r.availability, 2), round(100 * r.availability_after_repair, 2)]
-        for r in results
-    ]
-    return format_table(
-        ["k", "failed", "files", "available %", "after repair %"],
-        rows,
-        title="Availability under simultaneous failures (why the paper picks k=5)",
-    )
-
-
-def cmd_churn(args) -> str:
-    result = churn.run_churn_experiment(
-        n_nodes=args.nodes, capacity_scale=args.scale, seed=args.seed
-    )
-    rows = [
-        [t["round"], t["action"], t["nodes"], t["audit_ok"], t["degraded"]]
-        for t in result.timeline
-    ]
-    table = format_table(
-        ["round", "action", "nodes", "audit ok", "degraded"],
-        rows,
-        title=(
-            f"Churn: {result.rounds} rounds, {result.files} files, "
-            f"{result.final_available} still available, "
-            f"audits {result.audits_passed}/{result.audits_total} clean"
-        ),
-    )
-    return table
-
-
-def cmd_recovery(args) -> str:
-    results = recovery.run_recovery_window(
-        n_nodes=args.nodes, capacity_scale=args.scale, seed=args.seed
-    )
-    rows = [
-        [r.detection_delay, r.crashes, round(100 * r.availability, 2), r.degraded]
-        for r in results
-    ]
-    return format_table(
-        ["detection delay T", "crashes", "available %", "degraded"],
-        rows,
-        title="Availability vs. failure-detection window (the §2.1 recovery period)",
-    )
-
-
-def cmd_locality(args) -> str:
-    loc = locality.run_replica_locality(
-        n_nodes=args.nodes, capacity_scale=max(args.scale, 1.0), seed=args.seed
-    )
-    stretch = locality.run_route_stretch(n_nodes=args.nodes, seed=args.seed)
-    rows = [
-        ["nearest replica share", round(loc.rank_share(0), 3), 0.76],
-        ["top-2 replica share", round(loc.rank_share(1), 3), 0.92],
-        ["route stretch", round(stretch.mean_stretch, 3), 1.5],
-    ]
-    return format_table(
-        ["metric", "measured", "paper ([27])"],
-        rows,
-        title=f"Replica locality over {loc.lookups} lookups (k={loc.k})",
-    )
-
-
-def cmd_security(args) -> str:
-    results = security.run_malicious_routing(
-        n_nodes=args.nodes, seed=args.seed
-    )
-    det = {r.malicious_fraction: r for r in results if not r.randomized}
-    ran = {r.malicious_fraction: r for r in results if r.randomized}
-    rows = [
-        [f"{f:.0%}", round(det[f].success_ratio, 3), round(ran[f].success_ratio, 3)]
-        for f in sorted(det)
-    ]
-    return format_table(
-        ["malicious nodes", "deterministic", "randomized"],
-        rows,
-        title="Lookup success under message-dropping nodes (§2.3)",
-    )
+from .analysis import format_table
+from .experiments import chaos
+from .experiments.artifacts import ARTIFACTS, DEFAULT_SCALE
 
 
 def cmd_chaos(args) -> str:
@@ -352,23 +143,23 @@ def cmd_serve(args) -> str:
 
 
 COMMANDS = {
-    "baseline": cmd_baseline,
+    **{
+        command: lambda args, row=row: row.render(row.run(args.nodes, args.scale, args.seed))
+        for command, row in ARTIFACTS.items()
+    },
     "chaos": cmd_chaos,
     "serve": cmd_serve,
-    "recovery": cmd_recovery,
-    "locality": cmd_locality,
-    "security": cmd_security,
-    "table2": cmd_table2,
-    "table3": cmd_table3,
-    "table4": cmd_table4,
-    "figure4": cmd_figure4,
-    "figure5": cmd_figure5,
-    "figure6": cmd_figure6,
-    "figure7": cmd_figure7,
-    "figure8": cmd_figure8,
-    "availability": cmd_availability,
-    "churn": cmd_churn,
 }
+
+
+def list_commands() -> str:
+    """Every command; an artifact with its results file and what it fixes."""
+    lines = ["artifact commands (-> benchmarks/results/<file>):"]
+    for command, row in ARTIFACTS.items():
+        fixes = f"  [{row.fixes}]" if row.fixes else ""
+        lines.append(f"  {command:<24}{row.stem}.txt{fixes}")
+    lines.append("harnesses: chaos, serve")
+    return "\n".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -376,13 +167,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Reproduce the PAST (SOSP 2001) evaluation tables and figures.",
     )
-    parser.add_argument("command", choices=sorted(COMMANDS) + ["list"])
-    parser.add_argument("--nodes", type=int, default=100,
-                        help="overlay size (paper: 2250)")
-    parser.add_argument("--scale", type=float, default=0.25,
-                        help="node-capacity scale relative to Table 1")
-    parser.add_argument("--seed", type=int, default=42)
-    serve = parser.add_argument_group("serve options")
+    scale = argparse.ArgumentParser(add_help=False)
+    scale.add_argument("--nodes", type=int, default=DEFAULT_SCALE.n_nodes,
+                       help="overlay size (paper: 2250)")
+    scale.add_argument("--scale", type=float, default=DEFAULT_SCALE.capacity_scale,
+                       help="node-capacity scale relative to Table 1")
+    scale.add_argument("--seed", type=int, default=DEFAULT_SCALE.seed)
+    # One sub-parser per command, so a flag only `serve` reads is an
+    # error on every other command instead of being silently ignored.
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name in ["list", *sorted(COMMANDS)]:
+        commands.add_parser(name, parents=[scale])
+    serve = commands.choices["serve"]
     serve.add_argument("--files", type=int, default=32,
                        help="files to insert in the serve workload")
     serve.add_argument("--workers", type=int, default=4,
@@ -406,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "list":
-        print("available commands:", ", ".join(sorted(COMMANDS)))
+        print(list_commands())
         return 0
     try:
         print(COMMANDS[args.command](args))

@@ -1,22 +1,12 @@
 """Experiment drivers reproducing §5 of the paper.
 
-Each public function regenerates one table or figure:
-
-* :func:`repro.experiments.storage.run_baseline_no_diversion` — §5.1's
-  motivating experiment (diversion disabled).
-* :func:`repro.experiments.storage.run_table2` — Table 2 (storage
-  distributions d1-d4 x leaf-set size 16/32).
-* :func:`repro.experiments.storage.run_table3` — Table 3 + Figure 2
-  (t_pri sweep).
-* :func:`repro.experiments.storage.run_table4` — Table 4 + Figure 3
-  (t_div sweep).
-* :func:`repro.experiments.storage.run_figure4`, ``run_figure5``,
-  ``run_figure6``, ``run_figure7`` — the diversion/failure-vs-utilization
-  figures.
-* :func:`repro.experiments.caching.run_figure8` — caching policies.
-* :mod:`repro.experiments.chaos` — fault-injection harness with
-  availability and §3.5 durability oracles (not a paper figure; run it
-  with ``python -m repro.experiments.chaos``).
+:mod:`repro.experiments.artifacts` is the index: one row per table,
+figure, extension and ablation, naming the driver that runs it (in
+``storage``, ``caching``, ``churn``, ``recovery``, ``locality`` or
+``security``), its parameters and its report.
+:mod:`repro.experiments.chaos` is the fault-injection harness with
+availability and §3.5 durability oracles (not a paper figure; run it
+with ``python -m repro.experiments.chaos``).
 
 Experiments are scaled by node count relative to the paper's 2250-node
 runs; all ratios that drive the published shapes (file size vs. node

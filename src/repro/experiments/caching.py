@@ -18,7 +18,9 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
+from ..analysis import LoadBalanceStats, load_balance
 from ..core import PastNetwork, derive_seed
+from ..netsim import LatencyModel, percentiles
 from .harness import StorageRunConfig, build_network, make_workload
 
 
@@ -121,6 +123,18 @@ def _map_clients_to_nodes(
     return mapping
 
 
+def run_caching_sweep(field: str, values, measure=None, **base) -> Dict:
+    """One caching run per value of the config's ``field``, the other
+    fields from ``base``.  Maps each value to its result or, given
+    ``measure``, to ``measure(network)`` of the network the run leaves."""
+    out: Dict = {}
+    for value in values:
+        cfg = CachingRunConfig(**{field: value}, **base)
+        result = run_caching_trace(cfg, keep_network=measure is not None)
+        out[value] = result if measure is None else measure(result.network)
+    return out
+
+
 def run_figure8(
     n_nodes: int = 100,
     capacity_scale: float = 0.25,
@@ -133,25 +147,23 @@ def run_figure8(
     with utilization but stay below the no-caching line even at 99%
     utilization; GD-S beats LRU on both metrics.
     """
-    policies = policies or ["gds", "lru", "none"]
-    out: Dict[str, CachingRunResult] = {}
-    for policy in policies:
-        cfg = CachingRunConfig(
-            n_nodes=n_nodes, capacity_scale=capacity_scale, seed=seed, cache_policy=policy
-        )
-        out[policy] = run_caching_trace(cfg)
-    return out
+    return run_caching_sweep(
+        "cache_policy", policies or ["gds", "lru", "none"],
+        n_nodes=n_nodes, capacity_scale=capacity_scale, seed=seed,
+    )
 
 
-def run_cache_fraction_ablation(
-    n_nodes: int = 100,
-    fractions: Optional[List[float]] = None,
-    seed: int = 0,
-) -> Dict[float, CachingRunResult]:
-    """Ablation: sweep the cache insertion fraction c (paper fixes c=1)."""
-    fractions = fractions or [0.05, 0.25, 1.0]
-    out: Dict[float, CachingRunResult] = {}
-    for c in fractions:
-        cfg = CachingRunConfig(n_nodes=n_nodes, cache_fraction=c, seed=seed)
-        out[c] = run_caching_trace(cfg)
-    return out
+def lookup_latency_percentiles(net: PastNetwork) -> Dict[int, float]:
+    """p50/p90/p99 of every successful lookup under the paper's 25 ms/hop
+    anchor, plus propagation over the topology and a transfer term."""
+    model = LatencyModel()
+    return percentiles([
+        model.lookup_latency_ms(e.hops, e.distance, net.certificate_of(e.file_id).size)
+        for e in net.stats.lookups
+        if e.success  # only inserted files are looked up, and none is reclaimed
+    ])
+
+
+def query_load_balance(net: PastNetwork) -> LoadBalanceStats:
+    """Imbalance of served lookups per node, idle nodes included."""
+    return load_balance(net.stats.served_per_node(), population=len(net))

@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from ..core import PastConfig, derive_seed
 from ..core.episode import build_deployment
@@ -117,31 +117,34 @@ def run_replica_locality(
 
 @dataclass
 class StretchResult:
-    """Route-stretch statistics for plain Pastry routing."""
+    """Hop-count and route-stretch statistics for plain Pastry routing."""
 
     n_nodes: int
     queries: int
     mean_stretch: float
     mean_hops: float
+    max_hops: int
+    misrouted: int  # routes that ended anywhere but the numerically closest node
     elapsed_s: float
 
 
-def run_route_stretch(
-    n_nodes: int = 300, queries: int = 500, seed: int = 0
+def _route_stretch(
+    n_nodes: int, queries: int, seed: int, rng: random.Random
 ) -> StretchResult:
-    """Measure routed distance over direct source-destination distance."""
+    """Route ``queries`` random keys from random origins on a fresh overlay."""
     from ..pastry import PastryNetwork
 
     start = time.perf_counter()
     net = PastryNetwork(b=4, l=16, seed=seed)
     net.build(n_nodes)
-    rng = random.Random(derive_seed(seed, "stretch-queries"))
     stretches = []
     hops = []
+    misrouted = 0
     for _ in range(queries):
         key = rng.getrandbits(idspace.ID_BITS)
         origin = net.random_node(rng)
         result = net.route(origin.node_id, key, collect_distance=True)
+        misrouted += result.terminus != net.numerically_closest_live(key)
         hops.append(result.hops)
         direct = net.distance(origin.node_id, result.terminus)
         if direct > 1e-9 and result.distance > 0:
@@ -151,5 +154,24 @@ def run_route_stretch(
         queries=queries,
         mean_stretch=sum(stretches) / len(stretches) if stretches else 1.0,
         mean_hops=sum(hops) / len(hops) if hops else 0.0,
+        max_hops=max(hops, default=0),
+        misrouted=misrouted,
         elapsed_s=time.perf_counter() - start,
     )
+
+
+def run_route_stretch(
+    n_nodes: int = 300, queries: int = 500, seed: int = 0
+) -> StretchResult:
+    """Measure routed distance over direct source-destination distance."""
+    rng = random.Random(derive_seed(seed, "stretch-queries"))
+    return _route_stretch(n_nodes, queries, seed, rng)
+
+
+def run_pastry_routing(
+    sizes: List[int], queries: int = 400, seed: int = 5
+) -> Dict[int, StretchResult]:
+    """Hop counts against the ``ceil(log_2^b N)`` bound, per overlay size.
+    The query stream is seeded ``seed + 1``, not through ``derive_seed``:
+    the driver predates it and ``pastry_routing.txt`` keeps its numbers."""
+    return {n: _route_stretch(n, queries, seed, random.Random(seed + 1)) for n in sizes}

@@ -1,4 +1,5 @@
-"""Storage-management experiments: the baseline, Tables 2-4, Figures 2-7.
+"""Storage-management experiments: the baseline, Tables 2-4, Figures 2-7,
+and the diversion ablation and per-node balance extension built on them.
 
 Every function returns a result object holding both the paper-style table
 rows and the per-utilization curves, plus the paper's published values for
@@ -50,8 +51,23 @@ class SweepResult:
     paper: Dict = field(default_factory=dict)
 
 
+#: Storage management switched off: nothing diverted, no re-salted retry.
+_NO_DIVERSION = {"t_pri": 1.0, "t_div": 0.0, "max_insert_attempts": 1}
+
+
 def _base_config(**overrides) -> StorageRunConfig:
     return replace(StorageRunConfig(), **overrides)
+
+
+def _sweep(paper: Dict, configs) -> SweepResult:
+    """Play one trace per config; one table row per run."""
+    result = SweepResult(paper=paper)
+    for cfg in configs:
+        run = run_storage_trace(cfg)
+        if len(result.rows) == len(result.runs):  # rows/runs in lockstep
+            result.runs.append(run)
+            result.rows.append(run.table_row())
+    return result
 
 
 # --------------------------------------------------------------- §5.1 intro
@@ -66,12 +82,7 @@ def run_baseline_no_diversion(
     60.8%, "clearly demonstrating the need for storage management".
     """
     cfg = _base_config(
-        n_nodes=n_nodes,
-        capacity_scale=capacity_scale,
-        t_pri=1.0,
-        t_div=0.0,
-        max_insert_attempts=1,
-        seed=seed,
+        n_nodes=n_nodes, capacity_scale=capacity_scale, seed=seed, **_NO_DIVERSION
     )
     return run_storage_trace(cfg)
 
@@ -89,17 +100,11 @@ def run_table2(
     """Table 2: storage distributions d1-d4 x leaf-set size {16, 32}."""
     dists = dists or ["d1", "d2", "d3", "d4"]
     leaf_sizes = leaf_sizes or [16, 32]
-    result = SweepResult(paper=PAPER_TABLE2)
-    for l in leaf_sizes:
-        for dist in dists:
-            cfg = _base_config(
-                n_nodes=n_nodes, capacity_scale=capacity_scale, dist=dist, l=l, seed=seed
-            )
-            run = run_storage_trace(cfg)
-            if len(result.rows) == len(result.runs):  # rows/runs in lockstep
-                result.runs.append(run)
-                result.rows.append(run.table_row())
-    return result
+    return _sweep(PAPER_TABLE2, (
+        _base_config(n_nodes=n_nodes, capacity_scale=capacity_scale, dist=dist, l=l, seed=seed)
+        for l in leaf_sizes
+        for dist in dists
+    ))
 
 
 # ------------------------------------------------------- Table 3 / Figure 2
@@ -117,27 +122,13 @@ def run_table3(
     utilization but also the failure rate at low utilization.
     """
     t_pris = t_pris or [0.5, 0.2, 0.1, 0.05]
-    result = SweepResult(paper=PAPER_TABLE3)
-    for t_pri in t_pris:
-        cfg = _base_config(
-            n_nodes=n_nodes,
-            capacity_scale=capacity_scale,
-            t_pri=t_pri,
-            t_div=min(0.05, t_pri),
-            seed=seed,
+    return _sweep(PAPER_TABLE3, (
+        _base_config(
+            n_nodes=n_nodes, capacity_scale=capacity_scale,
+            t_pri=t_pri, t_div=min(0.05, t_pri), seed=seed,
         )
-        run = run_storage_trace(cfg)
-        if len(result.rows) == len(result.runs):  # rows/runs in lockstep
-            result.runs.append(run)
-            result.rows.append(run.table_row())
-    return result
-
-
-def figure2_curves(sweep: SweepResult) -> Dict[float, List[tuple]]:
-    """Cumulative failure ratio vs. utilization, one curve per t_pri."""
-    return {
-        run.config.t_pri: run.stats.cumulative_failure_curve() for run in sweep.runs
-    }
+        for t_pri in t_pris
+    ))
 
 
 # ------------------------------------------------------- Table 4 / Figure 3
@@ -151,22 +142,20 @@ def run_table4(
 ) -> SweepResult:
     """Table 4 + Figure 3: sweep t_div with t_pri = 0.1."""
     t_divs = t_divs or [0.1, 0.05, 0.01, 0.005]
-    result = SweepResult(paper=PAPER_TABLE4)
-    for t_div in t_divs:
-        cfg = _base_config(
+    return _sweep(PAPER_TABLE4, (
+        _base_config(
             n_nodes=n_nodes, capacity_scale=capacity_scale, t_pri=0.1, t_div=t_div, seed=seed
         )
-        run = run_storage_trace(cfg)
-        if len(result.rows) == len(result.runs):  # rows/runs in lockstep
-            result.runs.append(run)
-            result.rows.append(run.table_row())
-    return result
+        for t_div in t_divs
+    ))
 
 
-def figure3_curves(sweep: SweepResult) -> Dict[float, List[tuple]]:
-    """Cumulative failure ratio vs. utilization, one curve per t_div."""
+def failure_curves(sweep: SweepResult, field: str) -> Dict[float, List[tuple]]:
+    """Figures 2 and 3: cumulative failure ratio vs. utilization, one curve
+    per value of the swept threshold (``field`` is "t_pri" or "t_div")."""
     return {
-        run.config.t_div: run.stats.cumulative_failure_curve() for run in sweep.runs
+        getattr(run.config, field): run.stats.cumulative_failure_curve()
+        for run in sweep.runs
     }
 
 
@@ -176,43 +165,15 @@ def figure3_curves(sweep: SweepResult) -> Dict[float, List[tuple]]:
 def run_standard(
     n_nodes: int = 100, capacity_scale: float = 0.25, seed: int = 0
 ) -> StorageRunResult:
-    """The paper's standard configuration: t_pri=0.1, t_div=0.05, l=32."""
+    """The paper's standard configuration: t_pri=0.1, t_div=0.05, l=32.
+
+    Figures 4-6 are read off this one run's ``stats``.  Expect file
+    diversions negligible below ~80% utilization, <~10% of stored
+    replicas diverted at 80%, and failures heavily biased towards large
+    files, the first mean-sized file rejected only above ~90%.
+    """
     cfg = _base_config(n_nodes=n_nodes, capacity_scale=capacity_scale, seed=seed)
     return run_storage_trace(cfg)
-
-
-def run_figure4(n_nodes: int = 100, capacity_scale: float = 0.25, seed: int = 0):
-    """Figure 4: file diversions (1x/2x/3x) and failures vs. utilization.
-
-    Expect file diversions to be negligible below ~80% utilization.
-    Returns ``(run, curves)`` where ``curves`` is a list of
-    ``(utilization, ratio_1x, ratio_2x, ratio_3x, failure_ratio)``.
-    """
-    run = run_standard(n_nodes, capacity_scale, seed)
-    return run, run.stats.file_diversion_curves()
-
-
-def run_figure5(n_nodes: int = 100, capacity_scale: float = 0.25, seed: int = 0):
-    """Figure 5: cumulative replica-diversion ratio vs. utilization.
-
-    Expect <~10% of stored replicas diverted at 80% utilization.
-    Returns ``(run, curve)`` with ``curve`` = [(utilization, ratio)].
-    """
-    run = run_standard(n_nodes, capacity_scale, seed)
-    return run, run.stats.replica_diversion_curve()
-
-
-def run_figure6(n_nodes: int = 100, capacity_scale: float = 0.25, seed: int = 0):
-    """Figure 6: failed-insert sizes vs. utilization, web workload.
-
-    Expect failures heavily biased towards large files, with the first
-    mean-sized file rejected only above ~90% utilization.
-    Returns ``(run, scatter, failure_curve)``.
-    """
-    run = run_standard(n_nodes, capacity_scale, seed)
-    scatter = run.stats.failed_insert_sizes()
-    curve = run.stats.cumulative_failure_curve()
-    return run, scatter, curve
 
 
 def run_figure7(n_nodes: int = 100, capacity_scale: float = 0.25, seed: int = 0):
@@ -235,3 +196,32 @@ def run_figure7(n_nodes: int = 100, capacity_scale: float = 0.25, seed: int = 0)
     )
     run = run_storage_trace(cfg)
     return run, run.stats.failed_insert_sizes(), run.stats.cumulative_failure_curve()
+
+
+# ------------------------------------------------- ablation and extension
+
+
+def run_divert_policy_ablation(
+    n_nodes: int, capacity_scale: float, seed: int
+) -> Dict[str, StorageRunResult]:
+    """§3.3.1's max-free-space diversion target vs. a random eligible one."""
+    base = _base_config(n_nodes=n_nodes, capacity_scale=capacity_scale, seed=seed)
+    return {
+        policy: run_storage_trace(replace(base, divert_target_policy=policy))
+        for policy in ("max_free", "random")
+    }
+
+
+def run_balance(n_nodes: int, capacity_scale: float, seed: int) -> Dict[str, StorageRunResult]:
+    """The standard run with diversion on and off, networks kept, so the
+    per-node utilizations (the §3 balancing objective) can be read off."""
+    base = _base_config(n_nodes=n_nodes, capacity_scale=capacity_scale, seed=seed)
+    return {
+        "diversion": run_storage_trace(base, keep_network=True),
+        "none": run_storage_trace(replace(base, **_NO_DIVERSION), keep_network=True),
+    }
+
+
+def node_utilizations(run: StorageRunResult) -> List[float]:
+    """Per-node store utilization of a run that kept its network."""
+    return [n.store.utilization() for n in run.network.nodes()]

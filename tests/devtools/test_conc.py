@@ -369,7 +369,7 @@ class TestDeterminism:
             env["PYTHONPATH"] = str(REPO_ROOT / "src")
             proc = subprocess.run(
                 [sys.executable, "-m", "repro.devtools.conc", "--format",
-                 "json", "src/repro/pastry", "src/repro/core"],
+                 "json", "src"],
                 cwd=REPO_ROOT, env=env, capture_output=True, text=True,
             )
             assert proc.returncode == 1, proc.stderr

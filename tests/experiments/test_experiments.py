@@ -79,7 +79,7 @@ class TestThresholdSweeps:
 
     def test_figure2_curves_nondecreasing(self):
         sweep = storage.run_table3(seed=5, t_pris=[0.1], **TINY)
-        curves = storage.figure2_curves(sweep)
+        curves = storage.failure_curves(sweep, "t_pri")
         (curve,) = curves.values()
         utils = [u for u, _ in curve]
         assert utils == sorted(utils)
@@ -87,20 +87,20 @@ class TestThresholdSweeps:
 
 class TestDiversionFigures:
     def test_figure4_file_diversion_negligible_at_low_util(self):
-        run, curves = storage.run_figure4(seed=6, **TINY)
+        curves = storage.run_standard(seed=6, **TINY).stats.file_diversion_curves()
         low = [c for c in curves if c[0] < 0.5]
         if low:
             final_low = low[-1]
             assert final_low[1] + final_low[2] + final_low[3] < 0.02
 
     def test_figure5_replica_diversion_grows_with_util(self):
-        run, curve = storage.run_figure5(seed=7, **TINY)
+        curve = storage.run_standard(seed=7, **TINY).stats.replica_diversion_curve()
         early = [r for u, r in curve if u < 0.4]
         late = [r for u, r in curve if u > 0.85]
         assert late and (not early or late[-1] >= max(early))
 
     def test_figure6_failures_biased_to_large_files(self):
-        run, scatter, _ = storage.run_figure6(seed=8, **TINY)
+        scatter = storage.run_standard(seed=8, **TINY).stats.failed_insert_sizes()
         assert scatter, "expected some failures at saturation"
         mean_size = 10_517
         failed_sizes = [s for _, s in scatter]

@@ -33,12 +33,32 @@ class TestParser:
         )
         assert (args.nodes, args.scale, args.seed) == (50, 0.1, 7)
 
+    @pytest.mark.parametrize(
+        "flag", [["--chaos"], ["--data-dir", "x"], ["--workers", "9"],
+                 ["--files", "3"], ["--differential"], ["--out", "f"]],
+    )
+    def test_serve_only_flags_rejected_elsewhere(self, flag):
+        parser = build_parser()
+        assert parser.parse_args(["serve", *flag]).command == "serve"
+        for command in ("table2", "chaos", "list"):
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, *flag])
+
 
 class TestExecution:
     def test_list(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "baseline" in out and "figure8" in out
+
+    def test_list_states_what_a_row_fixes(self, capsys):
+        """A flag a row ignores is stated by ``list``, not silently dropped."""
+        assert main(["list"]) == 0
+        lines = {ln.split()[0]: ln for ln in capsys.readouterr().out.splitlines()[1:]}
+        assert "--scale ignored" in lines["locality"]
+        assert "--seed ignored" in lines["pastry_routing"]
+        assert "--nodes and --scale ignored" in lines["ablation_erasure"]
+        assert "ignored" not in lines["table2"]
 
     def test_baseline_tiny(self, capsys):
         rc = main(["baseline", "--nodes", "25", "--scale", "0.05", "--seed", "3"])
@@ -59,7 +79,7 @@ class TestExecution:
 
         original = churn.run_availability_sweep
 
-        def tiny_sweep(n_nodes, capacity_scale, seed):
+        def tiny_sweep(n_nodes, capacity_scale, seed, **kwargs):
             return original(
                 k_values=[1], fail_fractions=[0.2],
                 n_nodes=20, capacity_scale=0.1, n_files=40, seed=seed,

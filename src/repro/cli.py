@@ -7,6 +7,7 @@ Usage::
     python -m repro table2 --nodes 500 --scale 1.0 --seed 7
     python -m repro chaos
     python -m repro serve --nodes 16 --workers 4 --differential
+    python -m repro check
 
 ``list`` names every artifact command — the rows of
 :data:`repro.experiments.artifacts.ARTIFACTS` — with the
@@ -15,7 +16,9 @@ itself.  ``repro <command>`` prints ``render(run(*scale))`` of its row, the
 call ``pytest benchmarks/ --benchmark-only`` makes; at the default scale
 the six rows ``tests/experiments/test_artifacts.py`` runs print exactly
 the committed file, and CI's ``paper`` job checks the rest.  ``chaos`` and
-``serve`` are harnesses, not artifacts.
+``serve`` are harnesses, not artifacts; ``check`` is the static gate
+(:mod:`repro.devtools.check`).  Each command accepts only the flags it
+reads.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import sys
 from typing import List, Optional
 
 from .analysis import format_table
+from .devtools import check
 from .experiments import chaos
 from .experiments.artifacts import ARTIFACTS, DEFAULT_SCALE
 
@@ -66,7 +70,7 @@ def cmd_serve(args) -> str:
     """Boot a real asyncio-TCP cluster and serve insert/lookup traffic.
 
     Every RPC and routed message crosses a localhost socket through the
-    schema-certified wire codec (see ``python -m repro.devtools.wire``).
+    schema-certified wire codec (certified by ``repro check``).
     ``--differential`` first runs the cross-engine oracle: the same
     seeded workload under SimTransport must produce the same outcome
     checksum as under AsyncioTransport.  A checksum mismatch, a failed
@@ -158,30 +162,61 @@ def list_commands() -> str:
     for command, row in ARTIFACTS.items():
         fixes = f"  [{row.fixes}]" if row.fixes else ""
         lines.append(f"  {command:<24}{row.stem}.txt{fixes}")
-    lines.append("harnesses: chaos, serve")
+    lines.append("harnesses: chaos, serve; static gate: check")
     return "\n".join(lines)
 
 
+#: The flags ``serve`` reads only for its own workload, with their
+#: defaults; ``--chaos`` runs the live sweep's workload and rejects them.
+SERVE_WORKLOAD = {
+    "nodes": DEFAULT_SCALE.n_nodes, "files": 32, "workers": 4,
+    "differential": False, "data_dir": None,
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Rejects ``serve --chaos`` combined with a serve-workload flag."""
+
+    def parse_args(self, args=None, namespace=None):
+        parsed = super().parse_args(args, namespace)
+        if getattr(parsed, "chaos", False):
+            ignored = [
+                "--" + dest.replace("_", "-")
+                for dest, default in SERVE_WORKLOAD.items()
+                if getattr(parsed, dest) != default
+            ]
+            if ignored:
+                self.error(
+                    "serve --chaos runs the live sweep's own workload; "
+                    f"it would ignore {' '.join(ignored)}"
+                )
+        return parsed
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="Reproduce the PAST (SOSP 2001) evaluation tables and figures.",
     )
-    scale = argparse.ArgumentParser(add_help=False)
-    scale.add_argument("--nodes", type=int, default=DEFAULT_SCALE.n_nodes,
+    nodes, scale, seed = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    nodes.add_argument("--nodes", type=int, default=DEFAULT_SCALE.n_nodes,
                        help="overlay size (paper: 2250)")
     scale.add_argument("--scale", type=float, default=DEFAULT_SCALE.capacity_scale,
                        help="node-capacity scale relative to Table 1")
-    scale.add_argument("--seed", type=int, default=DEFAULT_SCALE.seed)
-    # One sub-parser per command, so a flag only `serve` reads is an
-    # error on every other command instead of being silently ignored.
-    commands = parser.add_subparsers(dest="command", required=True)
-    for name in ["list", *sorted(COMMANDS)]:
-        commands.add_parser(name, parents=[scale])
+    seed.add_argument("--seed", type=int, default=DEFAULT_SCALE.seed)
+    # One sub-parser per command, taking only the flags that command
+    # reads, so any other flag is an error instead of silently ignored.
+    commands = parser.add_subparsers(
+        dest="command", required=True, parser_class=argparse.ArgumentParser
+    )
+    reads = {"list": [], "check": [], "chaos": [seed], "serve": [nodes, seed]}
+    for name in ["list", "check", *sorted(COMMANDS)]:
+        commands.add_parser(name, parents=reads.get(name, [nodes, scale, seed]))
+    check.add_arguments(commands.choices["check"])
     serve = commands.choices["serve"]
-    serve.add_argument("--files", type=int, default=32,
+    serve.add_argument("--files", type=int, default=SERVE_WORKLOAD["files"],
                        help="files to insert in the serve workload")
-    serve.add_argument("--workers", type=int, default=4,
+    serve.add_argument("--workers", type=int, default=SERVE_WORKLOAD["workers"],
                        help="concurrent client threads for the lookup phase")
     serve.add_argument("--differential", action="store_true",
                        help="run the SimTransport-vs-AsyncioTransport "
@@ -201,6 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command == "check":
+        return check.run(args)
     if args.command == "list":
         print(list_commands())
         return 0

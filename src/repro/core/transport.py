@@ -5,8 +5,8 @@ The same ``PastNode``/``PastryNode`` logic runs over real TCP
 The precondition is an architectural boundary: node logic must reach the
 clock, timers, routed messages and direct RPCs through *one* interface,
 so that swapping the engine is a constructor argument rather than a
-rewrite.  This module defines that interface; the concurrency analyzer
-(``python -m repro.devtools.conc``) enforces it — engine-pure modules
+rewrite.  This module defines that interface; the concurrency catalogue
+of ``python -m repro check`` enforces it — engine-pure modules
 (``pastry.node``, ``pastry.keepalive``, ``core.node``, ``core.storage``,
 ``core.cache``, ``core.integrity``) may not import the event simulator,
 construct one, read ``sim.now``, or call the network's accounting/fault

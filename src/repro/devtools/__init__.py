@@ -5,12 +5,14 @@ story: the runtime invariants of §3 live in ``repro.core.invariants``,
 while the rules here catch the ways a refactor can silently break
 determinism (unseeded RNGs, wall-clock reads, builtin-``hash`` seed
 derivation), simulation purity (threads, sockets, file I/O inside the
-simulator), layering (cross-layer imports), and protocol completeness
-(request messages without handlers).
+simulator), layering (cross-layer imports), protocol completeness
+(request messages without handlers), concurrency hazards across the
+Transport seam (:mod:`.conc`) and payloads the wire cannot ship
+(:mod:`.wire`).
 
-Run it as::
+Run every catalogue at once as::
 
-    python -m repro.devtools.lint src
+    python -m repro check
 
 See ``README.md`` for the rule catalogue and suppression syntax.
 """
@@ -25,10 +27,9 @@ from .framework import (
     module_from_source,
     run_rules,
 )
-from .rules import ALL_RULES, get_rules
+from .rules import get_rules
 
 __all__ = [
-    "ALL_RULES",
     "Finding",
     "LintError",
     "ModuleInfo",

@@ -11,13 +11,11 @@ properties of the engine-pure node logic:
 * **seam conformance** — time and the network are reached only through
   the :class:`repro.core.transport.Transport` seam (:mod:`.rules`).
 
-``python -m repro.devtools.conc`` (or the ``repro-conc`` entry point)
-runs the catalogue and prints per-module readiness verdicts
-(:mod:`.report`).
+``python -m repro check`` runs the catalogue beside the lint and wire
+catalogues, against the committed accepted-debt baseline.
 """
 
 from .analysis import ConcAnalysis, get_conc_analysis
-from .report import readiness, render_readiness
 from .rules import CONC_RULE_NAMES, ENGINE_PURE_MODULES, conc_rules
 
 __all__ = [
@@ -26,6 +24,4 @@ __all__ = [
     "ENGINE_PURE_MODULES",
     "conc_rules",
     "get_conc_analysis",
-    "readiness",
-    "render_readiness",
 ]

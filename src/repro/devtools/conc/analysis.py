@@ -165,41 +165,6 @@ class ConcAnalysis:
     def function_suspends(self, qual: str) -> bool:
         return qual in self.suspending
 
-    def footprint(self, qual: str) -> List[str]:
-        """Transitive same-object write footprint of one function.
-
-        Attribute names the function writes on ``self``, directly or
-        through same-class helper calls — the state a re-entrant or
-        interleaved activation of the handler could corrupt.
-        """
-        out: Set[Tuple[str, ...]] = set()
-        seen: Set[str] = set()
-        stack = [qual]
-        base = self._func.get(qual)
-        cls = base.info.class_name if base else None
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            fc = self._func.get(current)
-            facts = self.flow.facts.get(current)
-            if fc is None or facts is None:
-                continue
-            if fc.info.class_name == cls:
-                out.update(fc.self_writes)
-            for node in iter_own_nodes(facts.info):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id == "self"
-                ):
-                    for callee, _line in facts.calls:
-                        if callee.rsplit(".", 1)[-1] == node.func.attr:
-                            stack.append(callee)
-        return sorted(".".join(chain) for chain in out)
-
     # ------------------------------------------------------------- event scan
 
     def _scan_all(self) -> None:

@@ -1,11 +1,10 @@
 """The concurrency-readiness checks packaged as lint rules.
 
-Four rules in their own catalogue (:func:`conc_rules`): resolvable by
-name through ``repro.devtools.rules.get_rules`` but never part of
-``all_rules()`` — the determinism gate stays a zero-findings gate, while
-conc findings are tracked against their own committed accepted-debt
-baseline (``benchmarks/conc_baseline.json``) and CI fails only on *new*
-ones.
+Four rules in their own catalogue (:func:`conc_rules`), run by
+``repro check`` beside the determinism and wire catalogues.  Atomicity,
+blocking and reentrancy findings may be accepted debt in the committed
+baseline (``benchmarks/conc_baseline.json``), so the gate fails only on
+*new* ones; ``conc-seam`` is never baselined.
 
 Finding messages deliberately contain no line numbers: the baseline key
 is ``rule|path|message``, so a finding survives unrelated edits to the
@@ -66,8 +65,11 @@ _NO_FILE_IO_SUBPACKAGES = ("pastry", "core")
 #: ``repro.core.network``/``repro.pastry.network`` (the in-process
 #: emulator) out of ``ENGINE_PURE_MODULES``.  The catalogue certifies
 #: engine logic *above* the seam; the plane below it is validated by
-#: the cross-engine differential oracle instead.
-BELOW_SEAM_PACKAGES = ("repro.net",)
+#: the cross-engine differential oracle instead.  ``repro.devtools`` is
+#: skipped beside it: no transport ever dispatches into the analyzers,
+#: and leaving them in would let the name-based call graph reach back
+#: into engine code through same-named analyzer functions.
+BELOW_SEAM_PACKAGES = ("repro.net", "repro.devtools")
 
 
 def _is_engine_pure(module: ModuleInfo) -> bool:

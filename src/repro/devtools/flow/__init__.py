@@ -10,7 +10,7 @@ RNG-discipline violations, and shared-mutable-state risks
 (:mod:`.rules`).
 
 The rules are registered in :mod:`repro.devtools.rules` and share the
-lint CLI, suppressions, and CI gate with the per-file rules.
+``repro check`` gate and suppressions with the per-file rules.
 """
 
 from __future__ import annotations

@@ -10,12 +10,9 @@ rule set and filters findings through ``# lint: ignore[...]`` comments.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import json
-import os
 import re
-import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
@@ -162,7 +159,7 @@ class Rule:
 
     #: Unique kebab-case identifier, used in output and suppressions.
     name: str = ""
-    #: One-line human description for ``--list-rules``.
+    #: One-line human description of what the rule catches.
     description: str = ""
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
@@ -212,13 +209,10 @@ def run_rules(modules: Sequence[ModuleInfo], rules: Sequence[Rule]) -> List[Find
     return findings
 
 
-# ----------------------------------------------------- catalogue plumbing
+# ---------------------------------------------------------------- baseline
 #
-# Every rule family (the determinism gate, conc, wire) ships the
-# same CLI surface: ``--select``/``--ignore`` name resolution, a
-# committed accepted-debt baseline, and ``--changed`` incremental runs.
-# The helpers below are that surface, implemented once; each front door
-# keeps only its family-specific reporting.
+# A committed accepted-debt file: findings recorded in it are counted,
+# not reported (``repro check``, :mod:`repro.devtools.check`).
 
 BASELINE_VERSION = 1
 
@@ -249,155 +243,12 @@ def load_baseline(path: str) -> set:
 
 
 def filter_baselined(
-    findings: Sequence[Finding], path: Optional[str]
+    findings: Sequence[Finding], path: str
 ) -> Tuple[List[Finding], int]:
     """Split findings against a baseline: (new findings, baselined count)."""
-    if not path:
-        return list(findings), 0
     known = load_baseline(path)
     new = [f for f in findings if finding_key(f) not in known]
     return new, len(findings) - len(new)
-
-
-def changed_files(paths: Sequence[str]) -> List[str]:
-    """Python files under ``paths`` that differ from git HEAD.
-
-    Includes modified, added, renamed (new name) and untracked files.
-    Deleted files and the old half of a rename are skipped explicitly —
-    they are part of the diff but have nothing on disk to lint — and
-    every git-reported name is anchored at the repository root, so the
-    command works from a subdirectory too.
-    """
-    roots = [Path(p).resolve() for p in paths]
-
-    def run_git(*args: str) -> List[str]:
-        proc = subprocess.run(
-            ["git", *args], capture_output=True, text=True
-        )
-        if proc.returncode != 0:
-            raise LintError(
-                f"git {' '.join(args)} failed: {proc.stderr.strip()}"
-            )
-        return [line for line in proc.stdout.splitlines() if line]
-
-    repo_root = Path(run_git("rev-parse", "--show-toplevel")[0])
-    in_root = ("-C", str(repo_root))
-
-    candidates = set()
-    # --name-status over --name-only: a deleted file (D) or the old half
-    # of a rename (R old new) must be dropped by *status*, not by racing
-    # the filesystem — a stale name that happens to exist relative to
-    # the current directory would otherwise be linted by accident.
-    for line in run_git(*in_root, "diff", "--name-status", "-M", "HEAD", "--"):
-        fields = line.split("\t")
-        status = fields[0]
-        if status.startswith("D") or len(fields) < 2:
-            continue
-        # For renames/copies (R###/C###) the last field is the new name.
-        candidates.add(fields[-1])
-    # -C keeps untracked discovery repo-wide and repo-root-relative even
-    # when the linter runs from a subdirectory.
-    candidates.update(run_git(*in_root, "ls-files", "--others", "--exclude-standard"))
-    out = []
-    for name in sorted(candidates):
-        path = repo_root / name
-        if path.suffix != ".py" or not path.is_file():
-            continue
-        resolved = path.resolve()
-        if any(
-            root == resolved or root in resolved.parents for root in roots
-        ):
-            # Report paths relative to the caller's cwd (matching the
-            # paths a user would pass on the command line), falling back
-            # to the absolute path when cwd is outside the repo.
-            out.append(os.path.relpath(resolved))
-    return out
-
-
-def _rule_names(value: Union[None, str, Sequence[str]]) -> Optional[List[str]]:
-    if value is None:
-        return None
-    parts = value.split(",") if isinstance(value, str) else list(value)
-    return [part.strip() for part in parts if part and part.strip()]
-
-
-def resolve_rules(
-    rules: Sequence[Rule],
-    select: Union[None, str, Sequence[str]] = None,
-    ignore: Union[None, str, Sequence[str]] = None,
-    extra: Sequence[Rule] = (),
-) -> List[Rule]:
-    """Resolve ``--select``/``--ignore`` against a catalogue.
-
-    ``rules`` is the catalogue's default set; ``extra`` rules are
-    resolvable by name (for cross-catalogue selection) but never part of
-    the default run.  Unknown names raise :class:`LintError`.
-    """
-    resolved = list(rules)
-    by_name = {rule.name: rule for rule in resolved}
-    for rule in extra:
-        by_name[rule.name] = rule
-
-    def _lookup(name: str) -> Rule:
-        if name not in by_name:
-            known = ", ".join(sorted(by_name))
-            raise LintError(f"unknown rule {name!r} (known rules: {known})")
-        return by_name[name]
-
-    names = _rule_names(select)
-    if names is not None:
-        resolved = [_lookup(name) for name in names]
-    ignored = _rule_names(ignore)
-    if ignored:
-        dropped = {_lookup(name).name for name in ignored}
-        resolved = [rule for rule in resolved if rule.name not in dropped]
-    return resolved
-
-
-def add_catalogue_arguments(
-    parser: argparse.ArgumentParser, family: str = "lint"
-) -> None:
-    """Register the argparse surface shared by every catalogue CLI."""
-    parser.add_argument(
-        "paths", nargs="*", default=["src"],
-        help=f"files or directories to {family} (default: src)",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--select", metavar="RULES",
-        help="comma-separated rule names to run (default: the full catalogue)",
-    )
-    parser.add_argument(
-        "--ignore", metavar="RULES",
-        help="comma-separated rule names to skip (applied after --select)",
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule catalogue and exit",
-    )
-    parser.add_argument(
-        "--baseline", metavar="FILE",
-        help="suppress findings recorded in FILE; report only new ones",
-    )
-    parser.add_argument(
-        "--write-baseline", metavar="FILE",
-        help="record the current findings to FILE and exit 0",
-    )
-    parser.add_argument(
-        "--changed", action="store_true",
-        help="analyze only files changed vs. git HEAD under the given paths",
-    )
-
-
-def narrow_to_changed(paths: Sequence[str], changed: bool) -> Optional[List[str]]:
-    """Apply ``--changed``: the paths to analyze, or None for a clean no-op."""
-    if not changed:
-        return list(paths)
-    narrowed = changed_files(paths)
-    return narrowed or None
 
 
 def record_baseline(path: str, findings: Sequence[Finding]) -> str:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from ..framework import Rule, resolve_rules
+from ..framework import LintError, Rule
 from ..flow.rules import OrderingHazardRule, RngDisciplineRule, SharedMutableStateRule
 from .determinism import BuiltinHashRule, GlobalRandomRule, UnseededRandomRule, WallClockRule
 from .layering import LayeringRule
@@ -28,39 +28,31 @@ def all_rules() -> List[Rule]:
     ]
 
 
-#: Stable catalogue used by the CLI for ``--list-rules``.
-ALL_RULES: List[Rule] = all_rules()
-
-
 def get_rules(
     names: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
 ) -> List[Rule]:
-    """Resolve ``--select``/``--ignore`` lists to rule instances.
+    """Resolve rule-name lists to instances of this catalogue.
 
-    ``names`` limits the run to the named rules (all rules when None);
+    ``names`` limits the set to the named rules (all rules when None);
     ``ignore`` then removes rules from that selection.  Unknown names in
-    either list raise :class:`LintError`.
-
-    The conc catalogue (``conc-*``, see :mod:`repro.devtools.conc`) and
-    the wire catalogue (``wire-*``, see :mod:`repro.devtools.wire`) are
-    resolvable by name but never part of the default set: their findings
-    are tracked against their own committed baseline (conc) or their own
-    zero-findings gate (wire), not the correctness gate.
+    either list raise :class:`LintError`.  The conc and wire catalogues
+    are not part of it: ``repro check`` runs all three side by side.
     """
-    from ..conc.rules import conc_rules
-    from ..wire.rules import wire_rules
+    by_name = {rule.name: rule for rule in all_rules()}
 
-    return resolve_rules(
-        all_rules(),
-        select=names,
-        ignore=ignore,
-        extra=[*conc_rules(), *wire_rules()],
-    )
+    def lookup(name: str) -> Rule:
+        if name not in by_name:
+            known = ", ".join(sorted(by_name))
+            raise LintError(f"unknown rule {name!r} (known rules: {known})")
+        return by_name[name]
+
+    rules = list(by_name.values()) if names is None else [lookup(n) for n in names]
+    dropped = {lookup(name).name for name in ignore or ()}
+    return [rule for rule in rules if rule.name not in dropped]
 
 
 __all__ = [
-    "ALL_RULES",
     "BuiltinHashRule",
     "GlobalRandomRule",
     "LayeringRule",

@@ -1,11 +1,10 @@
 """The wire-safety checks packaged as lint rules.
 
-Four rules in their own catalogue (:func:`wire_rules`), under the conc
-catalogue's contract: resolvable by name through
-``repro.devtools.rules.get_rules`` but never part of ``all_rules()``.
-Unlike conc there is no accepted-debt baseline — the wire surface
-gates at **zero findings with zero suppressions**, because every finding
-is a payload the real transport cannot ship.
+Four rules in their own catalogue (:func:`wire_rules`), run by ``repro
+check`` beside the determinism and conc catalogues.  Unlike conc there
+is no accepted debt — the wire surface gates at **zero findings with
+zero suppressions**, because every finding is a payload the real
+transport cannot ship.
 
 Finding messages deliberately contain no line numbers: the identity key
 is ``rule|path|message``, so a finding survives unrelated edits and
@@ -19,7 +18,7 @@ from typing import Iterator, List, Optional, Sequence
 
 from ..framework import Finding, ModuleInfo, ProjectRule, Rule
 from .extract import RemoteHandler, WireAnalysis, get_wire_analysis, is_wire_safe
-from .schema import DEFAULT_SCHEMA_PATH, build_schema, load_schema
+from .schema import DEFAULT_SCHEMA_PATH, build_schema, load_schema, schema_json
 
 
 class _WireRule(ProjectRule):
@@ -127,8 +126,7 @@ class WireHandlerTotalRule(_WireRule):
     name = "wire-handler-total"
     description = (
         "every send site must resolve to exactly one handler with a "
-        "matching signature; committed-schema handlers with no remaining "
-        "call site are dead and flagged"
+        "matching signature"
     )
 
     def check_project(self, modules: Sequence[ModuleInfo]) -> Iterator[Finding]:
@@ -146,30 +144,6 @@ class WireHandlerTotalRule(_WireRule):
                 continue  # bare crashed-target send: nothing to match
             handler = analysis.handlers[site.handler]
             yield from self._check_arity(site, handler)
-        committed = load_schema(self.schema_path)
-        if committed is None:
-            return
-        live = set(analysis.handlers)
-        by_name = {m.name: m for m in modules}
-        for key in sorted(committed.get("rpcs", {})):
-            if key in live:
-                continue
-            entry = committed["rpcs"][key]
-            module = by_name.get(entry.get("module", ""))
-            cls, _, method = key.partition(".")
-            info = analysis.classes.get(cls)
-            path = info.path if info is not None else (
-                module.path if module is not None else str(self.schema_path)
-            )
-            line = info.line if info is not None else 1
-            yield Finding(
-                rule=self.name, path=path, line=line,
-                message=(
-                    f"{key}: handler in the committed wire schema has no "
-                    "remaining call site (dead handler); re-run "
-                    "--write-schema if it was removed deliberately"
-                ),
-            )
 
     def _check_arity(self, site, handler: RemoteHandler) -> Iterator[Finding]:
         names = [name for name, _ in handler.params]
@@ -231,14 +205,27 @@ class WireLostPathRule(_WireRule):
             )
 
 
+#: Schema entry fields a drift finding names, and the words it uses.
+_DRIFT_LABELS = {
+    "params": "parameter shape",
+    "returns": "return shape",
+    "sites": "call sites",
+    "fields": "field shape",
+    "frozen": "frozen flag",
+    "module": "module",
+}
+
+_RERUN = "run `repro check --write-schema`"
+
+
 class WireSchemaDriftRule(_WireRule):
-    """Call sites must agree with the committed wire schema."""
+    """The committed wire schema is the one recomputed from source."""
 
     name = "wire-schema-drift"
     description = (
-        "the RPC surface recomputed from source must match the committed "
-        "wire_schema.json: shape drift means the transport's wire format "
-        "no longer matches the node logic"
+        "the committed wire_schema.json must be byte-identical to the "
+        "schema recomputed from source: each differing rpc or message is "
+        "named where it is defined, any other difference at the schema file"
     )
 
     def check_project(self, modules: Sequence[ModuleInfo]) -> Iterator[Finding]:
@@ -247,58 +234,62 @@ class WireSchemaDriftRule(_WireRule):
             return  # no golden schema yet: nothing to drift from
         analysis = self._analysis(modules)
         current = build_schema(analysis)
-        committed_rpcs = committed.get("rpcs", {})
-        for key in sorted(current["rpcs"]):
-            entry = current["rpcs"][key]
-            handler = analysis.handlers[key]
-            if key not in committed_rpcs:
-                yield Finding(
-                    rule=self.name, path=handler.path, line=handler.line,
-                    message=(
-                        f"{key}: rpc is live in source but absent from the "
-                        "committed wire schema; run --write-schema"
-                    ),
-                )
-                continue
-            pinned = committed_rpcs[key]
-            if entry["params"] != pinned.get("params"):
-                yield Finding(
-                    rule=self.name, path=handler.path, line=handler.line,
-                    message=(
-                        f"{key}: parameter shape drifted from the committed "
-                        "wire schema; run --write-schema and review the "
-                        "codec impact"
-                    ),
-                )
-            if entry["returns"] != pinned.get("returns"):
-                yield Finding(
-                    rule=self.name, path=handler.path, line=handler.line,
-                    message=(
-                        f"{key}: return shape drifted from the committed "
-                        "wire schema; run --write-schema and review the "
-                        "codec impact"
-                    ),
-                )
-        committed_messages = committed.get("messages", {})
-        for name in sorted(current["messages"]):
-            info = analysis.message_classes[name]
-            if name not in committed_messages:
-                yield Finding(
-                    rule=self.name, path=info.path, line=info.line,
-                    message=(
-                        f"message {name} is absent from the committed wire "
-                        "schema; run --write-schema"
-                    ),
-                )
-            elif current["messages"][name]["fields"] != committed_messages[name].get("fields"):
-                yield Finding(
-                    rule=self.name, path=info.path, line=info.line,
-                    message=(
-                        f"message {name}: field shape drifted from the "
-                        "committed wire schema; run --write-schema and "
-                        "review the codec impact"
-                    ),
-                )
+        if schema_json(current) == self.schema_path.read_text():
+            return
+        located = list(self._located(modules, analysis, current, committed))
+        yield from located
+        other = sorted(
+            key for key in set(current) | set(committed)
+            if key not in ("rpcs", "messages")
+            and current.get(key) != committed.get(key)
+        )
+        if other or not located:
+            yield Finding(
+                rule=self.name, path=str(self.schema_path), line=1,
+                message=(
+                    f"{self.schema_path.name} differs from the schema "
+                    "recomputed from source in "
+                    f"{', '.join(other) or 'its serialization'}; {_RERUN}"
+                ),
+            )
+
+    def _located(self, modules, analysis: WireAnalysis, current, committed):
+        """A finding per rpc or message whose entry differs, where it is
+        defined (or, gone from source, at the module the schema names)."""
+        paths = {m.name: m.path for m in modules}
+        sections = (
+            ("rpcs", "{}", analysis.handlers,
+             "rpc is live in source but absent from the committed wire schema",
+             "handler in the committed wire schema has no remaining call "
+             "site (dead handler)"),
+            ("messages", "message {}", analysis.message_classes,
+             "absent from the committed wire schema",
+             "in the committed wire schema but no message dataclass in "
+             "source (stale message)"),
+        )
+        for section, label, defined, absent, gone in sections:
+            pinned_section = committed.get(section, {})
+            for key in sorted(set(current[section]) | set(pinned_section)):
+                entry, pinned = current[section].get(key), pinned_section.get(key)
+                if entry == pinned:
+                    continue
+                if entry is None:
+                    path = paths.get(pinned.get("module"), str(self.schema_path))
+                    line = 1
+                    messages = [f"{gone}; {_RERUN} if it was removed deliberately"]
+                else:
+                    path, line = defined[key].path, defined[key].line
+                    messages = [f"{absent}; {_RERUN}"] if pinned is None else [
+                        f"{words} drifted from the committed wire schema; "
+                        f"{_RERUN} and review the codec impact"
+                        for field, words in _DRIFT_LABELS.items()
+                        if field in entry and entry[field] != pinned.get(field)
+                    ]
+                for message in messages:
+                    yield Finding(
+                        rule=self.name, path=path, line=line,
+                        message=f"{label.format(key)}: {message}",
+                    )
 
 
 def wire_rules(schema_path: Optional[Path] = None) -> List[Rule]:

@@ -6,9 +6,10 @@ keys, sorted site lists — byte-identical across hash seeds); the golden
 copy is committed at :data:`DEFAULT_SCHEMA_PATH`, inside ``repro.net``,
 where the codec loads it as its message/type registry.
 
-The schema is a *certificate*: CI recomputes it from source and
-byte-compares (``--check-schema``), so the wire format the transport
-implements can never silently drift from what the node logic sends.
+The schema is a *certificate*: ``repro check`` recomputes it from source
+and byte-compares (the ``wire-schema-drift`` rule), so the wire format
+the transport implements can never silently drift from what the node
+logic sends; ``repro check --write-schema`` rewrites it.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Deterministic wire codec generated from the committed wire schema.
 
-The wire analyzer (``python -m repro.devtools.wire``) proves every value
+The wire catalogue of ``python -m repro check`` proves every value
 crossing the ``Transport`` seam is built from primitives, containers of
 primitives, and the registered message dataclasses, and pins that
 surface in ``wire_schema.json``.  This module *cashes* the certificate:
@@ -37,7 +37,8 @@ __all__ = [
     "SCHEMA_PATH", "take_frame",
 ]
 
-#: The golden schema committed next to this module by ``--write-schema``.
+#: The golden schema committed next to this module by
+#: ``repro check --write-schema``.
 SCHEMA_PATH = Path(__file__).resolve().parent / "wire_schema.json"
 
 _SCHEMA_VERSION = 2
@@ -135,7 +136,7 @@ class WireCodec:
             if live != pinned:
                 raise CodecError(
                     f"wire schema drift: {name} fields {live} != pinned {pinned};"
-                    " re-run python -m repro.devtools.wire --write-schema"
+                    " re-run python -m repro check --write-schema"
                 )
             self._index[cls] = len(self._types)
             self._types.append(cls)

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro import PastConfig, PastNetwork, audit
 from repro.pastry import PastryNetwork
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def build_pastry(n: int, b: int = 4, l: int = 16, seed: int = 1) -> PastryNetwork:
@@ -65,6 +71,26 @@ def small_past() -> PastNetwork:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(12345)
+
+
+@pytest.fixture(scope="session")
+def check_reports_across_hash_seeds():
+    """``repro check --json`` on the tree under PYTHONHASHSEED 0 and 31337.
+
+    One subprocess pair serves every hash-seed determinism test: the
+    report must be byte-identical, and each report's ``schema: match``
+    says the schema recomputed under that seed equals the committed bytes.
+    """
+    outputs = []
+    for seed in ("0", "31337"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(REPO_ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "check", "--json"],
+            cwd=REPO_ROOT, env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        outputs.append(proc.stdout)
+    return outputs
 
 
 @pytest.fixture

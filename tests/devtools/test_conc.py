@@ -1,35 +1,32 @@
-"""Tests for the concurrency-readiness analyzer (`repro-conc`).
+"""Tests for the concurrency-readiness analyzer (the conc catalogue).
 
 Planted fixtures: a check-then-act-across-RPC mutant the atomicity
 analysis MUST flag, its confirm-reread rewrite that must pass clean
 (the shape every concurrency fix in this repo follows), blocking and
 seam-conformance mutants, plus the real-tree gates — the committed
-baseline covers every finding, the engine-pure modules are never
-``blocked``, and the repaired production paths stay clean.
+baseline covers every finding and holds nothing else, the engine-pure
+modules have no seam or blocking finding, and the repaired production
+paths stay clean.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-from repro.devtools import collect_modules, module_from_source, run_rules
+from repro.cli import main
+from repro.devtools import check, collect_modules, module_from_source, run_rules
 from repro.devtools.conc import (
     CONC_RULE_NAMES,
     ENGINE_PURE_MODULES,
     conc_rules,
     get_conc_analysis,
-    readiness,
 )
 from repro.devtools.conc.analysis import ConcAnalysis
-from repro.devtools.conc.cli import main as conc_main
-from repro.devtools.lint import finding_key, load_baseline
-from repro.devtools.rules import get_rules
+from repro.devtools.framework import finding_key, load_baseline
+from repro.devtools.rules import all_rules
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 BASELINE = REPO_ROOT / "benchmarks" / "conc_baseline.json"
@@ -313,14 +310,22 @@ class TestRealTree:
         stale = load_baseline(str(BASELINE)) - {finding_key(f) for f in findings}
         assert not stale, "stale conc baseline entries:\n" + "\n".join(sorted(stale))
 
+    def test_baseline_holds_only_conc_debt(self):
+        """One baseline, and only atomicity / reentrancy / blocking debt
+        in it: lint, wire and ``conc-seam`` findings stay zero-tolerance."""
+        rules = {key.split("|", 1)[0] for key in load_baseline(str(BASELINE))}
+        assert rules <= {"conc-atomicity", "conc-reentrancy", "conc-blocking"}
+
     def test_engine_pure_modules_are_never_blocked(self, real_tree):
-        modules, findings, analysis = real_tree
-        table = readiness(modules, findings, analysis)
-        assert sorted(table) == sorted(ENGINE_PURE_MODULES)
-        for name, entry in table.items():
-            assert entry["verdict"] in ("ready", "conditionally-ready"), (
-                f"{name} is {entry['verdict']}: {entry['findings']}"
-            )
+        """No seam or blocking finding in an engine-pure module."""
+        modules, findings, _ = real_tree
+        pure = {m.path for m in modules if m.name in ENGINE_PURE_MODULES}
+        assert len(pure) == len(ENGINE_PURE_MODULES)
+        blocked = [
+            f.render() for f in findings
+            if f.path in pure and f.rule in ("conc-seam", "conc-blocking")
+        ]
+        assert not blocked, "\n".join(blocked)
 
     def test_seam_conformance_is_unconditionally_clean(self, real_tree):
         _modules, findings, _ = real_tree
@@ -348,33 +353,15 @@ class TestRealTree:
         assert not [h for h in exchange if h.key.split(".")[0] == "node"]
 
     def test_keepalive_module_is_fully_ready(self, real_tree):
-        modules, findings, analysis = real_tree
-        table = readiness(modules, findings, analysis)
-        assert table["repro.pastry.keepalive"]["verdict"] == "ready"
-
-    def test_footprints_cover_monitor_state(self, real_tree):
-        _modules, _findings, analysis = real_tree
-        qual = "repro.pastry.keepalive.KeepAliveMonitor._probe_round"
-        footprint = analysis.footprint(qual)
-        assert "last_heard" in footprint
-        assert "detected" in footprint
+        modules, findings, _ = real_tree
+        (path,) = [m.path for m in modules if m.name == "repro.pastry.keepalive"]
+        assert not [f for f in findings if f.path == path]
 
 
 class TestDeterminism:
-    def test_report_is_byte_identical_across_hash_seeds(self, tmp_path):
-        outputs = []
-        for seed in ("0", "31337"):
-            env = dict(os.environ)
-            env["PYTHONHASHSEED"] = seed
-            env["PYTHONPATH"] = str(REPO_ROOT / "src")
-            proc = subprocess.run(
-                [sys.executable, "-m", "repro.devtools.conc", "--format",
-                 "json", "src"],
-                cwd=REPO_ROOT, env=env, capture_output=True, text=True,
-            )
-            assert proc.returncode == 1, proc.stderr
-            outputs.append(proc.stdout)
-        assert outputs[0] == outputs[1]
+    def test_report_is_byte_identical_across_hash_seeds(self, check_reports_across_hash_seeds):
+        first, second = check_reports_across_hash_seeds
+        assert first == second
 
     def test_hazard_order_is_stable(self, real_tree):
         _modules, _findings, analysis = real_tree
@@ -383,48 +370,21 @@ class TestDeterminism:
 
 
 class TestCli:
-    def test_write_then_gate_round_trip(self, tmp_path, capsys):
-        os.chdir(REPO_ROOT)
-        baseline = tmp_path / "conc.json"
-        assert conc_main(["--write-baseline", str(baseline), "src"]) == 0
+    def test_write_then_gate_round_trip(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(REPO_ROOT)
+        monkeypatch.setattr(check, "BASELINE_PATH", tmp_path / "conc.json")
+        assert main(["check", "--write-baseline"]) == 0
         capsys.readouterr()
-        assert conc_main(["--baseline", str(baseline), "src"]) == 0
+        assert main(["check"]) == 0
         out = capsys.readouterr().out
-        assert "0 new findings" in out
-        assert "concurrency readiness" in out
-
-    def test_select_and_exit_codes(self, capsys):
-        os.chdir(REPO_ROOT)
-        assert conc_main(["--select", "conc-seam", "--no-report", "src"]) == 0
-        capsys.readouterr()
-        assert conc_main(["--select", "no-such-rule", "src"]) == 2
-
-    def test_list_rules(self, capsys):
-        assert conc_main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for name in CONC_RULE_NAMES:
-            assert name in out
-
-    def test_json_report_carries_readiness(self, capsys):
-        os.chdir(REPO_ROOT)
-        code = conc_main(
-            ["--format", "json", "--baseline", str(BASELINE), "src"]
-        )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["count"] == 0
-        assert payload["baselined"] > 0
-        assert set(payload["readiness"]) == set(ENGINE_PURE_MODULES)
+        assert "0 findings" in out
+        assert load_baseline(str(tmp_path / "conc.json")) == load_baseline(str(BASELINE))
 
 
 class TestRegistry:
-    def test_conc_rules_resolvable_by_name_but_not_default(self):
-        from repro.devtools.rules import all_rules
-
+    def test_conc_rules_not_in_default_set(self):
         default_names = {rule.name for rule in all_rules()}
-        assert not any(name in default_names for name in CONC_RULE_NAMES)
-        selected = get_rules(list(CONC_RULE_NAMES))
-        assert {rule.name for rule in selected} == set(CONC_RULE_NAMES)
+        assert not default_names & set(CONC_RULE_NAMES)
 
     def test_analysis_cache_is_identity_keyed(self):
         module = module_from_source(PLANTED_MUTANT, name="repro.core.fx")

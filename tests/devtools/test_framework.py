@@ -1,4 +1,4 @@
-"""Framework behaviour: module loading, suppressions, engine, CLI."""
+"""Framework behaviour: module loading, suppressions, engine, front door."""
 
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from repro.devtools import (
     run_rules,
 )
 from repro.devtools.framework import import_aliases, qualified_name
-from repro.devtools.lint import main as lint_main
 from repro.devtools.rules import get_rules
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -118,14 +117,22 @@ class TestEngine:
 
 
 class TestCli:
+    """``repro check`` on single files; the selection tests pin
+    :func:`get_rules`, which resolves rule names for library callers."""
+
     def _run(self, *argv):
         env = dict(os.environ)
         src = str(REPO_ROOT / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         return subprocess.run(
-            [sys.executable, "-m", "repro.devtools.lint", *argv],
+            [sys.executable, "-m", "repro", "check", *argv],
             capture_output=True, text=True, env=env, cwd=str(REPO_ROOT),
         )
+
+    def _dirty(self, tmp_path):
+        dirty = tmp_path / "dirty.py"
+        dirty.write_text("import random\n\nrng = random.Random()\n")
+        return collect_modules([dirty])
 
     def test_clean_file_exits_zero(self, tmp_path):
         clean = tmp_path / "clean.py"
@@ -137,7 +144,7 @@ class TestCli:
     def test_dirty_file_exits_one_with_json(self, tmp_path):
         dirty = tmp_path / "dirty.py"
         dirty.write_text("import random\n\nrng = random.Random()\n")
-        proc = self._run(str(dirty), "--format", "json")
+        proc = self._run(str(dirty), "--json")
         assert proc.returncode == 1
         payload = json.loads(proc.stdout)
         assert payload["count"] == 1
@@ -145,53 +152,28 @@ class TestCli:
         assert payload["findings"][0]["line"] == 3
 
     def test_usage_error_exits_two(self):
-        proc = self._run("--select", "no-such-rule", "src")
+        proc = self._run("no/such/dir")
         assert proc.returncode == 2
-        assert "unknown rule" in proc.stderr
-
-    def test_list_rules_names_all_rules(self):
-        assert lint_main(["--list-rules"]) == 0
+        assert "no such file" in proc.stderr
 
     def test_select_runs_only_named_rules(self, tmp_path):
-        dirty = tmp_path / "dirty.py"
-        dirty.write_text("import random\n\nrng = random.Random()\n")
-        proc = self._run(str(dirty), "--select", "builtin-hash")
-        assert proc.returncode == 0
+        assert run_rules(self._dirty(tmp_path), get_rules(["builtin-hash"])) == []
 
     def test_select_multiple_rules(self, tmp_path):
-        dirty = tmp_path / "dirty.py"
-        dirty.write_text("import random\n\nrng = random.Random()\n")
-        proc = self._run(
-            str(dirty), "--select", "builtin-hash,unseeded-random",
-            "--format", "json",
+        findings = run_rules(
+            self._dirty(tmp_path), get_rules(["builtin-hash", "unseeded-random"])
         )
-        assert proc.returncode == 1
-        payload = json.loads(proc.stdout)
-        assert payload["count"] == 1
-        assert payload["findings"][0]["rule"] == "unseeded-random"
+        assert [f.rule for f in findings] == ["unseeded-random"]
 
     def test_ignore_skips_named_rule(self, tmp_path):
-        dirty = tmp_path / "dirty.py"
-        dirty.write_text("import random\n\nrng = random.Random()\n")
-        proc = self._run(str(dirty), "--ignore", "unseeded-random")
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "0 findings" in proc.stdout
+        assert run_rules(self._dirty(tmp_path), get_rules(ignore=["unseeded-random"])) == []
 
     def test_ignore_composes_with_select(self, tmp_path):
-        dirty = tmp_path / "dirty.py"
-        dirty.write_text("import random\n\nrng = random.Random()\n")
-        proc = self._run(
-            str(dirty),
-            "--select", "unseeded-random,builtin-hash",
-            "--ignore", "unseeded-random",
+        rules = get_rules(
+            ["unseeded-random", "builtin-hash"], ignore=["unseeded-random"]
         )
-        assert proc.returncode == 0
-        assert "0 findings" in proc.stdout
-
-    def test_ignore_unknown_rule_exits_two(self):
-        proc = self._run("--ignore", "no-such-rule", "src")
-        assert proc.returncode == 2
-        assert "unknown rule" in proc.stderr
+        assert [rule.name for rule in rules] == ["builtin-hash"]
+        assert run_rules(self._dirty(tmp_path), rules) == []
 
     def test_get_rules_ignore_api(self):
         from repro.devtools.rules import all_rules

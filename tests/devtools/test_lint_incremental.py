@@ -1,49 +1,42 @@
-"""Tests for the linter's incremental mode (--baseline / --changed)."""
+"""Tests for the committed accepted-debt baseline of ``repro check``."""
 
 import json
-import subprocess
 
 import pytest
 
-from repro.devtools.lint import (
-    changed_files,
-    finding_key,
-    load_baseline,
-    main as lint_main,
-    write_baseline,
-)
-from repro.devtools.framework import Finding, LintError
+from repro.cli import main
+from repro.devtools import check
+from repro.devtools.framework import Finding, LintError, finding_key, load_baseline, write_baseline
 
 BAD_SOURCE = "import random\nr = random.Random()\n"
 
 
 @pytest.fixture
-def tree(tmp_path):
+def tree(tmp_path, monkeypatch):
     (tmp_path / "bad.py").write_text(BAD_SOURCE)
+    monkeypatch.setattr(check, "BASELINE_PATH", tmp_path / "baseline.json")
     return tmp_path
 
 
 class TestBaseline:
     def test_write_then_suppress(self, tree, capsys):
-        baseline = tree / "lint-baseline.json"
-        assert lint_main([str(tree), "--write-baseline", str(baseline)]) == 0
+        assert main(["check", str(tree), "--write-baseline"]) == 0
         out = capsys.readouterr().out
         assert "1 finding" in out
         # The recorded finding no longer fails the run...
-        assert lint_main([str(tree), "--baseline", str(baseline)]) == 0
+        assert main(["check", str(tree)]) == 0
         # ...but a new one does, and is the only one reported.
         (tree / "worse.py").write_text(BAD_SOURCE)
-        assert lint_main([str(tree), "--baseline", str(baseline)]) == 1
+        assert main(["check", str(tree)]) == 1
         out = capsys.readouterr().out
         assert "worse.py" in out and "bad.py" not in out
 
     def test_baseline_survives_line_drift(self, tree):
-        baseline = tree / "baseline.json"
-        lint_main([str(tree), "--write-baseline", str(baseline)])
+        main(["check", str(tree), "--write-baseline"])
         # Shift the offending line down; the finding identity is
         # line-number-free, so it stays suppressed.
         (tree / "bad.py").write_text("# a comment\n\n" + BAD_SOURCE)
-        assert lint_main([str(tree), "--baseline", str(baseline)]) == 0
+        assert main(["check", str(tree)]) == 0
 
     def test_finding_key_ignores_line(self):
         a = Finding("rule", "p.py", 3, "msg")
@@ -55,84 +48,12 @@ class TestBaseline:
         write_baseline(str(path), [Finding("r", "p.py", 1, "m")])
         assert load_baseline(str(path)) == {"r|p.py|m"}
 
-    def test_unreadable_baseline_is_usage_error(self, tree, capsys):
-        assert lint_main([str(tree), "--baseline", str(tree / "nope.json")]) == 2
+    def test_unreadable_baseline_is_usage_error(self, tree):
+        # The fixture's baseline has not been written: nothing to read.
+        assert main(["check", str(tree)]) == 2
 
     def test_wrong_version_is_usage_error(self, tree):
         bad = tree / "bad-baseline.json"
         bad.write_text(json.dumps({"version": 99, "findings": []}))
         with pytest.raises(LintError):
             load_baseline(str(bad))
-
-
-class TestChanged:
-    @pytest.fixture
-    def repo(self, tmp_path):
-        def git(*args):
-            subprocess.run(
-                ["git", *args], cwd=tmp_path, check=True,
-                capture_output=True,
-            )
-
-        git("init", "-q")
-        git("config", "user.email", "t@example.com")
-        git("config", "user.name", "t")
-        (tmp_path / "clean.py").write_text("x = 1\n")
-        git("add", "clean.py")
-        git("commit", "-qm", "init")
-        return tmp_path
-
-    def test_changed_sees_modified_and_untracked_only(self, repo, monkeypatch):
-        monkeypatch.chdir(repo)
-        (repo / "clean.py").write_text("x = 2\n")
-        (repo / "new.py").write_text("y = 3\n")
-        assert sorted(changed_files(["."])) == ["clean.py", "new.py"]
-        # Scope filter: a subdirectory root excludes top-level files.
-        (repo / "sub").mkdir()
-        (repo / "sub" / "inner.py").write_text("z = 4\n")
-        assert changed_files(["sub"]) == ["sub/inner.py"]
-
-    def test_changed_lints_only_the_diff(self, repo, monkeypatch, capsys):
-        monkeypatch.chdir(repo)
-        # An (uncommitted) offender next to a committed clean file.
-        (repo / "new_bad.py").write_text(BAD_SOURCE)
-        assert lint_main([".", "--changed"]) == 1
-        out = capsys.readouterr().out
-        assert "new_bad.py" in out and "clean.py" not in out
-
-    def test_changed_with_clean_diff_exits_zero(self, repo, monkeypatch, capsys):
-        monkeypatch.chdir(repo)
-        assert lint_main([".", "--changed"]) == 0
-        assert "no changed python files" in capsys.readouterr().out
-
-    def test_changed_skips_deleted_files(self, repo, monkeypatch):
-        monkeypatch.chdir(repo)
-        (repo / "clean.py").unlink()
-        # The deleted file is in the diff but must not be linted; a lone
-        # deletion leaves nothing to check at all.
-        assert changed_files(["."]) == []
-
-    def test_changed_follows_renames(self, repo, monkeypatch):
-        monkeypatch.chdir(repo)
-
-        def git(*args):
-            subprocess.run(
-                ["git", *args], cwd=repo, check=True, capture_output=True
-            )
-
-        git("mv", "clean.py", "renamed.py")
-        # Only the new name is linted — the old half of the rename has
-        # nothing on disk and must not surface as a phantom candidate.
-        assert changed_files(["."]) == ["renamed.py"]
-
-    def test_changed_works_from_a_subdirectory(self, repo, monkeypatch):
-        # Names from git are repo-root-relative; run from a subdirectory
-        # to prove they are anchored at the root, not the cwd.
-        sub = repo / "pkg"
-        sub.mkdir()
-        (sub / "mod.py").write_text("a = 1\n")
-        (repo / "clean.py").unlink()  # deletion mixed into the same diff
-        monkeypatch.chdir(sub)
-        assert changed_files(["."]) == ["mod.py"]
-        # A root naming the repo top level still sees the new file.
-        assert changed_files([".."]) == ["mod.py"]

@@ -1,4 +1,4 @@
-"""Tests for the wire-safety analyzer (`repro-wire`).
+"""Tests for the wire-safety analyzer (the wire catalogue).
 
 Planted fixtures: one mutant per wire rule that the analyzer MUST flag,
 the clean rewrite of the same RPC shape that must pass, plus the real
@@ -10,15 +10,12 @@ source (the codec's type registry can never silently drift).
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-from repro.devtools import collect_modules, module_from_source, run_rules
-from repro.devtools.rules import get_rules
+from repro.cli import main
+from repro.devtools import collect_modules, get_rules, module_from_source, run_rules
 from repro.devtools.wire import (
     DEFAULT_SCHEMA_PATH,
     build_schema,
@@ -27,13 +24,7 @@ from repro.devtools.wire import (
     schema_json,
     wire_rules,
 )
-from repro.devtools.wire.cli import main as wire_main
-from repro.devtools.wire.rules import (
-    WireHandlerTotalRule,
-    WireLostPathRule,
-    WireSchemaDriftRule,
-    WireSerializableRule,
-)
+from repro.devtools.wire.rules import WireSchemaDriftRule, WireSerializableRule
 from repro.devtools.wire.schema import write_schema
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -184,16 +175,14 @@ class TestWireHandlerTotal:
         )
 
     def test_dead_schema_handler_is_flagged(self, tmp_path):
-        schema = tmp_path / "wire_schema.json"
-        schema.write_text(json.dumps({
-            "version": 2,
-            "rpcs": {
-                "Store.fetch": {"module": "repro.core.fixture"},
-                "Store.stale_handler": {"module": "repro.core.fixture"},
-            },
-            "messages": {},
-        }))
-        findings = analyze(CLEAN_RPC, rules=[WireHandlerTotalRule(schema)])
+        """A committed handler with no call site left: the schema side of
+        handler totality, reported by the one schema check."""
+        module = module_from_source(CLEAN_RPC, name="repro.core.fixture", path="fixture.py")
+        schema = build_schema(get_wire_analysis([module]))
+        schema["rpcs"]["Store.stale_handler"] = {**schema["rpcs"]["Store.fetch"], "sites": []}
+        path = tmp_path / "wire_schema.json"
+        write_schema(schema, path)
+        findings = run_rules([module], [WireSchemaDriftRule(path)])
         assert len(findings) == 1
         assert "Store.stale_handler" in findings[0].message
         assert "dead handler" in findings[0].message
@@ -324,17 +313,33 @@ class TestWireSchemaDrift:
         )
 
 
+#: Five kinds of stale schema a field-by-field comparison of rpc params,
+#: returns and message fields cannot see; the byte comparison does.
+STALE_SCHEMA = {
+    "route-dropped": lambda s: s["routes"].pop("ReclaimRequest"),
+    "probe-sites-emptied": lambda s: s.update(probe_sites=[]),
+    "rpc-sites-emptied": lambda s: s["rpcs"]["PastNode.fetch"].update(sites=[]),
+    "message-frozen-flipped": lambda s: s["messages"]["InsertRequest"].update(frozen=True),
+    "stale-message-kept": lambda s: s["messages"].update(
+        RetiredRequest={"module": "repro.core.messages", "frozen": False, "fields": []}
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def src_modules():
+    return collect_modules([REPO_ROOT / "src"])
+
+
 class TestRealTreeGates:
-    def test_src_tree_has_zero_findings(self, monkeypatch, capsys):
+    def test_src_tree_has_zero_findings(self, src_modules):
         """The wire gate: the production RPC surface is fully shippable,
         with no baseline and no suppressions."""
-        monkeypatch.chdir(REPO_ROOT)
-        assert wire_main(["--format", "json", "src"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["count"] == 0
-        assert payload["baselined"] == 0
-        assert payload["surface"]["rpcs"] > 0
-        assert payload["surface"]["send_sites"] > 0
+        findings = run_rules(src_modules, wire_rules())
+        assert not findings, "\n".join(f.render() for f in findings)
+        analysis = get_wire_analysis(src_modules)
+        assert analysis.handlers
+        assert any(site.kind == "send" for site in analysis.sites)
 
     def test_no_wire_suppressions_in_src(self):
         """Zero suppressions is part of the gate: a wire finding is a
@@ -343,53 +348,36 @@ class TestRealTreeGates:
             text = path.read_text()
             assert "lint: ignore[wire-" not in text, path
 
-    def test_committed_schema_matches_source(self, monkeypatch):
-        monkeypatch.chdir(REPO_ROOT)
-        modules = collect_modules(["src"])
-        fresh = schema_json(build_schema(get_wire_analysis(modules)))
+    def test_committed_schema_matches_source(self, src_modules):
+        fresh = schema_json(build_schema(get_wire_analysis(src_modules)))
         committed = DEFAULT_SCHEMA_PATH.read_text()
         assert fresh == committed, (
-            "wire_schema.json is stale; run "
-            "python -m repro.devtools.wire --write-schema src"
+            "wire_schema.json is stale; run python -m repro check --write-schema"
         )
 
     def test_check_schema_cli_passes(self, monkeypatch, capsys):
         monkeypatch.chdir(REPO_ROOT)
-        assert wire_main(["--check-schema", "src"]) == 0
-        assert "matches source" in capsys.readouterr().out
+        assert main(["check"]) == 0
+        assert "wire schema: match" in capsys.readouterr().out
 
-    def test_schema_bytes_stable_across_hash_seeds(self, tmp_path):
+    def test_schema_bytes_stable_across_hash_seeds(self, check_reports_across_hash_seeds):
         """The golden schema must be byte-identical under any
-        PYTHONHASHSEED — CI diffs two seeds, this pins the same contract."""
-        outputs = []
-        for seed in ("0", "31337"):
-            out = tmp_path / f"schema-{seed}.json"
-            env = dict(os.environ, PYTHONHASHSEED=seed,
-                       PYTHONPATH=str(REPO_ROOT / "src"))
-            proc = subprocess.run(
-                [sys.executable, "-m", "repro.devtools.wire",
-                 "--write-schema", "--schema", str(out), "src"],
-                cwd=REPO_ROOT, env=env, capture_output=True, text=True,
-            )
-            assert proc.returncode == 0, proc.stderr
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
+        PYTHONHASHSEED: each seed's report compares it with the
+        committed bytes."""
+        for report in check_reports_across_hash_seeds:
+            assert json.loads(report)["schema"] == "match"
+
+    @pytest.mark.parametrize("kind", sorted(STALE_SCHEMA))
+    def test_stale_schema_is_a_drift_finding(self, kind, src_modules, tmp_path):
+        stale = json.loads(DEFAULT_SCHEMA_PATH.read_text())
+        STALE_SCHEMA[kind](stale)
+        path = tmp_path / "wire_schema.json"
+        write_schema(stale, path)
+        findings = run_rules(src_modules, [WireSchemaDriftRule(path)])
+        assert findings and {f.rule for f in findings} == {"wire-schema-drift"}
 
 
 class TestCatalogueRegistry:
-    def test_wire_rules_resolvable_by_name(self):
-        selected = get_rules(list(WIRE_RULE_NAMES))
-        assert sorted(r.name for r in selected) == sorted(WIRE_RULE_NAMES)
-
     def test_wire_rules_not_in_default_set(self):
         default = {r.name for r in get_rules()}
         assert not default & set(WIRE_RULE_NAMES)
-
-    def test_list_rules_cli(self, capsys):
-        assert wire_main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for name in WIRE_RULE_NAMES:
-            assert name in out
-
-    def test_unknown_rule_name_is_a_usage_error(self, capsys):
-        assert wire_main(["--select", "wire-bogus", "src"]) == 2

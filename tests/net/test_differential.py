@@ -111,6 +111,14 @@ class TestDurableServe:
         assert "durability" not in bench
         assert "shutdown" not in bench
 
+    def test_plain_serve_observes_no_wire_failures(self):
+        """The fault plane is zero-cost when absent: with no plan
+        installed, every classified wire-failure counter stays 0."""
+        bench = run_serve(
+            n_nodes=6, n_files=4, seed=11, workers=2, lookup_rounds=1,
+        )
+        assert bench["wire"] and not any(bench["wire"].values()), bench["wire"]
+
     def test_graceful_shutdown_drains_and_flushes(self, tmp_path):
         net, transport = build_cluster(
             6, seed=3, engine="asyncio", data_dir=tmp_path

@@ -40,9 +40,26 @@ class TestParser:
     def test_serve_only_flags_rejected_elsewhere(self, flag):
         parser = build_parser()
         assert parser.parse_args(["serve", *flag]).command == "serve"
-        for command in ("table2", "chaos", "list"):
+        for command in ("table2", "chaos", "list", "check"):
             with pytest.raises(SystemExit):
                 parser.parse_args([command, *flag])
+
+    @pytest.mark.parametrize("argv", [
+        ["list", "--nodes", "5"],
+        ["chaos", "--scale", "3"],
+        ["chaos", "--nodes", "9"],
+        ["serve", "--scale", "7"],
+        ["serve", "--chaos", "--nodes", "4"],
+        ["serve", "--chaos", "--files", "2", "--workers", "9", "--differential"],
+        ["check", "--seed", "1"],
+    ])
+    def test_flags_a_command_does_not_read_are_rejected(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
+    def test_chaos_keeps_the_flags_it_reads(self):
+        args = build_parser().parse_args(["serve", "--chaos", "--seed", "3", "--out", "f"])
+        assert (args.chaos, args.seed, args.out) == (True, 3, "f")
 
 
 class TestExecution:
@@ -182,12 +199,12 @@ class TestPackaging:
     ROOT = Path(__file__).resolve().parents[1]
 
     def test_console_scripts_import_and_are_callable(self):
+        """One console script, ``repro``; the explorer and the sanitizer
+        keep their ``python -m`` doors."""
         text = (self.ROOT / "pyproject.toml").read_text()
         section = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
-        targets = re.findall(r'^[\w-]+ = "([\w.]+):(\w+)"$', section, re.M)
-        assert len(targets) == len(section.strip().splitlines()) > 0
-        for module, attr in targets:
-            assert callable(getattr(importlib.import_module(module), attr))
+        assert section.strip().splitlines() == ['repro = "repro.cli:main"']
+        assert callable(importlib.import_module("repro.cli").main)
 
     def test_ci_module_invocations_resolve(self):
         ci = (self.ROOT / ".github" / "workflows" / "ci.yml").read_text()

@@ -80,11 +80,9 @@ def cmd_serve(args) -> str:
 
     lines = []
     if args.chaos:
-        from .experiments.live_chaos import (
-            LiveChaosConfig, render_live_chaos, run_live_sweep,
-        )
+        from .experiments.live_chaos import render_live_chaos, run_live_sweep
 
-        report = run_live_sweep(LiveChaosConfig(seed=args.seed))
+        report = run_live_sweep(args.seed)
         text = render_live_chaos(report, bench_out=args.out)
         if report.oracle_failures():
             raise CommandFailed(text)

@@ -1,10 +1,10 @@
 """Anti-entropy scrubbing: background replica verification and repair.
 
 PAST's durability argument (§3.5) assumes the k replicas a file has on
-disk are actually readable; silent bit rot, torn writes and failing
-disks violate that assumption without any node ever *dying*, so the
-keep-alive/maintenance machinery never notices.  The scrubber closes the
-gap the way robust replicated object stores do:
+disk are actually readable; silent bit rot violates that assumption
+without any node ever *dying*, so the keep-alive/maintenance machinery
+never notices.  The scrubber closes the gap the way robust replicated
+object stores do:
 
 * each node runs a periodic, jittered virtual-time task that walks its
   local replicas performing *verified reads* (recompute the content
@@ -36,7 +36,7 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Set
 
-from ..netsim.faults import READ_CORRUPT, READ_ERROR
+from ..netsim.faults import READ_CORRUPT
 from ..netsim.transport import as_transport
 from ..pastry import idspace
 from .seeding import derive_seed
@@ -52,7 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover
 class IntegrityStats:
     """Counters for the integrity plane's detections and repairs."""
 
-    #: Verified reads during lookups that returned corrupt/error.
+    #: Verified reads during lookups that returned corrupt.
     failed_reads: int = 0
     #: Corrupt copies overwritten in place with a verified donor copy.
     read_repairs: int = 0
@@ -165,13 +165,10 @@ class AntiEntropyScrubber:
             if not net.is_file_registered(fid):
                 self._drop_stale(node, fid)
                 continue
-            if node.store.holds_file(fid):
-                verdict = node.store.verify_replica(fid)
-                if verdict == READ_CORRUPT:
-                    net.integrity.scrub_corrupt_found += 1
-                    node.read_repair(fid)
-                elif verdict == READ_ERROR:
-                    continue  # transient; retry next round
+            if (node.store.holds_file(fid)
+                    and node.store.verify_replica(fid) == READ_CORRUPT):
+                net.integrity.scrub_corrupt_found += 1
+                node.read_repair(fid)
             cert = node.store.certificate_for(fid)
             if cert is not None:
                 self._exchange_digests(node, fid, cert)

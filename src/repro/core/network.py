@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..netsim.faults import READ_CORRUPT, READ_ERROR, StorageFaultPlan
+from ..netsim.faults import READ_CORRUPT, StorageFaultPlan
 from ..netsim.topology import Topology
 from ..pastry import PastryNetwork, idspace
 from ..pastry.network import RouteResult
@@ -897,24 +897,18 @@ class PastNetwork:
         for node in list(self._past.values()) + list(self._failed_past.values()):
             node.store.fault_plan = None
 
-    def verify_all_replicas(self) -> Dict[str, List[Tuple[int, int]]]:
+    def verify_all_replicas(self) -> List[Tuple[int, int]]:
         """One verified read of every replica on every live node.
 
         Materializes lazily-evaluated bit rot into the replicas'
         ``corrupted`` flags so a subsequent (read-only, draw-free)
         :func:`~repro.core.invariants.audit` sees the damage.  Returns
-        the sorted ``(node_id, file_id)`` pairs that verified corrupt
-        and those that hit transient read errors.
+        the sorted ``(node_id, file_id)`` pairs that verified corrupt.
         """
         corrupt: List[Tuple[int, int]] = []
-        errors: List[Tuple[int, int]] = []
         for node in self.nodes():
             for fid in node.store.file_ids():
-                if not node.store.holds_file(fid):
-                    continue
-                verdict = node.store.verify_replica(fid)
-                if verdict == READ_CORRUPT:
+                if (node.store.holds_file(fid)
+                        and node.store.verify_replica(fid) == READ_CORRUPT):
                     corrupt.append((node.node_id, fid))
-                elif verdict == READ_ERROR:
-                    errors.append((node.node_id, fid))
-        return {"corrupt": sorted(corrupt), "errors": sorted(errors)}
+        return sorted(corrupt)

@@ -153,8 +153,8 @@ class PastNode(PastryApplication):
 
     def _note_failed_read(self, msg: LookupRequest, fid: int, verdict: str) -> None:
         """A local copy failed its verified read: count the failover and,
-        for sticky corruption, start read-repair before the lookup moves
-        on to the next holder (transient errors just retry later)."""
+        for corruption, start read-repair before the lookup moves on to
+        the next holder."""
         msg.integrity_failures += 1
         self.network.integrity.failed_reads += 1
         if verdict == READ_CORRUPT:

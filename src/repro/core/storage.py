@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, AbstractSet, Callable, Dict, Iterable, List, Optional
 
-from ..netsim.faults import READ_CORRUPT, READ_ERROR, READ_OK
+from ..netsim.faults import READ_CORRUPT, READ_OK
 from ..security import FileCertificate
 from ..security.certificates import corrupted_content_hash
 from .cache import CacheManager, make_policy
@@ -38,7 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..netsim.faults import StorageFaultPlan
 
 #: Extra :meth:`LocalStore.verify_replica` verdict beyond the plan's
-#: READ_OK/READ_CORRUPT/READ_ERROR: the replica is not on this disk.
+#: READ_OK/READ_CORRUPT: the replica is not on this disk.
 REPLICA_MISSING = "missing"
 
 #: The referrers of a replica nothing points to: nearly every replica, so
@@ -76,10 +76,10 @@ class StoredReplica:
         #: Read it like any set; write through :meth:`add_referrer` and
         #: :meth:`drop_referrer`, which own a set only while it has members.
         self.referrers: AbstractSet[int] = _NO_REFERRERS
-        #: The on-disk bytes no longer match the certificate (torn write or
-        #: bit rot).  Maintained by :meth:`LocalStore.verify_replica`; the
-        #: invariant audit reads this flag instead of re-consulting the
-        #: fault plan so auditing stays free of RNG draws.
+        #: The on-disk bytes no longer match the certificate (bit rot).
+        #: Maintained by :meth:`LocalStore.verify_replica`; the invariant
+        #: audit reads this flag instead of re-consulting the fault plan
+        #: so auditing stays free of RNG draws.
         self.corrupted = corrupted
         #: Virtual times bracketing the bit-rot exposure window: rot accrues
         #: over ``now - max(stored_at, last_checked)``.
@@ -209,8 +209,8 @@ class LocalStore:
     def can_accept(self, size: int, threshold: float) -> bool:
         """The paper's acceptance rule: reject iff ``size/free > threshold``.
 
-        A disk in ``readonly``/``failing`` mode additionally refuses all
-        new replicas, feeding the §3.3 diversion machinery exactly as a
+        A disk in ``readonly`` mode additionally refuses all new
+        replicas, feeding the §3.3 diversion machinery exactly as a
         full disk would, while existing replicas keep serving reads.
         """
         if self.fault_plan is not None and not self.fault_plan.writable(self.node_id):
@@ -253,10 +253,8 @@ class LocalStore:
             replica.stored_at = now
             replica.last_checked = now
             # Clear any corruption record left by a prior copy of this
-            # fid on this disk (e.g. a rotted cached copy), then let the
-            # plan decide whether this write lands torn.
+            # fid on this disk (e.g. a rotted cached copy).
             plan.forget(self.node_id, fid)
-            replica.corrupted = plan.store_written(self.node_id, fid, certificate.size)
         if diverted:
             self.diverted_in[fid] = replica
         else:
@@ -307,8 +305,7 @@ class LocalStore:
         recomputes the hash the on-disk bytes produce and compares it
         against the certificate, exactly as a client with real bytes
         would.  Returns ``READ_OK``, ``READ_CORRUPT`` (sticky until
-        :meth:`repair_replica`), ``READ_ERROR`` (transient; retrying may
-        succeed) or :data:`REPLICA_MISSING`.
+        :meth:`repair_replica`) or :data:`REPLICA_MISSING`.
         """
         replica = self.get_replica(file_id)
         if replica is None:
@@ -318,8 +315,6 @@ class LocalStore:
             now = self.now()
             elapsed = now - max(replica.stored_at, replica.last_checked)
             verdict = plan.read(self.node_id, file_id, replica.size, max(0.0, elapsed))
-            if verdict == READ_ERROR:
-                return READ_ERROR
             replica.last_checked = now
             replica.corrupted = verdict == READ_CORRUPT
         if replica.observed_content_hash() != replica.certificate.content_hash:
@@ -330,26 +325,23 @@ class LocalStore:
         """Overwrite a corrupt replica with a verified copy (read-repair).
 
         The rewrite goes through the same disk, so it is refused on a
-        ``readonly``/``failing`` disk (the caller must then re-replicate
-        elsewhere) and can itself land torn.  Returns True iff the local
-        copy is verified-clean afterwards.
+        ``readonly`` disk (the caller must then re-replicate elsewhere).
+        Returns True iff the local copy is verified-clean afterwards.
         """
         replica = self.get_replica(file_id)
         if replica is None:
             return False
         plan = self.fault_plan
-        if plan is None:
-            replica.corrupted = False
-            return True
-        if not plan.writable(self.node_id):
-            plan.refuse_write(self.node_id)
-            return False
-        now = self.now()
-        plan.mark_repaired(self.node_id, file_id)
-        replica.stored_at = now
-        replica.last_checked = now
-        replica.corrupted = plan.store_written(self.node_id, file_id, replica.size)
-        return not replica.corrupted
+        if plan is not None:
+            if not plan.writable(self.node_id):
+                plan.refuse_write(self.node_id)
+                return False
+            now = self.now()
+            plan.mark_repaired(self.node_id, file_id)
+            replica.stored_at = now
+            replica.last_checked = now
+        replica.corrupted = False
+        return True
 
     def note_cached(self, file_id: int) -> None:
         """Stamp a fresh cache insertion; rot accrues from this instant."""
@@ -361,7 +353,7 @@ class LocalStore:
 
         Cached copies are disposable — a corrupt one is simply evicted
         (no read-repair) and the lookup falls through to the replica
-        holders; a transient read error also misses without evicting.
+        holders.
         """
         if not self.cache.lookup(file_id):
             return False
@@ -371,14 +363,12 @@ class LocalStore:
         now = self.now()
         size = self.cache.size_of(file_id) or 0
         last = self._cache_checked.get(file_id, now)
-        verdict = plan.read(self.node_id, file_id, size, max(0.0, now - last))
-        if verdict == READ_OK:
+        if plan.read(self.node_id, file_id, size, max(0.0, now - last)) == READ_OK:
             self._cache_checked[file_id] = now
             return True
-        if verdict == READ_CORRUPT:
-            self.cache.remove(file_id)
-            self._cache_checked.pop(file_id, None)
-            plan.forget(self.node_id, file_id)
+        self.cache.remove(file_id)
+        self._cache_checked.pop(file_id, None)
+        plan.forget(self.node_id, file_id)
         return False
 
     # ------------------------------------------------------------- pointers

@@ -116,8 +116,6 @@ class ChaosReport:
     partition_drops: int = 0
     probes_lost: int = 0
     rpcs_lost: int = 0
-    #: Always 0 (like the three disk counters below): kept for ``--json``.
-    duplicates: int = 0
     #: Durability oracle (post-quiescence).
     lost_files: int = 0
     lost_file_ids: List[str] = field(default_factory=list)
@@ -126,11 +124,8 @@ class ChaosReport:
     audit_ok: bool = True
     violations: List[str] = field(default_factory=list)
     false_detections: int = 0
-    #: StorageFaultPlan counters at heal time.
+    #: StorageFaultPlan's rot counter at heal time.
     bitrot_corruptions: int = 0
-    partial_writes: int = 0
-    disk_read_errors: int = 0
-    writes_refused: int = 0
     #: Integrity-plane reactions (IntegrityStats) + post-heal audit.
     integrity_failovers: int = 0
     read_repairs: int = 0
@@ -739,11 +734,10 @@ def _format_report(r: ChaosReport) -> str:
     line = "  ".join(parts)
     if r.lost_file_ids:
         line += "\n" + " " * 30 + "lost: " + ", ".join(r.lost_file_ids)
-    if r.bitrot_corruptions or r.partial_writes or r.disk_read_errors:
+    if r.bitrot_corruptions:
         line += (
             "\n" + " " * 30
-            + f"disk: rot {r.bitrot_corruptions}  torn {r.partial_writes}"
-            + f"  read-errs {r.disk_read_errors}"
+            + f"disk: rot {r.bitrot_corruptions}"
             + f"  repairs {r.read_repairs}  re-repl {r.re_replications}"
             + f"  corrupt-files {r.corrupt_files}"
             + f" (unrecoverable {r.unrecoverable_files})"
@@ -864,9 +858,9 @@ def _main_crash_restart(args) -> int:
 def _main_live(args) -> int:
     # Imported here: the live harness pulls in repro.net (real sockets),
     # which the sim-only scenarios should not pay for.
-    from .live_chaos import LiveChaosConfig, render_live_chaos, run_live_sweep
+    from .live_chaos import render_live_chaos, run_live_sweep
 
-    report = run_live_sweep(LiveChaosConfig(seed=args.seed))
+    report = run_live_sweep(args.seed)
     print(render_live_chaos(report, bench_out=args.bench_out, as_json=args.json))
     return 1 if report.oracle_failures() else 0
 

@@ -52,37 +52,30 @@ from ..net.faults import WireFaultPlan, decision_parity
 from ..netsim.faults import FaultSpec
 from .chaos import render_run, write_bench
 
-__all__ = ["LiveChaosConfig", "LiveChaosReport", "run_live_sweep",
+__all__ = ["LiveChaosReport", "run_live_sweep",
            "live_chaos_bench", "render_live_chaos"]
 
-
-@dataclass
-class LiveChaosConfig:
-    """One live chaos scenario: cluster, workload, and wire adversity."""
-
-    seed: int = 2201
-    n_nodes: int = 12
-    n_files: int = 18
-    #: Lookup rounds; every round looks up every successfully inserted
-    #: file once, from a seeded-random live client.
-    lookup_rounds: int = 6
-    #: Uniform per-leg loss probability (the sim sweep's headline rate).
-    loss: float = 0.10
-    #: Mean injected per-leg delay (seconds of real sleep; exponential).
-    delay_mean: float = 0.001
-    #: Per-leg duplication probability on route legs.
-    duplicate: float = 0.02
-    #: Wire-only probability a surviving leg is torn mid-frame.
-    reset: float = 0.02
-    #: Seeded process kills (with WAL restart two rounds later).
-    kills: int = 2
-    #: Logical round the partition activates / heals at.
-    partition_round: float = 4.0
-    partition_heal_round: float = 5.0
-    #: Client resilience; also derives the transport's RPC deadlines.
-    policy: RetryPolicy = field(
-        default_factory=lambda: RetryPolicy(max_attempts=6)
-    )
+# The one live scenario: cluster, workload, and wire adversity.
+N_NODES = 12
+N_FILES = 18
+#: Lookup rounds; every round looks up every successfully inserted file
+#: once, from a seeded-random live client.
+LOOKUP_ROUNDS = 6
+#: Uniform per-leg loss probability (the sim sweep's headline rate).
+LOSS = 0.10
+#: Mean injected per-leg delay (seconds of real sleep; exponential).
+DELAY_MEAN = 0.001
+#: Per-leg duplication probability on route legs.
+DUPLICATE = 0.02
+#: Wire-only probability a surviving leg is torn mid-frame.
+RESET = 0.02
+#: Seeded process kills (with WAL restart two rounds later).
+KILLS = 2
+#: Logical round the partition activates / heals at.
+PARTITION_ROUND = 4.0
+PARTITION_HEAL_ROUND = 5.0
+#: Client resilience; also derives the transport's RPC deadlines.
+POLICY = RetryPolicy(max_attempts=6)
 
 
 @dataclass
@@ -178,7 +171,7 @@ class LiveChaosReport:
         return failures
 
 
-def _spec_for(cfg: LiveChaosConfig, node_ids: List[int]) -> FaultSpec:
+def _spec_for(seed: int, node_ids: List[int]) -> FaultSpec:
     """The shared FaultSpec: kills, partition and link noise, seeded.
 
     Victims and the partitioned minority are disjoint seeded choices, so
@@ -186,9 +179,9 @@ def _spec_for(cfg: LiveChaosConfig, node_ids: List[int]) -> FaultSpec:
     exercises refused connections and WAL restarts — one failure mode
     per file is recoverable by construction (k replicas, minority < k).
     """
-    rng = random.Random(derive_seed(cfg.seed, "live-cast"))
+    rng = random.Random(derive_seed(seed, "live-cast"))
     ids = sorted(node_ids)
-    victims = rng.sample(ids, cfg.kills)
+    victims = rng.sample(ids, KILLS)
     minority_pool = [n for n in ids if n not in victims]
     minority = rng.sample(minority_pool, max(2, len(ids) // 4))
     crashes = tuple(
@@ -196,11 +189,11 @@ def _spec_for(cfg: LiveChaosConfig, node_ids: List[int]) -> FaultSpec:
         for i, victim in enumerate(victims)
     )
     return FaultSpec(
-        seed=derive_seed(cfg.seed, "live-spec"),
-        loss=cfg.loss,
-        delay_mean=cfg.delay_mean,
-        duplicate=cfg.duplicate,
-        partitions=((cfg.partition_round, cfg.partition_heal_round,
+        seed=derive_seed(seed, "live-spec"),
+        loss=LOSS,
+        delay_mean=DELAY_MEAN,
+        duplicate=DUPLICATE,
+        partitions=((PARTITION_ROUND, PARTITION_HEAL_ROUND,
                      tuple(sorted(minority))),),
         crashes=crashes,
     )
@@ -224,10 +217,10 @@ def _kill(net: PastNetwork, transport, victim: int,
     node = net.past_node_or_none(victim)
     pre_files[victim] = sorted(node.store.file_ids())
     node.store.backend.crash()
-    transport.kill_server(victim)
+    transport.stop_server(victim)
 
 
-def run_live_sweep(cfg: Optional[LiveChaosConfig] = None) -> LiveChaosReport:
+def run_live_sweep(seed: int = 2201) -> LiveChaosReport:
     """Seeded insert/lookup workload over localhost TCP under chaos.
 
     Timeline (logical rounds, which are also the fault plan's clock):
@@ -235,31 +228,29 @@ def run_live_sweep(cfg: Optional[LiveChaosConfig] = None) -> LiveChaosReport:
     looks up every file once from a random live client.  Kill *i* fires
     at round ``1+i`` — its round's lookups run against the corpse before
     detection — and restarts from its WAL two rounds later.  A minority
-    partition spans ``[partition_round, partition_heal_round)``.  After
+    partition spans ``[PARTITION_ROUND, PARTITION_HEAL_ROUND)``.  After
     the last round the plan is removed (heal), stragglers restart,
     repair runs to fixpoint, and the oracles judge the aftermath.
     """
-    cfg = cfg or LiveChaosConfig()
     base = Path(tempfile.mkdtemp(prefix="repro-live-"))
     net, transport = build_cluster(
-        cfg.n_nodes, cfg.seed, engine="asyncio", data_dir=base,
-        policy=cfg.policy,
+        N_NODES, seed, engine="asyncio", data_dir=base, policy=POLICY,
     )
     assert transport is not None
     report = LiveChaosReport(
-        scenario="live-chaos", seed=cfg.seed, nodes=cfg.n_nodes,
-        files=cfg.n_files, rounds=cfg.lookup_rounds,
+        scenario="live-chaos", seed=seed, nodes=N_NODES,
+        files=N_FILES, rounds=LOOKUP_ROUNDS,
     )
     try:
         node_ids = sorted(net.pastry.node_ids)
-        spec = _spec_for(cfg, node_ids)
+        spec = _spec_for(seed, node_ids)
         clock = {"now": 0.0}
-        plan = WireFaultPlan(spec, reset=cfg.reset).bind_clock(
+        plan = WireFaultPlan(spec, reset=RESET).bind_clock(
             lambda: clock["now"]
         )
         transport.install_faults(plan)
 
-        rng = random.Random(derive_seed(cfg.seed, "live-workload"))
+        rng = random.Random(derive_seed(seed, "live-workload"))
         owner = net.create_client("live-chaos")
         down: set = set()
         pre_files: Dict[int, List[int]] = {}
@@ -278,21 +269,21 @@ def run_live_sweep(cfg: Optional[LiveChaosConfig] = None) -> LiveChaosReport:
 
         # Round 0: inserts, under loss (client reroutes lost requests).
         fids = []
-        for i in range(cfg.n_files):
+        for i in range(N_FILES):
             client = _pick_client(net, rng, down)
             content = (rng.getrandbits(8 * 64).to_bytes(64, "big")
                        * rng.randrange(1, 9))
             result = net.insert(
                 f"live-file-{i}", owner, content=content,
-                client_id=client, policy=cfg.policy,
+                client_id=client, policy=POLICY,
             )
             if result.success:
                 fids.append(result.file_id)
-        report.inserts_attempted = cfg.n_files
+        report.inserts_attempted = N_FILES
         report.inserts_succeeded = len(fids)
 
         # Lookup rounds with mid-traffic kills, restarts and partition.
-        for r in range(1, cfg.lookup_rounds + 1):
+        for r in range(1, LOOKUP_ROUNDS + 1):
             clock["now"] = float(r)
             for event in plan.due_restarts(clock["now"]):
                 restart(event.node_id)
@@ -306,12 +297,12 @@ def run_live_sweep(cfg: Optional[LiveChaosConfig] = None) -> LiveChaosReport:
             # round's traffic runs against it before the detection pass
             # at the round boundary) or a partition is active.
             degraded = bool(fresh_kills) or (
-                cfg.partition_round <= clock["now"] < cfg.partition_heal_round
+                PARTITION_ROUND <= clock["now"] < PARTITION_HEAL_ROUND
             )
             succeeded = 0
             for fid in fids:
                 client = _pick_client(net, rng, down)
-                result = net.lookup(fid, client_id=client, policy=cfg.policy)
+                result = net.lookup(fid, client_id=client, policy=POLICY)
                 report.lookups_attempted += 1
                 report.total_attempts += result.attempts
                 if result.success:
@@ -340,7 +331,7 @@ def run_live_sweep(cfg: Optional[LiveChaosConfig] = None) -> LiveChaosReport:
         # Every kill was detected at its round boundary, so stragglers
         # are the nodes still down; the clock here is the round counter,
         # so the episode's own simulator has nothing pending.
-        clock["now"] = cfg.lookup_rounds + 1.0
+        clock["now"] = LOOKUP_ROUNDS + 1.0
         report.injected = plan.injected_snapshot()
         transport.install_faults(None)
         Episode(net).quiesce(restart=restart)
@@ -348,7 +339,7 @@ def run_live_sweep(cfg: Optional[LiveChaosConfig] = None) -> LiveChaosReport:
         # Oracles: every file retrievable, clean audit, verdict parity.
         for fid in fids:
             client = _pick_client(net, rng, down)
-            outcome = net.lookup(fid, client_id=client, policy=cfg.policy)
+            outcome = net.lookup(fid, client_id=client, policy=POLICY)
             if not outcome.success:
                 report.lost_files += 1
                 if f"{fid:#x}" not in report.lost_file_ids:
@@ -356,7 +347,7 @@ def run_live_sweep(cfg: Optional[LiveChaosConfig] = None) -> LiveChaosReport:
         post = verdict(net)
         report.audit_ok, report.violations = post.audit_ok, post.violations
         report.parity = decision_parity(
-            spec, node_ids, length=256, reset=cfg.reset
+            spec, node_ids, length=256, reset=RESET
         )
         report.wire = transport.wire.snapshot()
         return report

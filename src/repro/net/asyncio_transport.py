@@ -293,7 +293,7 @@ class AsyncioTransport:
     def ensure_server(self, node_id: int) -> int:
         """Start (idempotently) the server for one node; returns its port.
 
-        Also the restart path after :meth:`kill_server`: an explicit
+        Also the restart path after :meth:`stop_server`: an explicit
         ensure clears the down flag, the way a restarted process binds
         its port again.
         """
@@ -308,10 +308,6 @@ class AsyncioTransport:
         resurrect it — only an explicit :meth:`ensure_server` restart.
         """
         self._run(self._stop_server(node_id, kill=True))
-
-    def kill_server(self, node_id: int) -> None:
-        """Alias of :meth:`stop_server`, named for chaos harness intent."""
-        self.stop_server(node_id)
 
     def install_faults(self, plan: Optional[WireFaultPlan]) -> None:
         """Install (or with ``None`` remove) the socket-level fault plan."""

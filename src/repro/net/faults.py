@@ -3,10 +3,10 @@
 The simulator's :class:`~repro.netsim.faults.FaultPlan` never touches a
 socket, so until now the production-shaped plane had never survived a
 dropped packet.  :class:`WireFaultPlan` mirrors the sim fault model at
-the TCP layer: per-link loss, added delay, duplication, partitions with
-heal, gray peers — plus the failure modes only real sockets have
-(connection resets mid-frame, uniformly slow peers) and a seeded
-node-process kill/restart schedule the live chaos harness applies.
+the TCP layer: uniform loss, added delay, duplication and partitions
+with heal — plus the failure mode only real sockets have (connection
+resets mid-frame) and a seeded node-process kill/restart schedule the
+live chaos harness applies.
 
 Parity by construction: a wire plan does not reimplement the sim's
 verdict logic — it *embeds* a :class:`FaultPlan` built from the same
@@ -135,37 +135,24 @@ class WireFaultPlan:
     Parameters
     ----------
     spec:
-        The shared :class:`FaultSpec`.  Loss, delay, duplication, gray
-        nodes, per-link overrides, partitions and the kill/restart
-        schedule all come from here, decided by an embedded
-        :class:`FaultPlan` built via :meth:`FaultPlan.from_spec` — the
-        sim and wire engines share one verdict core.
+        The shared :class:`FaultSpec`.  Loss, delay, duplication,
+        partitions and the kill/restart schedule all come from here,
+        decided by an embedded :class:`FaultPlan` built via
+        :meth:`FaultPlan.from_spec` — the sim and wire engines share one
+        verdict core.
     reset:
         Wire-only probability that a surviving leg is torn mid-frame
         (the client writes a partial length prefix and drops the
         connection).  Drawn from a *separate* RNG derived from the spec
         seed, so enabling resets does not shift the shared stream.
-    slow_peers / slow_delay:
-        Wire-only gray-area peers: every leg touching one is delayed by
-        a deterministic extra ``slow_delay`` seconds (no draw).
     """
 
-    def __init__(
-        self,
-        spec: FaultSpec,
-        reset: float = 0.0,
-        slow_peers: Sequence[int] = (),
-        slow_delay: float = 0.05,
-    ) -> None:
+    def __init__(self, spec: FaultSpec, reset: float = 0.0) -> None:
         if not 0.0 <= reset <= 1.0:
             raise ValueError(f"reset must be a probability, got {reset}")
-        if slow_delay < 0.0:
-            raise ValueError("slow_delay must be non-negative")
         self.spec = spec
         self.link = FaultPlan.from_spec(spec)
         self.reset = reset
-        self.slow_peers = frozenset(slow_peers)
-        self.slow_delay = slow_delay
         #: Wire-only draws never share the link RNG (parity invariant).
         self.wire_rng = random.Random(derive_seed(spec.seed, "wire-faults"))
         self.resets_injected = 0
@@ -220,15 +207,12 @@ class WireFaultPlan:
         verdict = self.link.transmit(src, dst)
         if verdict.lost:
             return WireVerdict(lost=True, partition=partition)
-        delay = verdict.delay
-        if self.slow_peers and (src in self.slow_peers or dst in self.slow_peers):
-            delay += self.slow_delay
         reset = False
         if self.reset > 0.0 and self.wire_rng.random() < self.reset:
             reset = True
             self.resets_injected += 1
         return WireVerdict(
-            delay=delay, duplicate=verdict.duplicate, reset=reset
+            delay=verdict.delay, duplicate=verdict.duplicate, reset=reset
         )
 
     def injected_snapshot(self) -> Dict[str, int]:

@@ -23,12 +23,10 @@ from .faults import (
     CRASH_BEFORE_FSYNC,
     CRASH_PHASES,
     CRASH_TORN_FSYNC,
-    DISK_FAILING,
     DISK_OK,
     DISK_READONLY,
     NEVER,
     READ_CORRUPT,
-    READ_ERROR,
     READ_OK,
     CrashEvent,
     CrashPoint,
@@ -52,7 +50,6 @@ __all__ = [
     "CRASH_TORN_FSYNC",
     "CrashEvent",
     "CrashPoint",
-    "DISK_FAILING",
     "DISK_OK",
     "DISK_READONLY",
     "Decision",
@@ -68,7 +65,6 @@ __all__ = [
     "PAPER_PER_HOP_MS",
     "Partition",
     "READ_CORRUPT",
-    "READ_ERROR",
     "READ_OK",
     "StorageFaultPlan",
     "PendingEvent",

@@ -5,10 +5,10 @@ paper's robustness claims are exactly about an unreliable one: §2.3 says
 a client whose request is lost "must retry" under randomized routing,
 and §3.5's durability argument counts a file lost only when all k
 replica holders fail within one recovery period.  A :class:`FaultPlan`
-is a seeded, replayable description of adversity — per-link message
-loss, delay and duplication, network partitions with heal events,
-silent-crash/restart schedules, and flaky "gray" nodes — that upper
-layers *consult* at every transmission point:
+is a seeded, replayable description of adversity — uniform message
+loss, delay and duplication, network partitions with heal events, and
+silent-crash/restart schedules — that upper layers *consult* at every
+transmission point:
 
 * :meth:`repro.pastry.network.PastryNetwork.route` asks the plan about
   every overlay hop (:meth:`FaultPlan.transmit`);
@@ -18,9 +18,9 @@ layers *consult* at every transmission point:
 
 The storage plane gets the same treatment: a :class:`StorageFaultPlan`
 describes *disk* adversity — bit rot accruing per replica-byte of
-virtual time, partial writes, transient read errors, and per-node disk
-modes (``readonly``/``failing``) — and the per-node stores consult it
-on every store and every verified read.
+virtual time, a per-node ``readonly`` disk mode, and kill points in the
+durable-I/O path — and the per-node stores consult it on every store and
+every verified read.
 
 Layering: this module knows nothing about Pastry or PAST — nodes are
 plain integers, time is whatever the bound clock callable returns — so
@@ -37,8 +37,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 #: Effectively "never heals" for partition end times.
 NEVER = float("inf")
@@ -159,8 +159,6 @@ class FaultSpec:
 
     Collections are tuples so a spec hashes and compares by value:
 
-    * ``link_loss``: ``(src, dst, probability)`` triples;
-    * ``gray_nodes``: node ids whose links lose at ``gray_loss``;
     * ``partitions``: ``(start, end, group)`` cuts (group a tuple);
     * ``crashes``: ``(time, node_id, restart_at, wipe_disk)`` events.
       Times are whatever clock the consuming engine binds — virtual
@@ -172,9 +170,6 @@ class FaultSpec:
     loss: float = 0.0
     delay_mean: float = 0.0
     duplicate: float = 0.0
-    gray_loss: float = 0.5
-    link_loss: Tuple[Tuple[int, int, float], ...] = ()
-    gray_nodes: Tuple[int, ...] = ()
     partitions: Tuple[Tuple[float, float, Tuple[int, ...]], ...] = ()
     crashes: Tuple[Tuple[float, int, Optional[float], bool], ...] = ()
 
@@ -201,8 +196,6 @@ class FaultStats:
     delay_total: float = 0.0
     # ------------------------------------------------- storage faults
     bitrot_corruptions: int = 0
-    partial_writes: int = 0
-    read_errors: int = 0
     writes_refused: int = 0
     crashes_injected: int = 0
 
@@ -221,17 +214,12 @@ class FaultPlan:
         Mean of the exponential per-hop extra latency (0 disables).
     duplicate:
         Per-hop probability that the receiver gets a second copy.
-    gray_loss:
-        Loss probability applied to any link touching a gray node
-        (combined with ``loss`` by taking the maximum).
 
-    Per-link overrides (:attr:`link_loss`), partitions, gray nodes and
-    the crash schedule are configured through the builder methods so a
-    plan reads as a small declarative script::
+    Partitions and the crash schedule are configured through the builder
+    methods so a plan reads as a small declarative script::
 
         plan = FaultPlan(seed=7, loss=0.05)
         plan.add_partition(at=4.0, heal_at=9.0, group=node_ids[:5])
-        plan.mark_gray(node_ids[8], gray_loss=0.5)
         plan.schedule_crash(2.0, node_ids[3], restart_at=8.0, wipe_disk=True)
     """
 
@@ -241,10 +229,8 @@ class FaultPlan:
         loss: float = 0.0,
         delay_mean: float = 0.0,
         duplicate: float = 0.0,
-        gray_loss: float = 0.5,
     ):
-        for name, p in (("loss", loss), ("duplicate", duplicate),
-                        ("gray_loss", gray_loss)):
+        for name, p in (("loss", loss), ("duplicate", duplicate)):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be a probability, got {p}")
         if delay_mean < 0.0:
@@ -254,10 +240,6 @@ class FaultPlan:
         self.loss = loss
         self.delay_mean = delay_mean
         self.duplicate = duplicate
-        self.gray_loss = gray_loss
-        #: (src, dst) -> loss probability overriding the uniform rate.
-        self.link_loss: Dict[Tuple[int, int], float] = {}
-        self.gray_nodes: Set[int] = set()
         self.partitions: List[Partition] = []
         self.crashes: List[CrashEvent] = []
         self.stats = FaultStats()
@@ -273,22 +255,17 @@ class FaultPlan:
         """Build the stateful decision core a :class:`FaultSpec` describes.
 
         Both fault engines call this with the same spec, so their RNGs
-        start identical and their builder state (link overrides, gray
-        sets, partitions, crash schedules) matches element for element.
-        Construction draws nothing from the RNG — verdict streams start
-        at draw zero in both engines.
+        start identical and their builder state (partitions, crash
+        schedules) matches element for element.  Construction draws
+        nothing from the RNG — verdict streams start at draw zero in
+        both engines.
         """
         plan = cls(
             seed=spec.seed,
             loss=spec.loss,
             delay_mean=spec.delay_mean,
             duplicate=spec.duplicate,
-            gray_loss=spec.gray_loss,
         )
-        for src, dst, p in spec.link_loss:
-            plan.set_link_loss(src, dst, p)
-        for node_id in sorted(spec.gray_nodes):
-            plan.mark_gray(node_id)
         for start, end, group in spec.partitions:
             plan.add_partition(at=start, heal_at=end, group=group)
         for time, node_id, restart_at, wipe_disk in spec.crashes:
@@ -311,20 +288,6 @@ class FaultPlan:
         partition = Partition(start=at, end=heal_at, group=frozenset(group))
         self.partitions.append(partition)
         return partition
-
-    def mark_gray(self, node_id: int, gray_loss: Optional[float] = None) -> None:
-        """Flag a node as flaky: links touching it lose messages often."""
-        if gray_loss is not None:
-            if not 0.0 <= gray_loss <= 1.0:
-                raise ValueError(f"gray_loss must be a probability, got {gray_loss}")
-            self.gray_loss = gray_loss
-        self.gray_nodes.add(node_id)
-
-    def set_link_loss(self, src: int, dst: int, p: float) -> None:
-        """Override the loss probability of one directed link."""
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"link loss must be a probability, got {p}")
-        self.link_loss[(src, dst)] = p
 
     def schedule_crash(
         self,
@@ -383,12 +346,6 @@ class FaultPlan:
         """
         return self._severed(a, b)
 
-    def _loss_probability(self, src: int, dst: int) -> float:
-        p = self.link_loss.get((src, dst), self.loss)
-        if self.gray_nodes and (src in self.gray_nodes or dst in self.gray_nodes):
-            p = max(p, self.gray_loss)
-        return p
-
     def transmit(self, src: int, dst: int) -> Transmission:
         """Decide the fate of one routed overlay hop ``src -> dst``."""
         if self.on_transmit is not None:
@@ -397,7 +354,7 @@ class FaultPlan:
             self.stats.messages_lost += 1
             self.stats.partition_drops += 1
             return _LOST
-        p = self._loss_probability(src, dst)
+        p = self.loss
         if p > 0.0 and self.rng.random() < p:
             self.stats.messages_lost += 1
             return _LOST
@@ -419,20 +376,16 @@ class FaultPlan:
 
         Used for keep-alive probes and direct (non-routed) RPCs such as
         hedged replica fetches.  The request and the reply each face the
-        link's loss probability; loss is decided *before* any side
-        effect, so a lost RPC behaves as if the request never arrived
-        (the reply-lost-after-effect case is not modelled — see
+        loss probability, one draw apiece; loss is decided *before* any
+        side effect, so a lost RPC behaves as if the request never
+        arrived (the reply-lost-after-effect case is not modelled — see
         DESIGN.md §4e for why the oracles stay sound).
         """
         if self._severed(a, b):
             self.stats.rpcs_lost += 1
             return True
-        p_there = self._loss_probability(a, b)
-        p_back = self._loss_probability(b, a)
-        if p_there > 0.0 and self.rng.random() < p_there:
-            self.stats.rpcs_lost += 1
-            return True
-        if p_back > 0.0 and self.rng.random() < p_back:
+        p = self.loss
+        if p > 0.0 and (self.rng.random() < p or self.rng.random() < p):
             self.stats.rpcs_lost += 1
             return True
         return False
@@ -451,14 +404,12 @@ class FaultPlan:
 #: Disk health modes a :class:`StorageFaultPlan` can put a node into.
 DISK_OK = "ok"
 DISK_READONLY = "readonly"
-DISK_FAILING = "failing"
 
-_DISK_MODES = (DISK_OK, DISK_READONLY, DISK_FAILING)
+_DISK_MODES = (DISK_OK, DISK_READONLY)
 
 #: Verdicts for one replica read (:meth:`StorageFaultPlan.read`).
 READ_OK = "ok"
 READ_CORRUPT = "corrupt"
-READ_ERROR = "error"
 
 #: Kill-point phases for :class:`CrashPoint`, ordered by how much of the
 #: pending (written-but-unsynced) data survives the crash:
@@ -513,7 +464,7 @@ class CrashPoint:
 
 @dataclass(frozen=True)
 class DiskModeEvent:
-    """One scheduled disk-mode transition (applied lazily by time)."""
+    """One disk-mode transition (applied lazily by time)."""
 
     time: float
     node_id: int
@@ -534,53 +485,29 @@ class StorageFaultPlan:
         probability ``1 - exp(-bitrot_rate * size * dt)``.  Rot is
         evaluated lazily at read time and memoized — once a replica has
         rotted it stays corrupt until :meth:`mark_repaired`.
-    partial_write:
-        Probability that a store lands corrupted on disk (torn write).
-    read_error:
-        Probability that one read fails transiently (retrying later may
-        succeed; nothing is memoized).
-    failing_read_error:
-        Transient-read-error probability applied on a ``failing`` disk
-        (combined with ``read_error`` by taking the maximum).
 
-    Disk modes: ``readonly`` and ``failing`` disks refuse all new
-    replica bytes (:meth:`writable`); a ``failing`` disk additionally
-    returns read errors at ``failing_read_error``.  Mode transitions
-    are either immediate (:meth:`set_disk_mode`) or scheduled at a
-    virtual time (:meth:`schedule_disk_mode`) and evaluated lazily
-    against the bound clock, like partitions.
+    Disk modes: a ``readonly`` disk refuses all new replica bytes
+    (:meth:`writable`) while its existing replicas keep serving reads.
+    Every mode transition is one event on a single time-ordered list —
+    immediate ones (:meth:`set_disk_mode`) at the current virtual time,
+    scheduled ones (:meth:`schedule_disk_mode`) at theirs — evaluated
+    lazily against the bound clock, like partitions; the latest event
+    that has come due wins.
 
     Determinism mirrors :class:`FaultPlan`: one RNG consumed in call
-    order, zero draws from a plan whose rates are all zero, and an
-    absent plan (``None``) costs the store/read hot paths a single
-    attribute check.
+    order, zero rot draws while ``bitrot_rate`` is zero, and an absent
+    plan (``None``) costs the store/read hot paths a single attribute
+    check.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        bitrot_rate: float = 0.0,
-        partial_write: float = 0.0,
-        read_error: float = 0.0,
-        failing_read_error: float = 0.5,
-    ):
-        for name, p in (("partial_write", partial_write),
-                        ("read_error", read_error),
-                        ("failing_read_error", failing_read_error)):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be a probability, got {p}")
+    def __init__(self, seed: int = 0, bitrot_rate: float = 0.0):
         if bitrot_rate < 0.0:
             raise ValueError("bitrot_rate must be non-negative")
         self.seed = seed
         self.rng = random.Random(seed)
         self.bitrot_rate = bitrot_rate
-        self.partial_write = partial_write
-        self.read_error = read_error
-        self.failing_read_error = failing_read_error
         self.stats = FaultStats()
-        #: node -> immediately-applied disk mode (see also mode events).
-        self._modes: Dict[int, str] = {}
-        #: scheduled transitions, kept sorted by (time, insertion order).
+        #: Disk-mode transitions, kept sorted by (time, insertion order).
         self._mode_events: List[DiskModeEvent] = []
         #: (node, file) pairs whose on-disk bytes are known corrupt.
         self._corrupt: Set[Tuple[int, int]] = set()
@@ -601,10 +528,8 @@ class StorageFaultPlan:
         return self._now()
 
     def set_disk_mode(self, node_id: int, mode: str) -> None:
-        """Put a node's disk into ``mode`` immediately."""
-        if mode not in _DISK_MODES:
-            raise ValueError(f"unknown disk mode {mode!r}")
-        self._modes[node_id] = mode
+        """Put a node's disk into ``mode`` now: a transition at :attr:`now`."""
+        self.schedule_disk_mode(self._now(), node_id, mode)
 
     def schedule_disk_mode(self, time: float, node_id: int, mode: str) -> DiskModeEvent:
         """Transition a node's disk into ``mode`` at virtual ``time``."""
@@ -652,7 +577,7 @@ class StorageFaultPlan:
 
     def disk_mode(self, node_id: int) -> str:
         """The node's disk mode at the current virtual time."""
-        mode = self._modes.get(node_id, DISK_OK)
+        mode = DISK_OK
         if self._mode_events:
             now = self._now()
             for event in self._mode_events:
@@ -666,38 +591,17 @@ class StorageFaultPlan:
         """Whether new replica bytes may be written to this disk."""
         return self.disk_mode(node_id) == DISK_OK
 
-    def store_written(self, node_id: int, file_id: int, size: int) -> bool:
-        """Partial-write verdict for one accepted store.
-
-        Returns True when the write landed corrupted (torn); the plan
-        remembers the corruption until :meth:`mark_repaired`.  Callers
-        check :meth:`writable` *before* accepting the store; a write to
-        a readonly/failing disk is a caller bug, not a fault decision.
-        """
-        if self.partial_write > 0.0 and self.rng.random() < self.partial_write:
-            self._corrupt.add((node_id, file_id))
-            self.stats.partial_writes += 1
-            return True
-        return False
-
     def refuse_write(self, node_id: int) -> None:
-        """Count one store refused by a readonly/failing disk."""
+        """Count one store refused by a readonly disk."""
         self.stats.writes_refused += 1
 
     def read(self, node_id: int, file_id: int, size: int, elapsed: float) -> str:
         """Verdict for one replica read.
 
         ``elapsed`` is the virtual time since this copy was last stored
-        or verified; bit rot accrues over it.  Returns one of
-        :data:`READ_OK`, :data:`READ_CORRUPT` (sticky until
-        :meth:`mark_repaired`) or :data:`READ_ERROR` (transient).
+        or verified; bit rot accrues over it.  Returns :data:`READ_OK`
+        or :data:`READ_CORRUPT` (sticky until :meth:`mark_repaired`).
         """
-        mode = self.disk_mode(node_id)
-        if mode == DISK_FAILING:
-            p = max(self.read_error, self.failing_read_error)
-            if p > 0.0 and self.rng.random() < p:
-                self.stats.read_errors += 1
-                return READ_ERROR
         key = (node_id, file_id)
         if key in self._corrupt:
             return READ_CORRUPT
@@ -707,10 +611,6 @@ class StorageFaultPlan:
                 self._corrupt.add(key)
                 self.stats.bitrot_corruptions += 1
                 return READ_CORRUPT
-        if mode != DISK_FAILING and self.read_error > 0.0:
-            if self.rng.random() < self.read_error:
-                self.stats.read_errors += 1
-                return READ_ERROR
         return READ_OK
 
     # ---------------------------------------------------------- bookkeeping

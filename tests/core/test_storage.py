@@ -180,15 +180,26 @@ class TestDiskFaultAccounting:
         store.now = lambda: 1.0
         return store, plan
 
+    def rot_once(self, store, plan, fid):
+        """One second on, certain rot for exactly one verified read,
+        then zero hazard again."""
+        from repro.netsim.faults import READ_CORRUPT
+
+        later = store.now() + 1.0
+        store.now = lambda: later
+        plan.bitrot_rate = 1e9
+        assert store.verify_replica(fid) == READ_CORRUPT
+        plan.bitrot_rate = 0.0
+
     def test_charge_refund_symmetry_through_corruption_and_repair(self):
         from repro.core.storage import REPLICA_MISSING
-        from repro.netsim.faults import READ_CORRUPT, READ_OK
+        from repro.netsim.faults import READ_OK
 
-        store, plan = self.make_faulty(partial_write=1.0)
+        store, plan = self.make_faulty()
         replica = store.store_replica(cert(1, 100), diverted=False)
+        assert not replica.corrupted and store.used == 100
+        self.rot_once(store, plan, 1)
         assert replica.corrupted and store.used == 100
-        assert store.verify_replica(1) == READ_CORRUPT
-        plan.partial_write = 0.0
         assert store.repair_replica(1)
         assert store.used == 100 and not replica.corrupted
         assert store.verify_replica(1) == READ_OK
@@ -197,13 +208,6 @@ class TestDiskFaultAccounting:
         assert not plan.is_corrupt(5, 1)
         assert store.verify_replica(1) == REPLICA_MISSING
         assert not store.repair_replica(1)
-
-    def test_repair_rewrite_can_tear_again(self):
-        store, plan = self.make_faulty(partial_write=1.0)
-        store.store_replica(cert(1, 100), diverted=False)
-        assert not store.repair_replica(1)  # the rewrite itself tore
-        plan.partial_write = 0.0
-        assert store.repair_replica(1)
 
     def test_readonly_disk_raises_capacity_error(self):
         from repro.netsim.faults import DISK_READONLY
@@ -219,12 +223,13 @@ class TestDiskFaultAccounting:
     def test_readonly_disk_refuses_repair_rewrite(self):
         from repro.netsim.faults import DISK_READONLY
 
-        store, plan = self.make_faulty(partial_write=1.0)
+        store, plan = self.make_faulty()
         store.store_replica(cert(1, 100), diverted=False)
-        plan.partial_write = 0.0
+        self.rot_once(store, plan, 1)
         plan.set_disk_mode(5, DISK_READONLY)
         assert not store.repair_replica(1)
         assert store.get_replica(1).corrupted
+        assert plan.stats.writes_refused == 1
 
     def test_corrupt_cache_copy_is_evicted_not_repaired(self):
         store, plan = self.make_faulty(bitrot_rate=1e9)

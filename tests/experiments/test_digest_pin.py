@@ -17,7 +17,8 @@ import hashlib
 
 from repro.core import RetryPolicy
 from repro.devtools.explore.scenarios import SCENARIOS
-from repro.experiments.chaos import SIM_SCENARIOS, ChaosConfig, run_chaos
+from repro.experiments import chaos
+from repro.experiments.chaos import ChaosConfig, run_chaos
 
 CHAOS_LOSS_PIN = "3395691d3167eed2c5c6285feca18fcb5bd118a721105901cc6c563dbb6eafaf"
 CHAOS_CRASH_PIN = "357ba7196680e0b3e2678bc96a33361057b42cd4fd136e76031e5ca168065465"
@@ -28,8 +29,20 @@ EXPLORE_CHAOS_PIN = "fb377b6d48579b98d76d18c1c783976a2bdded11432dc49f2442883951e
 EXPLORE_JOIN_PIN = "2a76d908e7afffd507e2096560c0464435bb70302d06a318006433bc945ef08b"
 EXPLORE_DIVERT_PIN = "a8dbc894126513c9a563f0f0faac2426f6f8f20b53c488ebd9977086617e7091"
 EXPLORE_SCRUB_PIN = "2d71371488bd21ccb7bbefa9038a9a30b8a7cba6819e2d811957ad4839daa239"
-#: ``chaos --scenario all --seed 7``: sha256 over the 13 reports' digests.
-CHAOS_ALL_COMBINED_PIN = "9d28f95acee6019637543db6bc90ebdddd96e85421cc922c089f86b9c6c3f8c3"
+# sha256 of the exact stdout of ``python -m repro.experiments.chaos
+# --scenario <name> --seed <seed> --json``.  The JSON carries every
+# report's trace digest and the oracles' ``failures`` list, so one pin
+# covers both.
+CHAOS_ALL_JSON_PIN = "7891f0cd9a5809a5ade26e2d35e9f2a1c30daa67a2f8e46943996a5134f39f69"
+CHAOS_CRASH_RESTART_JSON_PIN = "c4d2974594ce71b83fc90a33765b38b88175c4c1b3ea1e7e43db3a8e8ce0391c"
+CHAOS_LIVE_JSON_PIN = "d1f2aecc2b5ccfa2879a5e1428ac211fd5d9490f8f0c6712fbb6075fec31b875"
+
+
+def chaos_json_sha256(capsys, scenario: str, seed: int) -> str:
+    """Run the chaos CLI once; sha256 of its stdout (oracles must pass)."""
+    argv = ["--scenario", scenario, "--seed", str(seed), "--json"]
+    assert chaos.main(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest()
 
 
 class TestFaultFreeDigestsAreByteIdentical:
@@ -62,16 +75,17 @@ class TestFaultFreeDigestsAreByteIdentical:
         assert SCENARIOS["divert"](7).trace.digest() == EXPLORE_DIVERT_PIN
         assert SCENARIOS["scrub"](7).trace.digest() == EXPLORE_SCRUB_PIN
 
-    def test_chaos_all_combined_digest_pin(self):
-        """Every sim sweep the CLI's ``--scenario all`` runs, in its
-        order, and each sweep's own acceptance oracle."""
-        combined = hashlib.sha256()
-        for run, oracle in SIM_SCENARIOS.values():
-            sweep = run(seed=7)
-            assert oracle(sweep) == []
-            for report in sweep:
-                combined.update(report.digest.encode("ascii"))
-        assert combined.hexdigest() == CHAOS_ALL_COMBINED_PIN
+    def test_chaos_all_combined_digest_pin(self, capsys):
+        """Every sim sweep ``--scenario all`` runs, in its order, with
+        each sweep's acceptance oracle."""
+        assert chaos_json_sha256(capsys, "all", 7) == CHAOS_ALL_JSON_PIN
+
+    def test_chaos_crash_restart_json_pin(self, capsys):
+        assert (chaos_json_sha256(capsys, "crash-restart", 7)
+                == CHAOS_CRASH_RESTART_JSON_PIN)
+
+    def test_chaos_live_json_pin(self, capsys):
+        assert chaos_json_sha256(capsys, "live", 2201) == CHAOS_LIVE_JSON_PIN
 
 
 class TestBackendSeamIsPureRefactor:

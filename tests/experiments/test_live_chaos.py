@@ -11,11 +11,7 @@ schedule drifted.
 import json
 from pathlib import Path
 
-from repro.experiments.live_chaos import (
-    LiveChaosConfig,
-    live_chaos_bench,
-    run_live_sweep,
-)
+from repro.experiments.live_chaos import live_chaos_bench, run_live_sweep
 
 COMMITTED = (
     Path(__file__).resolve().parents[2]

@@ -83,7 +83,7 @@ class TestKilledPeer:
     def test_connection_refused_on_first_contact(self):
         """A killed node refuses promptly and stays dead.
 
-        ``kill_server`` must defeat serve-on-first-contact resurrection:
+        ``stop_server`` must defeat serve-on-first-contact resurrection:
         the node is still in the overlay (the corpse window before
         failure detection), but dialing it has to fail fast and be
         classified as refused, until an explicit ``ensure_server``.
@@ -91,7 +91,7 @@ class TestKilledPeer:
         net, transport = build_cluster(4, seed=3, engine="asyncio")
         try:
             client, victim = _two_nodes(net)
-            transport.kill_server(victim.node_id)
+            transport.stop_server(victim.node_id)
             start = time.monotonic()
             assert transport.probe(client.node_id, victim.node_id) is False
             assert time.monotonic() - start < 2.0
@@ -132,7 +132,7 @@ class TestKilledPeer:
             worker = threading.Thread(target=call)
             worker.start()
             assert entered.wait(5), "RPC never reached the handler"
-            transport.kill_server(victim.node_id)
+            transport.stop_server(victim.node_id)
             worker.join(timeout=5)
             assert not worker.is_alive(), "caller stalled past the kill"
             assert outcome["result"] == (False, None)
@@ -281,7 +281,7 @@ class TestReconnect:
                 client.node_id, victim.node_id, victim.store.holds_file, 1
             )
             assert ok is True  # warm the pool toward the victim
-            transport.kill_server(victim.node_id)
+            transport.stop_server(victim.node_id)
             stop = threading.Event()
             failures = []
 

@@ -258,7 +258,7 @@ class TestLifecycleBelongsToTheLoop:
         )
         dial.start()
         assert parked.wait(timeout=10)
-        transport.kill_server(victim.node_id)
+        transport.stop_server(victim.node_id)
         transport._loop.call_soon_threadsafe(release.set_result, None)
         dial.join(timeout=10)
         assert not dial.is_alive()
@@ -567,7 +567,7 @@ class TestRouteStartsAtItsOrigin:
 
     def test_killed_origin_loses_the_route_to_one_refusal(self, cluster, forwards, requests):
         net, transport, client, target = cluster
-        transport.kill_server(client.node_id)
+        transport.stop_server(client.node_id)
         result = transport.route(client.node_id, target.node_id)
         assert result.lost and result.path == []
         assert transport.wire.refused == 1

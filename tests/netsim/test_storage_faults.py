@@ -3,11 +3,9 @@
 import pytest
 
 from repro.netsim.faults import (
-    DISK_FAILING,
     DISK_OK,
     DISK_READONLY,
     READ_CORRUPT,
-    READ_ERROR,
     READ_OK,
     StorageFaultPlan,
 )
@@ -19,14 +17,11 @@ class TestDeterminism:
             out = []
             for i in range(200):
                 out.append(plan.read(i % 5, i % 11, 4096, 1.0))
-                out.append(plan.store_written(i % 5, i % 11 + 100, 4096))
             return out
 
-        a = drive(StorageFaultPlan(seed=42, bitrot_rate=1e-4,
-                                   partial_write=0.2, read_error=0.1))
-        b = drive(StorageFaultPlan(seed=42, bitrot_rate=1e-4,
-                                   partial_write=0.2, read_error=0.1))
-        assert a == b
+        a = drive(StorageFaultPlan(seed=42, bitrot_rate=1e-4))
+        b = drive(StorageFaultPlan(seed=42, bitrot_rate=1e-4))
+        assert a == b and READ_CORRUPT in a
 
     def test_different_seeds_diverge(self):
         a = StorageFaultPlan(seed=1, bitrot_rate=1e-4)
@@ -41,15 +36,10 @@ class TestDeterminism:
         state = plan.rng.getstate()
         for i in range(50):
             assert plan.read(i, i + 1, 4096, 10.0) == READ_OK
-            assert not plan.store_written(i, i + 1, 4096)
             assert plan.writable(i)
         assert plan.rng.getstate() == state
 
     def test_rate_validation(self):
-        with pytest.raises(ValueError):
-            StorageFaultPlan(partial_write=1.5)
-        with pytest.raises(ValueError):
-            StorageFaultPlan(read_error=-0.1)
         with pytest.raises(ValueError):
             StorageFaultPlan(bitrot_rate=-1e-6)
 
@@ -90,15 +80,6 @@ class TestBitRot:
         assert plan.is_corrupt(2, 7)
 
 
-class TestPartialWrites:
-    def test_certain_torn_write(self):
-        plan = StorageFaultPlan(seed=0, partial_write=1.0)
-        assert plan.store_written(3, 9, 2048)
-        assert plan.is_corrupt(3, 9)
-        assert plan.stats.partial_writes == 1
-        assert plan.read(3, 9, 2048, 0.0) == READ_CORRUPT
-
-
 class TestDiskModes:
     def test_readonly_refuses_writes_but_reads_fine(self):
         plan = StorageFaultPlan(seed=0)
@@ -108,13 +89,6 @@ class TestDiskModes:
         plan.refuse_write(4)
         assert plan.stats.writes_refused == 1
         assert plan.read(4, 1, 1024, 5.0) == READ_OK
-
-    def test_failing_disk_errors_reads(self):
-        plan = StorageFaultPlan(seed=0, failing_read_error=1.0)
-        plan.set_disk_mode(4, DISK_FAILING)
-        assert not plan.writable(4)
-        assert plan.read(4, 1, 1024, 0.0) == READ_ERROR
-        assert plan.stats.read_errors == 1
 
     def test_scheduled_mode_applies_lazily_by_clock(self):
         now = {"t": 0.0}
@@ -127,17 +101,23 @@ class TestDiskModes:
         now["t"] = 7.5
         assert plan.disk_mode(4) == DISK_OK
 
+    def test_later_immediate_mode_beats_earlier_scheduled_one(self):
+        now = {"t": 0.0}
+        plan = StorageFaultPlan(seed=0).bind_clock(lambda: now["t"])
+        plan.schedule_disk_mode(3.0, 4, DISK_READONLY)
+        now["t"] = 5.0
+        assert plan.disk_mode(4) == DISK_READONLY
+        plan.set_disk_mode(4, DISK_OK)
+        assert plan.disk_mode(4) == DISK_OK
+        assert plan.writable(4)
+        # A transition scheduled after the immediate one still applies.
+        plan.schedule_disk_mode(8.0, 4, DISK_READONLY)
+        now["t"] = 8.0
+        assert plan.disk_mode(4) == DISK_READONLY
+
     def test_unknown_mode_rejected(self):
         plan = StorageFaultPlan(seed=0)
         with pytest.raises(ValueError):
             plan.set_disk_mode(1, "melted")
         with pytest.raises(ValueError):
             plan.schedule_disk_mode(1.0, 1, "melted")
-
-
-class TestTransientReadErrors:
-    def test_certain_read_error_is_not_sticky(self):
-        plan = StorageFaultPlan(seed=0, read_error=1.0)
-        assert plan.read(1, 2, 512, 0.0) == READ_ERROR
-        assert not plan.is_corrupt(1, 2)
-        assert plan.stats.read_errors == 1

@@ -185,7 +185,7 @@ class TestServeExitStatus:
             scenario="live-chaos", seed=1, nodes=4, files=2, rounds=1,
             lost_files=1, lost_file_ids=["0xdead"],
         )
-        monkeypatch.setattr(live_chaos, "run_live_sweep", lambda cfg: failed)
+        monkeypatch.setattr(live_chaos, "run_live_sweep", lambda seed: failed)
         assert main(["serve", "--chaos"]) == 1
         assert "FAIL: files unretrievable after heal: 0xdead" in (
             capsys.readouterr().out

@@ -1,13 +1,15 @@
-"""Command-line interface: print any of the paper's artifacts.
+"""Command-line interface: ``python -m repro <command>`` is the one door.
 
 Usage::
 
     python -m repro list
     python -m repro table2
     python -m repro table2 --nodes 500 --scale 1.0 --seed 7
-    python -m repro chaos
     python -m repro serve --nodes 16 --workers 4 --differential
+    python -m repro chaos --scenario live --seed 2201
     python -m repro check
+    python -m repro explore --scenario churn --budget 200
+    python -m repro sanitize --scenario churn
 
 ``list`` names every artifact command — the rows of
 :data:`repro.experiments.artifacts.ARTIFACTS` — with the
@@ -15,9 +17,12 @@ Usage::
 itself.  ``repro <command>`` prints ``render(run(*scale))`` of its row, the
 call ``pytest benchmarks/ --benchmark-only`` makes; at the default scale
 the six rows ``tests/experiments/test_artifacts.py`` runs print exactly
-the committed file, and CI's ``paper`` job checks the rest.  ``chaos`` and
-``serve`` are harnesses, not artifacts; ``check`` is the static gate
-(:mod:`repro.devtools.check`).  Each command accepts only the flags it
+the committed file, and CI's ``paper`` job checks the rest.  ``serve``
+boots the live TCP cluster.  The :data:`SUBCOMMANDS` own their flags and
+exit status: the chaos harness (:mod:`repro.experiments.chaos`), the
+static gate (:mod:`repro.devtools.check`), the schedule explorer
+(:mod:`repro.devtools.explore.explorer`) and the hash-seed sanitizer
+(:mod:`repro.devtools.sanitize`).  Each command accepts only the flags it
 reads.
 """
 
@@ -27,39 +32,14 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .analysis import format_table
-from .devtools import check
+from .devtools import check, sanitize
+from .devtools.explore import explorer
 from .experiments import chaos
 from .experiments.artifacts import ARTIFACTS, DEFAULT_SCALE
 
-
-def cmd_chaos(args) -> str:
-    """Loss sweep under the fault plane: baseline vs. retry+hedge clients.
-
-    The full harness (partitions, crash storms, durability oracles) is
-    ``python -m repro.experiments.chaos``; this command runs just the
-    availability sweep so it fits the figure-style CLI.
-    """
-    sweep = chaos.run_loss_sweep(seed=args.seed)
-    by_rate = {}
-    for r in sweep:
-        rate, _, tag = r.scenario.partition("/")
-        by_rate.setdefault(rate, {})[tag] = r
-    rows = []
-    for rate in sorted(by_rate, key=lambda s: float(s.split("=")[1])):
-        base = by_rate[rate]["baseline"]
-        res = by_rate[rate]["retry+hedge"]
-        rows.append(
-            [rate, round(100 * base.lookup_success, 2),
-             round(100 * res.lookup_success, 2),
-             round(res.mean_attempts, 2), res.hedged_successes]
-        )
-    return format_table(
-        ["loss", "baseline %", "retry+hedge %", "attempts/op", "hedged"],
-        rows,
-        title="Lookup availability under uniform message loss "
-              "(full harness: python -m repro.experiments.chaos)",
-    )
+#: Commands whose module defines ``add_arguments(parser)`` and
+#: ``run(args) -> int`` (the exit status).
+SUBCOMMANDS = {"check": check, "chaos": chaos, "explore": explorer, "sanitize": sanitize}
 
 
 class CommandFailed(Exception):
@@ -74,19 +54,11 @@ def cmd_serve(args) -> str:
     ``--differential`` first runs the cross-engine oracle: the same
     seeded workload under SimTransport must produce the same outcome
     checksum as under AsyncioTransport.  A checksum mismatch, a failed
-    chaos oracle, a failed lookup or an audit violation exits 1.
+    lookup or an audit violation exits 1.
     """
     from .net.differential import run_differential, run_serve
 
     lines = []
-    if args.chaos:
-        from .experiments.live_chaos import render_live_chaos, run_live_sweep
-
-        report = run_live_sweep(args.seed)
-        text = render_live_chaos(report, bench_out=args.out)
-        if report.oracle_failures():
-            raise CommandFailed(text)
-        return text
     if args.differential:
         diff = run_differential(
             n_nodes=min(args.nodes, 16), n_files=args.files, seed=args.seed
@@ -149,7 +121,6 @@ COMMANDS = {
         command: lambda args, row=row: row.render(row.run(args.nodes, args.scale, args.seed))
         for command, row in ARTIFACTS.items()
     },
-    "chaos": cmd_chaos,
     "serve": cmd_serve,
 }
 
@@ -160,39 +131,12 @@ def list_commands() -> str:
     for command, row in ARTIFACTS.items():
         fixes = f"  [{row.fixes}]" if row.fixes else ""
         lines.append(f"  {command:<24}{row.stem}.txt{fixes}")
-    lines.append("harnesses: chaos, serve; static gate: check")
+    lines.append("harnesses: chaos, serve; checks: check, explore, sanitize")
     return "\n".join(lines)
 
 
-#: The flags ``serve`` reads only for its own workload, with their
-#: defaults; ``--chaos`` runs the live sweep's workload and rejects them.
-SERVE_WORKLOAD = {
-    "nodes": DEFAULT_SCALE.n_nodes, "files": 32, "workers": 4,
-    "differential": False, "data_dir": None,
-}
-
-
-class _Parser(argparse.ArgumentParser):
-    """Rejects ``serve --chaos`` combined with a serve-workload flag."""
-
-    def parse_args(self, args=None, namespace=None):
-        parsed = super().parse_args(args, namespace)
-        if getattr(parsed, "chaos", False):
-            ignored = [
-                "--" + dest.replace("_", "-")
-                for dest, default in SERVE_WORKLOAD.items()
-                if getattr(parsed, dest) != default
-            ]
-            if ignored:
-                self.error(
-                    "serve --chaos runs the live sweep's own workload; "
-                    f"it would ignore {' '.join(ignored)}"
-                )
-        return parsed
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce the PAST (SOSP 2001) evaluation tables and figures.",
     )
@@ -204,17 +148,18 @@ def build_parser() -> argparse.ArgumentParser:
     seed.add_argument("--seed", type=int, default=DEFAULT_SCALE.seed)
     # One sub-parser per command, taking only the flags that command
     # reads, so any other flag is an error instead of silently ignored.
-    commands = parser.add_subparsers(
-        dest="command", required=True, parser_class=argparse.ArgumentParser
-    )
-    reads = {"list": [], "check": [], "chaos": [seed], "serve": [nodes, seed]}
-    for name in ["list", "check", *sorted(COMMANDS)]:
-        commands.add_parser(name, parents=reads.get(name, [nodes, scale, seed]))
-    check.add_arguments(commands.choices["check"])
+    commands = parser.add_subparsers(dest="command", required=True)
+    commands.add_parser("list")
+    for name in sorted(COMMANDS):
+        commands.add_parser(
+            name, parents=[nodes, seed] if name == "serve" else [nodes, scale, seed]
+        )
+    for name, module in SUBCOMMANDS.items():
+        module.add_arguments(commands.add_parser(name))
     serve = commands.choices["serve"]
-    serve.add_argument("--files", type=int, default=SERVE_WORKLOAD["files"],
+    serve.add_argument("--files", type=int, default=32,
                        help="files to insert in the serve workload")
-    serve.add_argument("--workers", type=int, default=SERVE_WORKLOAD["workers"],
+    serve.add_argument("--workers", type=int, default=4,
                        help="concurrent client threads for the lookup phase")
     serve.add_argument("--differential", action="store_true",
                        help="run the SimTransport-vs-AsyncioTransport "
@@ -224,18 +169,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--data-dir", metavar="DIR", default=None,
                        help="journal every node's store to a WAL under DIR; "
                             "a killed node restarts from its journal")
-    serve.add_argument("--chaos", action="store_true",
-                       help="run the live chaos harness instead: seeded "
-                            "socket-level loss/partition/reset injection "
-                            "plus mid-traffic kills with WAL restarts, "
-                            "judged by the sim sweeps' oracles")
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "check":
-        return check.run(args)
+    if args.command in SUBCOMMANDS:
+        return SUBCOMMANDS[args.command].run(args)
     if args.command == "list":
         print(list_commands())
         return 0

@@ -18,7 +18,7 @@ from .errors import (
 )
 from .integrity import AntiEntropyScrubber, IntegrityStats
 from .invariants import AuditReport, audit
-from .resilience import DEFAULT_RETRY_POLICY, NO_RETRY_POLICY, RetryPolicy
+from .resilience import RetryPolicy
 from .seeding import derive_seed
 from .network import InsertResult, LookupResult, PastNetwork, ReclaimResult
 from .node import PastNode
@@ -42,8 +42,6 @@ __all__ = [
     "IntegrityStats",
     "audit",
     "AuditReport",
-    "DEFAULT_RETRY_POLICY",
-    "NO_RETRY_POLICY",
     "RetryPolicy",
     "derive_seed",
     "PastNetwork",

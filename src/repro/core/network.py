@@ -36,7 +36,7 @@ from .config import PastConfig
 from .errors import AdmissionError
 from .integrity import IntegrityStats
 from .messages import InsertRequest, LookupRequest, ReclaimRequest
-from .resilience import RetryPolicy
+from .resilience import ATTEMPT_TIMEOUT, OP_DEADLINE, RetryPolicy
 from .seeding import derive_seed
 from .node import PastNode
 from .stats import InsertEvent, LookupEvent, PastStats
@@ -85,8 +85,8 @@ class LookupResult:
     elapsed: float = 0.0
     #: The answer came from a hedged direct fetch, not the routed request.
     hedged: bool = False
-    #: Local copies that failed their verified read (corrupt or disk
-    #: error) before a clean replica was served.
+    #: Local copies that failed their verified read (corrupt) before a
+    #: clean replica was served.
     integrity_failovers: int = 0
 
 
@@ -452,8 +452,7 @@ class PastNetwork:
         hops = 0
         route = None
         saved = self.pastry.randomize_routing
-        if policy.randomize_retries:
-            self.pastry.randomize_routing = True
+        self.pastry.randomize_routing = True
         try:
             for retry in range(1, policy.max_attempts):
                 route = self.transport.route(
@@ -580,12 +579,11 @@ class PastNetwork:
             for attempt in range(1, policy.max_attempts + 1):
                 if attempt > 1:
                     elapsed += policy.backoff(attempt - 1, self.retry_rng)
-                    if policy.randomize_retries:
-                        self.pastry.randomize_routing = True
-                if elapsed > policy.op_deadline:
+                    self.pastry.randomize_routing = True
+                if elapsed > OP_DEADLINE:
                     break
                 if (wall_start is not None
-                        and self.transport.now() - wall_start > policy.op_deadline):
+                        and self.transport.now() - wall_start > OP_DEADLINE):
                     break
                 attempts = attempt
                 route = self.transport.route(
@@ -599,19 +597,19 @@ class PastNetwork:
                 if route.lost or route.dropped:
                     # No reply ever comes; the client times out (§2.3:
                     # "the client must retry").
-                    elapsed += policy.attempt_timeout
+                    elapsed += ATTEMPT_TIMEOUT
                     continue
                 if request.source is not None:
                     break
                 # Delivered, but no node along the route had a replica —
                 # the holders may be crashed, partitioned, or mid-repair.
                 # Hedge: ask each of the k replica holders directly.
-                if policy.hedge and route.terminus is not None:
+                if route.terminus is not None:
                     request = self._hedged_fetch(request, route.terminus, key)
                     hedged = request.source is not None
                     if hedged:
                         break
-                elapsed += policy.attempt_timeout
+                elapsed += ATTEMPT_TIMEOUT
         finally:
             if self.pastry.randomize_routing != saved_randomize:
                 self.pastry.randomize_routing = saved_randomize
@@ -873,8 +871,8 @@ class PastNetwork:
 
         ``clock`` is the virtual-time callable bit rot accrues against
         (e.g. ``lambda: sim.now``).  Without one the clock stays frozen
-        at 0.0 — partial writes, read errors and disk modes still fire,
-        but time-driven rot does not.
+        at 0.0 — the ``readonly`` disk mode and WAL crash points still
+        fire, but time-driven rot does not.
         """
         self.storage_faults = plan
         if clock is not None:

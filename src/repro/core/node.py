@@ -652,7 +652,7 @@ class PastNode(PastryApplication):
         current replica set (one direct RPC per candidate, subject to the
         fault plane).  The rewrite happens in place, so diversion
         pointers and referrer bookkeeping stay valid.  When the local
-        disk refuses the rewrite (``readonly``/``failing``), the bad
+        disk refuses the rewrite (``readonly``), the bad
         copy is shed instead and the §3.5 machinery re-replicates onto a
         writable disk — feeding replica diversion exactly like a full
         disk.  Returns True iff the local copy is verified-clean after.
@@ -677,7 +677,7 @@ class PastNode(PastryApplication):
             self.network.integrity.read_repairs += 1
             self.network.integrity.healed_file_ids.add(fid)
             return True
-        return False  # the rewrite itself tore; a later scrub retries
+        return False  # the store refused the rewrite; a later scrub retries
 
     def _find_verified_donor(self, fid: int, cert: FileCertificate) -> Optional[int]:
         """Locate another holder with a verified-clean copy of ``fid``.

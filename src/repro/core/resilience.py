@@ -20,7 +20,7 @@ and :meth:`~repro.core.network.PastNetwork.insert`:
 
 The same failover machinery doubles as the *integrity* escape hatch:
 every serve is a verified read (§2.2), so a holder whose copy turns out
-corrupt or unreadable refuses to answer and the retry/hedge loop moves
+corrupt refuses to answer and the retry/hedge loop moves
 on to the next holder — ``LookupResult.integrity_failovers`` counts how
 often a lookup succeeded only because of that (see
 :mod:`repro.core.integrity` for the repair side).
@@ -36,64 +36,46 @@ import random
 from dataclasses import dataclass
 
 
+#: Time a client waits before concluding an attempt's request or reply
+#: was lost (the paper's transport gives no failure signal), in virtual
+#: seconds.
+ATTEMPT_TIMEOUT = 1.0
+#: Backoff before the first retry; each further retry multiplies it by
+#: ``BACKOFF_FACTOR`` and scales it by ``1 + JITTER * U(0, 1)``.
+BASE_BACKOFF = 0.25
+BACKOFF_FACTOR = 2.0
+JITTER = 0.5
+#: Total virtual time a client spends on one operation, backoffs and
+#: timeouts included.
+OP_DEADLINE = 60.0
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """How a client recovers from lost or unanswered requests.
 
-    All durations are virtual-clock seconds.  ``max_attempts`` counts
-    route attempts (1 = no retries); ``op_deadline`` caps the total
-    virtual time a client will spend on one operation, backoffs and
-    timeouts included.
+    ``max_attempts`` counts route attempts (1 = no retries).  Timeouts,
+    backoff and the operation deadline are the module constants above;
+    retries always route randomly (§2.3) and a delivered lookup that
+    found no replica always hedges across the k replica holders.
     """
 
     max_attempts: int = 5
-    #: Time a client waits before concluding an attempt's request or
-    #: reply was lost (the paper's transport gives no failure signal).
-    attempt_timeout: float = 1.0
-    base_backoff: float = 0.25
-    backoff_factor: float = 2.0
-    #: Jitter fraction: each backoff is scaled by 1 + jitter*U(0,1).
-    jitter: float = 0.5
-    op_deadline: float = 60.0
-    #: Fall back to direct fetches from the k replica holders when a
-    #: delivered lookup found no replica along the route.
-    hedge: bool = True
-    #: Enable randomized routing (§2.3) for attempts after the first.
-    randomize_retries: bool = True
 
     def __post_init__(self):
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        if self.attempt_timeout < 0 or self.base_backoff < 0 or self.jitter < 0:
-            raise ValueError("timeouts, backoffs and jitter must be non-negative")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
 
     def backoff(self, retry_index: int, rng: random.Random) -> float:
         """Backoff before the ``retry_index``-th retry (1-based), jittered."""
-        delay = self.base_backoff * self.backoff_factor ** (retry_index - 1)
-        if self.jitter > 0.0:
-            delay *= 1.0 + self.jitter * rng.random()
-        return delay
+        delay = BASE_BACKOFF * BACKOFF_FACTOR ** (retry_index - 1)
+        return delay * (1.0 + JITTER * rng.random())
 
     def rpc_deadline(self, legs: int = 1) -> float:
         """Wall-clock deadline for one RPC spanning ``legs`` network legs.
 
         Real transports (``AsyncioTransport``) derive their per-request
         deadline from the client's attempt timeout instead of a flat
-        transport-wide constant, so a policy tuned for fast failover
-        also fails its wire RPCs over fast.  Floored so a zero-timeout
-        policy (virtual-time semantics) still gives sockets a beat.
+        transport-wide constant.
         """
-        return max(0.05, self.attempt_timeout) * max(1, legs)
-
-
-#: Policy used by the chaos harness's resilient clients.
-DEFAULT_RETRY_POLICY = RetryPolicy()
-
-#: A policy that issues exactly one attempt and never hedges — useful as
-#: an explicit "no resilience" baseline that still reports elapsed time.
-NO_RETRY_POLICY = RetryPolicy(
-    max_attempts=1, base_backoff=0.0, jitter=0.0, hedge=False,
-    randomize_retries=False,
-)
+        return ATTEMPT_TIMEOUT * max(1, legs)

@@ -1,6 +1,6 @@
 """Bounded schedule exploration for the event simulator.
 
-``python -m repro.devtools.explore --scenario churn --budget 200``
+``repro explore --scenario churn --budget 200``
 
 The event simulator's default tie-break (FIFO among same-time events) is
 one point in a space of legal schedules: any ordering of *co-enabled*
@@ -24,8 +24,8 @@ Pieces:
   deployments built for exploration.
 * :mod:`.oracles` — the quiescence checks (invariant audit with
   ``check_overlay=True``, misdelivery, lost messages, routing errors).
-* :mod:`.explorer` — the bounded search itself, decision-string replay
-  and delta-debugging minimization.
+* :mod:`.explorer` — the bounded search itself, decision-string replay,
+  delta-debugging minimization, and the ``repro explore`` command.
 """
 
 from .explorer import (

@@ -22,13 +22,16 @@ Counterexamples replay from a *decision string* —
 
 (the plan, dot-separated; empty after the last colon for the FIFO
 schedule).  The format is stable; scenario name and commutation window
-travel as CLI flags next to it.  Replaying a decision string with the
-same scenario, seed and window reproduces the identical event sequence,
-trace digest stream, and oracle verdict.
+travel as ``repro explore`` flags next to it.  Replaying a decision
+string with the same scenario, seed and window reproduces the identical
+event sequence, trace digest stream, and oracle verdict.
 """
 
 from __future__ import annotations
 
+import argparse
+import json
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
@@ -37,7 +40,7 @@ from ...netsim.trace import ScheduleTrace
 from .independence import IndependenceOracle
 from .oracles import OracleViolation, check_quiescence
 from .policy import PlanPolicy
-from .scenarios import ScenarioFn, ScenarioRun
+from .scenarios import SCENARIOS, ScenarioFn, ScenarioRun
 
 DECISION_FORMAT_VERSION = "v1"
 
@@ -159,10 +162,8 @@ class Explorer:
 
     # -------------------------------------------------------------- search
 
-    def explore(
-        self, budget: int, stop_on_violation: bool = True
-    ) -> ExplorationResult:
-        """Execute up to ``budget`` schedules, oracle-checking each."""
+    def explore(self, budget: int) -> ExplorationResult:
+        """Execute up to ``budget`` schedules; stop at the first violation."""
         result = ExplorationResult(seed=self.seed, budget=budget)
         queue = deque([[]])
         seen_digests = set()
@@ -182,8 +183,7 @@ class Explorer:
                     digest=digest,
                     events=len(run.trace.events),
                 ))
-                if stop_on_violation:
-                    break
+                break
             if fresh:
                 queue.extend(self._children(plan, run.trace, result))
         result.unique_schedules = len(seen_digests)
@@ -255,3 +255,130 @@ def minimize_plan(
                 break
             chunks = min(len(positions), chunks * 2)
     return candidate_for(set(positions))
+
+
+# -------------------------------------------------------------------- CLI
+
+
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--scenario", choices=sorted(SCENARIOS), default="churn",
+        help="scenario to explore (default: churn)",
+    )
+    parser.add_argument(
+        "--budget", type=int, default=50,
+        help="maximum number of schedules to execute (default: 50)",
+    )
+    parser.add_argument("--seed", type=int, default=7, help="scenario seed")
+    parser.add_argument(
+        "--window", type=float, default=0.0,
+        help=(
+            "commutation window: events within this much of the earliest "
+            "pending timestamp are co-enabled (default: 0, same-time only)"
+        ),
+    )
+    parser.add_argument(
+        "--replay", metavar="DECISIONS",
+        help=(
+            "replay one schedule from a decision string "
+            "('v1:<seed>:<i0.i1...>'; pair with the same --scenario and "
+            "--window it was found under) instead of exploring"
+        ),
+    )
+    parser.add_argument(
+        "--json", action="store_true", dest="as_json",
+        help="emit a machine-readable JSON report",
+    )
+
+
+def _violations(violations: List[OracleViolation]) -> List[dict]:
+    return [{"kind": v.kind, "detail": v.detail} for v in violations]
+
+
+def _replay(args: argparse.Namespace) -> int:
+    try:
+        seed, plan = parse_decisions(args.replay)
+    except ValueError as exc:
+        print(f"explore: error: {exc}", file=sys.stderr)
+        return 2
+    explorer = Explorer(SCENARIOS[args.scenario], seed=seed, window=args.window)
+    run = explorer.execute(plan)
+    violations = check_quiescence(run)
+    payload = {
+        "scenario": args.scenario,
+        "decisions": format_decisions(seed, plan),
+        "digest": run.trace.digest(),
+        "events": len(run.trace.events),
+        "decision_points": len(run.trace.decisions),
+        "violations": _violations(violations),
+    }
+    if args.as_json:
+        print(json.dumps(payload, indent=2))
+    else:
+        print(
+            f"replayed {payload['decisions']} on scenario "
+            f"{args.scenario!r}: {payload['events']} events, "
+            f"{payload['decision_points']} decision points"
+        )
+        print(f"digest: {payload['digest']}")
+        for violation in violations:
+            print(f"  {violation}")
+        if not violations:
+            print("all quiescence oracles hold")
+    return 1 if violations else 0
+
+
+def run(args: argparse.Namespace) -> int:
+    """``repro explore``: 0 when every explored (or replayed) schedule
+    satisfies the oracles, 1 on a counterexample, 2 on misuse."""
+    if args.budget <= 0:
+        print("explore: error: --budget must be positive", file=sys.stderr)
+        return 2
+    if args.replay:
+        return _replay(args)
+
+    explorer = Explorer(
+        SCENARIOS[args.scenario], seed=args.seed, window=args.window
+    )
+    result = explorer.explore(args.budget)
+    for cex in result.counterexamples:
+        explorer.minimize(cex)
+
+    if args.as_json:
+        print(json.dumps({
+            "scenario": args.scenario,
+            "seed": result.seed,
+            "budget": result.budget,
+            "schedules_run": result.schedules_run,
+            "unique_schedules": result.unique_schedules,
+            "pruned": result.pruned,
+            "counterexamples": [
+                {
+                    "decisions": c.decisions,
+                    "minimized": c.minimized,
+                    "digest": c.digest,
+                    "events": c.events,
+                    "violations": _violations(c.violations),
+                }
+                for c in result.counterexamples
+            ],
+        }, indent=2))
+        return 0 if result.ok else 1
+    print(
+        f"scenario {args.scenario!r} (seed {result.seed}): explored "
+        f"{result.schedules_run}/{result.budget} schedules "
+        f"({result.unique_schedules} unique, {result.pruned} branches "
+        f"pruned as independent)"
+    )
+    if result.ok:
+        print("no schedule violated the quiescence oracles")
+    for cex in result.counterexamples:
+        print(f"counterexample ({len(cex.violations)} violations):")
+        for violation in cex.violations:
+            print(f"  {violation}")
+        print(f"  replay:    --scenario {args.scenario} "
+              f"--window {args.window:g} --replay '{cex.decisions}'")
+        if cex.minimized != cex.decisions:
+            print(f"  minimized: --scenario {args.scenario} "
+                  f"--window {args.window:g} --replay '{cex.minimized}'")
+    return 0 if result.ok else 1

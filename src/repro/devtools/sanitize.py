@@ -1,4 +1,4 @@
-"""Schedule-trace sanitizer: ``python -m repro.devtools.sanitize``.
+"""Schedule-trace sanitizer: ``repro sanitize``.
 
 Runs a scenario **twice in subprocesses** under two different
 ``PYTHONHASHSEED`` values, with the event simulator's trace
@@ -111,6 +111,11 @@ def first_divergence(a: List[str], b: List[str]) -> Optional[int]:
 # ------------------------------------------------------------- subprocess
 
 
+def emit_trace(scenario: str, seed: int) -> None:
+    """Run one scenario in-process and print its trace as JSON."""
+    print(json.dumps(SCENARIOS[scenario](seed).to_dict()))
+
+
 def _run_traced(scenario: str, seed: int, hashseed: str) -> dict:
     """Run one scenario in a child interpreter under ``hashseed``."""
     src_root = Path(__file__).resolve().parents[2]
@@ -121,8 +126,10 @@ def _run_traced(scenario: str, seed: int, hashseed: str) -> dict:
     )
     proc = subprocess.run(
         [
-            sys.executable, "-m", "repro.devtools.sanitize",
-            "--emit-trace", "--scenario", scenario, "--seed", str(seed),
+            sys.executable, "-c",
+            "import sys; from repro.devtools.sanitize import emit_trace; "
+            "emit_trace(sys.argv[1], int(sys.argv[2]))",
+            scenario, str(seed),
         ],
         capture_output=True, text=True, env=env,
     )
@@ -154,14 +161,7 @@ def _describe_event(run: dict, index: int) -> str:
 # -------------------------------------------------------------------- CLI
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.devtools.sanitize",
-        description=(
-            "Run a scenario twice under different PYTHONHASHSEED values "
-            "and report the first divergent scheduled event."
-        ),
-    )
+def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scenario", choices=sorted(SCENARIOS), default="churn",
         help="scenario to run (default: churn)",
@@ -171,19 +171,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--hashseeds", nargs=2, metavar=("A", "B"), default=("0", "12345"),
         help="the two PYTHONHASHSEED values to compare (default: 0 12345)",
     )
-    parser.add_argument(
-        "--emit-trace", action="store_true",
-        help="internal: run the scenario in-process and print its trace JSON",
-    )
-    return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.emit_trace:
-        trace = SCENARIOS[args.scenario](args.seed)
-        print(json.dumps(trace.to_dict()))
-        return 0
+def run(args: argparse.Namespace) -> int:
+    """``repro sanitize``: 0 when the traces match, 1 on divergence, 2 on error."""
     try:
         run_a, run_b, divergence = compare_runs(
             args.scenario, args.seed, tuple(args.hashseeds)
@@ -212,7 +203,3 @@ def main(argv: Optional[List[str]] = None) -> int:
         "collection (see flow-ordering-hazard in the linter)"
     )
     return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

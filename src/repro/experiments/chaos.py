@@ -762,11 +762,7 @@ SIM_SCENARIOS = {
 }
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.chaos",
-        description="PAST chaos harness: loss sweeps, partitions, crash storms.",
-    )
+def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scenario",
         choices=[*SIM_SCENARIOS, "crash-restart", "live", "all"],
@@ -784,20 +780,24 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="(crash-restart/live only) write the BENCH_durability / "
              "BENCH_live_chaos payload here",
     )
-    args = parser.parse_args(argv)
 
+
+def run(args: argparse.Namespace) -> int:
+    """``repro chaos``: 0 when every oracle holds, 1 if one fails, 2 on misuse."""
     if args.scenario == "crash-restart":
-        return _main_crash_restart(args)
+        return _run_crash_restart(args)
     if args.scenario == "live":
-        return _main_live(args)
+        return _run_live(args)
     if args.bench_out:
-        parser.error("--bench-out needs --scenario crash-restart or live")
+        print("chaos: error: --bench-out needs --scenario crash-restart or live",
+              file=sys.stderr)
+        return 2
 
     reports: List[ChaosReport] = []
     failures: List[str] = []
     for name in SIM_SCENARIOS if args.scenario == "all" else [args.scenario]:
-        run, oracle = SIM_SCENARIOS[name]
-        sweep = run(seed=args.seed)
+        sweep_fn, oracle = SIM_SCENARIOS[name]
+        sweep = sweep_fn(seed=args.seed)
         reports.extend(sweep)
         failures.extend(oracle(sweep))
     lines = [_format_report(r) for r in reports]
@@ -830,7 +830,7 @@ def write_bench(path: Optional[str], bench: Dict[str, object]) -> None:
         out.write_text(json.dumps(bench, sort_keys=True, indent=2) + "\n")
 
 
-def _main_crash_restart(args) -> int:
+def _run_crash_restart(args) -> int:
     reports = run_crash_restart_sweep(seed=args.seed)
     bench = durability_bench(reports, args.seed)
     failures = [f for r in reports for f in r.oracle_failures()]
@@ -855,7 +855,7 @@ def _main_crash_restart(args) -> int:
     return 1 if failures else 0
 
 
-def _main_live(args) -> int:
+def _run_live(args) -> int:
     # Imported here: the live harness pulls in repro.net (real sockets),
     # which the sim-only scenarios should not pay for.
     from .live_chaos import render_live_chaos, run_live_sweep
@@ -863,7 +863,3 @@ def _main_live(args) -> int:
     report = run_live_sweep(args.seed)
     print(render_live_chaos(report, bench_out=args.bench_out, as_json=args.json))
     return 1 if report.oracle_failures() else 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI tests
-    sys.exit(main())

@@ -220,7 +220,7 @@ def _kill(net: PastNetwork, transport, victim: int,
     transport.stop_server(victim)
 
 
-def run_live_sweep(seed: int = 2201) -> LiveChaosReport:
+def run_live_sweep(seed: int) -> LiveChaosReport:
     """Seeded insert/lookup workload over localhost TCP under chaos.
 
     Timeline (logical rounds, which are also the fault plan's clock):
@@ -398,11 +398,8 @@ def live_chaos_bench(report: LiveChaosReport) -> Dict[str, object]:
 
 def render_live_chaos(report: LiveChaosReport, bench_out: Optional[str] = None,
                       as_json: bool = False) -> str:
-    """Write the bench payload to ``bench_out`` (if given); render the run.
-
-    The one report behind both front doors, ``repro serve --chaos`` and
-    ``python -m repro.experiments.chaos --scenario live``.
-    """
+    """Write the bench payload to ``bench_out`` (if given); render the run
+    as ``repro chaos --scenario live`` prints it."""
     bench = live_chaos_bench(report)
     write_bench(bench_out, bench)
     lines = [f"bench written to {bench_out}"] if bench_out else []

@@ -103,9 +103,8 @@ class SchedulePolicy:
 class EventSimulator:
     """A priority-queue discrete-event loop with virtual time.
 
-    Pass ``trace=ScheduleTrace()`` (or set ``REPRO_SANITIZE=1`` in the
-    environment) to record a digest trace of every executed event; see
-    :mod:`repro.netsim.trace` and ``python -m repro.devtools.sanitize``.
+    Pass ``trace=ScheduleTrace()`` to record a digest trace of every
+    executed event; see :mod:`repro.netsim.trace` and ``repro sanitize``.
     """
 
     def __init__(
@@ -121,8 +120,6 @@ class EventSimulator:
         #: seqs currently in the heap; bounds _cancelled (see cancel()).
         self._pending = set()
         self.events_run = 0
-        if trace is None and os.environ.get("REPRO_SANITIZE"):
-            trace = ScheduleTrace()
         self.trace = trace
         #: ``None`` keeps the original FIFO pop path byte-for-byte.
         self.policy = policy

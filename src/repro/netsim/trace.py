@@ -1,8 +1,7 @@
 """Schedule-trace instrumentation for the event simulator.
 
 When an :class:`~repro.netsim.eventsim.EventSimulator` is constructed
-with ``trace=ScheduleTrace()`` (or with ``REPRO_SANITIZE=1`` in the
-environment) it records, for every event that runs, a
+with ``trace=ScheduleTrace()`` it records, for every event that runs, a
 ``(time, seq, callback qualname)`` triple plus the source location that
 *scheduled* it.  Two digests summarise a run:
 
@@ -24,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 
 @dataclass(frozen=True)
@@ -133,27 +132,6 @@ class ScheduleTrace:
     def digest(self) -> str:
         """Digest of the whole run so far (digest of zero events is stable)."""
         return self.digests[-1] if self.digests else self._hash.hexdigest()
-
-    def unfixed_ties(self) -> List[List[TraceEvent]]:
-        """Same-timestamp runs whose order FIFO seq did not determine.
-
-        Events scheduled from the *same* call site at the same time run
-        in their (deterministic) scheduling order; a tie among events
-        scheduled from two or more different sites is only as stable as
-        the code paths that scheduled them, so it is worth surfacing.
-        """
-        suspicious: List[List[TraceEvent]] = []
-        group: List[TraceEvent] = []
-        for event in self.events:
-            if group and event.time == group[-1].time:
-                group.append(event)
-                continue
-            if len(group) >= 2 and len({e.site for e in group}) >= 2:
-                suspicious.append(group)
-            group = [event]
-        if len(group) >= 2 and len({e.site for e in group}) >= 2:
-            suspicious.append(group)
-        return suspicious
 
     def to_dict(self) -> dict:
         return {

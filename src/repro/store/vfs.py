@@ -14,7 +14,7 @@ needing actual power loss.
 Fault injection: every barrier consults the (optional)
 :class:`~repro.netsim.faults.StorageFaultPlan`:
 
-* ``readonly``/``failing`` disk modes refuse the flush (``OSError``),
+* the ``readonly`` disk mode refuses the flush (``OSError``),
   exactly as the modeled replica path refuses new replica bytes;
 * a scheduled :class:`~repro.netsim.faults.CrashPoint` kills the
   process at this barrier: ``before-fsync`` loses the whole pending

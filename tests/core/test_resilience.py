@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.core import NO_RETRY_POLICY, RetryPolicy
+from repro.core import RetryPolicy, resilience
 from repro.core.messages import LookupRequest
 from repro.netsim.faults import FaultPlan
 from repro.pastry import idspace
@@ -29,35 +29,22 @@ class TestRetryPolicy:
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(attempt_timeout=-1.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(base_backoff=-0.1)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=-0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_factor=0.5)
 
     def test_backoff_is_exponential_and_jittered(self):
-        policy = RetryPolicy(base_backoff=0.5, backoff_factor=2.0, jitter=0.0)
-        rng = random.Random(0)
-        assert policy.backoff(1, rng) == pytest.approx(0.5)
-        assert policy.backoff(2, rng) == pytest.approx(1.0)
-        assert policy.backoff(3, rng) == pytest.approx(2.0)
-        jittered = RetryPolicy(base_backoff=0.5, backoff_factor=2.0, jitter=0.5)
-        delays = [jittered.backoff(1, random.Random(s)) for s in range(5)]
-        assert all(0.5 <= d <= 0.75 for d in delays)
-        assert len(set(delays)) > 1
+        policy = RetryPolicy()
+        for retry in (1, 2, 3):
+            base = resilience.BASE_BACKOFF * resilience.BACKOFF_FACTOR ** (retry - 1)
+            delays = [policy.backoff(retry, random.Random(s)) for s in range(5)]
+            assert all(
+                base <= d <= base * (1 + resilience.JITTER) for d in delays
+            )
+            assert len(set(delays)) > 1
 
     def test_backoff_replays_with_seeded_rng(self):
         policy = RetryPolicy()
         a = [policy.backoff(i, random.Random(9)) for i in (1, 2, 3)]
         b = [policy.backoff(i, random.Random(9)) for i in (1, 2, 3)]
         assert a == b
-
-    def test_no_retry_policy_is_single_shot(self):
-        assert NO_RETRY_POLICY.max_attempts == 1
-        assert not NO_RETRY_POLICY.hedge
 
 
 class TestResilientLookup:

@@ -5,6 +5,7 @@ import types
 
 import pytest
 
+from repro.cli import main
 from repro.devtools.explore import (
     SCENARIOS,
     Counterexample,
@@ -16,7 +17,6 @@ from repro.devtools.explore import (
     minimize_plan,
     parse_decisions,
 )
-from repro.devtools.explore.__main__ import main as explore_main
 from repro.devtools.explore.scenarios import ScenarioRun, scenario_join
 from repro.devtools.flow.analysis import (
     EFFECT_MUTATE,
@@ -344,8 +344,8 @@ class TestKillSwitch:
 
 class TestCLI:
     def test_explore_clean_exit_zero(self, capsys):
-        code = explore_main([
-            "--scenario", "join", "--budget", "4", "--seed", "7",
+        code = main([
+            "explore", "--scenario", "join", "--budget", "4", "--seed", "7",
         ])
         out = capsys.readouterr().out
         assert code == 0
@@ -354,16 +354,16 @@ class TestCLI:
     def test_scrub_scenario_explores_clean(self, capsys):
         """Scrub rounds racing a crash/recovery: every explored schedule
         must still reach the integrity fixpoint (audit oracle clean)."""
-        code = explore_main([
-            "--scenario", "scrub", "--budget", "6", "--seed", "7",
+        code = main([
+            "explore", "--scenario", "scrub", "--budget", "6", "--seed", "7",
         ])
         out = capsys.readouterr().out
         assert code == 0
         assert "no schedule violated" in out
 
     def test_replay_exit_zero_and_digest_printed(self, capsys):
-        code = explore_main([
-            "--scenario", "join", "--replay", "v1:7:1", "--json",
+        code = main([
+            "explore", "--scenario", "join", "--replay", "v1:7:1", "--json",
         ])
         out = capsys.readouterr().out
         assert code == 0
@@ -374,7 +374,7 @@ class TestCLI:
         assert len(payload["digest"]) == 64
 
     def test_bad_replay_string_is_usage_error(self, capsys):
-        assert explore_main(["--replay", "not-a-decision-string"]) == 2
+        assert main(["explore", "--replay", "not-a-decision-string"]) == 2
 
     def test_nonpositive_budget_is_usage_error(self):
-        assert explore_main(["--budget", "0"]) == 2
+        assert main(["explore", "--budget", "0"]) == 2

@@ -9,12 +9,11 @@ its first divergent event.
 
 from __future__ import annotations
 
-import pytest
-
+from repro.cli import main
 from repro.devtools.sanitize import (
     SCENARIOS,
+    emit_trace,
     first_divergence,
-    main as sanitize_main,
     scenario_hazard,
 )
 from repro.netsim.trace import ScheduleTrace
@@ -68,16 +67,16 @@ class TestScenarios:
 
 class TestHarness:
     def test_churn_scenario_is_hashseed_independent(self, capsys):
-        rc = sanitize_main(
-            ["--scenario", "churn", "--seed", "7", "--hashseeds", "1", "2"]
+        rc = main(
+            ["sanitize", "--scenario", "churn", "--seed", "7", "--hashseeds", "1", "2"]
         )
         out = capsys.readouterr().out
         assert rc == 0, out
         assert "identical trace digests" in out
 
     def test_hazard_scenario_is_localised_to_first_divergence(self, capsys):
-        rc = sanitize_main(
-            ["--scenario", "hazard", "--seed", "3", "--hashseeds", "1", "2"]
+        rc = main(
+            ["sanitize", "--scenario", "hazard", "--seed", "3", "--hashseeds", "1", "2"]
         )
         out = capsys.readouterr().out
         assert rc == 1
@@ -87,10 +86,10 @@ class TestHarness:
         assert "sanitize.py:" in out
 
     def test_emit_trace_prints_json(self, capsys):
+        """What each child interpreter prints for the parent to compare."""
         import json
 
-        rc = sanitize_main(["--emit-trace", "--scenario", "hazard", "--seed", "1"])
-        assert rc == 0
+        emit_trace("hazard", 1)
         payload = json.loads(capsys.readouterr().out)
         assert payload["digest"] == payload["digests"][-1]
         assert len(payload["events"]) == len(payload["digests"])

@@ -32,7 +32,7 @@ def test_command_prints_the_committed_artifact(command, capsys):
 def test_rows_commands_results_and_design_index_are_in_bijection():
     stems = [row.stem for row in ARTIFACTS.values()]
     assert len(set(stems)) == len(stems) == 22
-    assert set(COMMANDS) == set(ARTIFACTS) | {"chaos", "serve"}
+    assert set(COMMANDS) == set(ARTIFACTS) | {"serve"}
     assert sorted(p.stem for p in RESULTS.glob("*.txt")) == sorted(stems)
     index = re.findall(
         r"^\|.*\| `repro (\w+)` \| `(\w+)\.txt` \|", (ROOT / "DESIGN.md").read_text(), re.M

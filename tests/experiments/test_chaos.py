@@ -3,13 +3,11 @@
 import json
 from pathlib import Path
 
-import pytest
-
+from repro.cli import main
 from repro.core import RetryPolicy
 from repro.experiments.chaos import (
     ChaosConfig,
     durability_bench,
-    main,
     run_chaos,
     run_crash_restart_sweep,
 )
@@ -168,7 +166,7 @@ class TestCrashRestartSweep:
 class TestCli:
     def test_bench_out_is_refused_where_no_bench_is_written(self, capsys):
         """Only crash-restart and live produce a BENCH payload."""
-        with pytest.raises(SystemExit) as exc:
-            main(["--scenario", "partition", "--bench-out", "/dev/null"])
-        assert exc.value.code == 2
-        assert "--bench-out" in capsys.readouterr().err
+        argv = ["chaos", "--scenario", "partition", "--bench-out", "/dev/null"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--bench-out" in err

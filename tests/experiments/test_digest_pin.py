@@ -15,9 +15,9 @@ under PYTHONHASHSEED=0 and 31337).
 
 import hashlib
 
+from repro.cli import main
 from repro.core import RetryPolicy
 from repro.devtools.explore.scenarios import SCENARIOS
-from repro.experiments import chaos
 from repro.experiments.chaos import ChaosConfig, run_chaos
 
 CHAOS_LOSS_PIN = "3395691d3167eed2c5c6285feca18fcb5bd118a721105901cc6c563dbb6eafaf"
@@ -29,8 +29,8 @@ EXPLORE_CHAOS_PIN = "fb377b6d48579b98d76d18c1c783976a2bdded11432dc49f2442883951e
 EXPLORE_JOIN_PIN = "2a76d908e7afffd507e2096560c0464435bb70302d06a318006433bc945ef08b"
 EXPLORE_DIVERT_PIN = "a8dbc894126513c9a563f0f0faac2426f6f8f20b53c488ebd9977086617e7091"
 EXPLORE_SCRUB_PIN = "2d71371488bd21ccb7bbefa9038a9a30b8a7cba6819e2d811957ad4839daa239"
-# sha256 of the exact stdout of ``python -m repro.experiments.chaos
-# --scenario <name> --seed <seed> --json``.  The JSON carries every
+# sha256 of the exact stdout of ``python -m repro chaos --scenario
+# <name> --seed <seed> --json``.  The JSON carries every
 # report's trace digest and the oracles' ``failures`` list, so one pin
 # covers both.
 CHAOS_ALL_JSON_PIN = "7891f0cd9a5809a5ade26e2d35e9f2a1c30daa67a2f8e46943996a5134f39f69"
@@ -39,9 +39,9 @@ CHAOS_LIVE_JSON_PIN = "d1f2aecc2b5ccfa2879a5e1428ac211fd5d9490f8f0c6712fbb6075fe
 
 
 def chaos_json_sha256(capsys, scenario: str, seed: int) -> str:
-    """Run the chaos CLI once; sha256 of its stdout (oracles must pass)."""
-    argv = ["--scenario", scenario, "--seed", str(seed), "--json"]
-    assert chaos.main(argv) == 0
+    """Run ``repro chaos`` once; sha256 of its stdout (oracles must pass)."""
+    argv = ["chaos", "--scenario", scenario, "--seed", str(seed), "--json"]
+    assert main(argv) == 0
     return hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest()
 
 

@@ -21,7 +21,7 @@ COMMITTED = (
 
 class TestLiveSweep:
     def test_default_sweep_passes_every_oracle_and_matches_bench(self):
-        report = run_live_sweep()
+        report = run_live_sweep(2201)
         assert report.oracle_failures() == []
         # Steady (loss-only) rounds carry the paper's >=99% availability
         # bar; degraded rounds (corpse windows, active partition) are

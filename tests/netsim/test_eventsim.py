@@ -361,32 +361,6 @@ class TestScheduleTrace:
         sim.run()
         assert len(trace.events) == 1
 
-    def test_env_variable_enables_tracing(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        sim = EventSimulator()
-        assert sim.trace is not None
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        assert len(sim.trace.events) == 1
-
-    def test_unfixed_ties_require_distinct_sites(self):
-        trace = ScheduleTrace()
-        sim = EventSimulator(trace=trace)
-        # Same site in a loop: seq order fully determined by the loop.
-        for _ in range(3):
-            sim.schedule(1.0, lambda: None)
-        sim.run()
-        assert trace.unfixed_ties() == []
-
-        trace2 = ScheduleTrace()
-        sim2 = EventSimulator(trace=trace2)
-        sim2.schedule(1.0, lambda: None)  # site A
-        sim2.schedule(1.0, lambda: None)  # site B
-        sim2.run()
-        ties = trace2.unfixed_ties()
-        assert len(ties) == 1
-        assert len(ties[0]) == 2
-
 
 class TestPeriodicTimer:
     def test_fires_at_period(self):

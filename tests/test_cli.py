@@ -1,19 +1,19 @@
 """Tests for the command-line interface."""
 
 import importlib
-import importlib.util
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
-from repro.cli import COMMANDS, build_parser, main
+from repro.cli import COMMANDS, SUBCOMMANDS, build_parser, main
 
 
 class TestParser:
     def test_all_commands_registered(self):
         parser = build_parser()
-        for command in COMMANDS:
+        for command in [*COMMANDS, *SUBCOMMANDS]:
             args = parser.parse_args([command])
             assert args.command == command
 
@@ -34,13 +34,13 @@ class TestParser:
         assert (args.nodes, args.scale, args.seed) == (50, 0.1, 7)
 
     @pytest.mark.parametrize(
-        "flag", [["--chaos"], ["--data-dir", "x"], ["--workers", "9"],
+        "flag", [["--data-dir", "x"], ["--workers", "9"],
                  ["--files", "3"], ["--differential"], ["--out", "f"]],
     )
     def test_serve_only_flags_rejected_elsewhere(self, flag):
         parser = build_parser()
         assert parser.parse_args(["serve", *flag]).command == "serve"
-        for command in ("table2", "chaos", "list", "check"):
+        for command in ("table2", "list", *SUBCOMMANDS):
             with pytest.raises(SystemExit):
                 parser.parse_args([command, *flag])
 
@@ -49,17 +49,25 @@ class TestParser:
         ["chaos", "--scale", "3"],
         ["chaos", "--nodes", "9"],
         ["serve", "--scale", "7"],
-        ["serve", "--chaos", "--nodes", "4"],
-        ["serve", "--chaos", "--files", "2", "--workers", "9", "--differential"],
+        ["serve", "--chaos"],
+        ["explore", "--keep-going"],
         ["check", "--seed", "1"],
+        ["explore", "--no-minimize"],
+        ["sanitize", "--emit-trace"],
     ])
     def test_flags_a_command_does_not_read_are_rejected(self, argv):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
+        assert exc.value.code == 2
 
     def test_chaos_keeps_the_flags_it_reads(self):
-        args = build_parser().parse_args(["serve", "--chaos", "--seed", "3", "--out", "f"])
-        assert (args.chaos, args.seed, args.out) == (True, 3, "f")
+        args = build_parser().parse_args(
+            ["chaos", "--scenario", "live", "--seed", "3", "--bench-out", "f"]
+        )
+        assert (args.scenario, args.seed, args.bench_out) == ("live", 3, "f")
+
+    def test_chaos_seed_default(self):
+        assert build_parser().parse_args(["chaos"]).seed == 7
 
 
 class TestExecution:
@@ -136,8 +144,9 @@ class TestFigureCommands:
 
 
 class TestServeExitStatus:
-    """``repro serve`` reports a failed run through its exit status, not
-    only on screen: CI steps and scripts read the status."""
+    """``repro serve`` and the live ``repro chaos`` report a failed run
+    through their exit status, not only on screen: CI steps and scripts
+    read the status."""
 
     BENCH = {
         "ops": 8, "nodes": 4, "workers": 1, "checksum": "c0ffee",
@@ -186,29 +195,49 @@ class TestServeExitStatus:
             lost_files=1, lost_file_ids=["0xdead"],
         )
         monkeypatch.setattr(live_chaos, "run_live_sweep", lambda seed: failed)
-        assert main(["serve", "--chaos"]) == 1
+        assert main(["chaos", "--scenario", "live"]) == 1
         assert "FAIL: files unretrievable after heal: 0xdead" in (
             capsys.readouterr().out
         )
 
 
 class TestPackaging:
-    """Every advertised front door exists: a console script or a CI
-    ``python -m`` whose module was deleted fails here, not at install."""
+    """``python -m repro <subcommand>`` is the one front door.  A
+    documented ``python -m repro.<module>`` would still import, and with
+    no ``__main__`` block exit 0 having run nothing, so every invocation
+    in CI and the docs must be the front door and parse."""
 
     ROOT = Path(__file__).resolve().parents[1]
 
     def test_console_scripts_import_and_are_callable(self):
-        """One console script, ``repro``; the explorer and the sanitizer
-        keep their ``python -m`` doors."""
+        """One console script, ``repro``."""
         text = (self.ROOT / "pyproject.toml").read_text()
         section = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
         assert section.strip().splitlines() == ['repro = "repro.cli:main"']
         assert callable(importlib.import_module("repro.cli").main)
 
+    def assert_front_door(self, relpath: str) -> None:
+        text = (self.ROOT / relpath).read_text().replace("\\\n", " ")
+        # A shell loop variable stands for its first value.
+        loops = dict(re.findall(r"for (\w+) in ([\w-]+)", text))
+        found = re.findall(r"python -m repro([\w.]*)([^`|<>#;\n]*)", text)
+        assert found, relpath
+        for suffix, rest in found:
+            argv = [
+                loops.get(word[1:], word) if word.startswith("$") else word
+                for word in shlex.split(rest)
+            ]
+            assert suffix == "", f"{relpath}: python -m repro{suffix}"
+            try:
+                build_parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"{relpath}: python -m repro {rest.strip()}")
+
     def test_ci_module_invocations_resolve(self):
-        ci = (self.ROOT / ".github" / "workflows" / "ci.yml").read_text()
-        modules = set(re.findall(r"python -m (repro[\w.]*)", ci))
-        assert modules
-        for module in sorted(modules):
-            assert importlib.util.find_spec(module) is not None, module
+        self.assert_front_door(".github/workflows/ci.yml")
+
+    @pytest.mark.parametrize(
+        "relpath", ["README.md", ".claude/skills/verify/SKILL.md"]
+    )
+    def test_documented_invocations_parse(self, relpath):
+        self.assert_front_door(relpath)

@@ -11,9 +11,7 @@ from .cache import CacheManager, GreedyDualSizePolicy, LRUPolicy
 from .errors import (
     AdmissionError,
     CapacityError,
-    FileIdCollisionError,
     InsertFailedError,
-    NotOwnerError,
     PastError,
 )
 from .integrity import AntiEntropyScrubber, IntegrityStats
@@ -35,9 +33,7 @@ __all__ = [
     "PastError",
     "AdmissionError",
     "CapacityError",
-    "FileIdCollisionError",
     "InsertFailedError",
-    "NotOwnerError",
     "AntiEntropyScrubber",
     "IntegrityStats",
     "audit",

@@ -24,22 +24,6 @@ class InsertFailedError(PastError):
         self.last_file_id = last_file_id
 
 
-class FileNotFoundError_(PastError):
-    """A lookup reached the fileId's neighborhood but found no replica."""
-
-    def __init__(self, file_id: int):
-        super().__init__(f"no replica of file {file_id:#x} is reachable")
-        self.file_id = file_id
-
-
-class FileIdCollisionError(PastError):
-    """A later insert collided with an existing fileId and was rejected."""
-
-
-class NotOwnerError(PastError):
-    """A reclaim was attempted by a party other than the file's owner."""
-
-
 class AdmissionError(PastError):
     """A node was refused admission to the PAST network (§3.2)."""
 

@@ -65,19 +65,6 @@ class IntegrityStats:
     #: Files that went through any heal action (repair or re-replication).
     healed_file_ids: Set[int] = field(default_factory=set)
 
-    def snapshot(self) -> dict:
-        """JSON-friendly summary (healed fids sorted for stable output)."""
-        return {
-            "failed_reads": self.failed_reads,
-            "read_repairs": self.read_repairs,
-            "re_replications": self.re_replications,
-            "scrub_rounds": self.scrub_rounds,
-            "scrub_corrupt_found": self.scrub_corrupt_found,
-            "scrub_missing_found": self.scrub_missing_found,
-            "scrub_stale_dropped": self.scrub_stale_dropped,
-            "healed_file_ids": sorted(self.healed_file_ids),
-        }
-
 
 class AntiEntropyScrubber:
     """Per-node periodic scrub tasks over a :class:`PastNetwork`.

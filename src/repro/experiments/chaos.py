@@ -693,7 +693,7 @@ def durability_bench(
 
     Every field is derived from seeded, hash-seed-free state, so the
     file is byte-identical across runs and ``PYTHONHASHSEED`` values —
-    CI diffs it directly.
+    tier-1 byte-compares it with the committed file.
     """
     cells = [asdict(c) for r in reports for c in r.cells]
     payload: Dict[str, object] = {

@@ -4,10 +4,12 @@
 inside the deterministic simulator; this module re-runs the same story
 against the production-shaped plane: a localhost TCP cluster
 (:class:`~repro.net.asyncio_transport.AsyncioTransport`) with WAL-durable
-stores, a seeded :class:`~repro.net.faults.WireFaultPlan` injecting 10%
-message loss, a partition with heal, connection resets mid-frame and
-duplicated frames at the socket layer, and a kill schedule that stops
-node processes mid-traffic and later restarts them from their journals.
+stores, and the simulator's own seeded
+:class:`~repro.netsim.faults.FaultPlan` installed on the transport:
+10% message loss, a partition with heal and duplicated frames at the
+socket layer, connection resets mid-frame (the transport's wire-only
+fault), and a kill schedule that stops node processes mid-traffic and
+later restarts them from their journals.
 
 The oracles are the sim sweeps' oracles, verbatim:
 
@@ -21,17 +23,14 @@ The oracles are the sim sweeps' oracles, verbatim:
   inserted file is retrievable (zero lost files) and each WAL restart
   recovered exactly the pre-kill entry set.
 * **Consistency** — the post-heal invariant audit is clean.
-* **Parity** — the same :class:`~repro.netsim.faults.FaultSpec` driven
-  through the sim and wire fault planes yields the identical
-  loss/partition verdict sequence (:func:`repro.net.faults.decision_parity`),
-  so the two engines agree about *which* adversity they injected.
 
 Determinism: the workload is sequential and single-threaded, the plan's
 clock is the harness's logical round counter (never wall time), every
 injected decision comes from seeded RNGs, and injected losses fail fast
 instead of waiting out real deadlines — so the bench payload
 (:func:`live_chaos_bench`) is byte-identical across runs and
-``PYTHONHASHSEED`` values, and CI diffs it directly.
+``PYTHONHASHSEED`` values, and tier-1 byte-compares it with the
+committed file.
 """
 
 from __future__ import annotations
@@ -48,8 +47,7 @@ from typing import Dict, List, Optional
 from ..core import PastNetwork, RetryPolicy, derive_seed
 from ..core.episode import Episode, verdict
 from ..net.differential import build_cluster, graceful_shutdown, restart_from_wal
-from ..net.faults import WireFaultPlan, decision_parity
-from ..netsim.faults import FaultSpec
+from ..netsim.faults import FaultPlan
 from .chaos import render_run, write_bench
 
 __all__ = ["LiveChaosReport", "run_live_sweep",
@@ -119,8 +117,6 @@ class LiveChaosReport:
     injected: Dict[str, int] = field(default_factory=dict)
     #: Classified observed-failure counters (the transport's view).
     wire: Dict[str, int] = field(default_factory=dict)
-    #: Sim-vs-wire verdict parity over the scripted query stream.
-    parity: Dict[str, object] = field(default_factory=dict)
     #: Graceful-shutdown outcome (drain + WAL flush barrier).
     shutdown: Dict[str, object] = field(default_factory=dict)
 
@@ -163,40 +159,34 @@ class LiveChaosReport:
             failures.append("a WAL restart lost acknowledged entries")
         if not self.audit_ok:
             failures.append("post-heal audit dirty: " + "; ".join(self.violations))
-        if not self.parity.get("ok", False):
-            failures.append(
-                "sim/wire fault-verdict parity diverged at leg "
-                f"{self.parity.get('first_divergence')}"
-            )
         return failures
 
 
-def _spec_for(seed: int, node_ids: List[int]) -> FaultSpec:
-    """The shared FaultSpec: kills, partition and link noise, seeded.
+def _plan_for(seed: int, node_ids: List[int]) -> FaultPlan:
+    """The fault plan: link noise, one partition and the kills, seeded.
 
     Victims and the partitioned minority are disjoint seeded choices, so
     the partition exercises retry/hedge across a cut while the kill path
     exercises refused connections and WAL restarts — one failure mode
     per file is recoverable by construction (k replicas, minority < k).
+    Times are logical rounds: kill *i* at round ``1+i``, its WAL
+    restart two rounds later.
     """
     rng = random.Random(derive_seed(seed, "live-cast"))
     ids = sorted(node_ids)
     victims = rng.sample(ids, KILLS)
     minority_pool = [n for n in ids if n not in victims]
     minority = rng.sample(minority_pool, max(2, len(ids) // 4))
-    crashes = tuple(
-        (1.0 + i, victim, 3.0 + i, False)
-        for i, victim in enumerate(victims)
-    )
-    return FaultSpec(
+    plan = FaultPlan(
         seed=derive_seed(seed, "live-spec"),
         loss=LOSS,
         delay_mean=DELAY_MEAN,
         duplicate=DUPLICATE,
-        partitions=((PARTITION_ROUND, PARTITION_HEAL_ROUND,
-                     tuple(sorted(minority))),),
-        crashes=crashes,
     )
+    plan.add_partition(PARTITION_ROUND, PARTITION_HEAL_ROUND, sorted(minority))
+    for i, victim in enumerate(victims):
+        plan.schedule_crash(1.0 + i, victim, 3.0 + i)
+    return plan
 
 
 def _pick_client(net: PastNetwork, rng: random.Random,
@@ -242,13 +232,9 @@ def run_live_sweep(seed: int) -> LiveChaosReport:
         files=N_FILES, rounds=LOOKUP_ROUNDS,
     )
     try:
-        node_ids = sorted(net.pastry.node_ids)
-        spec = _spec_for(seed, node_ids)
         clock = {"now": 0.0}
-        plan = WireFaultPlan(spec, reset=RESET).bind_clock(
-            lambda: clock["now"]
-        )
-        transport.install_faults(plan)
+        plan = _plan_for(seed, net.pastry.node_ids).bind_clock(lambda: clock["now"])
+        transport.install_faults(plan, reset=RESET)
 
         rng = random.Random(derive_seed(seed, "live-workload"))
         owner = net.create_client("live-chaos")
@@ -285,13 +271,13 @@ def run_live_sweep(seed: int) -> LiveChaosReport:
         # Lookup rounds with mid-traffic kills, restarts and partition.
         for r in range(1, LOOKUP_ROUNDS + 1):
             clock["now"] = float(r)
-            for event in plan.due_restarts(clock["now"]):
-                restart(event.node_id)
-            fresh_kills = []
-            for event in plan.due_crashes(clock["now"]):
-                _kill(net, transport, event.node_id, pre_files)
-                down.add(event.node_id)
-                fresh_kills.append(event.node_id)
+            for event in plan.crashes:
+                if event.restart_at == r:
+                    restart(event.node_id)
+            fresh_kills = [e.node_id for e in plan.crashes if e.time == r]
+            for victim in fresh_kills:
+                _kill(net, transport, victim, pre_files)
+                down.add(victim)
                 report.kills_applied += 1
             # A round is degraded while a corpse is undetected (its
             # round's traffic runs against it before the detection pass
@@ -332,11 +318,18 @@ def run_live_sweep(seed: int) -> LiveChaosReport:
         # are the nodes still down; the clock here is the round counter,
         # so the episode's own simulator has nothing pending.
         clock["now"] = LOOKUP_ROUNDS + 1.0
-        report.injected = plan.injected_snapshot()
+        stats = plan.stats
+        report.injected = {
+            "drops": stats.messages_lost,
+            "partition_drops": stats.partition_drops,
+            "delays": stats.delays_injected,
+            "duplicates": stats.duplicates,
+            "resets": stats.resets,
+        }
         transport.install_faults(None)
         Episode(net).quiesce(restart=restart)
 
-        # Oracles: every file retrievable, clean audit, verdict parity.
+        # Oracles: every file retrievable, clean audit.
         for fid in fids:
             client = _pick_client(net, rng, down)
             outcome = net.lookup(fid, client_id=client, policy=POLICY)
@@ -346,9 +339,6 @@ def run_live_sweep(seed: int) -> LiveChaosReport:
                     report.lost_file_ids.append(f"{fid:#x}")
         post = verdict(net)
         report.audit_ok, report.violations = post.audit_ok, post.violations
-        report.parity = decision_parity(
-            spec, node_ids, length=256, reset=RESET
-        )
         report.wire = transport.wire.snapshot()
         return report
     finally:
@@ -361,7 +351,7 @@ def live_chaos_bench(report: LiveChaosReport) -> Dict[str, object]:
 
     Every field derives from seeded state consumed in a fixed sequential
     order, so the file is byte-identical across runs and
-    ``PYTHONHASHSEED`` values — CI diffs it directly.
+    ``PYTHONHASHSEED`` values — tier-1 byte-compares it.
     """
     payload: Dict[str, object] = {
         "scenario": "live_chaos",
@@ -386,9 +376,6 @@ def live_chaos_bench(report: LiveChaosReport) -> Dict[str, object]:
         "audit_ok": report.audit_ok,
         "injected": dict(report.injected),
         "wire": dict(report.wire),
-        "parity_ok": bool(report.parity.get("ok", False)),
-        "parity_losses": report.parity.get("losses"),
-        "parity_partition_drops": report.parity.get("partition_drops"),
         "oracle_failures": report.oracle_failures(),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -412,8 +399,7 @@ def render_live_chaos(report: LiveChaosReport, bench_out: Optional[str] = None,
         f"kills {report.kills_applied}  restarts {report.restarts_applied} "
         f"(recovered_all={report.recovered_all})  "
         f"lost files {report.lost_files}  "
-        f"audit {'ok' if report.audit_ok else 'VIOLATED'}  "
-        f"parity {'ok' if report.parity.get('ok') else 'DIVERGED'}",
+        f"audit {'ok' if report.audit_ok else 'VIOLATED'}",
         f"bench checksum: {bench['checksum']}",
     ]
     return render_run(

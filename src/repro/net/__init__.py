@@ -8,21 +8,21 @@ from the statically-certified ``wire_schema.json``.
 - :mod:`repro.net.codec` — deterministic length-prefixed wire codec,
   type registry pinned by the committed schema.
 - :mod:`repro.net.asyncio_transport` — the ``Transport`` seam over real
-  sockets, one server per node.
-- :mod:`repro.net.faults` — seeded socket-level fault injection
-  (:class:`WireFaultPlan`) sharing its verdict core with the sim plane.
+  sockets, one server per node; it consults the simulator's own
+  :class:`~repro.netsim.faults.FaultPlan` (``install_faults``) and adds
+  the one wire-only fault, a mid-frame reset.
 - :mod:`repro.net.differential` — cross-engine oracle (SimTransport vs
   AsyncioTransport outcome checksums) and the ``repro serve`` bench.
 """
 
 from .codec import CodecError, WireCodec
-from .asyncio_transport import AsyncioTransport, Backpressure, RemoteCallError
-from .faults import (
+from .asyncio_transport import (
+    AsyncioTransport,
+    Backpressure,
     InjectedLoss,
     InjectedReset,
-    WireFaultPlan,
+    RemoteCallError,
     WireStats,
-    decision_parity,
 )
 from .differential import (
     build_cluster,
@@ -40,10 +40,8 @@ __all__ = [
     "InjectedReset",
     "RemoteCallError",
     "WireCodec",
-    "WireFaultPlan",
     "WireStats",
     "build_cluster",
-    "decision_parity",
     "outcome_checksum",
     "run_differential",
     "run_serve",

@@ -28,11 +28,16 @@ Semantics relative to ``SimTransport``:
 * ``call=None`` (RPC to a node the caller already knows is dead) is
   short-circuited driver-side to ``(False, None)`` after accounting,
   exactly like the simulator — there is no server to time out against.
-* ``reliable=True`` skips the installed :class:`WireFaultPlan` exactly
-  like the simulator skips its fault plan (join and recovery state
-  exchanges assume a reliable substrate); the real network can still
-  fail the call.  A sim :class:`FaultPlan` on the overlay is rejected
-  at construction — wire faults are installed via ``install_faults``.
+* Injected faults come from the simulator's own
+  :class:`~repro.netsim.faults.FaultPlan`, installed with
+  ``install_faults``: each fault-scoped leg asks ``plan.transmit`` for
+  its loss / delay / duplicate verdict, and a leg that survived may
+  then be torn mid-frame (the one wire-only fault) by a draw from the
+  transport's own RNG, so resets never move the plan's stream.
+  ``reliable=True`` skips the plan exactly like the simulator does
+  (join and recovery state exchanges assume a reliable substrate); the
+  real network can still fail the call.  A plan on the *overlay* is
+  rejected at construction.
 * ``route`` starts at the client's access node, like the simulator's:
   the origin runs its ``forward`` up-call on the calling thread, each
   hop chains the frame to the next hop's server (h overlay hops, h
@@ -48,8 +53,7 @@ wall-clock expiry derived from the client's
 handed to each blocking socket call as its timeout; refused dials to
 live peers re-dial with seeded jittered backoff; per-peer in-flight
 RPCs past a high-water mark are rejected, not queued; and every
-swallowed failure is classified into the
-:class:`~repro.net.faults.WireStats` counters.
+swallowed failure is classified into the :class:`WireStats` counters.
 """
 
 from __future__ import annotations
@@ -61,15 +65,23 @@ import threading
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.resilience import RetryPolicy
 from ..core.seeding import derive_seed
+from ..netsim.faults import FaultPlan, Transmission
 from ..pastry.network import MAX_ROUTE_HOPS, RouteResult, RoutingError
 from .codec import CodecError, WireCodec, take_frame
-from .faults import InjectedLoss, InjectedReset, WireFaultPlan, WireStats
 
-__all__ = ["AsyncioTransport", "Backpressure", "RemoteCallError"]
+__all__ = [
+    "AsyncioTransport",
+    "Backpressure",
+    "InjectedLoss",
+    "InjectedReset",
+    "RemoteCallError",
+    "WireStats",
+]
 
 #: Deadline multiplier for a route's chained leg, which blocks until the
 #: rest of the chain returns (overlay routes are O(log n) hops; deeper
@@ -105,6 +117,51 @@ _TARGET_PATHS: Dict[str, Tuple[str, ...]] = {
 
 class RemoteCallError(RuntimeError):
     """A remote handler raised; carries the remote traceback text."""
+
+
+class InjectedLoss(asyncio.TimeoutError):
+    """An injected drop: to the caller it looks like a lost message.
+
+    Subclasses :class:`asyncio.TimeoutError` so every existing retry
+    path (``send``/``probe`` returning undelivered, routes reported
+    lost) treats an injected drop exactly like a real timeout — but the
+    transport classifies it separately so real timeouts stay visible.
+    """
+
+
+class InjectedReset(ConnectionResetError):
+    """An injected mid-frame connection reset (the socket was torn)."""
+
+
+@dataclass
+class WireStats:
+    """Observed failure counters for one :class:`AsyncioTransport`.
+
+    These count what the transport *experienced* (classified causes the
+    old blanket ``except`` swallowed); the injected-fault counters live
+    on the installed :class:`FaultPlan`'s ``stats``.
+    """
+
+    #: RPCs whose reply never arrived inside the deadline.
+    timeouts: int = 0
+    #: Connections torn mid-call (peer closed with the frame half-read).
+    resets: int = 0
+    #: Connections refused outright (no server behind the port).
+    refused: int = 0
+    #: Successful re-dials after a refused/failed checkout.
+    reconnects: int = 0
+    #: Sends rejected by per-peer backpressure (over the high-water mark).
+    rejected: int = 0
+
+    def snapshot(self) -> Dict[str, int]:
+        """Counter dict for JSON records (insertion order is fixed)."""
+        return {
+            "timeouts": self.timeouts,
+            "resets": self.resets,
+            "refused": self.refused,
+            "reconnects": self.reconnects,
+            "rejected": self.rejected,
+        }
 
 
 class Backpressure(ConnectionError):
@@ -223,9 +280,8 @@ class AsyncioTransport:
     ):
         if getattr(overlay, "fault_plan", None) is not None:
             raise RuntimeError(
-                "AsyncioTransport refuses a FaultPlan: injected faults "
-                "belong to the deterministic simulator (wire faults are "
-                "a WireFaultPlan, installed via install_faults)"
+                "AsyncioTransport refuses a FaultPlan on the overlay: "
+                "install it on the transport with install_faults"
             )
         self.overlay = overlay
         self.host = host
@@ -234,8 +290,12 @@ class AsyncioTransport:
         #: ``timeout`` is only the policy-less fallback.
         self.policy = policy
         self.pool_limit = POOL_LIMIT
-        #: Installed socket-level fault plan (None = zero-cost clean wire).
-        self.faults: Optional[WireFaultPlan] = None
+        #: Installed fault plan (None = zero-cost clean wire), the
+        #: probability a surviving leg is torn mid-frame, and the RNG
+        #: that draws it (never the plan's, so resets move no verdict).
+        self.faults: Optional[FaultPlan] = None
+        self._reset = 0.0
+        self._reset_rng: Optional[random.Random] = None
         #: Classified failure counters (satellite of the fault plane:
         #: refused vs reset vs timeout, reconnects, rejected sends).
         self.wire = WireStats()
@@ -309,9 +369,19 @@ class AsyncioTransport:
         """
         self._run(self._stop_server(node_id, kill=True))
 
-    def install_faults(self, plan: Optional[WireFaultPlan]) -> None:
-        """Install (or with ``None`` remove) the socket-level fault plan."""
-        self.faults = plan
+    def install_faults(self, plan: Optional[FaultPlan], reset: float = 0.0) -> None:
+        """Install (or with ``None`` remove) the fault plan legs consult.
+
+        ``reset`` is the probability that a leg the plan let through is
+        torn mid-frame instead (the client writes half a length prefix
+        and drops the connection); it is drawn from an RNG derived from
+        the plan's seed, and counted in ``plan.stats.resets``.
+        """
+        if not 0.0 <= reset <= 1.0:
+            raise ValueError(f"reset must be a probability, got {reset}")
+        rng = None if plan is None else random.Random(derive_seed(plan.seed, "wire-faults"))
+        with self._lock:  # a leg reads the three together
+            self.faults, self._reset, self._reset_rng = plan, reset, rng
 
     def drain(self, timeout: float = 10.0) -> bool:
         """Wait for every in-flight dispatch to finish; True if it did.
@@ -513,9 +583,14 @@ class AsyncioTransport:
         expiry = time.perf_counter() + deadline
         faults = self.faults
         verdict = None
+        reset = False
         if faults is not None and link is not None:
             with self._lock:
-                verdict = faults.decide(link[0], link[1])
+                verdict = faults.transmit(link[0], link[1])
+                if (not verdict.lost and self._reset > 0.0
+                        and self._reset_rng.random() < self._reset):
+                    reset = True
+                    faults.stats.resets += 1
             if verdict.lost:
                 # Fail fast instead of burning the real deadline: to the
                 # caller an injected drop and a timed-out reply are the
@@ -525,13 +600,14 @@ class AsyncioTransport:
         try:
             if verdict is not None and verdict.delay > 0.0:
                 time.sleep(min(verdict.delay, 1.0, _left(expiry)))
-            payload = self._roundtrip(target_id, blob, expiry, verdict, dup_ok)
+            payload = self._roundtrip(target_id, blob, expiry, verdict, reset, dup_ok)
         except socket.timeout:
             raise asyncio.TimeoutError(f"no reply from node {target_id:#x}") from None
         return self.codec.decode(payload)
 
     def _roundtrip(self, target_id: int, blob: bytes, expiry: float,
-                   verdict, dup_ok: bool) -> bytes:
+                   verdict: Optional[Transmission], reset: bool,
+                   dup_ok: bool) -> bytes:
         port = self._ports.get(target_id)
         if port is None:
             # Live nodes serve on first contact (a joining node's peers
@@ -555,7 +631,7 @@ class AsyncioTransport:
         try:
             if sock is None:
                 sock, port = self._checkout(target_id, port, expiry)
-            if verdict is not None and verdict.reset:
+            if reset:
                 # Mid-frame tear: the server sees half a length prefix.
                 sock.sendall(blob[:2])
                 raise InjectedReset(f"injected reset on link to node {target_id:#x}")

@@ -32,7 +32,6 @@ from .faults import (
     CrashPoint,
     DiskModeEvent,
     FaultPlan,
-    FaultSpec,
     FaultStats,
     Partition,
     StorageFaultPlan,
@@ -57,7 +56,6 @@ __all__ = [
     "EventHandle",
     "EventSimulator",
     "FaultPlan",
-    "FaultSpec",
     "FaultStats",
     "MessageStats",
     "LatencyModel",

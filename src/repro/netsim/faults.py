@@ -14,7 +14,10 @@ transmission point:
   every overlay hop (:meth:`FaultPlan.transmit`);
 * :class:`repro.pastry.keepalive.KeepAliveMonitor` asks it about every
   keep-alive probe, and PAST's maintenance/fetch RPCs ask about
-  request/reply pairs (:meth:`FaultPlan.rpc_lost`).
+  request/reply pairs (:meth:`FaultPlan.rpc_lost`);
+* over real TCP, :class:`repro.net.asyncio_transport.AsyncioTransport`
+  asks :meth:`FaultPlan.transmit` about every fault-scoped socket leg
+  (its ``install_faults``) — one plan type for both engines.
 
 The storage plane gets the same treatment: a :class:`StorageFaultPlan`
 describes *disk* adversity — bit rot accruing per replica-byte of
@@ -145,46 +148,14 @@ _CLEAN = Transmission()
 _LOST = Transmission(lost=True)
 
 
-@dataclass(frozen=True)
-class FaultSpec:
-    """Engine-neutral, declarative description of network adversity.
-
-    A :class:`FaultPlan` is *stateful* (a consumed RNG, mutable builder
-    lists); a spec is the frozen recipe it was built from.  Both fault
-    engines construct their decision core from the same spec —
-    :meth:`FaultPlan.from_spec` for the simulator,
-    :class:`repro.net.faults.WireFaultPlan` for real TCP — which is what
-    makes the sim/live parity oracle meaningful: identical specs must
-    yield identical loss/partition verdict sequences in both engines.
-
-    Collections are tuples so a spec hashes and compares by value:
-
-    * ``partitions``: ``(start, end, group)`` cuts (group a tuple);
-    * ``crashes``: ``(time, node_id, restart_at, wipe_disk)`` events.
-      Times are whatever clock the consuming engine binds — virtual
-      seconds under the simulator, workload *rounds* under the live
-      chaos harness.
-    """
-
-    seed: int = 0
-    loss: float = 0.0
-    delay_mean: float = 0.0
-    duplicate: float = 0.0
-    partitions: Tuple[Tuple[float, float, Tuple[int, ...]], ...] = ()
-    crashes: Tuple[Tuple[float, int, Optional[float], bool], ...] = ()
-
-    def build_plan(self) -> "FaultPlan":
-        """Materialize the stateful decision core this spec describes."""
-        return FaultPlan.from_spec(self)
-
-
 @dataclass
 class FaultStats:
     """Counters for every fault the plan actually injected.
 
-    The network counters are filled by :class:`FaultPlan`, the storage
-    counters by :class:`StorageFaultPlan`; a harness running both folds
-    the two instances into one report.
+    The network counters are filled by :class:`FaultPlan` (``resets``
+    by the TCP transport consulting it), the storage counters by
+    :class:`StorageFaultPlan`; a harness running both folds the two
+    instances into one report.
     """
 
     messages_lost: int = 0
@@ -194,6 +165,8 @@ class FaultStats:
     duplicates: int = 0
     delays_injected: int = 0
     delay_total: float = 0.0
+    #: Surviving socket legs torn mid-frame (a wire-only fault).
+    resets: int = 0
     # ------------------------------------------------- storage faults
     bitrot_corruptions: int = 0
     writes_refused: int = 0
@@ -249,28 +222,6 @@ class FaultPlan:
         self._now: Callable[[], float] = lambda: 0.0
 
     # ------------------------------------------------------------- building
-
-    @classmethod
-    def from_spec(cls, spec: FaultSpec) -> "FaultPlan":
-        """Build the stateful decision core a :class:`FaultSpec` describes.
-
-        Both fault engines call this with the same spec, so their RNGs
-        start identical and their builder state (partitions, crash
-        schedules) matches element for element.  Construction draws
-        nothing from the RNG — verdict streams start at draw zero in
-        both engines.
-        """
-        plan = cls(
-            seed=spec.seed,
-            loss=spec.loss,
-            delay_mean=spec.delay_mean,
-            duplicate=spec.duplicate,
-        )
-        for start, end, group in spec.partitions:
-            plan.add_partition(at=start, heal_at=end, group=group)
-        for time, node_id, restart_at, wipe_disk in spec.crashes:
-            plan.schedule_crash(time, node_id, restart_at, wipe_disk)
-        return plan
 
     def bind_clock(self, now_fn: Callable[[], float]) -> "FaultPlan":
         """Attach the virtual clock that timed faults (partitions) read."""
@@ -336,15 +287,6 @@ class FaultPlan:
             return False
         now = self._now()
         return any(p.severs(a, b, now) for p in self.partitions)
-
-    def severed(self, a: int, b: int) -> bool:
-        """Whether a partition currently cuts the link a<->b (no draw).
-
-        Public so the wire plane can distinguish a partition drop from a
-        probabilistic loss *before* consuming the verdict — the check
-        reads the clock only, never the RNG, so asking is free.
-        """
-        return self._severed(a, b)
 
     def transmit(self, src: int, dst: int) -> Transmission:
         """Decide the fate of one routed overlay hop ``src -> dst``."""

@@ -38,15 +38,6 @@ class MessageStats:
     def hop_histogram(self) -> dict:
         return dict(self._hop_histogram)
 
-    def snapshot(self) -> dict:
-        return {
-            "routes": self.routes,
-            "hops": self.hops,
-            "mean_hops": self.mean_hops,
-            "distance": self.distance,
-            "direct_rpcs": self.direct_rpcs,
-        }
-
     def reset(self) -> None:
         self.routes = 0
         self.hops = 0

@@ -18,7 +18,7 @@ PAST integrates storage management with routing.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Iterable, List, Optional, Set
+from typing import TYPE_CHECKING, List, Optional, Set
 
 from . import idspace
 from .leafset import LeafSet
@@ -135,10 +135,6 @@ class PastryNode:
         self.consider_neighbor(node_id)
         if not before and node_id in self.leafset:
             self.app.on_node_joined(self, node_id)
-
-    def learn_many(self, node_ids: Iterable[int]) -> None:
-        for node_id in node_ids:
-            self.learn(node_id)
 
     def forget(self, node_id: int) -> None:
         """Purge a failed node from all routing state (no repair)."""

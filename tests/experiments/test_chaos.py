@@ -5,12 +5,7 @@ from pathlib import Path
 
 from repro.cli import main
 from repro.core import RetryPolicy
-from repro.experiments.chaos import (
-    ChaosConfig,
-    durability_bench,
-    run_chaos,
-    run_crash_restart_sweep,
-)
+from repro.experiments.chaos import ChaosConfig, run_chaos
 
 
 def small(seed=3, **kw):
@@ -152,15 +147,17 @@ class TestIntegrity:
 
 
 class TestCrashRestartSweep:
-    def test_sweep_matches_the_committed_durability_bench(self):
-        """What CI's durability step regenerates and diffs, in tier 1."""
-        committed = json.loads(
-            (Path(__file__).resolve().parents[2] / "benchmarks" / "results"
-             / "BENCH_durability.json").read_text()
-        )
-        reports = run_crash_restart_sweep(seed=1201)
-        assert [r.oracle_failures() for r in reports] == [[], [], []]
-        assert durability_bench(reports, 1201) == committed
+    def test_sweep_matches_the_committed_durability_bench(self, tmp_path, capsys):
+        """``--bench-out`` writes the committed file's exact bytes, and
+        every phase's oracle holds (exit 0)."""
+        bench_out = tmp_path / "BENCH_durability.json"
+        argv = ["chaos", "--scenario", "crash-restart", "--seed", "1201",
+                "--bench-out", str(bench_out)]
+        assert main(argv) == 0
+        assert "all crash-restart oracles satisfied" in capsys.readouterr().out
+        committed = (Path(__file__).resolve().parents[2] / "benchmarks"
+                     / "results" / "BENCH_durability.json")
+        assert bench_out.read_bytes() == committed.read_bytes()
 
 
 class TestCli:

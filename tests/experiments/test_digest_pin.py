@@ -35,7 +35,7 @@ EXPLORE_SCRUB_PIN = "2d71371488bd21ccb7bbefa9038a9a30b8a7cba6819e2d811957ad4839d
 # covers both.
 CHAOS_ALL_JSON_PIN = "7891f0cd9a5809a5ade26e2d35e9f2a1c30daa67a2f8e46943996a5134f39f69"
 CHAOS_CRASH_RESTART_JSON_PIN = "c4d2974594ce71b83fc90a33765b38b88175c4c1b3ea1e7e43db3a8e8ce0391c"
-CHAOS_LIVE_JSON_PIN = "d1f2aecc2b5ccfa2879a5e1428ac211fd5d9490f8f0c6712fbb6075fec31b875"
+CHAOS_LIVE_JSON_PIN = "5492b99f27f2a42c00ceb656585defae093aab45af7474ce7391e96ded0f8cdb"
 
 
 def chaos_json_sha256(capsys, scenario: str, seed: int) -> str:

@@ -15,9 +15,8 @@ import threading
 import time
 
 from repro.core.storage import LocalStore
-from repro.net import InjectedReset, WireFaultPlan
 from repro.net.differential import build_cluster
-from repro.netsim import FaultSpec
+from repro.netsim import FaultPlan
 
 
 def _two_nodes(net):
@@ -176,14 +175,13 @@ class TestMangledFrames:
         net, transport = build_cluster(4, seed=3, engine="asyncio")
         try:
             client, target = _two_nodes(net)
-            plan = WireFaultPlan(FaultSpec(seed=7), reset=1.0)
-            plan.bind_clock(lambda: 0.0)
-            transport.install_faults(plan)
+            plan = FaultPlan(seed=7)
+            transport.install_faults(plan, reset=1.0)
             ok, _ = transport.send(
                 client.node_id, target.node_id, target.store.holds_file, 1
             )
             assert ok is False
-            assert plan.resets_injected == 1
+            assert plan.stats.resets == 1
             assert transport.wire.resets >= 1
             # reliable=True skips the plan entirely (join/recovery RPCs).
             ok, _ = transport.send(
@@ -191,7 +189,7 @@ class TestMangledFrames:
                 reliable=True,
             )
             assert ok is True
-            assert plan.resets_injected == 1
+            assert plan.stats.resets == 1
             transport.install_faults(None)
             ok, _ = transport.send(
                 client.node_id, target.node_id, target.store.holds_file, 1
@@ -211,8 +209,7 @@ class TestMangledFrames:
         net, transport = build_cluster(4, seed=3, engine="asyncio")
         try:
             client, target = _two_nodes(net)
-            plan = WireFaultPlan(FaultSpec(seed=7, loss=1.0))
-            plan.bind_clock(lambda: 0.0)
+            plan = FaultPlan(seed=7, loss=1.0)
             transport.install_faults(plan)
             start = time.monotonic()
             ok, _ = transport.send(
@@ -221,6 +218,7 @@ class TestMangledFrames:
             assert ok is False
             assert time.monotonic() - start < 1.0, "injected loss burned the deadline"
             assert plan.stats.messages_lost >= 1
+            assert plan.stats.resets == 0  # only a surviving leg is torn
             assert transport.wire.timeouts == 0
             assert transport.wire.resets == 0
         finally:

@@ -1,122 +1,107 @@
-"""Unit and parity tests for the wire-level fault plan.
+"""Unit tests for fault injection on the real-TCP transport.
 
-The contract under test: a :class:`WireFaultPlan` and a sim
-:class:`FaultPlan` built from the same :class:`FaultSpec` make identical
-loss/partition decisions — same RNG stream, same draw order — and every
-wire-only feature (mid-frame resets) draws from a separate stream so
-enabling it cannot shift the shared verdicts.
+The contract under test: :class:`AsyncioTransport` consults the
+simulator's own :class:`FaultPlan` for every fault-scoped leg, and the
+one wire-only fault (a mid-frame reset) draws from the transport's own
+RNG, so enabling resets cannot shift the plan's verdict stream.
 """
-
-import random
 
 import pytest
 
-from repro.net import WireFaultPlan, WireStats, decision_parity
-from repro.net.faults import parity_script, verdict_sequence
-from repro.netsim import FaultSpec
-from repro.netsim.faults import CrashEvent, FaultPlan
+from repro.net import WireStats
+from repro.net.differential import build_cluster
+from repro.netsim.faults import NEVER, FaultPlan, FaultStats
 
-IDS = tuple(range(1, 11))
 
-ADVERSE = FaultSpec(
-    seed=42,
-    loss=0.15,
-    delay_mean=0.002,
-    duplicate=0.05,
-    partitions=((2.0, 6.0, (1, 2, 3)), (7.0, 9.0, (4, 5, 6, 7))),
-    crashes=((1.0, 4, 3.0, False), (2.0, 5, None, True)),
-)
+@pytest.fixture(scope="module")
+def cluster():
+    net, transport = build_cluster(4, seed=3, engine="asyncio")
+    try:
+        yield sorted(net.pastry.node_ids), transport
+    finally:
+        transport.close()
+
+
+def _adverse_plan(ids):
+    plan = FaultPlan(seed=42, loss=0.3, delay_mean=0.0005, duplicate=0.1)
+    plan.add_partition(at=0.0, heal_at=NEVER, group=ids[:1])
+    return plan.bind_clock(lambda: 0.0)
+
+
+def _drive(transport, plan, reset, ids):
+    """Probe every ordered pair of distinct nodes, three times over."""
+    transport.install_faults(plan, reset=reset)
+    try:
+        for _ in range(3):
+            for src in ids:
+                for dst in ids:
+                    if src != dst:
+                        transport.probe(src, dst)
+    finally:
+        transport.install_faults(None)
+
+
+class TestInstallFaults:
+    def test_reset_must_be_a_probability(self, cluster):
+        _, transport = cluster
+        with pytest.raises(ValueError):
+            transport.install_faults(FaultPlan(seed=1), reset=1.5)
+        assert transport.faults is None
 
 
 class TestDecisionParity:
-    def test_engines_agree_under_full_adversity(self):
-        report = decision_parity(ADVERSE, IDS, length=512, reset=0.5)
-        assert report["ok"] is True
-        assert report["first_divergence"] is None
-        assert report["legs"] == 512
-        assert report["losses"] > 0
-        assert report["partition_drops"] > 0
+    """The plan's verdicts are the same whether or not the wire tears legs."""
 
-    def test_resets_do_not_perturb_the_shared_stream(self):
-        """Wire-only reset draws come from their own RNG: the verdict
-        kind sequence is identical with resets off and cranked to 1.0."""
-        script = parity_script(ADVERSE, IDS, length=512)
-        quiet = verdict_sequence(WireFaultPlan(ADVERSE, reset=0.0), script)
-        noisy = verdict_sequence(WireFaultPlan(ADVERSE, reset=1.0), script)
-        assert quiet == noisy
+    def test_resets_do_not_perturb_the_shared_stream(self, cluster):
+        """Reset draws come from the transport's RNG: the same legs with
+        resets off and cranked to 1.0 leave the plan in the same state."""
+        ids, transport = cluster
+        quiet, noisy = _adverse_plan(ids), _adverse_plan(ids)
+        _drive(transport, quiet, 0.0, ids)
+        _drive(transport, noisy, 1.0, ids)
+        assert quiet.rng.getstate() == noisy.rng.getstate()
+        assert quiet.stats.messages_lost == noisy.stats.messages_lost > 0
+        assert quiet.stats.partition_drops == noisy.stats.partition_drops > 0
+        assert quiet.stats.resets == 0
+        assert noisy.stats.resets > 0
 
-    def test_spec_build_plan_is_from_spec(self):
-        script = parity_script(ADVERSE, IDS, length=256)
-        assert verdict_sequence(ADVERSE.build_plan(), script) == verdict_sequence(
-            FaultPlan.from_spec(ADVERSE), script
-        )
-
-    def test_quiet_plan_draws_nothing(self):
-        """A plan injecting nothing consumes no randomness per decision
-        (the zero-cost invariant the sim plane already pins)."""
-        plan = WireFaultPlan(FaultSpec(seed=9))
-        plan.bind_clock(lambda: 0.0)
-        link_state = plan.link.rng.getstate()
-        wire_state = plan.wire_rng.getstate()
-        for src in IDS[:4]:
-            verdict = plan.decide(src, src + 1)
-            assert verdict.kind == "ok"
-            assert not verdict.reset and verdict.delay == 0.0
-        assert plan.link.rng.getstate() == link_state
-        assert plan.wire_rng.getstate() == wire_state
+    def test_quiet_plan_draws_nothing(self, cluster):
+        """A plan injecting nothing consumes no randomness per leg, from
+        either the plan's RNG or the transport's reset RNG (the zero-cost
+        invariant the sim plane already pins)."""
+        ids, transport = cluster
+        clean = FaultPlan(seed=9)
+        plan_state = clean.rng.getstate()
+        transport.install_faults(clean)
+        wire_state = transport._reset_rng.getstate()
+        try:
+            for src in ids[1:]:
+                assert transport.probe(ids[0], src) is True
+            assert transport._reset_rng.getstate() == wire_state
+        finally:
+            transport.install_faults(None)
+        assert clean.rng.getstate() == plan_state
+        assert clean.stats == FaultStats()
 
 
 class TestWireFaultPlan:
-    def test_reset_counter_and_kind(self):
-        plan = WireFaultPlan(FaultSpec(seed=9), reset=1.0)
-        plan.bind_clock(lambda: 0.0)
-        verdict = plan.decide(1, 2)
-        assert verdict.reset is True
-        # Resets are wire-only; the parity-relevant kind stays "ok".
-        assert verdict.kind == "ok"
-        assert plan.resets_injected == 1
-        assert plan.injected_snapshot()["resets"] == 1
-
-    def test_partition_verdict_kind(self):
-        spec = FaultSpec(seed=9, partitions=((0.0, 5.0, (1, 2)),))
-        plan = WireFaultPlan(spec)
-        clock = {"now": 1.0}
-        plan.bind_clock(lambda: clock["now"])
-        assert plan.decide(1, 5).kind == "partition"
-        assert plan.decide(1, 2).kind == "ok"  # same side of the cut
-        clock["now"] = 6.0
-        assert plan.decide(1, 5).kind == "ok"  # healed
-
-    def test_due_crashes_and_restarts_fire_once(self):
-        plan = WireFaultPlan(ADVERSE)
-        assert plan.due_crashes(0.5) == []
-        first = plan.due_crashes(1.5)
-        assert first == [CrashEvent(1.0, 4, 3.0, False)]
-        assert plan.due_crashes(1.5) == []  # fire-once
-        second = plan.due_crashes(10.0)
-        assert second == [CrashEvent(2.0, 5, None, True)]
-        assert plan.due_restarts(2.5) == []
-        # The infinite horizon sweeps stragglers; no-restart events never fire.
-        assert plan.due_restarts(float("inf")) == [CrashEvent(1.0, 4, 3.0, False)]
-        assert plan.due_restarts(float("inf")) == []
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WireFaultPlan(FaultSpec(seed=1), reset=1.5)
-
-    def test_injected_snapshot_shape(self):
-        plan = WireFaultPlan(ADVERSE, reset=0.2)
-        plan.bind_clock(lambda: 0.0)
-        rng = random.Random(1)
-        for _ in range(200):
-            src, dst = rng.sample(IDS, 2)
-            plan.decide(src, dst)
-        snap = plan.injected_snapshot()
-        assert sorted(snap) == [
-            "delays", "drops", "duplicates", "partition_drops", "resets",
-        ]
-        assert snap["drops"] > 0
-        assert snap["delays"] > 0
+    def test_reset_counter_and_kind(self, cluster):
+        """A torn leg counts once in ``plan.stats.resets``; resets are
+        wire-only, so the plan records it as neither a loss nor a cut."""
+        ids, transport = cluster
+        plan = FaultPlan(seed=9).bind_clock(lambda: 0.0)
+        wire_resets = transport.wire.resets
+        transport.install_faults(plan, reset=1.0)
+        try:
+            assert transport.probe(ids[0], ids[1]) is False
+        finally:
+            transport.install_faults(None)
+        assert plan.stats.resets == 1
+        assert plan.stats.messages_lost == 0
+        assert plan.stats.partition_drops == 0
+        assert transport.wire.resets > wire_resets
+        # The torn link recovers once the plan is removed.
+        assert transport.probe(ids[0], ids[1]) is True
 
 
 class TestWireStats:

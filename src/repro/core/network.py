@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..netsim.faults import READ_CORRUPT, StorageFaultPlan
-from ..netsim.topology import Topology
+from ..netsim.topology import TorusTopology
 from ..pastry import PastryNetwork, idspace
 from ..pastry.network import RouteResult
 from ..security import (
@@ -106,7 +106,7 @@ class PastNetwork:
     def __init__(
         self,
         config: Optional[PastConfig] = None,
-        topology: Optional[Topology] = None,
+        topology: Optional[TorusTopology] = None,
         issuer: Optional[SmartcardIssuer] = None,
     ):
         self.config = config if config is not None else PastConfig()
@@ -279,7 +279,15 @@ class PastNetwork:
         net = self.pastry
         seed = net._nearest_by_proximity(pastry_node.coord)
         result = net.route(seed.node_id, pastry_node.node_id, message=None)
-        path_nodes = [net.node(i) for i in result.path]
+        # Confirm-reread: route() suspends at every hop, so a node recorded
+        # on the path may have failed before its state is read; keep only
+        # the ones still registered (as PastryNetwork.join does).
+        path_nodes = []
+        for i in result.path:
+            if i in net._nodes:
+                path_nodes.append(net._nodes[i])
+        if not path_nodes:
+            path_nodes = [seed]
         terminus = path_nodes[-1]
         pastry_node.leafset.add(terminus.node_id)
         pastry_node.leafset.add_all(terminus.leafset.sorted_members())

@@ -7,7 +7,7 @@ package provides that substrate: node placement models, the proximity
 metric, and message accounting.
 """
 
-from .topology import Coordinate, SphereTopology, TorusTopology, ClusteredTopology
+from .topology import Coordinate, TorusTopology, ClusteredTopology
 from .stats import MessageStats
 from .latency import LatencyModel, PAPER_PER_HOP_MS, percentiles
 from .eventsim import (
@@ -40,7 +40,6 @@ from .faults import (
 
 __all__ = [
     "Coordinate",
-    "SphereTopology",
     "TorusTopology",
     "ClusteredTopology",
     "CRASH_AFTER_FSYNC",

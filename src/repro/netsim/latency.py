@@ -10,7 +10,7 @@ in ~25 ms.  This model makes that conversion explicit and configurable:
 
 * ``per_hop_ms`` — fixed per-hop processing cost (the prototype's 25 ms).
 * ``ms_per_unit`` — propagation delay per unit of the topology's
-  proximity metric (the unit square/sphere diameter mapped onto a
+  proximity metric (the unit torus's diameter mapped onto a
   continental RTT by default).
 * ``bandwidth_bytes_per_ms`` — transfer time for the file body.
 """

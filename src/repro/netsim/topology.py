@@ -3,18 +3,19 @@
 Pastry only requires a *scalar* proximity metric between nodes (the paper
 suggests IP routing hops, bandwidth or geographic distance).  We model the
 underlying network by embedding nodes in a metric space and using the
-embedding distance as the proximity metric — the same approach used by the
-Pastry paper's own emulator, which places nodes on a sphere.
+embedding distance as the proximity metric, as the Pastry paper's own
+emulator does.
 
-Three placement models are provided:
+The space is the 2-D unit torus (no edge effects, cheap distance
+computation), with two placement models over the one metric:
 
-* :class:`TorusTopology` — uniform placement on a 2-D unit torus (no edge
-  effects, cheap distance computation).  The default.
-* :class:`SphereTopology` — uniform placement on a unit sphere with
-  great-circle distances, matching the Pastry paper's emulator.
+* :class:`TorusTopology` — uniform placement.  The default.
 * :class:`ClusteredTopology` — placement into a configurable number of
   geographic clusters.  Used by the caching experiment, which maps the
   clients of each of the eight NLANR trace sites to *nearby* overlay nodes.
+
+One metric is what lets :class:`~repro.pastry.network.PastryNetwork` find a
+joining node's nearest neighbour through a uniform grid over the torus.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Optional, Tuple
 
 
 class Coordinate:
-    """A point in the emulated network's metric space.
+    """A point on the unit torus.
 
     ``cluster`` records which cluster the point was drawn from (if any),
     which lets workloads map trace sites onto co-located nodes.
@@ -34,56 +35,31 @@ class Coordinate:
     placement time, so instances should not carry a ``__dict__``.
     """
 
-    __slots__ = ("x", "y", "z", "cluster")
+    __slots__ = ("x", "y", "cluster")
 
-    def __init__(
-        self,
-        x: float,
-        y: float,
-        z: float = 0.0,
-        cluster: Optional[int] = None,
-    ) -> None:
+    def __init__(self, x: float, y: float, cluster: Optional[int] = None) -> None:
         self.x = x
         self.y = y
-        self.z = z
         self.cluster = cluster
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Coordinate):
             return NotImplemented
-        return (
-            self.x == other.x
-            and self.y == other.y
-            and self.z == other.z
-            and self.cluster == other.cluster
-        )
+        return self.x == other.x and self.y == other.y and self.cluster == other.cluster
 
     def __repr__(self) -> str:
-        return (
-            f"Coordinate(x={self.x!r}, y={self.y!r}, z={self.z!r}, "
-            f"cluster={self.cluster!r})"
-        )
+        return f"Coordinate(x={self.x!r}, y={self.y!r}, cluster={self.cluster!r})"
 
 
-class Topology:
-    """Base class: placement + proximity metric."""
-
-    def place(self, rng: random.Random, cluster: Optional[int] = None) -> Coordinate:
-        """Draw a coordinate for a newly joining node."""
-        raise NotImplementedError
-
-    def distance(self, a: Coordinate, b: Coordinate) -> float:
-        """The scalar proximity metric between two coordinates."""
-        raise NotImplementedError
-
-
-class TorusTopology(Topology):
+class TorusTopology:
     """Uniform placement on the unit square with wrap-around distances."""
 
     def place(self, rng: random.Random, cluster: Optional[int] = None) -> Coordinate:
-        return Coordinate(rng.random(), rng.random(), 0.0, cluster)
+        """Draw a coordinate for a newly joining node."""
+        return Coordinate(rng.random(), rng.random(), cluster)
 
     def distance(self, a: Coordinate, b: Coordinate) -> float:
+        """The scalar proximity metric between two coordinates."""
         dx = abs(a.x - b.x)
         dy = abs(a.y - b.y)
         dx = min(dx, 1.0 - dx)
@@ -91,23 +67,7 @@ class TorusTopology(Topology):
         return math.hypot(dx, dy)
 
 
-class SphereTopology(Topology):
-    """Uniform placement on the unit sphere, great-circle proximity metric."""
-
-    def place(self, rng: random.Random, cluster: Optional[int] = None) -> Coordinate:
-        # Uniform point on the sphere via the standard z/phi construction.
-        z = rng.uniform(-1.0, 1.0)
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        r = math.sqrt(max(0.0, 1.0 - z * z))
-        return Coordinate(r * math.cos(phi), r * math.sin(phi), z, cluster)
-
-    def distance(self, a: Coordinate, b: Coordinate) -> float:
-        dot = a.x * b.x + a.y * b.y + a.z * b.z
-        dot = max(-1.0, min(1.0, dot))
-        return math.acos(dot)
-
-
-class ClusteredTopology(Topology):
+class ClusteredTopology(TorusTopology):
     """Nodes drawn from Gaussian clusters on the unit torus.
 
     Cluster centres are spread deterministically; each placement draws from
@@ -125,7 +85,6 @@ class ClusteredTopology(Topology):
         self._centres: Tuple[Tuple[float, float], ...] = tuple(
             (centre_rng.random(), centre_rng.random()) for _ in range(n_clusters)
         )
-        self._torus = TorusTopology()
 
     def centre(self, cluster: int) -> Tuple[float, float]:
         return self._centres[cluster % self.n_clusters]
@@ -136,7 +95,4 @@ class ClusteredTopology(Topology):
         cx, cy = self.centre(cluster)
         x = (cx + rng.gauss(0.0, self.spread)) % 1.0
         y = (cy + rng.gauss(0.0, self.spread)) % 1.0
-        return Coordinate(x, y, 0.0, cluster % self.n_clusters)
-
-    def distance(self, a: Coordinate, b: Coordinate) -> float:
-        return self._torus.distance(a, b)
+        return Coordinate(x, y, cluster % self.n_clusters)

@@ -6,8 +6,8 @@ direct method calls, but all routing decisions use only node-local state
 (leaf set, routing table, neighborhood set) and every hop is accounted in
 :class:`repro.netsim.MessageStats`.
 
-A small amount of *global* state (a sorted index of live nodeIds) is kept
-by the emulator itself.  It is used only for test oracles and for emulator
+A small amount of *global* state (a sorted index of live nodeIds, a grid
+over every placed coordinate) is kept by the emulator itself.  It is used only for test oracles and for emulator
 services that stand in for out-of-band mechanisms (e.g. finding a
 proximity-nearby bootstrap node for a joining node); it is never consulted
 by the routing algorithm.
@@ -16,13 +16,13 @@ by the routing algorithm.
 from __future__ import annotations
 
 import bisect
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from ..netsim import MessageStats, TorusTopology
 from ..netsim.faults import FaultPlan
-from ..netsim.topology import Topology
 from ..netsim.transport import SimTransport
 from . import idspace
 from .node import PastryNode
@@ -108,7 +108,7 @@ class PastryNetwork:
         self,
         b: int = 4,
         l: int = 32,
-        topology: Optional[Topology] = None,
+        topology: Optional[TorusTopology] = None,
         seed: int = 0,
         randomize_routing: bool = False,
     ):
@@ -145,6 +145,10 @@ class PastryNetwork:
         self._nodes: Dict[int, PastryNode] = {}
         self._failed: Dict[int, PastryNode] = {}
         self._coords: Dict[int, object] = {}
+        #: Every placed coordinate's id, bucketed by a ``side x side`` grid
+        #: over the unit torus (see :meth:`_nearest_by_proximity`).
+        self._grid: List[List[int]] = [[]]
+        self._grid_side = 1
         self._sorted_ids: List[int] = []
         #: Called with the nodeId after every :meth:`recover_node`, so
         #: failure detectors can re-watch recovered nodes automatically.
@@ -233,11 +237,21 @@ class PastryNetwork:
     def _make_node(self, node_id, cluster=None, register=True) -> PastryNode:
         if node_id is None:
             node_id = self.rng.getrandbits(idspace.ID_BITS)
-        if node_id in self._nodes or node_id in self._failed:
+        if node_id in self._coords:
             raise ValueError("duplicate nodeId; the new node must obtain a new nodeId")
         coord = self.topology.place(self.rng, cluster=cluster)
         node = PastryNode(node_id, self, coord, b=self.b, l=self.l)
         self._coords[node_id] = coord
+        # The grid's only writer.  About one id per cell: re-gridded
+        # whenever the placed count reaches a power of two.
+        placed = len(self._coords)
+        if placed & (placed - 1) == 0:
+            side = self._grid_side = math.isqrt(placed)
+            self._grid = [[] for _ in range(side * side)]
+            for placed_id, placed_coord in self._coords.items():
+                self._grid[self._cell(placed_coord)].append(placed_id)
+        else:
+            self._grid[self._cell(coord)].append(node_id)
         if register:
             self._register(node)
         return node
@@ -299,12 +313,47 @@ class PastryNetwork:
             self.stats.record_rpc(self.distance(node.node_id, contact_id))
         return node
 
+    def _cell(self, coord) -> int:
+        side = self._grid_side
+        return int(coord.x * side) % side * side + int(coord.y * side) % side
+
     def _nearest_by_proximity(self, coord) -> PastryNode:
         """Emulator service standing in for 'a nearby node A' (expanding-ring
-        discovery in a deployment)."""
-        return min(
-            self._nodes.values(), key=lambda n: self.topology.distance(coord, n.coord)
-        )
+        discovery in a deployment).
+
+        The live node nearest to ``coord``, ties to the first in ``_nodes``
+        order: ``min(self._nodes.values(), key=distance to coord)``, found
+        by visiting the grid in square rings of cells around ``coord``'s
+        own.  A point in ring ``r`` is at least ``r - 1`` cell sides away,
+        so the walk stops once the best distance is strictly below that
+        (less a rounding margin, so no equal or nearer point is skipped).
+        """
+        side, grid, nodes = self._grid_side, self._grid, self._nodes
+        distance = self.topology.distance
+        cx, cy = int(coord.x * side), int(coord.y * side)
+        best, tied = math.inf, []
+        r = 0
+        while 2 * r - 1 < side and not best < (r - 1) / side - 1e-12:
+            # Ring r: the cells r steps away on either axis.  On a grid of
+            # side 2r the offsets -r and +r wrap onto the same cell.
+            offsets = range(-r, r + 1) if 2 * r < side else range(-r, r)
+            edges = (-r, r) if 2 * r < side else (-r,)
+            for dx in offsets:
+                column = (cx + dx) % side * side
+                for dy in offsets if abs(dx) == r else edges:
+                    for node_id in grid[column + (cy + dy) % side]:
+                        node = nodes.get(node_id)
+                        if node is None:
+                            continue
+                        d = distance(coord, node.coord)
+                        if d < best:
+                            best, tied = d, [node]
+                        elif d == best:
+                            tied.append(node)
+            r += 1
+        if len(tied) > 1:
+            return next(n for n in nodes.values() if n in tied)
+        return tied[0]
 
     def build(self, n: int, clusters: Optional[List] = None) -> List[PastryNode]:
         """Grow the overlay to ``n`` nodes via repeated joins."""

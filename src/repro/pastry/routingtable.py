@@ -11,11 +11,17 @@ properties.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional
+import functools
+from typing import Callable, Iterator, List, Optional, Sequence
 
 from . import idspace
 
 ProximityFn = Callable[[int], float]
+
+
+@functools.lru_cache(maxsize=None)
+def _empty_row(cols: int) -> tuple:
+    return (None,) * cols
 
 
 class RoutingTable:
@@ -44,9 +50,10 @@ class RoutingTable:
         self.rows = idspace.num_digits(b)
         self.cols = 1 << b
         self._proximity = proximity
-        self._entries: List[List[Optional[int]]] = [
-            [None] * self.cols for _ in range(self.rows)
-        ]
+        # Only about log_{2^b} N rows ever fill: an unfilled row is the one
+        # shared all-None tuple, and ``consider`` gives a row its own list
+        # at its first entry.
+        self._entries: List[Sequence[Optional[int]]] = [_empty_row(self.cols)] * self.rows
         self._own_digits = idspace.digits(owner_id, b)
 
     # ---------------------------------------------------------------- lookup
@@ -106,11 +113,14 @@ class RoutingTable:
         if col == self._own_digits[row]:
             # The slot matching the owner's own digit is never populated.
             return False
-        current = self._entries[row][col]
+        entries = self._entries[row]
+        current = entries[col]
         if current == node_id:
             return False
         if current is None or self._proximity(node_id) < self._proximity(current):
-            self._entries[row][col] = node_id
+            if type(entries) is tuple:
+                entries = self._entries[row] = list(entries)
+            entries[col] = node_id
             return True
         return False
 

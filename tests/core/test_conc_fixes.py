@@ -522,3 +522,38 @@ class TestMaintainAfterJoinConfirmReread:
         monkeypatch.setattr(PastNode, "maybe_discard", counting_discard)
         holder._maintain_after_join(new_id)
         assert discards == [fid]
+
+
+class TestPastJoinConfirmReread:
+    def join_with_crashed_terminus(self, seed):
+        """Admit one node while the join route's terminus crashes just
+        after the route returns (the route's last suspension point)."""
+        net = build_past(24, k=3, l=8, seed=seed, cache_policy="none")
+        pastry = net.pastry
+        route = pastry.route
+        crashed = []
+
+        def interposed(origin_id, key, message=None, **kwargs):
+            result = route(origin_id, key, message=message, **kwargs)
+            if not crashed and len(result.path) > 1:
+                crashed.append(result.path[-1])
+                pastry.mark_failed(result.path[-1])
+            return result
+
+        pastry.route = interposed
+        newcomer = net.add_node(2_000_000)[0]
+        return net, newcomer, crashed
+
+    def test_path_node_crashed_mid_join_is_skipped(self):
+        """PAST's join reads the state of every node on its join route; a
+        path node that crashed while the route was in flight must be left
+        out, not looked up in the live registry."""
+        for seed in range(71, 91):
+            net, newcomer, crashed = self.join_with_crashed_terminus(seed)
+            if crashed:
+                break
+        assert crashed, "no join route had more than one hop"
+        assert newcomer.node_id in net.pastry.node_ids
+        assert crashed[0] not in net.pastry.node_ids
+        # The leaf set came from the last live node of the path instead.
+        assert len(newcomer.pastry.leafset) > 0

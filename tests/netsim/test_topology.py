@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.netsim import ClusteredTopology, Coordinate, SphereTopology, TorusTopology
+from repro.netsim import ClusteredTopology, Coordinate, TorusTopology
 
 seeds = st.integers(min_value=0, max_value=2**31)
 
@@ -51,26 +51,6 @@ class TestTorus:
         rng = random.Random(seed)
         a, b, c = topo.place(rng), topo.place(rng), topo.place(rng)
         assert topo.distance(a, c) <= topo.distance(a, b) + topo.distance(b, c) + 1e-9
-
-
-class TestSphere:
-    def test_points_on_unit_sphere(self):
-        topo = SphereTopology()
-        rng = random.Random(4)
-        for _ in range(100):
-            c = topo.place(rng)
-            assert c.x**2 + c.y**2 + c.z**2 == pytest.approx(1.0)
-
-    def test_antipodal_distance_is_pi(self):
-        topo = SphereTopology()
-        a = Coordinate(0, 0, 1)
-        b = Coordinate(0, 0, -1)
-        assert topo.distance(a, b) == pytest.approx(math.pi)
-
-    def test_distance_self_zero(self):
-        topo = SphereTopology()
-        c = Coordinate(1, 0, 0)
-        assert topo.distance(c, c) == pytest.approx(0.0)
 
 
 class TestClustered:

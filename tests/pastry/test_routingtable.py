@@ -145,3 +145,54 @@ class TestRows:
         rt.consider(0x2 << 124)
         rt.consider(0x129 << 116)
         assert len(rt) == 2
+
+
+class TestLazyRows:
+    """Unfilled rows share one immutable all-None row until their first entry."""
+
+    def test_empty_row_reads_none(self):
+        rt = make()
+        assert all(rt.entry(r, c) is None for r in range(rt.rows) for c in range(rt.cols))
+        assert rt.lookup(0x2 << 124) is None
+        assert rt.row(5) == [None] * 16
+        assert len(rt) == 0 and list(rt.entries()) == []
+
+    def test_row_of_an_unfilled_row_is_a_fresh_list(self):
+        rt = make()
+        row = rt.row(3)
+        assert type(row) is list
+        row[7] = 0x2 << 124
+        assert rt.row(3) == [None] * 16
+        assert rt.row(3) is not rt.row(3)
+
+    def test_writing_one_row_leaves_the_other_rows_alone(self):
+        rt = make()
+        node = 0x129 << 116  # row 2, column 9
+        assert rt.consider(node)
+        assert rt.entry(2, 9) == node
+        for r in range(rt.rows):
+            if r != 2:
+                assert rt.row(r) == [None] * 16
+        assert list(rt.entries()) == [node]
+
+    def test_writing_one_table_leaves_another_tables_rows_alone(self):
+        first, second = make(), make()
+        nodes = [0x2 << 124, 0x129 << 116, 0x12345679 << 96]
+        for node in nodes:
+            assert first.consider(node)
+        assert len(first) == 3
+        assert len(second) == 0
+        assert all(second.row(r) == [None] * 16 for r in range(second.rows))
+        assert second.consider(0x3 << 124)
+        assert first.entry(0, 3) is None
+        assert second.entry(0, 2) is None
+
+    def test_remove_empties_a_slot_without_touching_other_tables(self):
+        first, second = make(), make()
+        node = 0x2 << 124
+        first.consider(node)
+        second.consider(node)
+        assert first.remove(node)
+        assert first.entry(0, 2) is None
+        assert second.entry(0, 2) == node
+        assert not first.remove(node)

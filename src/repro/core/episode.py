@@ -138,6 +138,14 @@ class Episode:
         crash.__qualname__ = label
         return self.sim.schedule_at(when, crash)
 
+    def detect_at(self, when: float, node_id: int) -> EventHandle:
+        """Schedule the detection of ``node_id``'s failure: a fixed delay
+        standing in for the keep-alive monitor."""
+        def detect() -> None:
+            self.net.process_failure_detection(node_id)
+
+        return self.sim.schedule_at(when, detect)
+
     def recover(self, node_id: int) -> None:
         """Bring a crashed node back, disk as the crash left it."""
         self.net.recover_node(node_id)

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Set
 
 from ..netsim.faults import READ_CORRUPT
-from ..netsim.transport import as_transport
+from ..netsim.transport import SimTransport
 from ..pastry import idspace
 from .seeding import derive_seed
 
@@ -88,9 +88,9 @@ class AntiEntropyScrubber:
             raise ValueError("interval must be positive")
         if not 0.0 <= jitter < interval:
             raise ValueError("jitter must be in [0, interval)")
-        # ``sim`` may be a raw EventSimulator (the historical signature)
-        # or any Transport; timers go through the seam either way.
-        self.transport = as_transport(sim, network.pastry)
+        # ``sim`` is the EventSimulator the scrubber runs on; its timers
+        # and clock go through a SimTransport over the overlay.
+        self.transport = SimTransport(sim, network.pastry)
         self.network = network
         self.interval = interval
         self.jitter = jitter

@@ -41,7 +41,6 @@ from .seeding import derive_seed
 from .node import PastNode
 from .stats import InsertEvent, LookupEvent, PastStats
 from .storage import LocalStore
-from .transport import SimTransport
 
 
 @dataclass
@@ -117,10 +116,6 @@ class PastNetwork:
             seed=self.config.seed,
             randomize_routing=self.config.randomize_routing,
         )
-        #: The transport seam (messaging half): every routed message and
-        #: direct RPC the storage layer issues goes through this object,
-        #: so an AsyncioTransport can replace the emulated plane wholesale.
-        self.transport = SimTransport(None, self.pastry)
         self.rng = random.Random(derive_seed(self.config.seed, "past-network"))
         #: Dedicated stream for client retry jitter: keeps RetryPolicy
         #: draws off ``self.rng`` so enabling retries cannot shift the
@@ -158,6 +153,20 @@ class PastNetwork:
         #: availability model counts a file lost when all k replicas fail
         #: within one recovery period, i.e. before maintenance runs).
         self.maintenance_enabled = True
+
+    @property
+    def transport(self):
+        """The deployment's one messaging transport: the overlay's.
+
+        Every routed message and direct RPC, PAST's and Pastry's alike,
+        goes through it, so assigning an ``AsyncioTransport`` here swaps
+        the engine for both layers.
+        """
+        return self.pastry.transport
+
+    @transport.setter
+    def transport(self, transport) -> None:
+        self.pastry.transport = transport
 
     # ------------------------------------------------------------- topology
 
@@ -577,12 +586,9 @@ class PastNetwork:
         # runs (it prices lost messages the paper's way), but the op
         # deadline additionally binds *wall* time — a live cluster's
         # delays and reconnect backoffs are real seconds the virtual
-        # model cannot see.  SimTransport has no `realtime` attribute,
-        # so the simulator's path (and its digests) are untouched.
-        wall_start = (
-            self.transport.now()
-            if getattr(self.transport, "realtime", False) else None
-        )
+        # model cannot see.  SimTransport is not realtime, so the
+        # simulator's path (and its digests) are untouched.
+        wall_start = self.transport.now() if self.transport.realtime else None
         try:
             for attempt in range(1, policy.max_attempts + 1):
                 if attempt > 1:

@@ -894,38 +894,25 @@ class PastNode(PastryApplication):
             self.network.past_node_or_none(r) for r in sorted(replica.referrers)
         ]
         survivors = [s for s in survivors if s is not None]
-        if failed_was_primary:
-            for s in survivors:
-                pointer = s.store.pointers.get(fid)
-                if pointer is not None and not pointer.primary:
-                    s.store.set_pointer_primary(fid, True)
-                    key = idspace.routing_key(fid)
-                    s._install_backup_pointer(
-                        pointer.certificate,
-                        self.node_id,
-                        key,
-                        exclude=set(
-                            s.leafset.closest_nodes(key, pointer.certificate.k)
-                        ),
-                    )
-                    return
-            # No surviving referrer: the k-closest maintenance flow will
-            # re-create a replica; this copy is now orphaned and may be
-            # reclaimed by migration.
-        else:
-            for s in survivors:
-                pointer = s.store.pointers.get(fid)
-                if pointer is not None and pointer.primary:
-                    key = idspace.routing_key(fid)
-                    s._install_backup_pointer(
-                        pointer.certificate,
-                        self.node_id,
-                        key,
-                        exclude=set(
-                            s.leafset.closest_nodes(key, pointer.certificate.k)
-                        ),
-                    )
-                    return
+        for s in survivors:
+            # The survivor that acts holds the other kind of pointer: the
+            # backup C when A failed, A when C failed.
+            pointer = s.store.pointers.get(fid)
+            if pointer is None or pointer.primary == failed_was_primary:
+                continue
+            if failed_was_primary:
+                s.store.set_pointer_primary(fid, True)
+            key = idspace.routing_key(fid)
+            s._install_backup_pointer(
+                pointer.certificate,
+                self.node_id,
+                key,
+                exclude=set(s.leafset.closest_nodes(key, pointer.certificate.k)),
+            )
+            return
+        # No surviving referrer of the other kind: if A failed, the
+        # k-closest maintenance flow re-creates a replica, and this copy
+        # is now orphaned and may be reclaimed by migration.
 
     # ------------------------------------------------------------ migration
 

@@ -70,12 +70,3 @@ class RetryPolicy:
         """Backoff before the ``retry_index``-th retry (1-based), jittered."""
         delay = BASE_BACKOFF * BACKOFF_FACTOR ** (retry_index - 1)
         return delay * (1.0 + JITTER * rng.random())
-
-    def rpc_deadline(self, legs: int = 1) -> float:
-        """Wall-clock deadline for one RPC spanning ``legs`` network legs.
-
-        Real transports (``AsyncioTransport``) derive their per-request
-        deadline from the client's attempt timeout instead of a flat
-        transport-wide constant.
-        """
-        return ATTEMPT_TIMEOUT * max(1, legs)

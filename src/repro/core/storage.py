@@ -176,11 +176,11 @@ class LocalStore:
         self.node_id: int = -1
         self.fault_plan: Optional["StorageFaultPlan"] = None
         self.now: Callable[[], float] = lambda: 0.0
-        #: Optional replica-store backend (see :mod:`repro.store`): an
-        #: observer of logical mutations via duck-typed ``note_*`` hooks.
-        #: None (the default) is byte-identical to :class:`MemoryBackend`
-        #: — a single attribute check per mutation, zero RNG draws.
-        self.backend: Optional["ReplicaStoreBackend"] = None
+        #: Optional durable backend (a :class:`~repro.store.wal.WalBackend`):
+        #: an observer of logical mutations via duck-typed ``note_*``
+        #: hooks.  None (the default) costs a single attribute check per
+        #: mutation and zero RNG draws.
+        self.backend: Optional["WalBackend"] = None
         #: fid -> virtual time the cached copy was inserted/last verified.
         self._cache_checked: Dict[int, float] = {}
         self.primaries: Dict[int, StoredReplica] = {}

@@ -9,7 +9,7 @@ properties of the engine-pure node logic:
 * **non-blocking** — no wall-clock sleeps, sync I/O, or busy-waits that
   would stall a single-threaded event loop (:mod:`.rules`);
 * **seam conformance** — time and the network are reached only through
-  the :class:`repro.core.transport.Transport` seam (:mod:`.rules`).
+  the transport seam of :mod:`repro.netsim.transport` (:mod:`.rules`).
 
 ``python -m repro check`` runs the catalogue beside the lint and wire
 catalogues, against the committed accepted-debt baseline.

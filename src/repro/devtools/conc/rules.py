@@ -231,7 +231,7 @@ class ConcReentrancyRule(ProjectRule):
 class ConcSeamRule(ProjectRule):
     """Engine-pure modules reach time/network only through the seam.
 
-    The ``Transport`` protocol (:mod:`repro.core.transport`) is the one
+    The transport contract (:mod:`repro.netsim.transport`) is the one
     doorway from node logic to clocks, timers, routing and RPC.  Logic
     that bypasses it — importing the simulator at runtime, scheduling on
     a raw sim handle, reading ``sim.now``, or invoking the fault plane's

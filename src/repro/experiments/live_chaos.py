@@ -72,7 +72,7 @@ KILLS = 2
 #: Logical round the partition activates / heals at.
 PARTITION_ROUND = 4.0
 PARTITION_HEAL_ROUND = 5.0
-#: Client resilience; also derives the transport's RPC deadlines.
+#: Client resilience.
 POLICY = RetryPolicy(max_attempts=6)
 
 
@@ -223,9 +223,7 @@ def run_live_sweep(seed: int) -> LiveChaosReport:
     repair runs to fixpoint, and the oracles judge the aftermath.
     """
     base = Path(tempfile.mkdtemp(prefix="repro-live-"))
-    net, transport = build_cluster(
-        N_NODES, seed, engine="asyncio", data_dir=base, policy=POLICY,
-    )
+    net, transport = build_cluster(N_NODES, seed, engine="asyncio", data_dir=base)
     assert transport is not None
     report = LiveChaosReport(
         scenario="live-chaos", seed=seed, nodes=N_NODES,

@@ -95,7 +95,6 @@ def run_recovery_window(
 
         # The keep-alive monitor stays off: detection is the fixed delay.
         episode = Episode(net)
-        sim = episode.sim
         crashes = max(1, int(crash_fraction * len(net)))
         when = 0.0
         crash_order = list(net.pastry.node_ids)
@@ -103,12 +102,9 @@ def run_recovery_window(
         for victim in crash_order[:crashes]:
             when += rng.expovariate(1.0 / mean_interarrival)
             episode.crash_at(when, victim, wipe_disk=disk_loss)
-            sim.schedule_at(
-                when + delay,
-                lambda v=victim: net.process_failure_detection(v),
-            )
+            episode.detect_at(when + delay, victim)
             episode.recover_at(when + downtime, victim)
-        sim.run()
+        episode.sim.run()
         results.append(
             _outcome(net, fids, start, delay, mean_interarrival, crashes)
         )

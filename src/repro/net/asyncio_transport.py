@@ -1,8 +1,9 @@
 """Real-network implementation of the transport seam over asyncio TCP.
 
-:class:`AsyncioTransport` matches the :class:`~repro.core.transport.Transport`
-protocol, so the same engine-pure ``PastNode``/``PastryNode`` logic that
-runs under the deterministic simulator serves real concurrent traffic:
+:class:`AsyncioTransport` matches the transport contract of
+:mod:`repro.netsim.transport`, so the same engine-pure
+``PastNode``/``PastryNode`` logic that runs under the deterministic
+simulator serves real concurrent traffic:
 every direct RPC and every routed message is encoded by the schema-pinned
 :class:`~repro.net.codec.WireCodec`, crosses a localhost TCP socket to the
 target node's server, and is decoded and dispatched there.  A node
@@ -16,8 +17,8 @@ node; otherwise it encodes its request, checks a blocking ``TCP_NODELAY``
 socket out of a per-target free list, sends, reads the reply and decodes
 it — it never enters the event loop.  One asyncio *loop* thread runs one
 TCP server per node (127.0.0.1, kernel-assigned ports): it accepts,
-frames incoming bytes (an :class:`asyncio.Protocol` per connection),
-writes replies and fires timers.  Each complete request goes to an
+frames incoming bytes (an :class:`asyncio.Protocol` per connection)
+and writes replies.  Each complete request goes to an
 *executor* thread, which decodes it, dispatches under the node's lock
 and encodes the reply — never on the loop thread — so a handler that
 itself sends nested RPCs (insert coordination fanning out
@@ -47,10 +48,9 @@ Semantics relative to ``SimTransport``:
   rides the replies back — the client sees ``RouteResult.lost``, same
   as under the simulator, and its retry policy takes over.
 
-Failure discipline (see DESIGN.md §4k): every RPC runs under **one**
-wall-clock expiry derived from the client's
-:class:`~repro.core.resilience.RetryPolicy` (or the flat ``timeout``),
-handed to each blocking socket call as its timeout; refused dials to
+Failure discipline (see DESIGN.md §4k): every RPC leg runs under **one**
+wall-clock expiry, ``timeout`` seconds per leg it spans, handed to each
+blocking socket call as its timeout; refused dials to
 live peers re-dial with seeded jittered backoff; per-peer in-flight
 RPCs past a high-water mark are rejected, not queued; and every
 swallowed failure is classified into the :class:`WireStats` counters.
@@ -68,7 +68,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from ..core.resilience import RetryPolicy
 from ..core.seeding import derive_seed
 from ..netsim.faults import FaultPlan, Transmission
 from ..pastry.network import MAX_ROUTE_HOPS, RouteResult, RoutingError
@@ -88,7 +87,7 @@ __all__ = [
 #: chains fail the leg, report it lost, and let the client retry).
 ROUTE_DEADLINE_LEGS = 8
 
-#: Seconds one RPC leg may take when no :class:`RetryPolicy` sets it.
+#: Seconds one RPC leg may take.
 RPC_TIMEOUT = 30.0
 
 #: Per-peer in-flight high-water mark (sends past it are rejected).
@@ -175,19 +174,6 @@ class Backpressure(ConnectionError):
     """
 
 
-class _PeriodicTimer:
-    """Repeating timer handle matching the simulator's ``stop()`` shape."""
-
-    def __init__(self, cancel: Callable[[], None]):
-        self._cancel = cancel
-        self.stopped = False
-
-    def stop(self) -> None:
-        if not self.stopped:
-            self.stopped = True
-            self._cancel()
-
-
 def _left(expiry: float) -> float:
     """Seconds left of an RPC's one expiry, for its next blocking step."""
     remaining = expiry - time.perf_counter()
@@ -267,15 +253,12 @@ class AsyncioTransport:
 
     #: The clock behind :meth:`now` is wall time: engine-agnostic
     #: deadline code (``core.resilience``) may bound operations by it.
-    #: ``SimTransport`` has no such attribute, so the same check keeps
-    #: the simulator's virtual-time model byte-identical.
     realtime = True
 
     def __init__(
         self,
         overlay: Any,
         host: str = "127.0.0.1",
-        policy: Optional[RetryPolicy] = None,
         seed: int = 0,
     ):
         if getattr(overlay, "fault_plan", None) is not None:
@@ -286,9 +269,6 @@ class AsyncioTransport:
         self.overlay = overlay
         self.host = host
         self.timeout = RPC_TIMEOUT
-        #: Per-RPC deadlines derive from this policy when set; the flat
-        #: ``timeout`` is only the policy-less fallback.
-        self.policy = policy
         self.pool_limit = POOL_LIMIT
         #: Installed fault plan (None = zero-cost clean wire), the
         #: probability a surviving leg is torn mid-frame, and the RNG
@@ -413,43 +393,6 @@ class AsyncioTransport:
     def now(self) -> float:
         return time.perf_counter() - self._t0
 
-    def schedule(self, delay: float, callback: Callable[[], None]):
-        return asyncio.run_coroutine_threadsafe(
-            self._fire_later(delay, callback), self._loop
-        )
-
-    def schedule_at(self, when: float, callback: Callable[[], None]):
-        return self.schedule(max(0.0, when - self.now()), callback)
-
-    def cancel(self, handle) -> None:
-        handle.cancel()
-
-    def every(
-        self,
-        period: float,
-        callback: Callable[[], None],
-        jitter_fn: Optional[Callable[[], float]] = None,
-        first_delay: Optional[float] = None,
-    ) -> _PeriodicTimer:
-        future = asyncio.run_coroutine_threadsafe(
-            self._fire_every(period, callback, jitter_fn, first_delay),
-            self._loop,
-        )
-        return _PeriodicTimer(future.cancel)
-
-    async def _fire_later(self, delay: float, callback: Callable[[], None]) -> None:
-        await asyncio.sleep(delay)
-        await self._loop.run_in_executor(self._executor, callback)
-
-    async def _fire_every(self, period, callback, jitter_fn, first_delay) -> None:
-        delay = period if first_delay is None else first_delay
-        if jitter_fn is not None:
-            delay += jitter_fn()
-        while True:
-            await asyncio.sleep(delay)
-            await self._loop.run_in_executor(self._executor, callback)
-            delay = period + (jitter_fn() if jitter_fn is not None else 0.0)
-
     # --------------------------------------------------------- message plane
 
     def send(
@@ -539,12 +482,6 @@ class AsyncioTransport:
 
     # --------------------------------------------------------- driver plumbing
 
-    def rpc_deadline(self, legs: int = 1) -> float:
-        """The wall-clock deadline for one RPC spanning ``legs`` legs."""
-        if self.policy is not None:
-            return self.policy.rpc_deadline(legs)
-        return self.timeout * max(1, legs)
-
     def _note_failure(self, exc: BaseException) -> None:
         """Classify a swallowed transport failure into :attr:`wire` (injected
         losses are counted by the plan, rejections at the reject site)."""
@@ -562,25 +499,22 @@ class AsyncioTransport:
         """Run a coroutine on the loop thread, blocking the caller."""
         return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
 
-    def _request(self, target_id: int, frame: dict,
-                 deadline: Optional[float] = None,
+    def _request(self, target_id: int, frame: dict, legs: int = 1,
                  link: Optional[Tuple[int, int]] = None,
                  dup_ok: bool = False) -> dict:
         """One encoded round-trip to a node's server, on the calling thread.
 
-        One expiry governs the whole leg — injected delay, dial and
-        re-dials, write, reply read: each blocking step gets what is
-        left of it as its timeout, and a lapse anywhere surfaces as
-        :class:`asyncio.TimeoutError` (which ``socket.timeout`` is not
-        before Python 3.10).
+        One expiry, ``timeout`` seconds per leg the call spans, governs
+        the whole leg — injected delay, dial and re-dials, write, reply
+        read: each blocking step gets what is left of it as its timeout,
+        and a lapse anywhere surfaces as :class:`asyncio.TimeoutError`
+        (which ``socket.timeout`` is not before Python 3.10).
 
         ``link`` is the (src, dst) pair the fault plan is asked about;
         ``None`` legs (``reliable`` sends) are never injected.
         """
         blob = self.codec.encode_frame(frame)
-        if deadline is None:
-            deadline = self.rpc_deadline()
-        expiry = time.perf_counter() + deadline
+        expiry = time.perf_counter() + self.timeout * legs
         faults = self.faults
         verdict = None
         reset = False
@@ -732,13 +666,6 @@ class AsyncioTransport:
     async def _close_all(self) -> None:
         for node_id in list(self._servers):
             await self._stop_server(node_id)
-        # Timers are parked in sleeps; cancel and reap them so nothing
-        # still needs the loop after it stops.
-        me = asyncio.current_task()
-        tasks = [t for t in asyncio.all_tasks(self._loop) if t is not me]
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
 
     def _serve_frame(self, conn: _Connection, payload: bytes) -> None:
         """Executor thread (handlers may block in nested RPCs): decode,
@@ -831,7 +758,7 @@ class AsyncioTransport:
             return self._request(
                 next_id,
                 {"op": "route", "key": key, "message": message, "path": path},
-                deadline=self.rpc_deadline(ROUTE_DEADLINE_LEGS),
+                legs=ROUTE_DEADLINE_LEGS,
                 link=(node_id, next_id),
                 dup_ok=True,
             )

@@ -35,7 +35,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..core.config import PastConfig
 from ..core.invariants import audit
 from ..core.network import PastNetwork
-from ..core.resilience import RetryPolicy
 from .asyncio_transport import AsyncioTransport
 
 __all__ = [
@@ -58,22 +57,18 @@ def build_cluster(
     seed: int,
     engine: str = "sim",
     data_dir: Optional[Path] = None,
-    policy: Optional["RetryPolicy"] = None,
     config: Optional[PastConfig] = None,
 ) -> Tuple[PastNetwork, Optional[AsyncioTransport]]:
     """One seeded PAST deployment on the chosen transport engine.
 
-    ``engine="asyncio"`` swaps the transport *before* any node joins, so
-    join-time leafset/routing-table RPCs cross real sockets too.
+    ``engine="asyncio"`` swaps the deployment's one transport *before*
+    any node joins, so join-time leafset/routing-table RPCs cross real
+    sockets too; ``seed`` also seeds its reconnect-backoff RNG.
 
     ``data_dir`` makes every node's store durable: each LocalStore is
     born with a :class:`~repro.store.WalBackend` journaling to
     ``data_dir/<node_id>``, fsyncing every record (``sync_every=1``) —
     a killed process loses nothing that was acknowledged.
-
-    ``policy`` (asyncio engine only) derives the transport's per-RPC
-    deadlines from the client's :class:`RetryPolicy` instead of the
-    flat 30s default, and seeds its reconnect-backoff RNG from ``seed``.
     """
     net = PastNetwork(config=config if config is not None
                       else PastConfig(seed=seed))
@@ -90,9 +85,8 @@ def build_cluster(
         net.store_backend_factory = factory
     transport: Optional[AsyncioTransport] = None
     if engine == "asyncio":
-        transport = AsyncioTransport(net.pastry, policy=policy, seed=seed)
+        transport = AsyncioTransport(net.pastry, seed=seed)
         net.transport = transport
-        net.pastry.transport = transport
     elif engine != "sim":
         raise ValueError(f"unknown engine {engine!r}")
     net.build([NODE_CAPACITY] * n_nodes)

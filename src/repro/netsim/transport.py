@@ -1,39 +1,66 @@
-"""The simulator-backed implementation of the transport seam.
+"""The transport seam: how engine-pure node logic reaches time and network.
 
-:class:`SimTransport` is the single choke point through which node logic
-(``pastry.node``, ``pastry.keepalive``, ``core.node``, ``core.integrity``)
-reaches *time* (clock reads, timers) and the *network* (routed messages,
-direct RPCs, keep-alive probes).  Everything above the seam sees only the
-:class:`~repro.core.transport.Transport` interface; everything below it —
-the :class:`~repro.netsim.eventsim.EventSimulator`, the overlay's routing
-engine, the fault plane — is an engine detail that an
-``AsyncioTransport`` can replace without touching node logic.
+The same ``PastNode``/``PastryNode`` logic runs under the deterministic
+simulator and over real TCP (``repro.net``).  What makes that possible is
+one boundary: node logic (``pastry.node``, ``pastry.keepalive``,
+``core.node``, ``core.integrity``) reaches the clock, timers, routed
+messages and direct RPCs only through a transport, and the concurrency
+catalogue of ``python -m repro check`` enforces it (DESIGN.md §4h).
 
-Design constraints, in force because four ScheduleTrace digest pins and
-four benchmark outcome checksums must stay byte-identical across the
-seam extraction:
+A deployment has one messaging transport: the overlay's
+``PastryNetwork.transport``, which ``PastNetwork.transport`` reads and
+assigns, so swapping the engine is one assignment.  Two implementations
+exist, matched by duck typing (no base class, no dispatch overhead):
+:class:`SimTransport` here, and
+:class:`~repro.net.asyncio_transport.AsyncioTransport`, which ``core``
+never imports.  The contract:
 
-* callbacks pass through *unwrapped*: timer and schedule delegation hand
-  the caller's callable straight to the simulator, so trace labels
-  (callback ``__qualname__``\\ s) do not change;
-* :meth:`send` draws from the fault plan exactly when the pre-seam code
-  did: ``reliable=True`` models the RPCs that never consulted
-  ``rpc_lost`` (synchronous pulls whose loss story predates the fault
-  plane), and ``call=None`` models an RPC issued to a node already known
-  dead — accounted, but undeliverable without a loss draw;
-* :meth:`probe` consults ``probe_lost`` without recording an RPC,
-  matching the keep-alive plane's original accounting.
+* ``route(origin_id, key, message=None, collect_distance=False)`` —
+  overlay-routed delivery towards ``key`` (Pastry's ``route``); the
+  message in its final state comes back as ``RouteResult.message``.
+* ``send(origin_id, target_id, call, *args, reliable=False, **kwargs)
+  -> (delivered, result)`` — one direct RPC; ``delivered`` is False when
+  the message was lost or the target unreachable.
+* ``probe(origin_id, peer_id) -> bool`` — one keep-alive probe.
+* ``now() -> float`` and ``realtime`` — the clock, and whether it is
+  wall time (only then may engine-agnostic code bound an operation by
+  it).
+* ``every(period, callback, jitter_fn=None, first_delay=None)`` — a
+  repeating timer with ``stop()``; only :class:`SimTransport` has it, for
+  the keep-alive monitor and the anti-entropy scrubber, which build their
+  own transport over the simulator they are given.
+
+Arguments and messages go in by value and replies are values: all a
+caller may use of a call is ``result`` / ``RouteResult.message``.  What a
+handler or up-call does to the objects it was handed is not observable
+by the caller (the simulator happens to pass references, a socket cannot).
+Under ``SimTransport`` every ``send`` completes synchronously; under a
+concurrent transport every ``send``/``route`` is a *suspension point*,
+where state read before it may be stale after.  Implementations are
+deterministic functions of their inputs and the engine state they hold:
+the schedule explorer replays recorded decisions through the seam.
+
+Constraints that keep the ScheduleTrace digest pins byte-identical:
+
+* timer callbacks pass through *unwrapped*, so trace labels (callback
+  ``__qualname__``\\ s) do not change;
+* :meth:`SimTransport.send` draws from the fault plan exactly when the
+  pre-seam code did: ``reliable=True`` models the RPCs that never
+  consulted ``rpc_lost`` (synchronous pulls whose loss story predates the
+  fault plane), and ``call=None`` models an RPC issued to a node already
+  known dead — accounted, but undeliverable without a loss draw;
+* :meth:`SimTransport.probe` consults ``probe_lost`` without recording
+  an RPC, matching the keep-alive plane's original accounting.
 
 The ``overlay`` is duck-typed: anything with ``route``, ``stats`` and
-``fault_plan`` works (both :class:`~repro.pastry.network.PastryNetwork`
-and wrappers around it), so this module needs no upward imports.
+``fault_plan`` works, so this module needs no upward imports.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Optional, Tuple
 
-from .eventsim import _INFRA_FILES, EventHandle, EventSimulator, PeriodicTimer
+from .eventsim import _INFRA_FILES, EventSimulator, PeriodicTimer
 
 # Scheduling calls funnel through this module; trace diagnostics must
 # keep attributing schedules to the node logic that asked for them.
@@ -43,20 +70,17 @@ _INFRA_FILES.add(__file__)
 class SimTransport:
     """Transport seam bound to an :class:`EventSimulator` and an overlay.
 
-    Either half may be absent: a transport built only for timers
-    (``overlay=None``) raises on message operations, and one built only
-    for messaging (``sim=None``) raises on clock/timer operations.  The
-    emulator's synchronous assembly uses the latter; the virtual-time
-    experiment harnesses bind both.
+    The overlay's own transport has no simulator (``sim=None``), so it
+    has no clock or timers; the keep-alive monitor and the scrubber bind
+    both halves.
     """
 
     __slots__ = ("sim", "overlay")
 
-    def __init__(
-        self,
-        sim: Optional[EventSimulator] = None,
-        overlay: Optional[Any] = None,
-    ):
+    #: Virtual time: the clock never bounds an operation in wall seconds.
+    realtime = False
+
+    def __init__(self, sim: Optional[EventSimulator], overlay: Any):
         self.sim = sim
         self.overlay = overlay
 
@@ -64,19 +88,7 @@ class SimTransport:
 
     def now(self) -> float:
         """Current virtual time."""
-        return self._sim().now
-
-    def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
-        """Run ``callback`` after ``delay`` time units."""
-        return self._sim().schedule(delay, callback)
-
-    def schedule_at(self, when: float, callback: Callable[[], None]) -> EventHandle:
-        """Run ``callback`` at absolute time ``when``."""
-        return self._sim().schedule_at(when, callback)
-
-    def cancel(self, handle: EventHandle) -> None:
-        """Cancel a scheduled callback (no-op if it already ran)."""
-        self._sim().cancel(handle)
+        return self.sim.now
 
     def every(
         self,
@@ -86,7 +98,7 @@ class SimTransport:
         first_delay: Optional[float] = None,
     ) -> PeriodicTimer:
         """Run ``callback`` every ``period`` units until stopped."""
-        return self._sim().every(
+        return self.sim.every(
             period, callback, jitter_fn=jitter_fn, first_delay=first_delay
         )
 
@@ -95,7 +107,7 @@ class SimTransport:
     def route(self, origin_id: int, key: int, message=None,
               collect_distance: bool = False):
         """Route ``message`` from ``origin_id`` towards ``key``."""
-        return self._overlay().route(
+        return self.overlay.route(
             origin_id, key, message=message, collect_distance=collect_distance
         )
 
@@ -116,7 +128,7 @@ class SimTransport:
         ``reliable=True`` skips the fault-plane consult for RPCs whose
         delivery the caller retries at a higher level.
         """
-        overlay = self._overlay()
+        overlay = self.overlay
         overlay.stats.record_rpc()
         if call is None:
             return False, None
@@ -128,30 +140,5 @@ class SimTransport:
 
     def probe(self, origin_id: int, peer_id: int) -> bool:
         """One keep-alive probe; True iff the answer came back."""
-        plan = self._overlay().fault_plan
+        plan = self.overlay.fault_plan
         return plan is None or not plan.probe_lost(origin_id, peer_id)
-
-    # -------------------------------------------------------------- plumbing
-
-    def _sim(self) -> EventSimulator:
-        if self.sim is None:
-            raise RuntimeError("transport has no clock: built without a simulator")
-        return self.sim
-
-    def _overlay(self) -> Any:
-        if self.overlay is None:
-            raise RuntimeError("transport has no overlay: built without a network")
-        return self.overlay
-
-
-def as_transport(sim_or_transport: Any, overlay: Any) -> Any:
-    """Normalize a constructor argument to a transport.
-
-    Existing harnesses pass a raw :class:`EventSimulator`; new callers
-    may pass any transport.  The discriminator is the seam's own
-    signature: a transport's ``now`` is a method, a simulator's ``now``
-    is a plain float attribute.
-    """
-    if callable(getattr(sim_or_transport, "now", None)):
-        return sim_or_transport
-    return SimTransport(sim_or_transport, overlay)

@@ -34,18 +34,17 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Set, Tuple
 
-from ..netsim.transport import as_transport
+from ..netsim.transport import SimTransport
 from .network import PastryNetwork
 
 
 class KeepAliveMonitor:
     """Periodic leaf-set keep-alives with timeout-based failure detection.
 
-    ``sim`` may be a raw :class:`~repro.netsim.eventsim.EventSimulator`
-    (the historical signature; it is wrapped in a
-    :class:`~repro.netsim.transport.SimTransport` over ``pastry``) or
-    any :class:`~repro.core.transport.Transport`.  All clock reads,
-    timers and probes go through the seam.
+    ``sim`` is the :class:`~repro.netsim.eventsim.EventSimulator` the
+    monitor runs on; it is wrapped in a
+    :class:`~repro.netsim.transport.SimTransport` over ``pastry``, and all
+    clock reads, timers and probes go through that seam.
     """
 
     def __init__(
@@ -58,7 +57,7 @@ class KeepAliveMonitor:
     ):
         if interval <= 0 or timeout <= 0:
             raise ValueError("interval and timeout must be positive")
-        self.transport = as_transport(sim, pastry)
+        self.transport = SimTransport(sim, pastry)
         self.pastry = pastry
         self.on_detect = on_detect
         self.interval = interval

@@ -134,9 +134,9 @@ class PastryNetwork:
         #: fault plane at all.
         self.fault_plan: Optional[FaultPlan] = None
         self.stats = MessageStats()
-        #: Transport seam (messaging half) for the overlay's own node
-        #: logic: the direct RPCs in :class:`~repro.pastry.node.PastryNode`
-        #: go through it rather than touching stats/fault plumbing.
+        #: The deployment's one messaging transport: Pastry's own RPCs and,
+        #: through ``PastNetwork.transport``, every PAST route and RPC go
+        #: through it rather than touching stats/fault plumbing.
         self.transport = SimTransport(None, self)
         #: When not None, :meth:`route` appends a :class:`DeliveryRecord`
         #: per message.  Off by default: routing itself must never read

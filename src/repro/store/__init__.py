@@ -1,15 +1,12 @@
-"""Pluggable replica-store backends behind ``LocalStore``.
+"""The durable replica-store backend behind ``LocalStore``.
 
-The modeled engine keeps replica state in plain dicts; this package adds
-the seam that lets that state also live somewhere durable.  A *backend*
-observes every logical mutation of a :class:`~repro.core.storage.LocalStore`
-through ``note_*`` hooks; what it does with them is its business:
-
-* :class:`MemoryBackend` does nothing — byte-identical to having no
-  backend at all (the default; the digest-pin tests hold it to that).
-* :class:`~repro.store.wal.WalBackend` journals each mutation to a
-  checksummed write-ahead log with snapshot compaction, and recovers
-  the pre-crash committed state from the directory on reopen.
+The modeled engine keeps replica state in plain dicts; this package lets
+that state also live somewhere durable.  A *backend* observes every
+logical mutation of a :class:`~repro.core.storage.LocalStore` through
+duck-typed ``note_*`` hooks.  No backend (the default) keeps state in
+the dicts alone; :class:`~repro.store.wal.WalBackend` journals each
+mutation to a checksummed write-ahead log with snapshot compaction, and
+recovers the pre-crash committed state from the directory on reopen.
 
 The hooks carry *logical* state only — certificates, file ids, flags.
 Soft state (referrers, the verified-read cache, timestamps) is
@@ -36,7 +33,6 @@ from .wal import WAL_FILE, WalBackend, frame_record, scan_frames
 
 __all__ = [
     "AppendFile",
-    "MemoryBackend",
     "OPS",
     "OP_DROP",
     "OP_DROP_POINTER",
@@ -45,7 +41,6 @@ __all__ = [
     "OP_STORE",
     "OP_WIPE",
     "RecoveryInfo",
-    "ReplicaStoreBackend",
     "SNAPSHOT_FILE",
     "SimulatedCrash",
     "StoreState",
@@ -59,41 +54,3 @@ __all__ = [
     "write_snapshot",
 ]
 
-
-class ReplicaStoreBackend:
-    """Base backend: every hook is a no-op.
-
-    ``LocalStore`` calls these duck-typed (no isinstance checks), so
-    any object with this surface works; subclassing just saves typing.
-    """
-
-    durable = False
-
-    def note_store(self, certificate, diverted):
-        pass
-
-    def note_drop(self, file_id):
-        pass
-
-    def note_pointer(self, certificate, target_id, primary):
-        pass
-
-    def note_drop_pointer(self, file_id):
-        pass
-
-    def note_primary_flag(self, file_id, primary):
-        pass
-
-    def note_wipe(self):
-        pass
-
-    def flush(self):
-        pass
-
-    def close(self):
-        pass
-
-
-class MemoryBackend(ReplicaStoreBackend):
-    """The explicit spelling of the default: state lives in the
-    ``LocalStore`` dicts and nowhere else."""

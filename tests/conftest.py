@@ -73,6 +73,30 @@ def rng() -> random.Random:
     return random.Random(12345)
 
 
+class NoOpBackend:
+    """An in-memory-only store backend: its ``note_*`` hooks observe
+    without acting, so state lives in the ``LocalStore`` dicts alone."""
+
+    def _ignore(self, *args):
+        pass
+
+    note_store = note_drop = note_pointer = _ignore
+    note_drop_pointer = note_primary_flag = note_wipe = _ignore
+
+
+@pytest.fixture
+def noop_backends(monkeypatch):
+    """Every PastNetwork built in the test gives each store a NoOpBackend,
+    so the backend hook sites run without any backend behaviour."""
+    orig_init = PastNetwork.__init__
+
+    def init_with_backend(self, *args, **kwargs):
+        orig_init(self, *args, **kwargs)
+        self.store_backend_factory = lambda node_id, plan: NoOpBackend()
+
+    monkeypatch.setattr(PastNetwork, "__init__", init_with_backend)
+
+
 @pytest.fixture(scope="session")
 def check_reports_across_hash_seeds():
     """``repro check --json`` on the tree under PYTHONHASHSEED 0 and 31337.

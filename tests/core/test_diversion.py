@@ -258,3 +258,37 @@ class TestFileDiversion:
         # consistent: file_diversions < max attempts.
         for e in diverted_events:
             assert 1 <= e.file_diversions <= 3
+
+
+class TestReferrerFailed:
+    """B hosts a diverted replica that A (primary pointer) and C (backup
+    pointer) refer to: when one referrer fails, the other kind acts."""
+
+    def stage(self):
+        from tests.core.test_integrity import build_loaded, holders_of
+
+        net, fids, _ = build_loaded()
+        fid = fids[0]
+        b = holders_of(net, fid)[0]
+        a, c = [n for n in net.nodes()
+                if n is not b and not n.store.references_file(fid)][:2]
+        cert = net.certificate_of(fid)
+        a.store.add_pointer(cert, b.node_id, primary=True)
+        c.store.add_pointer(cert, b.node_id, primary=False)
+        replica = b.store.get_replica(fid)
+        replica.add_referrer(a.node_id)
+        replica.add_referrer(c.node_id)
+        return fid, a, b, c
+
+    def test_backup_is_promoted_when_the_primary_referrer_fails(self):
+        fid, a, b, c = self.stage()
+        b.on_referrer_failed(fid, a.node_id, failed_was_primary=True)
+        assert c.store.pointers[fid].primary
+        assert a.node_id not in b.store.get_replica(fid).referrers
+
+    def test_nobody_is_promoted_when_the_backup_referrer_fails(self):
+        fid, a, b, c = self.stage()
+        b.on_referrer_failed(fid, c.node_id, failed_was_primary=False)
+        assert a.store.pointers[fid].primary
+        assert not c.store.pointers[fid].primary
+        assert c.node_id not in b.store.get_replica(fid).referrers

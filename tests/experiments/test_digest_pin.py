@@ -89,26 +89,13 @@ class TestFaultFreeDigestsAreByteIdentical:
 
 
 class TestBackendSeamIsPureRefactor:
-    """Installing the default backend on every store must not move a
-    single byte of any pinned schedule: the seam's hook sites are
-    attribute checks only, and :class:`MemoryBackend` observes without
-    acting.  If one of these fails while the bare-store pins above
-    still pass, a ``note_*`` hook grew a side effect."""
+    """A backend on every store must not move a single byte of any
+    pinned schedule: the seam's hook sites are attribute checks only,
+    and a backend that observes without acting changes nothing.  If one
+    of these fails while the bare-store pins above still pass, a
+    ``note_*`` hook site grew a side effect."""
 
-    def _force_memory_backend(self, monkeypatch):
-        from repro.core.network import PastNetwork
-        from repro.store import MemoryBackend
-
-        orig_init = PastNetwork.__init__
-
-        def init_with_backend(self, *args, **kwargs):
-            orig_init(self, *args, **kwargs)
-            self.store_backend_factory = lambda node_id, plan: MemoryBackend()
-
-        monkeypatch.setattr(PastNetwork, "__init__", init_with_backend)
-
-    def test_chaos_loss_pin_with_memory_backend(self, monkeypatch):
-        self._force_memory_backend(monkeypatch)
+    def test_chaos_loss_pin_with_memory_backend(self, noop_backends):
         report = run_chaos(
             ChaosConfig(seed=3, n_nodes=14, n_files=10, k=3, duration=8.0,
                         lookups_per_tick=4, loss=0.2,
@@ -117,8 +104,7 @@ class TestBackendSeamIsPureRefactor:
         )
         assert report.digest == CHAOS_LOSS_PIN
 
-    def test_chaos_crash_pin_with_memory_backend(self, monkeypatch):
-        self._force_memory_backend(monkeypatch)
+    def test_chaos_crash_pin_with_memory_backend(self, noop_backends):
         report = run_chaos(
             ChaosConfig(seed=3, n_nodes=14, n_files=10, k=3, duration=12.0,
                         lookups_per_tick=4, crash_count=2,
@@ -127,7 +113,6 @@ class TestBackendSeamIsPureRefactor:
         )
         assert report.digest == CHAOS_CRASH_PIN
 
-    def test_explorer_pins_with_memory_backend(self, monkeypatch):
-        self._force_memory_backend(monkeypatch)
+    def test_explorer_pins_with_memory_backend(self, noop_backends):
         assert SCENARIOS["churn"](7).trace.digest() == EXPLORE_CHURN_PIN
         assert SCENARIOS["chaos"](7).trace.digest() == EXPLORE_CHAOS_PIN

@@ -10,6 +10,10 @@ not just both drifting apart — fails the suite.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
+from repro.cli import main
 from repro.net.differential import (
     build_cluster,
     graceful_shutdown,
@@ -23,6 +27,8 @@ from repro.net.differential import (
 #: seed=7).  Changes only when the storage semantics change; if that is
 #: deliberate, re-pin from ``repro serve --differential``.
 PINNED_CHECKSUM = "d9142d198f4f0f6966666bd3e371aeca637ca38a31fa2b55b2bc620aa1186864"
+
+RESULTS = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 
 
 class TestDifferential:
@@ -164,20 +170,64 @@ class TestDurableServe:
             transport.close()
 
 
+class TestCommittedServeBench:
+    def test_serve_record_matches_committed_bench(self, tmp_path, capsys):
+        """``repro serve --out`` writes the committed BENCH_serve.json's
+        payload; only the machine-local ``timing`` section may differ."""
+        out = tmp_path / "BENCH_serve.json"
+        argv = ["serve", "--nodes", "16", "--seed", "1201", "--files", "32",
+                "--workers", "4", "--out", str(out)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        fresh = json.loads(out.read_text())
+        committed = json.loads((RESULTS / "BENCH_serve.json").read_text())
+        fresh.pop("timing")
+        committed.pop("timing")
+        assert fresh == committed
+
+
+class RecordingTransport:
+    """Interposes on a deployment's transport, noting each RPC's handler."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.handlers = []
+
+    def send(self, origin_id, target_id, call, *args, **kwargs):
+        self.handlers.append(getattr(call, "__name__", None))
+        return self.inner.send(origin_id, target_id, call, *args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+class TestOneTransportPerDeployment:
+    def test_both_layers_share_the_transport_on_both_engines(self):
+        net, _ = build_cluster(4, seed=3, engine="sim")
+        assert net.transport is net.pastry.transport
+        net, transport = build_cluster(4, seed=3, engine="asyncio")
+        try:
+            assert net.transport is net.pastry.transport is transport
+        finally:
+            transport.close()
+
+    def test_interposed_transport_sees_the_overlays_own_rpcs(self):
+        """``recover_node``'s leaf-set pulls are Pastry RPCs: a transport
+        assigned through ``PastNetwork.transport`` must carry them."""
+        net, _ = build_cluster(10, seed=7)
+        victim = sorted(net.pastry.node_ids)[3]
+        net.fail_node(victim)
+        recorder = RecordingTransport(net.transport)
+        net.transport = recorder
+        net.recover_node(victim)
+        assert net.pastry.transport is recorder
+        assert "sorted_members" in recorder.handlers
+
+
 class TestBackendSeamOutcome:
-    def test_memory_backend_outcome_checksum_unchanged(self, monkeypatch):
-        """The committed serve/differential checksums hold with the
-        default backend explicitly installed on every store."""
-        from repro.core.network import PastNetwork
-        from repro.store import MemoryBackend
-
-        orig_init = PastNetwork.__init__
-
-        def init_with_backend(self, *args, **kwargs):
-            orig_init(self, *args, **kwargs)
-            self.store_backend_factory = lambda node_id, plan: MemoryBackend()
-
-        monkeypatch.setattr(PastNetwork, "__init__", init_with_backend)
+    def test_memory_backend_outcome_checksum_unchanged(self, noop_backends):
+        """The committed differential checksum holds with a backend
+        that observes without acting installed on every store."""
         net, transport = build_cluster(10, seed=7, engine="sim")
         workload = run_workload(net, 8, seed=8)
         checksum, _view = outcome_checksum(net, workload)

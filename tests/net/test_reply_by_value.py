@@ -7,10 +7,13 @@ chaos scenarios to the byte-identical report, and over real TCP a
 handler's changes to its arguments never reach the caller.
 """
 
+import ast
 import copy
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.messages import LookupRequest
 from repro.core.storage import LocalStore
 from repro.experiments.chaos import (
@@ -51,12 +54,30 @@ SCENARIOS = {
 }
 
 
+#: Every module that builds a SimTransport: the overlay's one messaging
+#: transport (PastryNetwork, which PastNetwork shares), the keep-alive
+#: monitor and the anti-entropy scrubber.
+CONSTRUCTION_SITES = ("repro.pastry.network", "repro.pastry.keepalive",
+                      "repro.core.integrity")
+
+
 def copy_across_the_seam(monkeypatch):
-    """Swap in the copying transport wherever a SimTransport is built:
-    PastNetwork, PastryNetwork, and as_transport (keep-alive, scrubber)."""
-    for module in ("repro.core.network", "repro.pastry.network",
-                   "repro.netsim.transport"):
+    """Swap in the copying transport at every construction site:
+    PastryNetwork, KeepAliveMonitor and AntiEntropyScrubber."""
+    for module in CONSTRUCTION_SITES:
         monkeypatch.setattr(f"{module}.SimTransport", CopyingSimTransport)
+
+
+def test_construction_sites_are_every_simtransport_call_in_src():
+    src = Path(repro.__file__).parent
+    builders = set()
+    for path in src.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "SimTransport"):
+                rel = path.relative_to(src.parent).with_suffix("")
+                builders.add(".".join(rel.parts))
+    assert builders == set(CONSTRUCTION_SITES)
 
 
 class TestSimulatorNeedsNoAliasing:

@@ -15,6 +15,7 @@ import threading
 import time
 
 from repro.core.storage import LocalStore
+from repro.net import asyncio_transport as at
 from repro.net.differential import build_cluster
 from repro.netsim import FaultPlan
 
@@ -37,7 +38,6 @@ class TestDeadlineSymmetry:
         """
         net, transport = build_cluster(4, seed=3, engine="asyncio")
         try:
-            transport.policy = None
             transport.timeout = 0.5
             client, target = _two_nodes(net)
             release = threading.Event()
@@ -67,13 +67,31 @@ class TestDeadlineSymmetry:
             release.set()
             transport.close()
 
-    def test_deadline_scales_with_route_legs(self):
+    def test_deadline_scales_with_route_legs(self, monkeypatch):
+        """A direct RPC gets ``timeout``; a chained route leg, which waits
+        for the rest of the chain, gets ``timeout x ROUTE_DEADLINE_LEGS``."""
+        budgets = []
+        exchange = at._exchange
+
+        def recording_exchange(sock, blob, expiry):
+            budgets.append(expiry - time.perf_counter())
+            return exchange(sock, blob, expiry)
+
         net, transport = build_cluster(4, seed=3, engine="asyncio")
         try:
-            transport.policy = None
             transport.timeout = 0.25
-            assert transport.rpc_deadline() == 0.25
-            assert transport.rpc_deadline(8) == 2.0
+            client, target = _two_nodes(net)
+            monkeypatch.setattr(at, "_exchange", recording_exchange)
+            ok, _ = transport.send(
+                client.node_id, target.node_id, target.store.holds_file, 1
+            )
+            assert ok
+            route = transport.route(client.node_id, target.node_id)
+            assert route.path == [client.node_id, target.node_id]
+            send_budget, leg_budget = budgets
+            legs = at.ROUTE_DEADLINE_LEGS
+            assert 0.0 < send_budget <= 0.25
+            assert 0.25 * (legs - 1) < leg_budget <= 0.25 * legs
         finally:
             transport.close()
 

@@ -434,7 +434,6 @@ class TestTimeoutFlavour:
         net, transport, client, target = cluster
         release = threading.Event()
         peers = [PeerScript(lambda conn: release.wait(10)) for _ in range(3)]
-        transport.policy = None
         transport.timeout = 0.05
         try:
             monkeypatch.setitem(transport._ports, target.node_id, peers[0].port)
@@ -458,7 +457,6 @@ class TestTimeoutFlavour:
         net, transport, client, target = cluster
         release = threading.Event()
         peer = PeerScript(lambda conn: release.wait(10))
-        transport.policy = None
         transport.timeout = 0.01  # a route budgets ROUTE_DEADLINE_LEGS of these
         try:
             monkeypatch.setitem(transport._ports, target.node_id, peer.port)
@@ -477,7 +475,6 @@ class TestTimeoutFlavour:
         legacy.timeout = type("timeout", (OSError,), {})
         assert not issubclass(legacy.timeout, asyncio.TimeoutError)
         monkeypatch.setattr(at, "socket", legacy)
-        transport.policy = None
         transport.timeout = 0.0  # every RPC is born expired
         assert transport.probe(client.node_id, target.node_id) is False
         assert transport.wire.snapshot()["timeouts"] == 1

@@ -839,6 +839,7 @@ class PastNetwork:
                 node.store.drop_replica(fid)
                 continue
             pointer = node.store.pointers.get(fid)
+            replica = node.store.get_replica(fid)
             if pointer is not None:
                 target = self._past.get(pointer.target_id)
                 if target is None or not target.store.holds_file(fid):
@@ -847,6 +848,16 @@ class PastNetwork:
                     # Re-establish the keep-alive pair dropped at failure
                     # (idempotent: a referrer that is already back stays).
                     target.store.get_replica(fid).add_referrer(node.node_id)
+            elif replica is not None:
+                # The converse: a replica-set member that dropped its
+                # pointer here at the failure and found no replacement
+                # (the file went degraded) points here again.
+                key, cert = idspace.routing_key(fid), replica.certificate
+                for ref in sorted(replica.referrers):
+                    ref_node = self._past.get(ref)
+                    if (ref_node is not None and not ref_node.store.references_file(fid)
+                            and ref in ref_node.leafset.closest_nodes(key, cert.k)):
+                        ref_node.store.add_pointer(cert, node.node_id, primary=True)
         for fid in list(node.store.primaries):
             if fid not in node.store.primaries:
                 # Confirm-reread: maybe_discard() suspends at its

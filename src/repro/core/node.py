@@ -863,19 +863,12 @@ class PastNode(PastryApplication):
         self.store.drop_pointer(fid)
         if not was_primary:
             return  # node A will re-create and refresh the backup pointer
-        key = idspace.routing_key(fid)
-        replica_set = self.leafset.closest_nodes(key, cert.k)
-        if self.node_id not in replica_set:
+        if self.node_id not in self.leafset.closest_nodes(idspace.routing_key(fid), cert.k):
             # The ring has shifted this node out of the file's replica set;
             # its entry is no longer load-bearing, so just drop the pointer
             # (the current k closest handle re-replication themselves).
             return
-        if self.store.can_accept(cert.size, self.config.t_pri):
-            self.store.store_replica(cert, diverted=False)
-            return
-        if self._divert_replica(cert, replica_set) is not None:
-            return
-        if not self._long_reach_divert(cert, replica_set):
+        if not self.replicate_file(cert):
             self.network.note_degraded_file(fid)
 
     def on_referrer_failed(self, fid: int, failed_id: int, failed_was_primary: bool) -> None:

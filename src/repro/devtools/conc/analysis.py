@@ -43,7 +43,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..framework import ModuleInfo
+from ..framework import ModuleInfo, shared_analysis
 from ..flow.analysis import EFFECT_MUTATE, FlowAnalysis, get_analysis
 from ..flow.callgraph import MUTATOR_METHODS, FunctionInfo, iter_own_nodes
 
@@ -441,16 +441,5 @@ class ConcAnalysis:
             )
 
 
-_CACHE: List[Tuple[Tuple[int, ...], ConcAnalysis]] = []
-
-
 def get_conc_analysis(modules: Sequence[ModuleInfo]) -> ConcAnalysis:
-    """One shared analysis per module set (keyed by object identity)."""
-    key = tuple(id(m) for m in modules)
-    for cached_key, analysis in _CACHE:
-        if cached_key == key:
-            return analysis
-    analysis = ConcAnalysis(modules)
-    del _CACHE[:]
-    _CACHE.append((key, analysis))
-    return analysis
+    return shared_analysis(ConcAnalysis, modules)

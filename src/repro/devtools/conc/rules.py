@@ -83,7 +83,7 @@ def _is_below_seam(module: ModuleInfo) -> bool:
     )
 
 
-def _above_seam(modules: Sequence[ModuleInfo]) -> List[ModuleInfo]:
+def above_seam(modules: Sequence[ModuleInfo]) -> List[ModuleInfo]:
     return [m for m in modules if not _is_below_seam(m)]
 
 
@@ -102,7 +102,7 @@ class ConcAtomicityRule(ProjectRule):
         # in would let the name-based call graph thread engine cycles
         # through the transport implementation's own send/route/dispatch
         # methods, manufacturing hazards that cannot occur above the seam.
-        analysis = get_conc_analysis(_above_seam(modules))
+        analysis = get_conc_analysis(above_seam(modules))
         for hazard in analysis.hazards:
             yield Finding(
                 rule=self.name,
@@ -188,7 +188,7 @@ class ConcReentrancyRule(ProjectRule):
     )
 
     def check_project(self, modules: Sequence[ModuleInfo]) -> Iterator[Finding]:
-        modules = _above_seam(modules)
+        modules = above_seam(modules)
         analysis = get_conc_analysis(modules)
         flow = analysis.flow
         paths = {m.path for m in modules}

@@ -45,9 +45,7 @@ class IndependenceOracle:
     """
 
     def __init__(self, effect_sets: Optional[Mapping[str, FrozenSet[str]]] = None):
-        if effect_sets is None:
-            effect_sets = project_effect_sets()
-        self._by_qual: Dict[str, FrozenSet[str]] = dict(effect_sets)
+        self._by_qual = project_effect_sets() if effect_sets is None else effect_sets
         self._cache: Dict[str, FrozenSet[str]] = {}
 
     def effects_of(self, label: str) -> FrozenSet[str]:

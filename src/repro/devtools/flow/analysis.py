@@ -28,9 +28,12 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from functools import lru_cache
+from pathlib import Path
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..framework import ModuleInfo
+from ..framework import ModuleInfo, collect_modules, shared_analysis
 from .callgraph import (
     EXTERNAL_MUTATORS,
     MUTATOR_METHODS,
@@ -393,21 +396,6 @@ class FlowAnalysis:
 
     # -------------------------------------------------------------- queries
 
-    def function_effects(self, qual: str) -> Dict[str, Tuple[int, Optional[str]]]:
-        return self.effects.get(qual, {})
-
-    def effect_sets(self) -> Dict[str, frozenset]:
-        """Transitive effect kinds per function, as plain frozensets.
-
-        This is the export the schedule explorer's independence relation
-        consumes: two event callbacks whose effect sets are disjoint
-        commute (neither schedules, draws randomness, nor writes shared
-        state that the other could observe), so their orderings need not
-        both be explored.  Witness lines and via-chains are dropped —
-        the consumer only needs the kinds.
-        """
-        return {qual: frozenset(effects) for qual, effects in self.effects.items()}
-
     def reachable_from(self, qual: str) -> Set[str]:
         """Transitive closure of project call edges from one function."""
         cached = self._reach_cache.get(qual)
@@ -473,38 +461,23 @@ def _wrap_body(func: FunctionInfo, body: Sequence[ast.stmt]):
     return ast.fix_missing_locations(shell)
 
 
-# Rules run one after another over the same module list; build the (fairly
-# expensive) analysis once and share it.  Keyed by object identity, which
-# is stable within a single run_rules() invocation.
-_analysis_cache: List[Tuple[Tuple[int, ...], "FlowAnalysis"]] = []
-
-
 def get_analysis(modules: Sequence[ModuleInfo]) -> FlowAnalysis:
-    key = tuple(id(m) for m in modules)
-    for cached_key, analysis in _analysis_cache:
-        if cached_key == key:
-            return analysis
-    analysis = FlowAnalysis(modules)
-    del _analysis_cache[:]
-    _analysis_cache.append((key, analysis))
-    return analysis
+    return shared_analysis(FlowAnalysis, modules)
 
 
-def project_effect_sets(root=None) -> Dict[str, frozenset]:
-    """Effect sets for the whole ``repro`` source tree, keyed by qualname.
+@lru_cache(maxsize=None)
+def project_effect_sets() -> Mapping[str, frozenset]:
+    """Transitive effect kinds per function of the ``repro`` source tree.
 
-    Runtime entry point for the schedule explorer: analyses the package
-    this module was imported from (or ``root``, a directory), so the
-    independence relation always reflects the code actually running.
-    Keys are dotted qualnames (``repro.pastry.node.PastryNode.learn``);
-    runtime callbacks carry only ``__qualname__`` (``PastryNode.learn``),
-    so consumers match by dotted suffix.
+    The schedule explorer's independence relation: two event callbacks
+    whose effect sets are disjoint commute, so their orderings need not
+    both be explored.  Analyses the package this module was imported
+    from, so the relation reflects the code actually running; that code
+    cannot change under a running interpreter, so it is analysed once
+    per process and every caller shares one read-only map.  Keys are
+    dotted qualnames (``repro.pastry.node.PastryNode.learn``); runtime
+    callbacks carry only ``__qualname__`` (``PastryNode.learn``), so
+    consumers match by dotted suffix.
     """
-    from pathlib import Path
-
-    from ..framework import collect_modules
-
-    if root is None:
-        root = Path(__file__).resolve().parents[2]
-    analysis = FlowAnalysis(collect_modules([root]))
-    return analysis.effect_sets()
+    effects = FlowAnalysis(collect_modules([Path(__file__).resolve().parents[2]])).effects
+    return MappingProxyType({qual: frozenset(kinds) for qual, kinds in effects.items()})

@@ -209,6 +209,20 @@ def run_rules(modules: Sequence[ModuleInfo], rules: Sequence[Rule]) -> List[Find
     return findings
 
 
+#: One whole-program analysis per (class, module set) for the life of the
+#: process, keyed by identity: each analysis holds its modules, so no id
+#: in a live key is reused.
+_ANALYSES: Dict[Tuple[type, Tuple[int, ...]], object] = {}
+
+
+def shared_analysis(cls, modules: Sequence[ModuleInfo]):
+    """``cls(modules)``, built once and shared by every rule and reader."""
+    key = (cls, tuple(id(m) for m in modules))
+    if key not in _ANALYSES:
+        _ANALYSES[key] = cls(modules)
+    return _ANALYSES[key]
+
+
 # ---------------------------------------------------------------- baseline
 #
 # A committed accepted-debt file: findings recorded in it are counted,

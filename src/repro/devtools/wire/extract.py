@@ -19,7 +19,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..framework import ModuleInfo
+from ..framework import ModuleInfo, shared_analysis
 
 #: Modules whose dataclasses may cross the seam as message payloads.
 #: ``repro.core.messages`` holds the request envelopes (routed hop to
@@ -480,16 +480,5 @@ def _tested_names(funcdef: ast.FunctionDef) -> Set[str]:
     return tested
 
 
-_CACHE: List[Tuple[Tuple[int, ...], WireAnalysis]] = []
-
-
 def get_wire_analysis(modules: Sequence[ModuleInfo]) -> WireAnalysis:
-    """One shared analysis per module set (keyed by object identity)."""
-    key = tuple(id(m) for m in modules)
-    for cached_key, analysis in _CACHE:
-        if cached_key == key:
-            return analysis
-    analysis = WireAnalysis(modules)
-    del _CACHE[:]
-    _CACHE.append((key, analysis))
-    return analysis
+    return shared_analysis(WireAnalysis, modules)

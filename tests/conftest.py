@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro import PastConfig, PastNetwork, audit
+from repro.devtools import check
 from repro.pastry import PastryNetwork
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -98,23 +99,41 @@ def noop_backends(monkeypatch):
 
 
 @pytest.fixture(scope="session")
+def checked_src():
+    """``repro check`` on ``src/`` as a value, computed once per session.
+
+    Every whole-tree gate reads this one result (its modules, findings,
+    baseline split, schema state and rendered report), and the
+    analyses it built stay shared for the rest of the session.  Paths
+    are relative to the repo root, as the committed baseline records
+    them.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(REPO_ROOT)
+        return check.analyze(["src"])
+
+
+@pytest.fixture(scope="session")
 def check_reports_across_hash_seeds():
     """``repro check --json`` on the tree under PYTHONHASHSEED 0 and 31337.
 
-    One subprocess pair serves every hash-seed determinism test: the
-    report must be byte-identical, and each report's ``schema: match``
-    says the schema recomputed under that seed equals the committed bytes.
+    One subprocess pair, run side by side, serves every hash-seed
+    determinism test: the report must be byte-identical, and each
+    report's ``schema: match`` says the schema recomputed under that seed
+    equals the committed bytes.
     """
-    outputs = []
-    for seed in ("0", "31337"):
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(REPO_ROOT / "src"))
-        proc = subprocess.run(
+    procs = [
+        subprocess.Popen(
             [sys.executable, "-m", "repro", "check", "--json"],
-            cwd=REPO_ROOT, env=env, capture_output=True, text=True,
+            cwd=REPO_ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(REPO_ROOT / "src")),
         )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        outputs.append(proc.stdout)
-    return outputs
+        for seed in ("0", "31337")
+    ]
+    streams = [proc.communicate() for proc in procs]
+    for proc, (stdout, stderr) in zip(procs, streams):
+        assert proc.returncode == 0, stdout + stderr
+    return [stdout for stdout, _ in streams]
 
 
 @pytest.fixture

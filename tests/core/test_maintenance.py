@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro import audit
+from repro import PastConfig, PastNetwork, audit
 from repro.pastry import idspace
 from tests.conftest import build_past, fill_network
 
@@ -187,3 +187,59 @@ class TestMigration:
         insert_files(net, owner, count=20, seed=94)
         net.run_migration(rounds=3)
         assert net.run_migration(rounds=1) == 0
+
+
+class TestDriftedPointerTarget:
+    """The §3.5 maintenance schedule, built by hand (l = 8, k = 3).
+
+    A join installs a §3.5 pointer from the newcomer N to the holder D it
+    displaced from the replica set.  Four later joins push D out of N's
+    leaf set.  D fails; N is too small to store the file and no node
+    accepts it under t_div, so the file goes degraded.  D recovers with
+    its disk, still listing N as a referrer, and recovery must hand N its
+    pointer back: D's leaf set no longer reaches the file's replica set,
+    so D's own maintenance pass re-replicates onto D's neighbours and
+    clears the file's degraded flag, which left N with neither replica
+    nor pointer.  Seed 3 and the explicit ids put D's pass last.
+    """
+
+    RING = 1 << idspace.ID_BITS
+    CAPACITY = 1_000_000
+    #: At most t_pri of an empty node's space, above t_div of any node's.
+    FILE_SIZE = 80_000
+
+    def test_maintenance_after_the_target_recovers_restores_the_invariant(self):
+        net = PastNetwork(PastConfig(l=8, k=3, seed=3))
+        for i in range(12):
+            net.add_node(self.CAPACITY, node_id=i * self.RING // 12 + 12345)
+        owner = net.create_client("o")
+        fid = net.insert("f", owner, self.FILE_SIZE, net.nodes()[0].node_id).file_id
+        key = idspace.routing_key(fid)
+        displaced = idspace.sort_by_distance(net.pastry.node_ids, key)[2]
+        newcomer_id = (key + self.RING // 10_000) % self.RING
+        (newcomer,) = net.add_node(self.CAPACITY // 2, node_id=newcomer_id)
+        assert newcomer.store.pointers[fid].target_id == displaced
+
+        # 1. The pointer's target drifts out of its holder's leaf set.
+        gap = idspace.ring_distance(displaced, key)
+        toward_key = 1 if idspace.clockwise_distance(displaced, key) == gap else -1
+        for j in range(1, 5):
+            drifter = (displaced + toward_key * j * (gap >> 6)) % self.RING
+            net.add_node(self.CAPACITY, node_id=drifter)
+        assert displaced not in newcomer.leafset
+        assert newcomer.store.pointers[fid].target_id == displaced
+
+        # 2-3. The target fails and the holder cannot re-replicate.
+        net.fail_node(displaced)
+        assert not newcomer.store.references_file(fid)
+        assert fid in net.degraded_files
+
+        # 4. The target recovers, still listing the referrer.
+        net.recover_node(displaced)
+        replica = net.past_node(displaced).store.get_replica(fid)
+        assert newcomer.node_id in replica.referrers
+
+        # 5. Maintenance runs.
+        net.repair_all()
+        report = audit(net, check_overlay=True)
+        assert report.ok, [str(v) for v in report.violations]

@@ -3,13 +3,10 @@
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import pytest
 
 from repro.cli import main
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: One finding per catalogue: an unseeded RNG (determinism), a raw
 #: simulator timer in an engine-pure module (``conc-seam``), and an
@@ -47,11 +44,13 @@ PLANTED = {
 }
 
 
-def test_tree_passes_the_gate(monkeypatch, capsys):
-    monkeypatch.chdir(REPO_ROOT)
-    assert main(["check", "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+def test_tree_passes_the_gate(checked_src, check_reports_across_hash_seeds):
+    assert not checked_src.new
+    report = checked_src.render(as_json=True)
+    payload = json.loads(report)
     assert payload == {"findings": [], "count": 0, "baselined": 61, "schema": "match"}
+    # ``repro check --json`` prints exactly this result.
+    assert check_reports_across_hash_seeds[0] == report + "\n"
 
 
 def test_planted_tree_reports_every_catalogue_at_once(tmp_path, capsys):

@@ -11,13 +11,11 @@ paths stay clean.
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import pytest
 
-from repro.cli import main
-from repro.devtools import check, collect_modules, module_from_source, run_rules
+from repro.devtools import module_from_source, run_rules
 from repro.devtools.conc import (
     CONC_RULE_NAMES,
     ENGINE_PURE_MODULES,
@@ -25,7 +23,13 @@ from repro.devtools.conc import (
     get_conc_analysis,
 )
 from repro.devtools.conc.analysis import ConcAnalysis
-from repro.devtools.framework import finding_key, load_baseline
+from repro.devtools.conc.rules import above_seam
+from repro.devtools.framework import (
+    filter_baselined,
+    finding_key,
+    load_baseline,
+    record_baseline,
+)
 from repro.devtools.rules import all_rules
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -276,11 +280,11 @@ class TestSeam:
 
 
 @pytest.fixture(scope="module")
-def real_tree(request):
-    os.chdir(REPO_ROOT)
-    modules = collect_modules(["src"])
-    findings = run_rules(modules, conc_rules())
-    analysis = get_conc_analysis(modules)
+def real_tree(checked_src):
+    """The gate's own conc findings and the analysis they came from."""
+    modules = checked_src.modules
+    findings = [f for f in checked_src.findings if f.rule in CONC_RULE_NAMES]
+    analysis = get_conc_analysis(above_seam(modules))
     return modules, findings, analysis
 
 
@@ -370,15 +374,14 @@ class TestDeterminism:
 
 
 class TestCli:
-    def test_write_then_gate_round_trip(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(REPO_ROOT)
-        monkeypatch.setattr(check, "BASELINE_PATH", tmp_path / "conc.json")
-        assert main(["check", "--write-baseline"]) == 0
-        capsys.readouterr()
-        assert main(["check"]) == 0
-        out = capsys.readouterr().out
-        assert "0 findings" in out
-        assert load_baseline(str(tmp_path / "conc.json")) == load_baseline(str(BASELINE))
+    def test_write_then_gate_round_trip(self, checked_src, tmp_path):
+        """``--write-baseline`` records the gate's findings; the gate then
+        accepts every one of them, and the recording is the committed file."""
+        baseline = tmp_path / "conc.json"
+        record_baseline(str(baseline), checked_src.findings)
+        new, baselined = filter_baselined(checked_src.findings, str(baseline))
+        assert not new and baselined == len(checked_src.findings)
+        assert load_baseline(str(baseline)) == load_baseline(str(BASELINE))
 
 
 class TestRegistry:

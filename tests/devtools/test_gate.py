@@ -8,18 +8,13 @@ the paper's reproduced figures.
 
 from __future__ import annotations
 
-from pathlib import Path
-
-from repro.devtools import collect_modules, run_rules
 from repro.devtools.rules import all_rules
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
 
-
-def test_src_tree_is_lint_clean():
-    modules = collect_modules([REPO_ROOT / "src"])
-    assert len(modules) > 50, "expected the whole src tree to be collected"
-    findings = run_rules(modules, all_rules())
+def test_src_tree_is_lint_clean(checked_src):
+    assert len(checked_src.modules) > 50, "expected the whole src tree to be collected"
+    lint = {rule.name for rule in all_rules()}
+    findings = [f for f in checked_src.findings if f.rule in lint]
     rendered = "\n".join(f.render() for f in findings)
     assert not findings, f"lint findings in src/:\n{rendered}"
 

@@ -14,8 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import main
-from repro.devtools import collect_modules, get_rules, module_from_source, run_rules
+from repro.devtools import get_rules, module_from_source, run_rules
 from repro.devtools.wire import (
     DEFAULT_SCHEMA_PATH,
     build_schema,
@@ -327,15 +326,16 @@ STALE_SCHEMA = {
 
 
 @pytest.fixture(scope="module")
-def src_modules():
-    return collect_modules([REPO_ROOT / "src"])
+def src_modules(checked_src):
+    return checked_src.modules
 
 
 class TestRealTreeGates:
-    def test_src_tree_has_zero_findings(self, src_modules):
+    def test_src_tree_has_zero_findings(self, checked_src, src_modules):
         """The wire gate: the production RPC surface is fully shippable,
         with no baseline and no suppressions."""
-        findings = run_rules(src_modules, wire_rules())
+        wire = {rule.name for rule in wire_rules()}
+        findings = [f for f in checked_src.findings if f.rule in wire]
         assert not findings, "\n".join(f.render() for f in findings)
         analysis = get_wire_analysis(src_modules)
         assert analysis.handlers
@@ -355,10 +355,9 @@ class TestRealTreeGates:
             "wire_schema.json is stale; run python -m repro check --write-schema"
         )
 
-    def test_check_schema_cli_passes(self, monkeypatch, capsys):
-        monkeypatch.chdir(REPO_ROOT)
-        assert main(["check"]) == 0
-        assert "wire schema: match" in capsys.readouterr().out
+    def test_check_schema_cli_passes(self, checked_src):
+        assert not checked_src.new
+        assert "wire schema: match" in checked_src.render()
 
     def test_schema_bytes_stable_across_hash_seeds(self, check_reports_across_hash_seeds):
         """The golden schema must be byte-identical under any

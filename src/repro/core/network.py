@@ -816,6 +816,24 @@ class PastNetwork:
             for fid in list(node.store.file_ids()):
                 node._restore_file_invariant(fid)
 
+    def reopen_store(self, node_id: int):
+        """Restart a failed node's store from its journal alone.
+
+        Opens ``store_backend_factory(node_id, storage_faults)`` — the
+        factory, hence the configuration, the node was admitted with —
+        so opening is recovery (snapshot + replay, torn tail truncated),
+        then rebuilds the store's tables from the recovered state.
+        Returns the backend; :meth:`recover_node` rejoins the node.
+        """
+        # Confirm-reread: a harness reopens after repair passes that
+        # suspend at their RPCs; the node must still be down.
+        node = self._failed_past.get(node_id)
+        if node is None:
+            raise RuntimeError(f"node {node_id:#x} is not in the failed set")
+        backend = self.store_backend_factory(node_id, self.storage_faults)
+        node.store.reopen(backend)
+        return backend
+
     def recover_node(self, node_id: int) -> PastNode:
         """Recover a previously failed node, disk contents intact."""
         node = self._failed_past.pop(node_id)
@@ -896,8 +914,8 @@ class PastNetwork:
 
         ``clock`` is the virtual-time callable bit rot accrues against
         (e.g. ``lambda: sim.now``).  Without one the clock stays frozen
-        at 0.0 — the ``readonly`` disk mode and WAL crash points still
-        fire, but time-driven rot does not.
+        at 0.0 — the ``readonly`` disk mode still refuses writes, but
+        time-driven rot does not accrue.
         """
         self.storage_faults = plan
         if clock is not None:

@@ -435,20 +435,26 @@ class LocalStore:
         if self.backend is not None:
             self.backend.note_wipe()
 
-    def restore_state(self, state: "StoreState") -> int:
-        """Rebuild the replica/pointer tables from recovered durable state.
+    def reopen(self, backend: "WalBackend") -> int:
+        """Restart from ``backend``'s journal: RAM is lost, the disk is not.
 
-        Used when a killed node restarts from its WAL: the backend has
-        already replayed the journal into ``state``; this re-materializes
-        the live tables from it.  Deliberately does *not* call the
-        backend hooks — these records are already in the journal, and
-        re-appending them would double them on every restart.  Like
-        :meth:`wipe_disk`, it also skips the global accounting hook:
-        the node is failed while this runs, and recovery re-adds
-        ``used`` wholesale when it rejoins.  Referrer sets and the
-        cache are soft state the keep-alive machinery rebuilds after
-        rejoin.  Returns the number of entries restored.
+        The backend has already replayed the journal into its ``state``;
+        this wipes the live tables and re-materializes them from it.
+        The wipe runs with no backend attached — :meth:`wipe_disk` tells
+        an attached backend the media is gone (``note_wipe``), which
+        would discard the very journal being recovered from — and the
+        restore calls no backend hook either: these records are already
+        in the journal, and re-appending them would double them on every
+        restart.  Like :meth:`wipe_disk`, it skips the global accounting
+        hook: the node is failed while this runs, and recovery re-adds
+        ``used`` wholesale when it rejoins.  Referrer sets and the cache
+        are soft state the keep-alive machinery rebuilds after rejoin.
+        Returns the number of entries restored; the caller rejoins the
+        overlay.
         """
+        self.backend = None
+        self.wipe_disk()
+        state = backend.state
         now = self.now() if self.fault_plan is not None else 0.0
         for fid, (cert, diverted) in sorted(state.replicas.items()):
             replica = StoredReplica(cert, diverted=diverted)
@@ -461,21 +467,8 @@ class LocalStore:
             self.used += cert.size
         for fid, (cert, target, primary) in sorted(state.pointers.items()):
             self.pointers[fid] = DiversionPointer(cert, target, primary=primary)
-        return len(state.replicas) + len(state.pointers)
-
-    def reopen(self, backend: "WalBackend") -> int:
-        """Restart from ``backend``'s journal: RAM is lost, the disk is not.
-
-        The wipe runs with no backend attached — :meth:`wipe_disk` tells
-        an attached backend the media is gone (``note_wipe``), which
-        would discard the very journal being recovered from.  Returns
-        the number of entries restored; the caller rejoins the overlay.
-        """
-        self.backend = None
-        self.wipe_disk()
-        restored = self.restore_state(backend.state)
         self.backend = backend
-        return restored
+        return len(state.replicas) + len(state.pointers)
 
     # -------------------------------------------------------------- queries
 

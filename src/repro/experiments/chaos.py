@@ -40,7 +40,7 @@ import sys
 import tempfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..core import (
     AntiEntropyScrubber,
@@ -537,9 +537,23 @@ class CrashRestartReport:
         return failures
 
 
-def _kill_and_restart(
-    net: PastNetwork, victim: int, phase: str, open_wal
-) -> CrashRestartCell:
+def _wal_oracles(reborn: WalBackend, window: Set[str]) -> Tuple[bool, bool]:
+    """The sweep's first two oracles on a freshly reopened backend: its
+    state is in the committed ``window``, and replay is idempotent."""
+    recovered = reborn.state.state_digest(reborn.codec)
+    # Replay idempotence, checked on the real post-crash files: two
+    # read-only recoveries must agree byte-for-byte.
+    s1, _ = recover_state(Vfs(), reborn.directory, reborn.codec, truncate=False)
+    s2, _ = recover_state(Vfs(), reborn.directory, reborn.codec, truncate=False)
+    idempotent = (
+        s1.seq == s2.seq
+        and s1.state_digest(reborn.codec) == s2.state_digest(reborn.codec)
+        and s1.state_digest(reborn.codec) == recovered
+    )
+    return recovered in window, idempotent
+
+
+def _kill_and_restart(net: PastNetwork, victim: int, phase: str) -> CrashRestartCell:
     """kill -9 one node at ``phase``, restart it from its WAL alone."""
     node = net._past[victim]
     backend = node.store.backend
@@ -556,31 +570,20 @@ def _kill_and_restart(
     # The survivors restore the k-invariant around the corpse — exactly
     # what runs during a real recovery period (§3.5).
     net.repair_all()
+    # Confirm-reread: repair_all() suspends at its repair RPCs; the
+    # victim must still be down when its store reopens.
+    if victim in net._past:
+        raise RuntimeError("victim resurrected mid-repair")
 
     # Restart: a fresh process sees only the disk.  Opening the backend
-    # is recovery (snapshot + replay, torn tail truncated).
-    reborn = open_wal(victim, None)
-    recovered = reborn.state.state_digest(reborn.codec)
+    # is recovery (snapshot + replay, torn tail truncated); the kill
+    # lost RAM, so the store's tables are rebuilt from durable state
+    # only, and recover_node's reconciliation repairs whatever the lost
+    # unsynced tail made stale.
+    reborn = net.reopen_store(victim)
     window = {history[s] for s in range(synced, last_seq + 1) if s in history}
-    # Replay idempotence, checked on the real post-crash files: two
-    # read-only recoveries must agree byte-for-byte.
-    s1, _ = recover_state(Vfs(), reborn.directory, reborn.codec, truncate=False)
-    s2, _ = recover_state(Vfs(), reborn.directory, reborn.codec, truncate=False)
-    idempotent = (
-        s1.seq == s2.seq
-        and s1.state_digest(reborn.codec) == s2.state_digest(reborn.codec)
-        and s1.state_digest(reborn.codec) == recovered
-    )
-
-    # The kill lost RAM: rebuild the in-memory tables from durable state
-    # only, then rejoin.  reopen() bypasses the journal hooks (the
-    # records are already in the WAL), and _reconcile_recovered repairs
-    # whatever the lost unsynced tail made stale.
-    # Confirm-reread: repair_all() suspends at its repair RPCs; the
-    # victim must still be in the failed set before its tables go.
-    if victim not in net._failed_past:
-        raise RuntimeError("victim vanished from the failed set")
-    restored = net._failed_past[victim].store.reopen(reborn)
+    in_window, idempotent = _wal_oracles(reborn, window)
+    restored = len(reborn.state.replicas) + len(reborn.state.pointers)
     net.recover_node(victim)
 
     return CrashRestartCell(
@@ -594,7 +597,7 @@ def _kill_and_restart(
         truncated_bytes=reborn.recovery.truncated_bytes,
         snapshot_seq=reborn.recovery.snapshot_seq,
         restored_entries=restored,
-        in_committed_window=recovered in window,
+        in_committed_window=in_window,
         replay_idempotent=idempotent,
     )
 
@@ -644,7 +647,7 @@ def _run_crash_restart_phase(seed: int, phase: str) -> CrashRestartReport:
                 )
                 extra += 1
             net.run_migration()
-            cell = _kill_and_restart(net, victim, phase, open_wal)
+            cell = _kill_and_restart(net, victim, phase)
             # Confirm-reread: the kill/restart suspended throughout; one
             # cell per victim, whatever interleaved.
             assert cell not in report.cells

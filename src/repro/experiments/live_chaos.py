@@ -242,9 +242,9 @@ def run_live_sweep(seed: int) -> LiveChaosReport:
         def restart(victim: int) -> None:
             """Bring a killed node back from its WAL, repair around it."""
             ok = restart_from_wal(
-                net, transport, base, victim, pre_files[victim]
+                net, transport, victim, pre_files[victim]
             )["recovered_all"]
-            if victim not in net._failed_past:  # confirm the rebirth registered
+            if net.past_node_or_none(victim) is not None:  # confirm the rebirth
                 net.repair_all()
             if report.recovered_all:  # and-fold: one bad restart sticks
                 report.recovered_all = ok
@@ -308,7 +308,7 @@ def run_live_sweep(seed: int) -> LiveChaosReport:
             # The round-boundary failure-detection + repair pass.
             for victim in fresh_kills:
                 net.fail_node(victim)
-                if victim in net._failed_past:  # confirm the crash registered
+                if net.past_node_or_none(victim) is None:  # confirm the crash
                     net.repair_all()
 
         # Heal the wire plane, then the shared protocol (core.episode).

@@ -239,10 +239,7 @@ def graceful_shutdown(
 
 
 def _restart_from_wal(
-    net: PastNetwork,
-    transport: AsyncioTransport,
-    data_dir: Path,
-    victim: int,
+    net: PastNetwork, transport: AsyncioTransport, victim: int
 ) -> Dict[str, Any]:
     """Kill one live node and bring it back from its WAL, over real TCP.
 
@@ -256,13 +253,12 @@ def _restart_from_wal(
     transport.stop_server(victim)
     net.process_failure_detection(victim)
     net.repair_all()
-    return restart_from_wal(net, transport, data_dir, victim, pre_files)
+    return restart_from_wal(net, transport, victim, pre_files)
 
 
 def restart_from_wal(
     net: PastNetwork,
     transport: AsyncioTransport,
-    data_dir: Path,
     victim: int,
     pre_files: List[int],
 ) -> Dict[str, Any]:
@@ -272,18 +268,14 @@ def restart_from_wal(
     journal directory (recovery = snapshot + replay), rebuild the
     in-memory store from the recovered state, rejoin the overlay.
     """
-    from ..store import WalBackend
-
-    reborn = WalBackend(
-        data_dir / f"{victim:032x}", node_id=victim, sync_every=1
-    )
-    fallen = net._failed_past[victim]
-    restored = fallen.store.reopen(reborn)
+    reborn = net.reopen_store(victim)
     # WAL fidelity is judged here, before the overlay reconciles: the
     # journal must reproduce exactly the pre-kill entry set.  The
     # recovery listener may then legitimately prune entries whose
     # responsibility moved while the node was down.
-    recovered_all = sorted(fallen.store.file_ids()) == pre_files
+    state = reborn.state
+    restored = len(state.replicas) + len(state.pointers)
+    recovered_all = sorted(set(state.replicas) | set(state.pointers)) == pre_files
     net.recover_node(victim)
     transport.ensure_server(victim)
     return {
@@ -340,9 +332,7 @@ def run_serve(
 
         if data_dir is not None:
             victim = min(net.pastry.node_ids)
-            durability = _restart_from_wal(
-                net, transport, Path(data_dir), victim
-            )
+            durability = _restart_from_wal(net, transport, victim)
 
         fids = [r.file_id for r in workload["inserts"] if r.success]
         client_ids = net.pastry.node_ids

@@ -29,7 +29,6 @@ from .faults import (
     READ_CORRUPT,
     READ_OK,
     CrashEvent,
-    CrashPoint,
     DiskModeEvent,
     FaultPlan,
     FaultStats,
@@ -47,7 +46,6 @@ __all__ = [
     "CRASH_PHASES",
     "CRASH_TORN_FSYNC",
     "CrashEvent",
-    "CrashPoint",
     "DISK_OK",
     "DISK_READONLY",
     "Decision",

@@ -21,8 +21,8 @@ transmission point:
 
 The storage plane gets the same treatment: a :class:`StorageFaultPlan`
 describes *disk* adversity — bit rot accruing per replica-byte of
-virtual time, a per-node ``readonly`` disk mode, and kill points in the
-durable-I/O path — and the per-node stores consult it on every store and
+virtual time, a per-node ``readonly`` disk mode, and the seeded length
+of a torn flush — and the per-node stores consult it on every store and
 every verified read.
 
 Layering: this module knows nothing about Pastry or PAST — nodes are
@@ -170,7 +170,6 @@ class FaultStats:
     # ------------------------------------------------- storage faults
     bitrot_corruptions: int = 0
     writes_refused: int = 0
-    crashes_injected: int = 0
 
 
 class FaultPlan:
@@ -353,8 +352,9 @@ _DISK_MODES = (DISK_OK, DISK_READONLY)
 READ_OK = "ok"
 READ_CORRUPT = "corrupt"
 
-#: Kill-point phases for :class:`CrashPoint`, ordered by how much of the
-#: pending (written-but-unsynced) data survives the crash:
+#: Kill phases for a durable store's fsync barrier (armed on its
+#: :class:`~repro.store.vfs.Vfs`), ordered by how much of the pending
+#: (written-but-unsynced) data survives the kill:
 #: ``before-fsync`` — the process dies after write() but before the
 #: fsync barrier, so none of the pending bytes reach the platter;
 #: ``torn-fsync`` — the device loses power mid-flush and a seeded
@@ -366,42 +366,6 @@ CRASH_TORN_FSYNC = "torn-fsync"
 CRASH_AFTER_FSYNC = "after-fsync"
 
 CRASH_PHASES = (CRASH_BEFORE_FSYNC, CRASH_TORN_FSYNC, CRASH_AFTER_FSYNC)
-
-
-class CrashPoint:
-    """One seeded kill point in the durable-I/O path.
-
-    Unlike :class:`CrashEvent` (a node silently leaving the overlay at a
-    virtual time), a CrashPoint names an exact *fsync barrier* in a
-    node's write-ahead-log stream: the process dies at the
-    ``barrier``-th barrier the node's VFS reaches, in the given
-    ``phase``.  The VFS (:mod:`repro.store.vfs`) consults the plan at
-    every barrier and raises ``SimulatedCrash`` when a pending point
-    matches, leaving the real bytes on disk in exactly the state a
-    kill -9 at that instant would.
-
-    Plain ``__slots__`` class, same rationale as :class:`CrashEvent`.
-    """
-
-    __slots__ = ("node_id", "barrier", "phase", "fired")
-
-    def __init__(self, node_id: int, barrier: int, phase: str = CRASH_BEFORE_FSYNC):
-        if phase not in CRASH_PHASES:
-            raise ValueError(f"unknown crash phase {phase!r}")
-        if barrier < 0:
-            raise ValueError("barrier index must be non-negative")
-        self.node_id = node_id
-        self.barrier = barrier
-        self.phase = phase
-        #: A point fires exactly once; recovery I/O after the simulated
-        #: death must not trip over the same kill point again.
-        self.fired = False
-
-    def __repr__(self) -> str:
-        return (
-            f"CrashPoint(node_id={self.node_id!r}, barrier={self.barrier!r}, "
-            f"phase={self.phase!r}, fired={self.fired!r})"
-        )
 
 
 @dataclass(frozen=True)
@@ -453,9 +417,6 @@ class StorageFaultPlan:
         self._mode_events: List[DiskModeEvent] = []
         #: (node, file) pairs whose on-disk bytes are known corrupt.
         self._corrupt: Set[Tuple[int, int]] = set()
-        #: Pending kill points in the durable-I/O path, consulted by the
-        #: VFS at every fsync barrier (:meth:`crash_point_due`).
-        self.crash_points: List[CrashPoint] = []
         self._now: Callable[[], float] = lambda: 0.0
 
     # ------------------------------------------------------------- building
@@ -481,28 +442,6 @@ class StorageFaultPlan:
         self._mode_events.append(event)
         self._mode_events.sort(key=lambda e: e.time)
         return event
-
-    def schedule_crash_point(
-        self, node_id: int, barrier: int, phase: str = CRASH_BEFORE_FSYNC
-    ) -> CrashPoint:
-        """Kill ``node_id``'s process at its ``barrier``-th fsync barrier."""
-        point = CrashPoint(node_id, barrier, phase)
-        self.crash_points.append(point)
-        return point
-
-    def crash_point_due(self, node_id: int, barrier: int) -> Optional[CrashPoint]:
-        """The pending kill point matching this barrier, if any.
-
-        Marks the returned point as fired and counts the injection —
-        the caller (the VFS) is committed to dying once it asks.
-        """
-        for point in self.crash_points:
-            if (not point.fired and point.node_id == node_id
-                    and point.barrier == barrier):
-                point.fired = True
-                self.stats.crashes_injected += 1
-                return point
-        return None
 
     def torn_length(self, pending: int) -> int:
         """Seeded number of pending bytes that land during a torn flush.

@@ -11,31 +11,33 @@ barrier.  A simulated crash between write and barrier therefore loses
 exactly the bytes a real crash would, on a real filesystem, without
 needing actual power loss.
 
-Fault injection: every barrier consults the (optional)
-:class:`~repro.netsim.faults.StorageFaultPlan`:
+Every barrier is a fault point:
 
-* the ``readonly`` disk mode refuses the flush (``OSError``),
-  exactly as the modeled replica path refuses new replica bytes;
-* a scheduled :class:`~repro.netsim.faults.CrashPoint` kills the
-  process at this barrier: ``before-fsync`` loses the whole pending
-  buffer, ``torn-fsync`` lands a seeded strict prefix (the torn tail
-  record recovery must truncate), ``after-fsync`` completes the barrier
-  first.  The kill is delivered as :class:`SimulatedCrash`; the harness
-  treats the raising backend as dead and recovers from the directory.
+* the (optional) :class:`~repro.netsim.faults.StorageFaultPlan`'s
+  ``readonly`` disk mode refuses it (``OSError``), exactly as the
+  modeled replica path refuses new replica bytes;
+* the one kill armed on the Vfs (:meth:`Vfs.arm_kill`) fires at its
+  barrier: ``before-fsync`` loses the whole pending buffer,
+  ``torn-fsync`` lands a prefix of it whose length the plan draws (the
+  torn tail record recovery must truncate), ``after-fsync`` completes
+  the barrier first.  Then every file the Vfs holds open is closed and
+  :class:`SimulatedCrash` is raised: the backend is dead, and the
+  directory is recovered by a fresh one.
 
-Barriers are counted per-Vfs (``vfs.barriers``), so a kill point names
-a reproducible instant in the node's I/O stream.
+Barriers are counted per-Vfs (``vfs.barriers``), so a kill names a
+reproducible instant in the node's I/O stream.
 """
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
 from ..netsim.faults import (
     CRASH_AFTER_FSYNC,
     CRASH_BEFORE_FSYNC,
+    CRASH_PHASES,
     CRASH_TORN_FSYNC,
 )
 
@@ -46,7 +48,7 @@ __all__ = ["AppendFile", "SimulatedCrash", "Vfs"]
 
 
 class SimulatedCrash(RuntimeError):
-    """The process died at an injected kill point.
+    """The process died at the kill armed on its Vfs.
 
     Raised by the VFS *after* it has put the on-disk bytes into the
     exact state a kill -9 at that instant would leave: the raising
@@ -67,8 +69,7 @@ class AppendFile:
 
     ``write()`` only grows the in-shim buffer; ``fsync()`` is the
     commit point that moves the buffer into the OS file and through a
-    real ``os.fsync``.  ``tear(keep)`` and ``abandon()`` are the crash
-    surface: commit a strict prefix, or drop everything pending.
+    real ``os.fsync``.  ``abandon()`` drops everything pending.
     """
 
     def __init__(self, vfs: "Vfs", path: Path, truncate: bool = False):
@@ -77,6 +78,7 @@ class AppendFile:
         self._fh = open(self.path, "wb" if truncate else "ab")
         self._pending = bytearray()
         self.closed = False
+        vfs._open.append(self)
 
     @property
     def pending(self) -> int:
@@ -92,21 +94,10 @@ class AppendFile:
     def fsync(self) -> None:
         """One barrier: commit the pending buffer durably.
 
-        Consults the fault plan first — disk modes may refuse, and a
-        scheduled kill point fires here (see module docstring for the
-        per-phase semantics).
+        A readonly disk refuses it, and an armed kill fires here (see
+        the module docstring for the per-phase semantics).
         """
         self._vfs._barrier(self)
-
-    def tear(self, keep: int) -> None:
-        """Commit only the first ``keep`` pending bytes; drop the rest.
-
-        Crash surface, not an API for normal operation: models the
-        device losing power mid-flush.  Does not count as a barrier.
-        """
-        keep = max(0, min(keep, len(self._pending)))
-        self._commit(keep)
-        self._pending.clear()
 
     def abandon(self) -> None:
         """Drop everything pending and close, committing nothing."""
@@ -120,6 +111,7 @@ class AppendFile:
             self.fsync()
         self.closed = True
         self._fh.close()
+        self._vfs._open.remove(self)
 
     # ----------------------------------------------------------- internals
 
@@ -136,8 +128,8 @@ class Vfs:
 
     All I/O a backend performs goes through here, so every barrier in
     the node's stream is observable (``barriers``) and injectable
-    (``fault_plan``).  With no plan installed every hook is a single
-    attribute check — the same zero-cost bar the modeled path holds.
+    (``fault_plan``, :meth:`arm_kill`).  With no plan and no kill, a
+    barrier only commits.
     """
 
     def __init__(
@@ -151,6 +143,24 @@ class Vfs:
         #: is the (i+1)-th fsync this node's durable I/O reaches.
         self.barriers = 0
         self.writes = 0
+        #: The armed kill, ``(barrier, phase)``, or None.
+        self.kill: Optional[Tuple[int, str]] = None
+        #: Files open on this stream; a kill closes every one.
+        self._open: List[AppendFile] = []
+
+    def arm_kill(self, barrier: int, phase: str = CRASH_BEFORE_FSYNC) -> None:
+        """Kill the process at this stream's ``barrier``-th barrier.
+
+        Replaces any kill already armed.  A ``torn-fsync`` kill draws
+        the landed length from the fault plan, so it needs one.
+        """
+        if phase not in CRASH_PHASES:
+            raise ValueError(f"unknown crash phase {phase!r}")
+        if barrier < self.barriers:
+            raise ValueError(f"barrier {barrier} has already passed")
+        if phase == CRASH_TORN_FSYNC and self.fault_plan is None:
+            raise ValueError("a torn kill needs a StorageFaultPlan")
+        self.kill = (barrier, phase)
 
     # ------------------------------------------------------------ file API
 
@@ -179,52 +189,56 @@ class Vfs:
     def replace(self, src: Union[str, Path], dst: Union[str, Path]) -> None:
         """Atomic rename + directory fsync; counts as one barrier.
 
-        A kill point here models dying mid-compaction: ``before-fsync``
-        and ``torn-fsync`` die before the rename (renames cannot tear),
+        A kill here models dying mid-compaction: ``before-fsync`` and
+        ``torn-fsync`` die before the rename (renames cannot tear),
         ``after-fsync`` dies with the new file already in place.
         """
         src, dst = Path(src), Path(dst)
-        plan = self.fault_plan
-        point = None
-        if plan is not None:
-            self._check_writable(plan)
-            point = plan.crash_point_due(self.node_id, self.barriers)
-        self.barriers += 1
-        if point is not None and point.phase != CRASH_AFTER_FSYNC:
-            raise SimulatedCrash(self.node_id, point.barrier, point.phase)
+        phase = self._count_barrier()
+        if phase is not None and phase != CRASH_AFTER_FSYNC:
+            self._die(phase)
         os.replace(src, dst)
         self._fsync_dir(dst.parent)
-        if point is not None:
-            raise SimulatedCrash(self.node_id, point.barrier, point.phase)
+        if phase is not None:
+            self._die(phase)
 
     # ----------------------------------------------------------- internals
 
     def _barrier(self, file: AppendFile) -> None:
-        plan = self.fault_plan
-        point = None
-        if plan is not None:
-            self._check_writable(plan)
-            point = plan.crash_point_due(self.node_id, self.barriers)
-        self.barriers += 1
-        if point is None:
-            file._commit(len(file._pending))
-            file._pending.clear()
-            return
-        if point.phase == CRASH_BEFORE_FSYNC:
-            pass  # nothing pending reaches the platter
-        elif point.phase == CRASH_TORN_FSYNC:
-            file._commit(plan.torn_length(len(file._pending)))
-        else:  # CRASH_AFTER_FSYNC
-            file._commit(len(file._pending))
+        phase = self._count_barrier()
+        landed = len(file._pending)
+        if phase == CRASH_BEFORE_FSYNC:
+            landed = 0  # nothing pending reaches the platter
+        elif phase == CRASH_TORN_FSYNC:
+            landed = self.fault_plan.torn_length(landed)
+        file._commit(landed)
         file._pending.clear()
-        raise SimulatedCrash(self.node_id, point.barrier, point.phase)
+        if phase is not None:
+            self._die(phase)
 
-    def _check_writable(self, plan: "StorageFaultPlan") -> None:
-        if not plan.writable(self.node_id):
+    def _count_barrier(self) -> Optional[str]:
+        """Count one barrier; the armed kill's phase if it fires here.
+
+        A readonly disk refuses the barrier before it is counted.
+        """
+        plan = self.fault_plan
+        if plan is not None and not plan.writable(self.node_id):
             plan.refuse_write(self.node_id)
             raise OSError(
                 f"disk is {plan.disk_mode(self.node_id)}; refusing durable write"
             )
+        barrier = self.barriers
+        self.barriers += 1
+        kill = self.kill
+        if kill is None or kill[0] != barrier:
+            return None
+        return kill[1]
+
+    def _die(self, phase: str) -> None:
+        """The process is gone: every open file closes, nothing more lands."""
+        for file in list(self._open):
+            file.abandon()
+        raise SimulatedCrash(self.node_id, self.kill[0], phase)
 
     @staticmethod
     def _fsync_dir(directory: Path) -> None:

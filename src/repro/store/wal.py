@@ -20,18 +20,19 @@ logical mutation appends one record, an fsync barrier every
 default; the chaos sweep widens it to open a crash window), and after
 ``snapshot_every`` records a compaction folds the log into a snapshot.
 All I/O goes through the :class:`~repro.store.vfs.Vfs` shim, so fault
-plans and kill points inject into the real file path.
+plans and the armed kill inject into the real file path.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
+from contextlib import suppress
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from ..net.codec import WireCodec
-from ..netsim.faults import CRASH_AFTER_FSYNC, CRASH_BEFORE_FSYNC, CRASH_TORN_FSYNC
+from ..netsim.faults import CRASH_BEFORE_FSYNC
 from .recovery import (
     OP_DROP,
     OP_DROP_POINTER,
@@ -43,7 +44,7 @@ from .recovery import (
     StoreState,
     recover_state,
 )
-from .vfs import Vfs
+from .vfs import SimulatedCrash, Vfs
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..netsim.faults import StorageFaultPlan
@@ -145,7 +146,11 @@ class WalBackend:
         self.digest_history: Dict[int, str] = {}
         if track_digests:
             self.digest_history[self.state.seq] = self.committed_digest
-        self.closed = False
+
+    @property
+    def closed(self) -> bool:
+        """Closed, or killed: a kill closes the journal file with it."""
+        return self._wal.closed
 
     # --------------------------------------------------------- journal hooks
 
@@ -216,29 +221,20 @@ class WalBackend:
     def crash(self, phase: str = CRASH_BEFORE_FSYNC) -> None:
         """Simulate kill -9 between operations (harness surface).
 
+        Arms the Vfs kill at the next barrier and flushes into it:
         ``before-fsync`` drops the whole unsynced tail, ``torn-fsync``
-        lands a seeded strict prefix of it, ``after-fsync`` flushes
-        everything first.  Either way the backend is dead afterwards:
-        reopen the directory with a fresh :class:`WalBackend`.
+        lands a seeded strict prefix of it, ``after-fsync`` lands
+        everything.  Either way the backend is dead afterwards: reopen
+        the directory with a fresh :class:`WalBackend`.
         """
-        if phase == CRASH_AFTER_FSYNC:
+        self.vfs.arm_kill(self.vfs.barriers, phase)
+        with suppress(SimulatedCrash):
             self.flush()
-            self._wal.close()
-        elif phase == CRASH_TORN_FSYNC:
-            plan = self.vfs.fault_plan
-            pending = self._wal.pending
-            keep = plan.torn_length(pending) if plan is not None else pending // 2
-            self._wal.tear(keep)
-            self._wal.close(flush=False)
-        else:
-            self._wal.abandon()
-        self.closed = True
 
     def close(self) -> None:
         if not self.closed:
             self.flush()
             self._wal.close()
-            self.closed = True
 
     # ------------------------------------------------------------ internals
 

@@ -44,9 +44,21 @@ def make_certificate(fid, size=256):
     )
 
 
-def open_backend(tmp_path, **kwargs):
-    kwargs.setdefault("node_id", 0xA)
-    return WalBackend(tmp_path, **kwargs)
+@pytest.fixture
+def open_backend():
+    """``open_backend(directory, **kwargs)`` opens a :class:`WalBackend`;
+    teardown closes every one the test left running (a killed backend
+    is already closed), so no test leaks a journal handle."""
+    opened = []
+
+    def open_(directory, **kwargs):
+        kwargs.setdefault("node_id", 0xA)
+        opened.append(WalBackend(directory, **kwargs))
+        return opened[-1]
+
+    yield open_
+    for backend in opened:
+        backend.close()
 
 
 def fill(backend, n=6, start=0):
@@ -58,7 +70,7 @@ def fill(backend, n=6, start=0):
 
 
 class TestCleanRestart:
-    def test_reopen_recovers_identical_state(self, tmp_path):
+    def test_reopen_recovers_identical_state(self, tmp_path, open_backend):
         b = open_backend(tmp_path)
         fill(b)
         digest = b.state.state_digest(b.codec)
@@ -71,12 +83,14 @@ class TestCleanRestart:
         assert b2.recovery.truncated_bytes == 0
         assert not b2.recovery.violations
 
-    def test_empty_directory_recovers_empty(self, tmp_path):
+    def test_empty_directory_recovers_empty(self, tmp_path, open_backend):
         b = open_backend(tmp_path)
         assert b.state.seq == 0
         assert not b.state.replicas and not b.state.pointers
 
-    def test_store_reopen_restores_from_the_journal_and_leaves_it_alone(self, tmp_path):
+    def test_store_reopen_restores_from_the_journal_and_leaves_it_alone(
+        self, tmp_path, open_backend
+    ):
         old = open_backend(tmp_path, sync_every=1)
         fill(old)
         old.crash()
@@ -111,7 +125,7 @@ class TestKillPhaseMatrix:
     """Kill between operations in each phase; check the recovered prefix."""
 
     @pytest.mark.parametrize("phase", CRASH_PHASES)
-    def test_recovered_state_is_a_committed_prefix(self, tmp_path, phase):
+    def test_recovered_state_is_a_committed_prefix(self, tmp_path, open_backend, phase):
         plan = StorageFaultPlan(seed=99)
         b = open_backend(
             tmp_path, fault_plan=plan, sync_every=4, track_digests=True
@@ -136,7 +150,7 @@ class TestKillPhaseMatrix:
             assert recovered == history[synced]
 
     @pytest.mark.parametrize("phase", CRASH_PHASES)
-    def test_double_replay_is_idempotent(self, tmp_path, phase):
+    def test_double_replay_is_idempotent(self, tmp_path, open_backend, phase):
         plan = StorageFaultPlan(seed=5)
         b = open_backend(tmp_path, fault_plan=plan, sync_every=3)
         fill(b, n=7)
@@ -149,7 +163,7 @@ class TestKillPhaseMatrix:
         assert s1.seq == s2.seq
         assert info1.records_replayed == info2.records_replayed
 
-    def test_torn_tail_is_truncated_on_recovery(self, tmp_path):
+    def test_torn_tail_is_truncated_on_recovery(self, tmp_path, open_backend):
         plan = StorageFaultPlan(seed=12345)
         b = open_backend(tmp_path, fault_plan=plan, sync_every=100)
         fill(b, n=8)
@@ -168,14 +182,14 @@ class TestKillPhaseMatrix:
 
 
 class TestExactBarrierKills:
-    """CrashPoint-driven kills inside a single operation's I/O."""
+    """Kills armed on the Vfs inside a single operation's I/O."""
 
-    def test_kill_at_append_barrier_loses_only_that_record(self, tmp_path):
+    def test_kill_at_append_barrier_loses_only_that_record(self, tmp_path, open_backend):
         plan = StorageFaultPlan(seed=3)
         b = open_backend(tmp_path, fault_plan=plan, track_digests=True)
         fill(b, n=4)
         committed = b.committed_digest
-        plan.schedule_crash_point(b.node_id, b.vfs.barriers, CRASH_BEFORE_FSYNC)
+        b.vfs.arm_kill(b.vfs.barriers, CRASH_BEFORE_FSYNC)
         with pytest.raises(SimulatedCrash):
             b.note_drop(2)  # sync_every=1: the append fsyncs -> kill fires
 
@@ -183,58 +197,84 @@ class TestExactBarrierKills:
         assert b2.state.state_digest(b2.codec) == committed
         assert 2 in b2.state.replicas  # the drop never became durable
 
-    def test_kill_after_append_barrier_keeps_the_record(self, tmp_path):
+    def test_kill_after_append_barrier_keeps_the_record(self, tmp_path, open_backend):
         plan = StorageFaultPlan(seed=3)
         b = open_backend(tmp_path, fault_plan=plan)
         fill(b, n=4)
-        plan.schedule_crash_point(b.node_id, b.vfs.barriers, CRASH_AFTER_FSYNC)
+        b.vfs.arm_kill(b.vfs.barriers, CRASH_AFTER_FSYNC)
         with pytest.raises(SimulatedCrash):
             b.note_drop(2)
 
         b2 = open_backend(tmp_path, fault_plan=plan)
         assert 2 not in b2.state.replicas  # the barrier completed first
 
-    def test_crash_point_fires_exactly_once(self, tmp_path):
+    def test_crash_point_fires_exactly_once(self, tmp_path, open_backend):
         plan = StorageFaultPlan(seed=3)
         b = open_backend(tmp_path, fault_plan=plan)
-        point = plan.schedule_crash_point(b.node_id, b.vfs.barriers)
-        with pytest.raises(SimulatedCrash):
+        b.vfs.arm_kill(b.vfs.barriers)
+        with pytest.raises(SimulatedCrash) as killed:
             b.note_store(make_certificate(1), False)
-        assert point.fired
-        assert plan.stats.crashes_injected == 1
+        assert (killed.value.barrier, killed.value.phase) == (0, CRASH_BEFORE_FSYNC)
+        assert b.closed
         # Recovery and subsequent appends run on the same plan unharmed.
         b2 = open_backend(tmp_path, fault_plan=plan)
         b2.note_store(make_certificate(1), False)
-        assert plan.stats.crashes_injected == 1
+        b2.note_store(make_certificate(2), False)
+        assert sorted(b2.state.replicas) == [1, 2]
+
+    def test_killed_backend_refuses_appends(self, tmp_path, open_backend):
+        b = open_backend(tmp_path)
+        b.note_store(make_certificate(1), False)
+        b.vfs.arm_kill(1)
+        with pytest.raises(SimulatedCrash):
+            b.note_store(make_certificate(2), False)
+        assert b.closed and b._wal._fh.closed  # the OS handle went too
+        with pytest.raises(ValueError):
+            b.note_store(make_certificate(3), False)
+
+        b2 = open_backend(tmp_path)
+        assert sorted(b2.state.replicas) == [1]  # only the committed prefix
+
+    def test_arming_checks_phase_barrier_and_plan(self, tmp_path, open_backend):
+        b = open_backend(tmp_path)
+        b.note_store(make_certificate(1), False)
+        with pytest.raises(ValueError):
+            b.vfs.arm_kill(b.vfs.barriers, "mid-fsync")
+        with pytest.raises(ValueError):
+            b.vfs.arm_kill(b.vfs.barriers - 1)
+        with pytest.raises(ValueError):  # the torn length comes from a plan
+            b.vfs.arm_kill(b.vfs.barriers, CRASH_TORN_FSYNC)
+        assert b.vfs.kill is None
 
 
 class TestMidCompactionKills:
-    def loaded_backend(self, tmp_path, plan):
+    def loaded_backend(self, tmp_path, open_backend, plan):
         b = open_backend(tmp_path, fault_plan=plan, track_digests=True)
         fill(b, n=6)
         return b
 
-    def test_kill_before_snapshot_rename_keeps_old_wal(self, tmp_path):
+    def test_kill_before_snapshot_rename_keeps_old_wal(self, tmp_path, open_backend):
         plan = StorageFaultPlan(seed=8)
-        b = self.loaded_backend(tmp_path, plan)
+        b = self.loaded_backend(tmp_path, open_backend, plan)
         digest = b.state.state_digest(b.codec)
         # compact(): flush barrier, tmp-file barrier, then the rename
         # barrier — kill there, before the rename happens.
-        plan.schedule_crash_point(b.node_id, b.vfs.barriers + 2, CRASH_BEFORE_FSYNC)
+        b.vfs.arm_kill(b.vfs.barriers + 2, CRASH_BEFORE_FSYNC)
         with pytest.raises(SimulatedCrash):
             b.compact()
         assert not (tmp_path / SNAPSHOT_FILE).exists()
+        assert b.closed
 
         b2 = open_backend(tmp_path, fault_plan=plan)
         assert b2.state.state_digest(b2.codec) == digest
         assert b2.recovery.snapshot_seq == 0  # recovered from the WAL alone
 
-    def test_kill_after_snapshot_rename_skips_stale_wal_tail(self, tmp_path):
+    def test_kill_after_snapshot_rename_skips_stale_wal_tail(self, tmp_path, open_backend):
         plan = StorageFaultPlan(seed=8)
-        b = self.loaded_backend(tmp_path, plan)
+        b = self.loaded_backend(tmp_path, open_backend, plan)
         digest = b.state.state_digest(b.codec)
         seq = b.state.seq
-        plan.schedule_crash_point(b.node_id, b.vfs.barriers + 2, CRASH_AFTER_FSYNC)
+        b.vfs.arm_kill(b.vfs.barriers + 2, CRASH_AFTER_FSYNC)
         with pytest.raises(SimulatedCrash):
             b.compact()
         # Snapshot published, WAL not yet truncated: the stale tail must
@@ -248,7 +288,7 @@ class TestMidCompactionKills:
         assert b2.recovery.records_replayed == 0
         assert b2.recovery.records_skipped > 0
 
-    def test_periodic_compaction_preserves_state(self, tmp_path):
+    def test_periodic_compaction_preserves_state(self, tmp_path, open_backend):
         b = open_backend(tmp_path, snapshot_every=5)
         fill(b, n=12)
         digest = b.state.state_digest(b.codec)
@@ -259,7 +299,7 @@ class TestMidCompactionKills:
 
 
 class TestDiskModes:
-    def test_readonly_disk_refuses_the_barrier(self, tmp_path):
+    def test_readonly_disk_refuses_the_barrier(self, tmp_path, open_backend):
         plan = StorageFaultPlan(seed=1)
         b = open_backend(tmp_path, fault_plan=plan)
         b.note_store(make_certificate(1), False)
@@ -267,8 +307,9 @@ class TestDiskModes:
         with pytest.raises(OSError):
             b.note_store(make_certificate(2), False)
         assert plan.stats.writes_refused >= 1
+        plan.set_disk_mode(b.node_id, "ok")  # so teardown can close the journal
 
-    def test_snapshot_corruption_falls_back_to_wal(self, tmp_path):
+    def test_snapshot_corruption_falls_back_to_wal(self, tmp_path, open_backend):
         b = open_backend(tmp_path, snapshot_every=4)
         fill(b, n=10)
         digest = b.state.state_digest(b.codec)
@@ -287,7 +328,7 @@ class TestDiskModes:
 
 
 class TestWipe:
-    def test_wipe_destroys_journal_and_state(self, tmp_path):
+    def test_wipe_destroys_journal_and_state(self, tmp_path, open_backend):
         b = open_backend(tmp_path)
         fill(b)
         b.note_wipe()

@@ -101,10 +101,11 @@ class WalBackend:
     truncated) before accepting new records, so a restarted node picks
     up exactly its pre-crash committed state.
 
+    A barrier only fsyncs: no state is hashed on the write path.
     ``track_digests=True`` keeps the state digest after every applied
     record — the crash-restart sweep's oracle checks the recovered
-    digest against this history (it must land between the last barrier
-    and the last append, never outside).
+    digest against this history (it must land between
+    :attr:`synced_seq` and the last append, never outside).
     """
 
     durable = True
@@ -136,16 +137,15 @@ class WalBackend:
         self._wal = self.vfs.open_append(self.directory / WAL_FILE)
         self._since_snapshot = self.recovery.records_replayed
         self._unsynced = 0
-        #: Seq of the last record an fsync barrier covered, and the
-        #: state digest at that barrier — the recovery lower bound.
+        #: Seq of the last record an fsync barrier covered — the
+        #: recovery lower bound.
         self.synced_seq = self.state.seq
-        self.committed_digest = self.state.state_digest(self.codec)
         self.track_digests = track_digests
         #: seq -> state digest after that record applied (history
         #: window the recovery oracle checks against).
         self.digest_history: Dict[int, str] = {}
         if track_digests:
-            self.digest_history[self.state.seq] = self.committed_digest
+            self.digest_history[self.state.seq] = self.state.state_digest(self.codec)
 
     @property
     def closed(self) -> bool:
@@ -184,9 +184,8 @@ class WalBackend:
         self._since_snapshot = 0
         self._unsynced = 0
         self.synced_seq = 0
-        self.committed_digest = self.state.state_digest(self.codec)
         if self.track_digests:
-            self.digest_history = {0: self.committed_digest}
+            self.digest_history = {0: self.state.state_digest(self.codec)}
 
     # ------------------------------------------------------------ lifecycle
 
@@ -197,7 +196,6 @@ class WalBackend:
         self._wal.fsync()
         self._unsynced = 0
         self.synced_seq = self.state.seq
-        self.committed_digest = self.state.state_digest(self.codec)
 
     def compact(self) -> None:
         """Fold the log into a snapshot; the WAL restarts empty.

@@ -188,7 +188,7 @@ class TestExactBarrierKills:
         plan = StorageFaultPlan(seed=3)
         b = open_backend(tmp_path, fault_plan=plan, track_digests=True)
         fill(b, n=4)
-        committed = b.committed_digest
+        committed = b.digest_history[b.synced_seq]
         b.vfs.arm_kill(b.vfs.barriers, CRASH_BEFORE_FSYNC)
         with pytest.raises(SimulatedCrash):
             b.note_drop(2)  # sync_every=1: the append fsyncs -> kill fires

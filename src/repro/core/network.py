@@ -710,7 +710,7 @@ class PastNetwork:
         coordinator = self._past.get(coordinator_id)
         ok = coordinator is not None and coordinator.coordinate_reclaim(request)
         if ok:
-            owner.redeem_reclaim_receipts(request.receipts, self.config.k)
+            owner.redeem_reclaim_receipts(file_id, request.receipts)
             self._registry.pop(file_id, None)
             self._contents.pop(file_id, None)
             self._reclaimed.add(file_id)

@@ -25,8 +25,7 @@ class LeafSet:
     at the end) that *contains the owner*: the slots after the owner are
     its clockwise successors nearest first, the slots before it its
     counterclockwise predecessors.  Every query is index arithmetic around
-    the owner's slot or a bisect for the key; :meth:`closest_nodes` alone
-    still sorts.
+    the owner's slot or a bisect for the key; none sorts.
 
     One thing is remembered between calls: the arc :meth:`covers` tests
     against (``_arc``), asked for at every hop of every route and moved only
@@ -259,12 +258,31 @@ class LeafSet:
         which must appear in its leaf set (PAST requires ``k <= l/2 + 1``).
         Ties on distance go to the smaller id.
         """
-        # Still a distance sort of all l + 1 candidates, as before the ring:
-        # every join and failure calls this once per stored file per
-        # witness, and walking outward from the key's bisect point instead
-        # (O(k + log l)) is its own step (DESIGN.md §4g, "staged").
-        pool = self._ring if include_self else self.sorted_members()
-        return idspace.sort_by_distance(pool, key)[:k]
+        # Every join and failure calls this once per stored file per
+        # witness, so it walks instead of sorting: two walkers leave the
+        # key's bisect point in opposite directions (negative indices wrap
+        # for free).  The untaken ids always form one arc between them,
+        # whose nearest id is whichever walker has the shorter way back to
+        # the key: O(k + log l).
+        ring = self._ring
+        skip = None if include_self else self.owner_id
+        up = bisect_left(ring, key) - len(ring)  # first id >= key
+        down = up + len(ring) - 1  # last id < key
+        out: List[int] = []
+        while len(out) < k and up <= down:
+            below = ring[down]
+            above = ring[up]
+            d_below = (key - below) % _SPACE
+            d_above = (above - key) % _SPACE
+            if d_below < d_above or (d_below == d_above and below < above):
+                pick = below
+                down -= 1
+            else:
+                pick = above
+                up += 1
+            if pick != skip:
+                out.append(pick)
+        return out
 
     def owner_rank(self, key: int) -> int:
         """The owner's index in ``closest_nodes(key, l + 1)``, without the sort.

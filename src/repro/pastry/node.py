@@ -18,6 +18,8 @@ PAST integrates storage management with routing.
 from __future__ import annotations
 
 import random
+from array import array
+from bisect import bisect_right
 from typing import TYPE_CHECKING, List, Optional, Set
 
 from . import idspace
@@ -65,7 +67,7 @@ class PastryNode:
     # back with getattr + default), not by __init__ — it still needs a slot.
     __slots__ = (
         "node_id", "network", "coord", "b", "l", "alive", "leafset",
-        "routing_table", "_neighborhood", "app", "_crash_witnesses",
+        "routing_table", "_neighborhood", "_neighbor_d", "app", "_crash_witnesses",
     )
 
     def __init__(
@@ -87,6 +89,7 @@ class PastryNode:
         self.leafset = LeafSet(node_id, l)
         self.routing_table = RoutingTable(node_id, b, self._proximity)
         self._neighborhood: List[int] = []  # sorted by proximity, nearest first
+        self._neighbor_d = array("d")  # each member's proximity, same order
         self.app: PastryApplication = PastryApplication()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -107,15 +110,22 @@ class PastryNode:
     def consider_neighbor(self, node_id: int) -> None:
         """Offer a node for the neighborhood set (kept sorted by proximity).
 
-        Equal distances keep arrival order (the sort is stable), so a full
-        set refuses an offer that is not strictly nearer than its farthest
-        member.
+        An offer measures one proximity: the set keeps each member's
+        distance beside it, which stays true because a node's coordinate
+        is written once.  Equal distances keep arrival order (the newcomer
+        goes after every member at its distance), so a full set refuses an
+        offer that is not strictly nearer than its farthest member.
         """
         if node_id == self.node_id or node_id in self._neighborhood:
             return
-        self._neighborhood.append(node_id)
-        self._neighborhood.sort(key=self._proximity)
+        d = self._proximity(node_id)
+        if len(self._neighborhood) >= self.l and d >= self._neighbor_d[-1]:
+            return
+        i = bisect_right(self._neighbor_d, d)
+        self._neighborhood.insert(i, node_id)
+        self._neighbor_d.insert(i, d)
         del self._neighborhood[self.l:]
+        del self._neighbor_d[self.l:]
 
     def learn(self, node_id: int) -> None:
         """Incorporate knowledge of a live node into all routing state.
@@ -141,7 +151,9 @@ class PastryNode:
         self.leafset.remove(node_id)
         self.routing_table.remove(node_id)
         if node_id in self._neighborhood:
-            self._neighborhood.remove(node_id)
+            i = self._neighborhood.index(node_id)
+            del self._neighborhood[i]
+            del self._neighbor_d[i]
 
     def handle_failure(self, failed_id: int) -> None:
         """React to the failure of a leaf-set member.

@@ -69,12 +69,21 @@ class Smartcard:
         """Credit the quota back (on failed insert or verified reclaim)."""
         self.quota_used = max(0, self.quota_used - size * k)
 
-    def redeem_reclaim_receipts(self, receipts, k: int) -> None:
-        """Verify reclaim receipts and credit the quota accordingly."""
+    def redeem_reclaim_receipts(self, file_id: int, receipts) -> None:
+        """Verify reclaim receipts and credit the storage they freed.
+
+        The credit is the sum of ``freed_bytes`` over the receipts for
+        ``file_id``, one per node: a node that held only a pointer to a
+        diverted replica frees nothing, and its receipt says so.  A receipt
+        for another file, or a second receipt from the same node, is
+        refused (credits nothing); a forged one raises.
+        """
+        freed = {}
         for receipt in receipts:
             receipt.verify()
-        if receipts:
-            self.credit(receipts[0].freed_bytes, len(receipts))
+            if receipt.file_id == file_id:
+                freed.setdefault(receipt.node_id, receipt.freed_bytes)
+        self.credit(sum(freed.values()), 1)
 
     # ---------------------------------------------------- certificate side
 

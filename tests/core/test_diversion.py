@@ -162,6 +162,19 @@ def choose_by_max_over_candidates(node, file_id, replica_set):
     return max(candidates, key=lambda n: (n.store.free, -n.node_id)).node_id
 
 
+class TestReclaimOfADivertedFile:
+    @pytest.mark.parametrize("seed", [70, 71])
+    def test_reclaim_credits_what_the_insert_debited(self, seed):
+        """A pointer holder frees nothing: the credit is k times the size,
+        however many pointer receipts ride along with the k replica ones."""
+        net, owner, result = diversion_scenario(seed=seed, k=3)
+        used = owner.quota_used
+        reclaim = net.reclaim(result.file_id, owner, net.nodes()[0].node_id)
+        assert reclaim.success
+        assert len(reclaim.receipts) > 3
+        assert used - owner.quota_used == 3 * 200_000
+
+
 class TestDiversionTargetChoice:
     """The one-pass pick of node B against the definition it replaced."""
 

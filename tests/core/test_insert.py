@@ -159,9 +159,10 @@ class TestQuotaScalesWithK:
 
 class TestWritePathSortsOnlyForTheReplicaSet:
     """"Am I among the k closest?" is asked at every hop of an insert or
-    reclaim route and answered by rank; only naming the replica set sorts."""
+    reclaim route and answered by rank; naming the replica set walks the
+    leaf set, so neither an undiverted insert nor a reclaim sorts."""
 
-    def test_one_sort_per_undiverted_insert_and_none_per_reclaim(self, monkeypatch):
+    def test_no_sort_per_undiverted_insert_or_reclaim(self, monkeypatch):
         net = build_past(n=80, capacity=5_000_000, k=3, l=8, seed=51)
         owner = net.create_client("owner")
         sorts = []
@@ -176,7 +177,7 @@ class TestWritePathSortsOnlyForTheReplicaSet:
             result = net.insert(f"f{i}", owner, 10_000, origin.node_id)
             assert result.success and result.attempts == 1
             assert result.replica_diversions == 0
-            assert sorts == [idspace.routing_key(result.file_id)]
+            assert sorts == []
             inserted.append(result.file_id)
             routed += result.hops > 0
         assert routed > len(inserted) // 2  # the count is about routed requests

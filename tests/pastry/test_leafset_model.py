@@ -8,8 +8,6 @@ a read after every operation (see the LeafSet docstring for why that is the
 only order the two are required to agree on).
 """
 
-from bisect import bisect_left
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -83,32 +81,6 @@ class ReferenceLeafSet:
         return idspace.sort_by_distance(self.candidates(include_self), key)[:k]
 
 
-def walk_closest_nodes(ring, owner_id, key, k, include_self):
-    """The staged body of ``LeafSet.closest_nodes`` (DESIGN.md §4g, "Staged").
-
-    Two walkers leave the key's bisect point in opposite directions over
-    the same index range (negative indices wrap for free).  The untaken ids
-    always form one arc between them, whose nearest id by ring distance is
-    whichever walker has the shorter way back to the key: O(k + log l).
-    Kept under the differential test so that landing it is a move.
-    """
-    up = bisect_left(ring, key) - len(ring)  # first id >= key
-    down = up + len(ring) - 1  # last id < key
-    out = []
-    while len(out) < k and up <= down:
-        below, above = ring[down], ring[up]
-        d_below, d_above = (key - below) % SPACE, (above - key) % SPACE
-        if d_below < d_above or (d_below == d_above and below < above):
-            pick = below
-            down -= 1
-        else:
-            pick = above
-            up += 1
-        if include_self or pick != owner_id:
-            out.append(pick)
-    return out
-
-
 @st.composite
 def scenarios(draw):
     """(owner, l, ops, keys) with ids biased towards the awkward places."""
@@ -151,8 +123,6 @@ def assert_same(ls, ref, keys):
             for k in (1, paper_k, paper_k + 1, ls.l + 3):
                 expected = ref.closest_nodes(key, k, include_self)
                 assert ls.closest_nodes(key, k, include_self) == expected
-                ring = list(ls.sorted_members_with_owner())
-                assert walk_closest_nodes(ring, ls.owner_id, key, k, include_self) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -189,6 +159,32 @@ def test_owner_rank_on_the_smallest_rings(owner, member):
         ls.add(node_id)
         ref.add(node_id)
         assert_same(ls, ref, keys + [(owner - 14) % SPACE])
+
+
+def test_closest_nodes_walks_without_idspace(monkeypatch):
+    """The replica-set query is a walk over the ring: no distance sort and
+    no ``idspace`` call, for every k the callers ask for."""
+    owner, l = HALF, 8
+    ls, ref = LeafSet(owner, l), ReferenceLeafSet(owner, l)
+    for d in (3, 5, 9, 20, HALF - 1):  # both sides, one near the wrap
+        for node_id in ((owner + d) % SPACE, (owner - d) % SPACE):
+            ls.add(node_id)
+            ref.add(node_id)
+    keys = [owner, (owner + 4) % SPACE, (owner - 7) % SPACE, 0, SPACE - 1]
+    cases = [
+        (key, k, include_self)
+        for key in keys
+        for k in (1, l // 2 + 1, l + 3)
+        for include_self in (True, False)
+    ]
+    expected = [ref.closest_nodes(key, k, include_self) for key, k, include_self in cases]
+
+    def refuse(*args):
+        raise AssertionError("closest_nodes called into idspace")
+
+    monkeypatch.setattr(idspace, "sort_by_distance", refuse)
+    monkeypatch.setattr(idspace, "ring_distance", refuse)
+    assert [ls.closest_nodes(key, k, s) for key, k, s in cases] == expected
 
 
 def test_covers_forgets_its_arc_when_the_ring_changes():

@@ -65,8 +65,24 @@ class TestQuota:
         receipts = [
             node.issue_reclaim_receipt(7, i, 100) for i in range(3)
         ]
-        card.redeem_reclaim_receipts(receipts, k=3)
+        card.redeem_reclaim_receipts(7, receipts)
         assert card.quota_used == 0
+
+    def test_redeem_refuses_a_duplicated_receipt(self, issuer):
+        card = issuer.issue_card("alice", quota=10_000)
+        card.debit(100, 3)
+        node = issuer.issue_card("node-1")
+        receipts = [node.issue_reclaim_receipt(7, i, 100) for i in range(2)]
+        card.redeem_reclaim_receipts(7, receipts + receipts[:1])
+        assert card.quota_used == 100
+
+    def test_redeem_refuses_a_receipt_for_another_file(self, issuer):
+        card = issuer.issue_card("alice", quota=10_000)
+        card.debit(100, 3)
+        node = issuer.issue_card("node-1")
+        receipts = [node.issue_reclaim_receipt(7, i, 100) for i in range(2)]
+        card.redeem_reclaim_receipts(7, receipts + [node.issue_reclaim_receipt(8, 2, 100)])
+        assert card.quota_used == 100
 
     def test_redeem_verifies_signatures(self, issuer):
         import dataclasses
@@ -76,7 +92,7 @@ class TestQuota:
         receipt = node.issue_reclaim_receipt(7, 1, 100)
         forged = dataclasses.replace(receipt, freed_bytes=10**9)
         with pytest.raises(Exception):
-            card.redeem_reclaim_receipts([forged], k=1)
+            card.redeem_reclaim_receipts(7, [forged])
 
 
 class TestCertificateHelpers:

@@ -850,7 +850,7 @@ class PastNetwork:
             # Confirm-reread: the repair paths below suspend at their
             # RPCs, and an interleaved repair can retire this entry
             # while a previous iteration's call is in flight.
-            if fid not in node.store.file_ids():
+            if not node.store.references_file(fid):
                 continue
             if fid in self._reclaimed or fid not in self._registry:
                 node.store.drop_pointer(fid)
@@ -887,7 +887,7 @@ class PastNetwork:
         for fid in list(node.store.file_ids()):
             # Confirm-reread: request_repair() suspends once per member;
             # skip entries an interleaved repair already retired.
-            if fid not in node.store.file_ids():
+            if not node.store.references_file(fid):
                 continue
             node.request_repair(fid)
 

@@ -448,6 +448,8 @@ class PastNode(PastryApplication):
             if cert is None:  # pragma: no cover - entry implies certificate
                 continue
             key = idspace.routing_key(fid)
+            if not self.leafset.may_pick(new_id, key, cert.k):
+                continue  # the newcomer is outside this file's k-set
             kset = self.leafset.closest_nodes(key, cert.k)
             if new_id not in kset or self.node_id not in kset:
                 continue
@@ -483,28 +485,6 @@ class PastNode(PastryApplication):
         member = self.network.past_node_or_none(member_id)
         return member is not None and member.store.references_file(fid)
 
-    def _resolve_entries(self, fid: int, kset: List[int]) -> dict:
-        """Map each kset member to the physical replica its entry resolves
-        to (itself for a stored replica, the pointer target for a valid
-        diversion pointer, None for a missing or dangling entry)."""
-        out = {}
-        for member_id in kset:
-            member = self.network.past_node_or_none(member_id)
-            if member is None:
-                out[member_id] = None
-                continue
-            if member.store.holds_file(fid):
-                out[member_id] = member_id
-                continue
-            pointer = member.store.pointers.get(fid)
-            if pointer is not None:
-                target = self.network.past_node_or_none(pointer.target_id)
-                if target is not None and target.store.holds_file(fid):
-                    out[member_id] = pointer.target_id
-                    continue
-            out[member_id] = None
-        return out
-
     def _restore_file_invariant(self, fid: int, newcomer_id: Optional[int] = None) -> None:
         """Ensure each of the k closest nodes holds a replica or a pointer
         to a *distinct* diverted replica.
@@ -520,19 +500,29 @@ class PastNode(PastryApplication):
             return
         key = idspace.routing_key(fid)
         kset = self.leafset.closest_nodes(key, cert.k)
-        entries = self._resolve_entries(fid, kset)
         seen: Set[int] = set()
         needs: List[int] = []
         valid: List[int] = []
         for member_id in kset:  # closest_nodes returns distance order
-            target = entries[member_id]
+            # The physical replica this member's entry resolves to: itself
+            # for a stored replica, the target of a valid diversion pointer.
+            member = self.network.past_node_or_none(member_id)
+            target = None
+            if member is not None:
+                if member.store.holds_file(fid):
+                    target = member_id
+                else:
+                    pointer = member.store.pointers.get(fid)
+                    if pointer is not None:
+                        holder = self.network.past_node_or_none(pointer.target_id)
+                        if holder is not None and holder.store.holds_file(fid):
+                            target = pointer.target_id
             if target is None or target in seen:
                 needs.append(member_id)
                 continue
             seen.add(target)
             valid.append(member_id)
-            member = self.network.past_node_or_none(member_id)
-            pointer = member.store.pointers.get(fid) if member else None
+            pointer = member.store.pointers.get(fid)
             if pointer is not None and not pointer.primary:
                 # A pointer now serving as a kset entry must answer lookups.
                 member.store.set_pointer_primary(fid, True)

@@ -29,11 +29,11 @@ class LeafSet:
 
     One thing is remembered between calls: the arc :meth:`covers` tests
     against (``_arc``), asked for at every hop of every route and moved only
-    by membership changes.  It is cleared at the two places ``_ring``
-    changes — the insert in :meth:`add` and ``_pop`` — and recomputed by
-    the next :meth:`covers`, not in place: a join or a repair adds and
-    removes members in bursts with no route in between, and paying for the
-    arc on each of them cost more than it saved.
+    by membership changes.  It is cleared where ``_ring`` changes — in
+    :meth:`add`, :meth:`add_all` and ``_pop`` — and recomputed by the next
+    :meth:`covers`, not in place: a join or a repair adds and removes
+    members in bursts with no route in between, and paying for the arc on
+    each of them cost more than it saved.
 
     Membership is trimmed *direction-blind*: a member stays while it is
     among the ``l/2`` nearest clockwise successors or the ``l/2`` nearest
@@ -63,13 +63,15 @@ class LeafSet:
     good (the dropped node's identity is forgotten), which :meth:`covers`
     must account for.
 
-    The trim is *eager* (inside :meth:`add`).  That equals trimming a whole
-    batch of adds at the next read — a dropped member only falls further
-    back in both rankings as more arrive — unless a :meth:`remove` lands
-    between an ``add`` and the next read: a batch trim would let the
-    removal promote a member the eager trim has already forgotten.  Every
-    caller reads (``in``, ``members()``, ``is_full()``) before it removes,
-    so the order is load-bearing only for code that stops doing so.
+    The trim is *eager* (inside :meth:`add` and :meth:`add_all`).  That
+    equals trimming a whole batch of adds at the next read — a dropped
+    member only falls further back in both rankings as more arrive, which
+    is what lets :meth:`add_all` merge a batch in one pass — unless a
+    :meth:`remove` lands between an ``add`` and the next read: a batch
+    trim would let the removal promote a member the eager trim has
+    already forgotten.  Every caller reads (``in``, ``members()``,
+    ``is_full()``) before it removes, so the order is load-bearing only
+    for code that stops doing so.
     """
 
     __slots__ = ("owner_id", "l", "_ring", "_pos", "_antipode", "_ever_trimmed", "_arc")
@@ -163,8 +165,37 @@ class LeafSet:
             self._ever_trimmed = True
 
     def add_all(self, node_ids: Iterable[int]) -> None:
-        for node_id in node_ids:
-            self.add(node_id)
+        """:meth:`add` each id in turn, in one pass.
+
+        The union with the ring is sorted once and, past ``l + 1`` ids,
+        cut to the owner's window (ring indices ``pos - l/2 .. pos + l/2``):
+        what the eager trim leaves after any order of adds.
+        """
+        ring = self._ring
+        merged = set(ring)
+        merged.update(node_ids)
+        n = len(merged)
+        if n == len(ring):
+            return
+        merged = sorted(merged)
+        pos = bisect_left(merged, self.owner_id)
+        trimmed = n > self.l + 1
+        if trimmed:
+            half = self.l // 2
+            lo, hi = pos - half, pos + half + 1
+            if lo < 0:  # the window wraps below index 0
+                merged = merged[:hi] + merged[lo:]
+            elif hi > n:  # ... or past the end
+                merged = merged[: hi - n] + merged[lo:]
+                pos = hi - n + half
+            else:
+                merged = merged[lo:hi]
+                pos = half
+        if merged != ring or trimmed and not self._ever_trimmed:
+            self._arc = None
+        self._ring = merged
+        self._pos = pos
+        self._ever_trimmed = self._ever_trimmed or trimmed
 
     def remove(self, node_id: int) -> bool:
         """Remove a (failed) node.  Returns True if it was a member."""
@@ -283,6 +314,25 @@ class LeafSet:
             if pick != skip:
                 out.append(pick)
         return out
+
+    def may_pick(self, node_id: int, key: int, k: int) -> bool:
+        """False when ``closest_nodes(key, k)`` certainly leaves ``node_id`` out.
+
+        The walk picks only from the ``k`` ids on each side of the key's
+        bisect point, so with ``node_id`` at ring index ``j`` of ``n`` and
+        ``2k < n`` it can be picked only for keys in the arc
+        ``(ring[j - k], ring[j + k]]``.  One bisect, no walk: a join tests
+        every stored file with this before asking for the file's k-set.
+        """
+        ring = self._ring
+        n = len(ring)
+        j = bisect_left(ring, node_id)
+        if j == n or ring[j] != node_id:
+            return False
+        if 2 * k >= n:
+            return True
+        low = ring[j - k]
+        return 0 < (key - low) % _SPACE <= (ring[(j + k) % n] - low) % _SPACE
 
     def owner_rank(self, key: int) -> int:
         """The owner's index in ``closest_nodes(key, l + 1)``, without the sort.

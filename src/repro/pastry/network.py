@@ -465,14 +465,13 @@ class PastryNetwork:
         node.alive = True
         old_members = node.leafset.sorted_members()
         node.leafset = type(node.leafset)(node.node_id, self.l)
+        known = set()
         for member_id in old_members:
             donor = self._nodes.get(member_id)
-            if donor is None:
-                continue
-            node.leafset.add(member_id)
-            for m in donor.leafset.sorted_members():
-                if self.is_live(m):
-                    node.leafset.add(m)
+            if donor is not None:
+                known.add(member_id)
+                known.update(donor.leafset.sorted_members())
+        node.leafset.add_all(filter(self.is_live, known))
         node.exchange_leafsets()
         self._register(node)
         for member_id in node.leafset.sorted_members():

@@ -180,13 +180,15 @@ class PastryNode:
         node does, so the witness ends the repair with every live node it
         can transitively reach.
         """
+        pulled: Set[int] = set()
         for donor_id in [d for d in self.leafset.extremes() if d is not None]:
             donor = self.network.get_live(donor_id)
-            if donor is None:
-                continue
-            for member in donor.leafset.sorted_members_with_owner():
-                if self.network.is_live(member):
-                    self.leafset.add(member)
+            if donor is not None:
+                pulled.update(donor.leafset.sorted_members_with_owner())
+        # Ids already held are no-ops for add_all, so only the rest need a
+        # liveness check.
+        pulled.difference_update(self.leafset.sorted_members_with_owner())
+        self.leafset.add_all(filter(self.network.is_live, pulled))
         if not self.leafset.is_full() and self.leafset.ever_trimmed:
             self.exchange_leafsets()
 
@@ -206,9 +208,8 @@ class PastryNode:
         """
         pulls = 0
         for _ in range(self.l):
-            # sorted_members() snapshots an immutable tuple, so the adds
-            # below never perturb this round's iteration order.
             before = self.leafset.sorted_members()
+            pulled: Set[int] = set()
             for donor_id in before:
                 donor = self.network.get_live(donor_id)
                 if donor is None:
@@ -218,9 +219,12 @@ class PastryNode:
                     self.node_id, donor_id, donor.leafset.sorted_members,
                     reliable=True,
                 )
-                for member in donor_members:
-                    if self.network.is_live(member):
-                        self.leafset.add(member)
+                pulled.update(donor_members)
+            # Confirm-reread: every pull above suspends, so what the round
+            # taught is judged against the leaf set (and liveness) as they
+            # stand after the last of them, then merged in one pass.
+            if fresh := pulled.difference(self.leafset.sorted_members_with_owner()):
+                self.leafset.add_all(filter(self.network.is_live, fresh))
             if self.leafset.sorted_members() == before:
                 break
         return pulls

@@ -166,6 +166,28 @@ class TestRecovery:
         )
         assert found == len(fids)
 
+    def test_recovery_lists_its_store_a_constant_number_of_times(self, monkeypatch):
+        """The reconcile sweep's confirm-rereads test one entry each; listing
+        the whole store per entry made a recovery quadratic in its size."""
+        net = build_past(n=12, capacity=10**12, k=3, l=8, seed=93)
+        owner = net.create_client("o")
+        insert_files(net, owner, count=900, size=1_000, seed=93)
+        victim = max(net.nodes(), key=lambda n: len(n.store.file_ids()))
+        assert len(victim.store.file_ids()) >= 200
+        net.fail_node(victim.node_id)
+        listed = []
+        file_ids = type(victim.store).file_ids
+
+        def counting(store):
+            if store is victim.store:
+                listed.append(1)
+            return file_ids(store)
+
+        monkeypatch.setattr(type(victim.store), "file_ids", counting)
+        net.recover_node(victim.node_id)
+        assert len(listed) <= 3
+        assert audit(net).ok
+
 
 class TestMigration:
     def test_migration_pulls_replicas_home(self):

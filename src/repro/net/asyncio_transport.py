@@ -1,4 +1,4 @@
-"""Real-network implementation of the transport seam over asyncio TCP.
+"""Real-network implementation of the transport seam over localhost TCP.
 
 :class:`AsyncioTransport` matches the transport contract of
 :mod:`repro.netsim.transport`, so the same engine-pure
@@ -11,18 +11,23 @@ talking to itself (a handler's self-RPC, a route's first step) skips the
 socket; nothing skips the codec — if a payload cannot survive it, the call
 fails, which is exactly the property the wire analyzer proves statically.
 
-Topology: the *calling* thread (a driver, or an executor thread issuing
+Topology: the *calling* thread (a driver, or a handler thread issuing
 a nested RPC) takes a route's first step itself, at the client's access
 node; otherwise it encodes its request, checks a blocking ``TCP_NODELAY``
 socket out of a per-target free list, sends, reads the reply and decodes
-it — it never enters the event loop.  One asyncio *loop* thread runs one
-TCP server per node (127.0.0.1, kernel-assigned ports): it accepts,
-frames incoming bytes (an :class:`asyncio.Protocol` per connection)
-and writes replies.  Each complete request goes to an
-*executor* thread, which decodes it, dispatches under the node's lock
-and encodes the reply — never on the loop thread — so a handler that
-itself sends nested RPCs (insert coordination fanning out
-``accept_replica``, repair chains) cannot deadlock the loop.
+it.  One *selector* thread (``selectors.DefaultSelector``, started with
+the first server) listens on one socket per node (127.0.0.1,
+kernel-assigned ports): it accepts, reads, frames, and answers pings
+from a pre-encoded pong — nothing else.  Each other complete request
+goes to a *handler* thread of one bounded pool, which decodes it,
+dispatches under the node's lock, encodes the reply and sends it on the
+connection itself, so a leg costs one thread hand-off, and a handler
+that sends nested RPCs (insert coordination fanning out
+``accept_replica``, repair chains) blocks only its own thread.
+
+The module keeps the name it had when an asyncio loop ran the server
+side (``engine="asyncio"``, ``"asyncio-tcp"`` in pinned records); no
+asyncio is imported.
 
 Semantics relative to ``SimTransport``:
 
@@ -58,8 +63,8 @@ swallowed failure is classified into the :class:`WireStats` counters.
 
 from __future__ import annotations
 
-import asyncio
 import random
+import selectors
 import socket
 import threading
 import time
@@ -118,13 +123,14 @@ class RemoteCallError(RuntimeError):
     """A remote handler raised; carries the remote traceback text."""
 
 
-class InjectedLoss(asyncio.TimeoutError):
+class InjectedLoss(TimeoutError):
     """An injected drop: to the caller it looks like a lost message.
 
-    Subclasses :class:`asyncio.TimeoutError` so every existing retry
-    path (``send``/``probe`` returning undelivered, routes reported
-    lost) treats an injected drop exactly like a real timeout — but the
-    transport classifies it separately so real timeouts stay visible.
+    Subclasses the builtin :class:`TimeoutError` (what a lapsed leg
+    raises) so every existing retry path (``send``/``probe`` returning
+    undelivered, routes reported lost) treats an injected drop exactly
+    like a real timeout — but the transport classifies it separately so
+    real timeouts stay visible.
     """
 
 
@@ -200,56 +206,31 @@ def _exchange(sock: socket.socket, blob: bytes, expiry: float) -> bytes:
         sock.settimeout(_left(expiry))
 
 
-class _Connection(asyncio.Protocol):
-    """One accepted connection: framed on the loop, served off it.
+class _Accepted:
+    """One accepted connection, as the server side sees it.
 
-    Frames are served in order, as the lock-step client expects: while a
-    payload is with the executor later bytes only accumulate, and
-    writing its reply resumes the framing.
+    Frames are served in order, as the lock-step client expects: while
+    one is in service (``busy``) later bytes only accumulate in
+    ``buffer``, and the handler thread that replied takes the next
+    buffered frame or clears ``busy``.  The selector thread and that
+    handler thread touch these fields only under the transport's ``_io``
+    lock, so a frame that lands while the handler looks cannot be
+    stranded.  A severed connection is ``closed``; a busy one's socket
+    is closed by its handler thread, once that has replied.
     """
 
-    def __init__(self, owner: "AsyncioTransport", node_id: int):
-        self.owner = owner
+    __slots__ = ("sock", "node_id", "buffer", "busy", "closed")
+
+    def __init__(self, sock: socket.socket, node_id: int):
+        self.sock = sock
         self.node_id = node_id
-        self.transport: Optional[asyncio.Transport] = None
         self.buffer = bytearray()
         self.busy = False
-
-    def connection_made(self, transport) -> None:
-        self.transport = transport
-        self.owner._server_conns.setdefault(self.node_id, set()).add(transport)
-
-    def connection_lost(self, exc) -> None:
-        self.owner._server_conns.get(self.node_id, set()).discard(self.transport)
-
-    def data_received(self, data: bytes) -> None:
-        self.buffer += data
-        owner = self.owner
-        while not self.busy:
-            try:
-                payload = take_frame(self.buffer)
-            except CodecError:  # oversize prefix: not a peer to keep
-                return self.transport.abort()
-            if payload is None:
-                return
-            if payload == owner._ping:
-                # The codec is deterministic, so a ping is recognised by
-                # its bytes and answered here, without a handler thread.
-                self.transport.write(owner._pong[self.node_id in owner.overlay._nodes])
-            else:
-                self.busy = True
-                owner._executor.submit(owner._serve_frame, self, payload)
-
-    def reply(self, blob: bytes) -> None:
-        """Loop thread: write one reply, then frame what queued behind it."""
-        self.busy = False
-        if not self.transport.is_closing():
-            self.transport.write(blob)
-            self.data_received(b"")
+        self.closed = False
 
 
 class AsyncioTransport:
-    """Transport seam over localhost asyncio TCP, one server per node."""
+    """Transport seam over localhost TCP, one listening socket per node."""
 
     #: The clock behind :meth:`now` is wall time: engine-agnostic
     #: deadline code (``core.resilience``) may bound operations by it.
@@ -281,7 +262,7 @@ class AsyncioTransport:
         self.wire = WireStats()
         self.codec = WireCodec()
         self._ports: Dict[int, int] = {}
-        self._servers: Dict[int, asyncio.AbstractServer] = {}
+        self._listeners: Dict[int, socket.socket] = {}
         #: Guards what concurrent callers share: free lists, in-flight
         #: counts, fault-plan and backoff draws (call order is draw
         #: order) and the wire counters.  Never held across I/O.
@@ -291,12 +272,13 @@ class AsyncioTransport:
         self._free: Dict[int, List[socket.socket]] = {}
         #: Per-peer in-flight RPC counts.
         self._active: Dict[int, int] = {}
-        #: Accepted connections, so a kill can sever them (loop thread).
-        self._server_conns: Dict[int, Set[asyncio.Transport]] = {}
+        #: Accepted connections, so a kill can sever them.
+        self._server_conns: Dict[int, Set[_Accepted]] = {}
         #: Nodes whose process was killed: no serve-on-first-contact
         #: resurrection until an explicit ensure_server (the restart).
-        #: Like ``_ports`` and ``_servers`` it changes only on the loop
-        #: thread, so a kill and a start of one node cannot interleave.
+        #: Like ``_ports`` and ``_listeners`` it changes only under the
+        #: lifecycle lock, so a kill and a start of one node cannot
+        #: interleave.
         self._down: Set[int] = set()
         #: Jittered-backoff draws for re-dials.
         self._backoff_rng = random.Random(derive_seed(seed, "wire-backoff"))
@@ -316,11 +298,19 @@ class AsyncioTransport:
         self._executor = ThreadPoolExecutor(
             max_workers=MAX_WORKERS, thread_name_prefix="repro-rpc"
         )
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, name="repro-net-loop", daemon=True
-        )
-        self._thread.start()
+        #: Lifecycle lock: starts, stops, kills and close, one at a time.
+        #: Taken before ``_io``, never held across an RPC.
+        self._life = threading.Lock()
+        #: Guards the selector's registrations and every accepted
+        #: connection's buffer, busy and closed fields.
+        self._io = threading.Lock()
+        #: The selector, its wake-up socketpair and its thread, all made
+        #: with the first server; the thread count never grows with the
+        #: number of nodes or connections.
+        self._selector: Optional[selectors.BaseSelector] = None
+        self._wake: Tuple[socket.socket, ...] = ()
+        self._selector_thread: Optional[threading.Thread] = None
+        self._closed = False
 
     # ------------------------------------------------------------ lifecycle
 
@@ -337,7 +327,7 @@ class AsyncioTransport:
         ensure clears the down flag, the way a restarted process binds
         its port again.
         """
-        return self._run(self._start_server(node_id, restart=True))
+        return self._start_server(node_id, restart=True)
 
     def stop_server(self, node_id: int) -> None:
         """Stop a node's server (a crashed node stops answering probes).
@@ -347,7 +337,7 @@ class AsyncioTransport:
         the node is marked down, so serve-on-first-contact cannot
         resurrect it — only an explicit :meth:`ensure_server` restart.
         """
-        self._run(self._stop_server(node_id, kill=True))
+        self._stop_server(node_id, kill=True)
 
     def install_faults(self, plan: Optional[FaultPlan], reset: float = 0.0) -> None:
         """Install (or with ``None`` remove) the fault plan legs consult.
@@ -375,11 +365,19 @@ class AsyncioTransport:
             return self._inflight_cv.wait_for(lambda: self._inflight == 0, timeout)
 
     def close(self) -> None:
-        """Stop every server and the loop thread."""
-        self._run(self._close_all())
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=5)
-        self._loop.close()
+        """Stop every server, the selector thread and the handler pool."""
+        with self._life:
+            if self._closed:
+                return
+            self._closed = True  # from here on nothing starts a server
+        for node_id in list(self._listeners):
+            self._stop_server(node_id)
+        if self._selector_thread is not None:
+            self._wake[1].send(b"\0")  # a blocked select returns, sees _closed
+            self._selector_thread.join(timeout=5)
+            self._selector.close()
+            for sock in self._wake:
+                sock.close()
         self._executor.shutdown(wait=False)
 
     def __enter__(self) -> "AsyncioTransport":
@@ -427,7 +425,7 @@ class AsyncioTransport:
                     target_id, frame,
                     link=None if reliable else (origin_id, target_id),
                 )
-        except (OSError, asyncio.TimeoutError) as exc:
+        except (OSError, TimeoutError) as exc:
             self._note_failure(exc)
             return False, None
         if "error" in reply:
@@ -441,7 +439,7 @@ class AsyncioTransport:
             reply = self._request(
                 peer_id, {"op": "ping"}, link=(origin_id, peer_id)
             )
-        except (OSError, asyncio.TimeoutError) as exc:
+        except (OSError, TimeoutError) as exc:
             self._note_failure(exc)
             return False
         return bool(reply.get("ok"))
@@ -488,16 +486,12 @@ class AsyncioTransport:
         if isinstance(exc, (InjectedLoss, Backpressure)):
             return
         with self._lock:
-            if isinstance(exc, asyncio.TimeoutError):
+            if isinstance(exc, TimeoutError):
                 self.wire.timeouts += 1
             elif isinstance(exc, (ConnectionResetError, BrokenPipeError)):
                 self.wire.resets += 1
             elif isinstance(exc, ConnectionRefusedError):
                 self.wire.refused += 1
-
-    def _run(self, coro):
-        """Run a coroutine on the loop thread, blocking the caller."""
-        return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
 
     def _request(self, target_id: int, frame: dict, legs: int = 1,
                  link: Optional[Tuple[int, int]] = None,
@@ -507,7 +501,7 @@ class AsyncioTransport:
         One expiry, ``timeout`` seconds per leg the call spans, governs
         the whole leg — injected delay, dial and re-dials, write, reply
         read: each blocking step gets what is left of it as its timeout,
-        and a lapse anywhere surfaces as :class:`asyncio.TimeoutError`
+        and a lapse anywhere surfaces as the builtin :class:`TimeoutError`
         (which ``socket.timeout`` is not before Python 3.10).
 
         ``link`` is the (src, dst) pair the fault plan is asked about;
@@ -536,7 +530,7 @@ class AsyncioTransport:
                 time.sleep(min(verdict.delay, 1.0, _left(expiry)))
             payload = self._roundtrip(target_id, blob, expiry, verdict, reset, dup_ok)
         except socket.timeout:
-            raise asyncio.TimeoutError(f"no reply from node {target_id:#x}") from None
+            raise TimeoutError(f"no reply from node {target_id:#x}") from None
         return self.codec.decode(payload)
 
     def _roundtrip(self, target_id: int, blob: bytes, expiry: float,
@@ -550,7 +544,7 @@ class AsyncioTransport:
             # stay dead until their explicit ensure_server restart.
             if target_id not in self.overlay._nodes or target_id in self._down:
                 raise ConnectionRefusedError(f"node {target_id:#x} is not serving")
-            port = self._run(self._start_server(target_id))
+            port = self._start_server(target_id)
         with self._lock:
             active = self._active.get(target_id, 0)
             if active >= self.pool_limit:
@@ -616,7 +610,7 @@ class AsyncioTransport:
             delay *= 2.0
             if target_id not in self.overlay._nodes or target_id in self._down:
                 break
-            port = self._run(self._start_server(target_id))  # idempotent
+            port = self._start_server(target_id)  # idempotent
             try:
                 sock = self._connect(port, expiry)
             except OSError:
@@ -631,52 +625,188 @@ class AsyncioTransport:
 
     # --------------------------------------------------------- server side
 
-    async def _start_server(self, node_id: int, restart: bool = False) -> int:
-        if restart:
-            self._down.discard(node_id)
-        if node_id not in self._ports:
-            server = await self._loop.create_server(
-                lambda: _Connection(self, node_id), self.host, 0
-            )
-            if node_id in self._down:  # killed while this dial was binding
-                server.close()
+    def _start_server(self, node_id: int, restart: bool = False) -> int:
+        """Bind (idempotently) a node's listening socket; returns its port.
+
+        A first contact (``restart=False``) to a killed node is refused:
+        only the explicit restart clears the down flag.
+        """
+        with self._life:
+            if restart:
+                self._down.discard(node_id)
+            elif node_id in self._down:  # killed while this dial was on its way
                 raise ConnectionRefusedError(f"node {node_id:#x} is not serving")
-            if node_id in self._ports:  # lost a first-contact race meanwhile
-                server.close()
+            port = self._ports.get(node_id)
+            if port is None:
+                if self._closed:
+                    raise ConnectionRefusedError("transport is closed")
+                if self._selector is None:
+                    self._start_selector()
+                listener = socket.create_server((self.host, 0))
+                listener.setblocking(False)
+                with self._io:  # epoll and kqueue see it at once
+                    self._selector.register(listener, selectors.EVENT_READ, node_id)
+                self._listeners[node_id] = listener
+                port = self._ports[node_id] = listener.getsockname()[1]
+            return port
+
+    def _stop_server(self, node_id: int, kill: bool = False) -> None:
+        with self._life:
+            if kill:
+                self._down.add(node_id)
+            with self._lock:
+                for sock in self._free.pop(self._ports.pop(node_id, None), ()):
+                    sock.close()
+            with self._io:
+                listener = self._listeners.pop(node_id, None)
+                if listener is not None:
+                    self._selector.unregister(listener)
+                    listener.close()
+                # A dead process severs its accepted connections too: a
+                # client blocked on a reply sees EOF or a reset, not a
+                # silent stall.
+                for conn in list(self._server_conns.pop(node_id, ())):
+                    self._sever(conn)
+
+    def _start_selector(self) -> None:
+        """Make the selector, its wake-up socketpair and its thread."""
+        self._selector = selectors.DefaultSelector()
+        self._wake = socket.socketpair()
+        for sock in self._wake:
+            sock.setblocking(False)
+        self._selector.register(self._wake[0], selectors.EVENT_READ, None)
+        self._selector_thread = threading.Thread(
+            target=self._select_loop, name="repro-net-selector", daemon=True
+        )
+        self._selector_thread.start()
+
+    def _select_loop(self) -> None:
+        """Selector thread: accept, read, frame and answer pings — never
+        run a handler, never decode beyond the ping byte compare."""
+        selector = self._selector
+        while not self._closed:
+            for key, _ in selector.select():
+                target = key.data
+                if target is None:
+                    try:
+                        self._wake[0].recv(4096)
+                    except OSError:
+                        pass
+                elif type(target) is int:
+                    self._accept(key.fileobj, target)
+                else:
+                    self._receive(target)
+
+    def _accept(self, listener: socket.socket, node_id: int) -> None:
+        with self._io:
+            try:
+                sock, _ = listener.accept()
+            except OSError:  # closed by a kill meanwhile, or nothing to take
+                return
+            sock.setblocking(True)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn = _Accepted(sock, node_id)
+            self._server_conns.setdefault(node_id, set()).add(conn)
+            self._selector.register(sock, selectors.EVENT_READ, conn)
+
+    def _receive(self, conn: _Accepted) -> None:
+        """Read what arrived (the socket is readable, so ``recv`` does
+        not block) and frame it."""
+        with self._io:
+            if conn.closed:
+                return
+            try:
+                data = conn.sock.recv(_RECV_BYTES)
+            except OSError:
+                data = b""
+            if not data:  # the peer hung up
+                return self._sever(conn)
+        self._frame(conn, data)
+
+    def _frame(self, conn: _Accepted, data: bytes) -> None:
+        """Buffer ``data`` and, while no frame of this connection is in
+        service, answer pings and hand the next request to a handler
+        thread — outside ``_io``, which the last handler thread may be
+        waiting on to go idle."""
+        with self._io:
+            conn.buffer += data
+            while not (conn.busy or conn.closed):
+                try:
+                    payload = take_frame(conn.buffer)
+                except CodecError:  # oversize prefix: not a peer to keep
+                    return self._sever(conn)
+                if payload is None:
+                    return
+                if payload != self._ping:
+                    conn.busy = True
+                    break
+                # The codec is deterministic, so a ping is recognised by
+                # its bytes and answered here, without a handler thread.
+                # Sent without blocking: a peer that stopped reading must
+                # not stall every other node's connections.
+                pong = self._pong[conn.node_id in self.overlay._nodes]
+                try:
+                    if conn.sock.send(pong, socket.MSG_DONTWAIT) != len(pong):
+                        raise BlockingIOError("pong cut short")
+                except OSError:
+                    return self._sever(conn)
             else:
-                self._servers[node_id] = server
-                self._ports[node_id] = server.sockets[0].getsockname()[1]
-        return self._ports[node_id]
+                return
+        self._executor.submit(self._serve_frame, conn, payload)
 
-    async def _stop_server(self, node_id: int, kill: bool = False) -> None:
-        if kill:
-            self._down.add(node_id)
-        server = self._servers.pop(node_id, None)
-        with self._lock:
-            for sock in self._free.pop(self._ports.pop(node_id, None), ()):
-                sock.close()
-        # A dead process severs its accepted connections too: a client
-        # blocked on a reply sees a reset, not a silent stall.
-        for conn in list(self._server_conns.pop(node_id, ())):
-            conn.abort()
-        if server is not None:
-            server.close()
-            await server.wait_closed()
-
-    async def _close_all(self) -> None:
-        for node_id in list(self._servers):
-            await self._stop_server(node_id)
-
-    def _serve_frame(self, conn: _Connection, payload: bytes) -> None:
-        """Executor thread (handlers may block in nested RPCs): decode,
-        dispatch, encode; the loop only writes.  Nobody reads this job's
-        future, so an undecodable frame or unencodable result is *answered*."""
+    def _sever(self, conn: _Accepted) -> None:
+        """``_io`` held: unregister and shut a connection down; a busy
+        one's handler thread closes the socket once it has replied."""
+        if conn.closed:
+            return
+        conn.closed = True
+        self._server_conns.get(conn.node_id, set()).discard(conn)
         try:
-            reply = self._dispatch(conn.node_id, self.codec.decode(payload))
-            blob = self.codec.encode_frame(reply)
-        except Exception:
-            blob = self.codec.encode_frame({"error": traceback.format_exc()})
-        self._loop.call_soon_threadsafe(conn.reply, blob)
+            self._selector.unregister(conn.sock)
+        except (KeyError, ValueError):  # never registered: fed to _frame directly
+            pass
+        try:
+            conn.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        if not conn.busy:
+            conn.sock.close()
+
+    def _serve_frame(self, conn: _Accepted, payload: bytes) -> None:
+        """Handler thread (handlers may block in nested RPCs): decode,
+        dispatch, encode, send the reply on the connection itself, then
+        serve the frame buffered behind it, if any.  Nobody reads this
+        job's future, so an undecodable frame or unencodable result is
+        *answered*."""
+        codec = self.codec
+        while True:
+            if payload == self._ping:
+                blob = self._pong[conn.node_id in self.overlay._nodes]
+            else:
+                try:
+                    reply = self._dispatch(conn.node_id, codec.decode(payload))
+                    blob = codec.encode_frame(reply)
+                except Exception:
+                    blob = codec.encode_frame({"error": traceback.format_exc()})
+            try:
+                conn.sock.sendall(blob)
+                sent = True
+            except OSError:  # severed meanwhile: the caller saw EOF or a reset
+                sent = False
+            with self._io:
+                payload = None
+                if not sent:
+                    self._sever(conn)
+                elif not conn.closed:
+                    try:
+                        payload = take_frame(conn.buffer)
+                    except CodecError:
+                        self._sever(conn)
+                if payload is None:
+                    conn.busy = False
+                    if conn.closed:
+                        conn.sock.close()
+                    return
 
     def _loopback(self, node_id: int, frame: dict) -> dict:
         """Dispatch on the calling thread (a handler's self-RPC, a route's
@@ -762,6 +892,6 @@ class AsyncioTransport:
                 link=(node_id, next_id),
                 dup_ok=True,
             )
-        except (OSError, asyncio.TimeoutError) as exc:
+        except (OSError, TimeoutError) as exc:
             self._note_failure(exc)
             return {"lost": True, "path": path}

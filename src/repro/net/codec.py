@@ -16,6 +16,15 @@ construction the registry is verified against the live dataclass
 definitions, so a drifted schema fails loudly at import time rather
 than corrupting payloads.
 
+One pass, one table: :meth:`WireCodec.encode` writes into one
+``bytearray`` through a table of encoders keyed by *exact* type (an
+``isinstance`` chain serves subclasses), and only dict keys and set
+elements are encoded on their own, because their order is the sort of
+their encodings.  :meth:`WireCodec.decode` dispatches on the tag byte
+through a 256-entry table and raises nothing but :class:`CodecError`
+on malformed bytes.  The tables for the committed schema are built once
+per process and shared by every ``WireCodec()``.
+
 Frame format (used by :mod:`repro.net.asyncio_transport`): a 4-byte
 big-endian payload length followed by one encoded value;
 :meth:`WireCodec.encode_frame` writes it and :func:`take_frame` reads
@@ -29,8 +38,10 @@ import importlib
 import json
 import struct
 from dataclasses import fields, is_dataclass
+from functools import lru_cache
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 __all__ = [
     "CodecError", "MAX_FRAME_BYTES", "WireCodec", "load_wire_schema",
@@ -65,6 +76,10 @@ _T_MESSAGE = b"m"
 
 _LEN = struct.Struct(">I")
 _F64 = struct.Struct(">d")
+#: A tag and its 4-byte length (or message index) in one pack.
+_HEAD = struct.Struct(">cI")
+
+_first = itemgetter(0)
 
 
 class CodecError(ValueError):
@@ -73,6 +88,10 @@ class CodecError(ValueError):
 
 def _truncated(blob: bytes) -> CodecError:
     return CodecError(f"corrupt wire bytes at offset {len(blob)}: value cut short")
+
+
+def _corrupt(offset: int, exc: Exception) -> CodecError:
+    return CodecError(f"corrupt wire bytes at offset {offset}: {exc}")
 
 
 def take_frame(buf: bytearray) -> Optional[bytes]:
@@ -109,6 +128,265 @@ def load_wire_schema(path: Path = SCHEMA_PATH) -> dict:
     return payload
 
 
+def _registry(schema: dict) -> Tuple[List[Type], List[Tuple[str, ...]]]:
+    """Message classes in tag order and their pinned field names,
+    checked against the live dataclass definitions."""
+    types: List[Type] = []
+    pinned_fields: List[Tuple[str, ...]] = []
+    for name in sorted(schema.get("messages", {})):
+        entry = schema["messages"][name]
+        module = importlib.import_module(entry["module"])
+        cls = getattr(module, name)
+        pinned = tuple(f["name"] for f in entry["fields"])
+        if not is_dataclass(cls):
+            raise CodecError(f"wire schema message {name} is not a dataclass")
+        live = tuple(f.name for f in fields(cls))
+        if live != pinned:
+            raise CodecError(
+                f"wire schema drift: {name} fields {live} != pinned {pinned};"
+                " re-run python -m repro check --write-schema"
+            )
+        types.append(cls)
+        pinned_fields.append(pinned)
+    return types, pinned_fields
+
+
+class _Tables:
+    """The encode table (exact type -> encoder) and the decode table
+    (tag byte -> decoder) of one message registry."""
+
+    def __init__(self, types: List[Type], pinned_fields: List[Tuple[str, ...]]):
+        self.types = types
+        self.fields = pinned_fields
+        self.put = self._encoders()
+        self.decoders = self._decoders()
+
+    # ---------------------------------------------------------------- encode
+
+    def _encoders(self):
+        head = _HEAD.pack
+        enc: Dict[type, Callable[[Any, bytearray], None]] = {}
+        get = enc.get
+
+        def fallback(value):
+            """The encoder of a subclass (or a CodecError): bool before
+            int, and int or tuple subclasses encode as their base."""
+            for base in (bool, int, float, str, bytes, list, tuple, frozenset, set, dict):
+                if isinstance(value, base):
+                    return enc[base]
+            raise CodecError(
+                f"value of type {type(value).__name__!r} is outside the "
+                "certified wire grammar (not a primitive, container, or "
+                "registered message dataclass)"
+            )
+
+        def put(value, out: bytearray) -> None:
+            (get(type(value)) or fallback(value))(value, out)
+
+        def one(value) -> bytearray:
+            """One value encoded on its own (a dict key, a set element)."""
+            out = bytearray()
+            (get(type(value)) or fallback(value))(value, out)
+            return out
+
+        def enc_none(value, out):
+            out += _T_NONE
+
+        def enc_bool(value, out):
+            out += _T_TRUE if value else _T_FALSE
+
+        def enc_int(value, out):
+            blob = value.to_bytes((value.bit_length() + 8) // 8, "big", signed=True)
+            out += head(_T_INT, len(blob))
+            out += blob
+
+        def enc_float(value, out):
+            out += _T_FLOAT
+            out += _F64.pack(value)
+
+        def enc_str(value, out):
+            blob = value.encode("utf-8")
+            out += head(_T_STR, len(blob))
+            out += blob
+
+        def enc_bytes(value, out):
+            out += head(_T_BYTES, len(value))
+            out += value
+
+        def sequence(tag):
+            def enc_seq(value, out):
+                out += head(tag, len(value))
+                for item in value:
+                    (get(type(item)) or fallback(item))(item, out)
+            return enc_seq
+
+        def unordered(tag):
+            def enc_set(value, out):
+                # Sorted by encoded bytes: deterministic for any element mix.
+                items = sorted([one(item) for item in value])
+                out += head(tag, len(items))
+                for item in items:
+                    out += item
+            return enc_set
+
+        def enc_dict(value, out):
+            out += head(_T_DICT, len(value))
+            mark = len(out)
+            items = sorted([(one(k), v) for k, v in value.items()], key=_first)
+            prev = None
+            for key, v in items:
+                if key == prev:
+                    # Two keys encode alike (two NaNs): order all items
+                    # by (key, value) encodings instead.
+                    del out[mark:]
+                    for pair in sorted([(k, one(v)) for k, v in items]):
+                        out += pair[0]
+                        out += pair[1]
+                    return
+                out += key
+                (get(type(v)) or fallback(v))(v, out)
+                prev = key
+
+        def message(tag, names):
+            prefix = head(_T_MESSAGE, tag)
+
+            def enc_message(value, out):
+                out += prefix
+                for name in names:
+                    v = getattr(value, name)
+                    (get(type(v)) or fallback(v))(v, out)
+            return enc_message
+
+        enc.update({
+            type(None): enc_none, bool: enc_bool, int: enc_int,
+            float: enc_float, str: enc_str, bytes: enc_bytes,
+            list: sequence(_T_LIST), tuple: sequence(_T_TUPLE),
+            set: unordered(_T_SET), frozenset: unordered(_T_FROZENSET),
+            dict: enc_dict,
+        })
+        for tag, (cls, names) in enumerate(zip(self.types, self.fields)):
+            enc[cls] = message(tag, names)
+        return put
+
+    # ---------------------------------------------------------------- decode
+
+    def _decoders(self) -> List[Callable[[bytes, int], Tuple[Any, int]]]:
+        """Each decoder takes the blob and the offset just past its tag,
+        and returns the value and the offset just past it."""
+        unpack_len = _LEN.unpack_from
+        unpack_f64 = _F64.unpack_from
+        types = self.types
+        arity = [len(names) for names in self.fields]
+
+        def length(blob, offset):
+            try:
+                return unpack_len(blob, offset)[0]
+            except struct.error as exc:
+                raise _corrupt(offset, exc) from None
+
+        def items(blob, offset, n):
+            out = []
+            for _ in range(n):
+                try:
+                    decoder = dec[blob[offset]]
+                except IndexError:  # the blob stops inside a value
+                    raise _truncated(blob) from None
+                item, offset = decoder(blob, offset + 1)
+                out.append(item)
+            return out, offset
+
+        def container(kind):
+            # items' loop, inlined: one nesting level costs one
+            # interpreter frame, as in the encoder.
+            def dec_container(blob, offset):
+                n = length(blob, offset)
+                offset += 4
+                out = []
+                for _ in range(n):
+                    try:
+                        decoder = dec[blob[offset]]
+                    except IndexError:
+                        raise _truncated(blob) from None
+                    item, offset = decoder(blob, offset + 1)
+                    out.append(item)
+                return (out if kind is list else kind(out)), offset
+            return dec_container
+
+        def unknown(blob, offset):
+            raise CodecError(f"unknown wire tag {blob[offset - 1:offset]!r} at offset {offset - 1}")
+
+        def dec_int(blob, offset):
+            n = length(blob, offset)
+            offset += 4
+            return int.from_bytes(blob[offset:offset + n], "big", signed=True), offset + n
+
+        def dec_float(blob, offset):
+            try:
+                return unpack_f64(blob, offset)[0], offset + 8
+            except struct.error as exc:
+                raise _corrupt(offset, exc) from None
+
+        def dec_str(blob, offset):
+            n = length(blob, offset)
+            offset += 4
+            try:
+                return blob[offset:offset + n].decode("utf-8"), offset + n
+            except UnicodeDecodeError as exc:
+                raise _corrupt(offset, exc) from None
+
+        def dec_bytes(blob, offset):
+            n = length(blob, offset)
+            offset += 4
+            return bytes(blob[offset:offset + n]), offset + n
+
+        def dec_dict(blob, offset):
+            n = length(blob, offset)
+            offset += 4
+            out = {}
+            for _ in range(n):
+                try:
+                    decoder = dec[blob[offset]]
+                except IndexError:
+                    raise _truncated(blob) from None
+                key, offset = decoder(blob, offset + 1)
+                try:
+                    decoder = dec[blob[offset]]
+                except IndexError:
+                    raise _truncated(blob) from None
+                out[key], offset = decoder(blob, offset + 1)
+            return out, offset
+
+        def dec_message(blob, offset):
+            idx = length(blob, offset)
+            offset += 4
+            try:
+                cls = types[idx]
+            except IndexError as exc:
+                raise _corrupt(offset, exc) from None
+            values, offset = items(blob, offset, arity[idx])
+            return cls(*values), offset
+
+        dec = [unknown] * 256
+        for tag, decoder in (
+            (_T_NONE, lambda blob, offset: (None, offset)),
+            (_T_TRUE, lambda blob, offset: (True, offset)),
+            (_T_FALSE, lambda blob, offset: (False, offset)),
+            (_T_INT, dec_int), (_T_FLOAT, dec_float), (_T_STR, dec_str),
+            (_T_BYTES, dec_bytes), (_T_LIST, container(list)),
+            (_T_TUPLE, container(tuple)), (_T_SET, container(set)),
+            (_T_FROZENSET, container(frozenset)), (_T_DICT, dec_dict),
+            (_T_MESSAGE, dec_message),
+        ):
+            dec[tag[0]] = decoder
+        return dec
+
+
+@lru_cache(maxsize=None)
+def _committed_tables() -> _Tables:
+    """The tables of the committed schema, built once per process."""
+    return _Tables(*_registry(load_wire_schema()))
+
+
 class WireCodec:
     """Encoder/decoder for the certified wire grammar.
 
@@ -116,176 +394,40 @@ class WireCodec:
     position in sorted message-name order.  Construction validates each
     registered dataclass against the schema's pinned field list — name
     and order — so the codec can never serialize a shape the analyzer
-    did not certify.
+    did not certify.  ``WireCodec()`` reuses the committed schema's
+    tables; an explicit ``schema`` is validated and gets its own.
     """
 
     def __init__(self, schema: dict = None):
-        if schema is None:
-            schema = load_wire_schema()
-        self._types: List[Type] = []
-        self._fields: List[Tuple[str, ...]] = []
-        self._index: Dict[Type, int] = {}
-        for name in sorted(schema.get("messages", {})):
-            entry = schema["messages"][name]
-            module = importlib.import_module(entry["module"])
-            cls = getattr(module, name)
-            pinned = tuple(f["name"] for f in entry["fields"])
-            if not is_dataclass(cls):
-                raise CodecError(f"wire schema message {name} is not a dataclass")
-            live = tuple(f.name for f in fields(cls))
-            if live != pinned:
-                raise CodecError(
-                    f"wire schema drift: {name} fields {live} != pinned {pinned};"
-                    " re-run python -m repro check --write-schema"
-                )
-            self._index[cls] = len(self._types)
-            self._types.append(cls)
-            self._fields.append(pinned)
-
-    # ---------------------------------------------------------------- encode
+        tables = _committed_tables() if schema is None else _Tables(*_registry(schema))
+        self._put = tables.put
+        self._decoders = tables.decoders
 
     def encode(self, value: Any) -> bytes:
         out = bytearray()
-        self._encode(value, out)
+        self._put(value, out)
         return bytes(out)
 
-    def _encode(self, value: Any, out: bytearray) -> None:
-        # bool before int: bool is an int subclass.
-        if value is None:
-            out += _T_NONE
-        elif value is True:
-            out += _T_TRUE
-        elif value is False:
-            out += _T_FALSE
-        elif isinstance(value, int):
-            blob = value.to_bytes((value.bit_length() + 8) // 8, "big", signed=True)
-            out += _T_INT
-            out += _LEN.pack(len(blob))
-            out += blob
-        elif isinstance(value, float):
-            out += _T_FLOAT
-            out += _F64.pack(value)
-        elif isinstance(value, str):
-            blob = value.encode("utf-8")
-            out += _T_STR
-            out += _LEN.pack(len(blob))
-            out += blob
-        elif isinstance(value, bytes):
-            out += _T_BYTES
-            out += _LEN.pack(len(value))
-            out += value
-        elif isinstance(value, list):
-            self._encode_seq(_T_LIST, value, out)
-        elif isinstance(value, tuple):
-            self._encode_seq(_T_TUPLE, value, out)
-        elif isinstance(value, (set, frozenset)):
-            tag = _T_FROZENSET if isinstance(value, frozenset) else _T_SET
-            # Sorted by encoded bytes: deterministic for any element mix.
-            items = sorted(self.encode(item) for item in value)
-            out += tag
-            out += _LEN.pack(len(items))
-            for item in items:
-                out += item
-        elif isinstance(value, dict):
-            items = sorted(
-                (self.encode(k), self.encode(v)) for k, v in value.items()
-            )
-            out += _T_DICT
-            out += _LEN.pack(len(items))
-            for k, v in items:
-                out += k
-                out += v
-        elif type(value) in self._index:
-            tag = self._index[type(value)]
-            out += _T_MESSAGE
-            out += _LEN.pack(tag)
-            for fname in self._fields[tag]:
-                self._encode(getattr(value, fname), out)
-        else:
-            raise CodecError(
-                f"value of type {type(value).__name__!r} is outside the "
-                "certified wire grammar (not a primitive, container, or "
-                "registered message dataclass)"
-            )
-
-    def _encode_seq(self, tag: bytes, value, out: bytearray) -> None:
-        out += tag
-        out += _LEN.pack(len(value))
-        for item in value:
-            self._encode(item, out)
-
-    # ---------------------------------------------------------------- decode
-
     def decode(self, blob: bytes) -> Any:
-        value, offset = self._decode(blob, 0)
+        try:
+            try:
+                decoder = self._decoders[blob[0]]
+            except IndexError:
+                raise _truncated(blob) from None
+            value, offset = decoder(blob, 1)
+        except (TypeError, RecursionError) as exc:
+            # A set or dict key holding a list, or nesting past the
+            # interpreter's stack: malformed bytes all the same.
+            raise CodecError(f"corrupt wire bytes: {type(exc).__name__}: {exc}") from None
         if offset != len(blob):
             if offset > len(blob):  # a length prefix reached past the end
                 raise _truncated(blob)
             raise CodecError(f"{len(blob) - offset} trailing bytes after value")
         return value
 
-    def _decode(self, blob: bytes, offset: int) -> Tuple[Any, int]:
-        try:
-            tag = blob[offset:offset + 1]
-            offset += 1
-            if tag == _T_NONE:
-                return None, offset
-            if tag == _T_TRUE:
-                return True, offset
-            if tag == _T_FALSE:
-                return False, offset
-            if tag == _T_INT:
-                n, offset = self._length(blob, offset)
-                return int.from_bytes(blob[offset:offset + n], "big", signed=True), offset + n
-            if tag == _T_FLOAT:
-                return _F64.unpack_from(blob, offset)[0], offset + 8
-            if tag == _T_STR:
-                n, offset = self._length(blob, offset)
-                return blob[offset:offset + n].decode("utf-8"), offset + n
-            if tag == _T_BYTES:
-                n, offset = self._length(blob, offset)
-                return bytes(blob[offset:offset + n]), offset + n
-            if tag in (_T_LIST, _T_TUPLE, _T_SET, _T_FROZENSET):
-                n, offset = self._length(blob, offset)
-                items = []
-                for _ in range(n):
-                    item, offset = self._decode(blob, offset)
-                    items.append(item)
-                if tag == _T_LIST:
-                    return items, offset
-                if tag == _T_TUPLE:
-                    return tuple(items), offset
-                if tag == _T_SET:
-                    return set(items), offset
-                return frozenset(items), offset
-            if tag == _T_DICT:
-                n, offset = self._length(blob, offset)
-                out = {}
-                for _ in range(n):
-                    key, offset = self._decode(blob, offset)
-                    out[key], offset = self._decode(blob, offset)
-                return out, offset
-            if tag == _T_MESSAGE:
-                idx, offset = self._length(blob, offset)
-                cls = self._types[idx]
-                values = []
-                for _ in self._fields[idx]:
-                    value, offset = self._decode(blob, offset)
-                    values.append(value)
-                return cls(*values), offset
-        except (IndexError, struct.error, UnicodeDecodeError) as exc:
-            raise CodecError(f"corrupt wire bytes at offset {offset}: {exc}") from None
-        if not tag:  # read at or past the end: the blob stops inside a value
-            raise _truncated(blob)
-        raise CodecError(f"unknown wire tag {tag!r} at offset {offset - 1}")
-
-    @staticmethod
-    def _length(blob: bytes, offset: int) -> Tuple[int, int]:
-        return _LEN.unpack_from(blob, offset)[0], offset + 4
-
-    # ---------------------------------------------------------------- frames
-
     def encode_frame(self, value: Any) -> bytes:
         """One stream frame: 4-byte big-endian length + encoded value."""
-        payload = self.encode(value)
-        return _LEN.pack(len(payload)) + payload
+        out = bytearray(_LEN.size)
+        self._put(value, out)
+        _LEN.pack_into(out, 0, len(out) - _LEN.size)
+        return bytes(out)

@@ -2,14 +2,13 @@
 
 The wire-safety story (DESIGN.md §4k) makes concrete promises about how
 the real transport degrades: one deadline per RPC leg normalized to
-``asyncio.TimeoutError``, refused connections that stay refused until an
+the builtin ``TimeoutError``, refused connections that stay refused until an
 explicit restart, resets surfaced promptly instead of silent stalls,
 servers that shrug off half-written frames, and reject-not-queue
 backpressure past the pool's high-water mark.  Each test here kills,
 stalls, or mangles a live localhost cluster and pins one promise.
 """
 
-import asyncio
 import socket
 import threading
 import time
@@ -219,10 +218,9 @@ class TestMangledFrames:
     def test_injected_loss_is_not_a_wire_timeout(self):
         """Injected drops fail fast and never pollute the real counters.
 
-        On 3.11+ ``concurrent.futures.TimeoutError`` *is* the builtin,
-        so an ``InjectedLoss`` (an ``asyncio.TimeoutError`` subclass)
-        propagating through ``future.result`` is one careless except
-        clause away from being rebranded a genuine timeout.
+        An ``InjectedLoss`` subclasses the builtin ``TimeoutError``, so
+        it is one careless except clause away from being counted a
+        genuine timeout.
         """
         net, transport = build_cluster(4, seed=3, engine="asyncio")
         try:

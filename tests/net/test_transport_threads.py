@@ -1,15 +1,15 @@
 """The transport's thread model, pinned where it became concurrent.
 
 The calling thread does its own encode, blocking socket I/O and decode;
-the loop thread accepts, frames, writes replies and fires timers; an
-executor thread decodes, dispatches under the node lock and encodes
-(DESIGN.md §4i).  What used to be serialized by living on the loop —
-the free lists, the in-flight counts, the framing of a byte stream —
-is exercised here from several threads and in awkward chunkings.  The
-calling thread also takes a route's first step, at its own access node.
+the selector thread accepts, reads, frames and answers pings; a handler
+thread decodes, dispatches under the node lock, encodes and sends its
+reply itself (DESIGN.md §4i).  What several threads share — the free
+lists, the in-flight counts, the framing of a byte stream, the
+lifecycle — is exercised here from several threads and in awkward
+chunkings.  The calling thread also takes a route's first step, at its
+own access node.
 """
 
-import asyncio
 import gc
 import os
 import random
@@ -133,17 +133,22 @@ class TestConcurrentCallers:
     def test_racing_first_contacts_start_one_server(self, cluster, monkeypatch):
         net, transport, client, target = cluster
         # Unserved but not killed: the next contact starts the server.
-        transport._run(transport._stop_server(target.node_id))
+        transport._stop_server(target.node_id)
         assert target.node_id not in transport._ports
-        start_server = transport._start_server
-        started = []
+        start_server, create_server = transport._start_server, socket.create_server
+        started, bound = [], []
 
-        async def slow_start(node_id):
-            await asyncio.sleep(0.05)  # every caller finds the node unserved
-            started.append(await start_server(node_id))
+        def slow_start(node_id):
+            time.sleep(0.05)  # every caller finds the node unserved
+            started.append(start_server(node_id))
             return started[-1]
 
+        def counted_create_server(*args, **kwargs):
+            bound.append(args)
+            return create_server(*args, **kwargs)
+
         monkeypatch.setattr(transport, "_start_server", slow_start)
+        monkeypatch.setattr(socket, "create_server", counted_create_server)
         results = []
         workers = [
             threading.Thread(
@@ -159,23 +164,35 @@ class TestConcurrentCallers:
             w.join(timeout=30)
         assert not any(w.is_alive() for w in workers)
         assert results == [True] * 8
-        # All eight raced to start it; the losers closed theirs.
+        # All eight raced to start it; one bound a port, the rest found it.
         assert len(started) == 8
         assert set(started) == {transport._ports[target.node_id]}
+        assert len(bound) == 1
 
     def test_client_half_never_enters_the_loop(self, cluster, monkeypatch):
+        """A warmed send or probe does no lifecycle work: it neither
+        takes the lifecycle lock nor starts, stops or wakes anything."""
         net, transport, client, target = cluster
         ok, _ = ask(transport, client, target)
         assert ok is True  # connection warmed, server started
 
-        def boom(*args, **kwargs):
-            raise AssertionError("the RPC path scheduled work on the event loop")
+        class Forbidden:
+            def __enter__(self):
+                raise AssertionError("the RPC path took the lifecycle lock")
 
-        monkeypatch.setattr(asyncio, "run_coroutine_threadsafe", boom)
+            def __exit__(self, *exc):
+                return False
+
+        def boom(*args, **kwargs):
+            raise AssertionError("the RPC path did lifecycle work")
+
+        monkeypatch.setattr(transport, "_life", Forbidden())
+        for name in ("_start_server", "_stop_server", "_start_selector"):
+            monkeypatch.setattr(transport, name, boom)
         ok, holds = ask(transport, client, target)
         assert (ok, holds) == (True, False)
         assert transport.probe(client.node_id, target.node_id) is True
-        monkeypatch.undo()  # close() needs the loop again
+        monkeypatch.undo()  # close() takes the lifecycle lock
 
     def test_one_mebibyte_content_round_trip(self, monkeypatch):
         monkeypatch.setattr("repro.net.differential.NODE_CAPACITY", 64 << 20)
@@ -232,24 +249,26 @@ class TestRestartLeavesNoStaleSocket:
 
 
 class TestLifecycleBelongsToTheLoop:
+    """Starts, stops, kills and close run one at a time, under the
+    transport's lifecycle lock (once the event loop's job)."""
+
     def test_kill_during_a_first_contact_dial_is_not_undone_by_it(
         self, cluster, monkeypatch
     ):
-        """A dial that found the node unserved is still binding its
-        server when the kill lands: the dial must be refused, and the
-        node must stay dead until its explicit restart."""
+        """A dial that found the node unserved is on its way to start
+        the server when the kill lands: the dial must be refused, and
+        the node must stay dead until its explicit restart."""
         net, transport, client, victim = cluster
-        transport._run(transport._stop_server(victim.node_id))  # unserved, not killed
-        create_server = transport._loop.create_server
-        parked = threading.Event()
-        release = transport._loop.create_future()
+        transport._stop_server(victim.node_id)  # unserved, not killed
+        start_server = transport._start_server
+        parked, release = threading.Event(), threading.Event()
 
-        async def parked_create_server(*args, **kwargs):
+        def parked_start(node_id, restart=False):
             parked.set()
-            await release
-            return await create_server(*args, **kwargs)
+            assert release.wait(10)
+            return start_server(node_id, restart)
 
-        monkeypatch.setattr(transport._loop, "create_server", parked_create_server)
+        monkeypatch.setattr(transport, "_start_server", parked_start)
         dialed = []
         dial = threading.Thread(
             target=lambda: dialed.append(
@@ -259,12 +278,12 @@ class TestLifecycleBelongsToTheLoop:
         dial.start()
         assert parked.wait(timeout=10)
         transport.stop_server(victim.node_id)
-        transport._loop.call_soon_threadsafe(release.set_result, None)
+        release.set()
         dial.join(timeout=10)
         assert not dial.is_alive()
         assert dialed == [False]
         assert victim.node_id not in transport._ports
-        assert victim.node_id not in transport._servers
+        assert victim.node_id not in transport._listeners
         assert transport.probe(client.node_id, victim.node_id) is False
         assert transport.wire.refused == 2
         transport.ensure_server(victim.node_id)
@@ -284,29 +303,33 @@ class TestLifecycleBelongsToTheLoop:
         assert unraisable == []
 
 
-class RecordingTransport:
-    """Stands in for the asyncio transport of one accepted connection."""
+class RecordingSocket:
+    """Stands in for the socket of one accepted connection."""
 
     def __init__(self):
         self.received = bytearray()
-        self.aborted = False
+        self.shut = self.closed = False
         self.cv = threading.Condition()
 
-    def write(self, data):
+    def sendall(self, data):
         with self.cv:
             self.received += data
             self.cv.notify_all()
 
-    def abort(self):
+    def send(self, data, flags=0):
+        self.sendall(data)
+        return len(data)
+
+    def shutdown(self, how):
         with self.cv:
-            self.aborted = True
+            self.shut = True
             self.cv.notify_all()
 
-    def is_closing(self):
-        return self.aborted
+    def close(self):
+        self.closed = True
 
     def replies(self, n, codec):
-        """Block until ``n`` whole reply frames were written; decode them."""
+        """Block until ``n`` whole reply frames were sent; decode them."""
         frames = []
         with self.cv:
             def ready():
@@ -321,22 +344,21 @@ class RecordingTransport:
 
 
 class TestServerFraming:
-    """``_Connection.data_received`` fed on the loop thread, as asyncio does."""
+    """``_frame``, the selector thread's framing step, fed chunk by chunk."""
 
     @pytest.fixture
     def conn(self, cluster, monkeypatch):
         net, transport, client, target = cluster
         # A reply is nothing but its result, so the result names the request.
         monkeypatch.setattr(LocalStore, "holds_file", lambda self, fid: -fid)
-        conn = at._Connection(transport, target.node_id)
-        recorder = RecordingTransport()
-        transport._loop.call_soon_threadsafe(conn.connection_made, recorder)
+        sock = RecordingSocket()
+        conn = at._Accepted(sock, target.node_id)
 
         def feed(*chunks):
             for chunk in chunks:
-                transport._loop.call_soon_threadsafe(conn.data_received, chunk)
+                transport._frame(conn, chunk)
 
-        return feed, recorder, transport.codec
+        return feed, sock, transport.codec
 
     def test_one_frame_a_byte_at_a_time(self, conn):
         feed, recorder, codec = conn
@@ -364,7 +386,8 @@ class TestServerFraming:
         feed, recorder, codec = conn
         feed((MAX_FRAME_BYTES + 1).to_bytes(4, "big") + b"x" * 64)
         with recorder.cv:
-            assert recorder.cv.wait_for(lambda: recorder.aborted, timeout=10)
+            assert recorder.cv.wait_for(lambda: recorder.shut, timeout=10)
+        assert recorder.closed
         assert not recorder.received
 
 
@@ -427,17 +450,45 @@ class TestHostileFrames:
         assert (ok, holds) == (True, False)
 
 
+    def test_unhashable_reply_raises_codec_error_on_the_client(self, cluster, monkeypatch):
+        """A well-framed reply holding a set of a list fails ``send``
+        with a ``CodecError``, like any malformed reply, not a
+        ``TypeError``."""
+        net, transport, client, target = cluster
+        payload = b"e\x00\x00\x00\x01l\x00\x00\x00\x00"
+
+        def garbled(conn):
+            conn.recv(65536)
+            conn.sendall(len(payload).to_bytes(4, "big") + payload)
+            conn.recv(16)  # until the client hangs up
+
+        peer = PeerScript(garbled)
+        real_port = transport.ensure_server(target.node_id)
+        monkeypatch.setitem(transport._ports, target.node_id, peer.port)
+        with pytest.raises(CodecError, match="unhashable"):
+            ask(transport, client, target)
+        for sock in transport._free.pop(peer.port, ()):  # frame-aligned, so pooled
+            sock.close()
+        peer.close()
+        monkeypatch.setitem(transport._ports, target.node_id, real_port)
+        assert transport._active[target.node_id] == 0
+        assert ask(transport, client, target) == (True, False)
+
+
 class TestTimeoutFlavour:
     """``socket.timeout`` is not ``TimeoutError`` before Python 3.10."""
 
     def test_stalled_peer_is_one_asyncio_timeout_per_call(self, cluster, monkeypatch):
+        """One builtin ``TimeoutError`` per stalled call (the test's name
+        is from when it was ``asyncio.TimeoutError``, the same class on
+        3.11 and later)."""
         net, transport, client, target = cluster
         release = threading.Event()
         peers = [PeerScript(lambda conn: release.wait(10)) for _ in range(3)]
         transport.timeout = 0.05
         try:
             monkeypatch.setitem(transport._ports, target.node_id, peers[0].port)
-            with pytest.raises(asyncio.TimeoutError):
+            with pytest.raises(TimeoutError):
                 transport._request(target.node_id, {"op": "ping"})
             assert transport.wire.timeouts == 0  # _request raises, callers count
             monkeypatch.setitem(transport._ports, target.node_id, peers[1].port)
@@ -469,11 +520,12 @@ class TestTimeoutFlavour:
 
     def test_pre_310_flavour_still_surfaces_as_asyncio_timeout(self, cluster, monkeypatch):
         """Run the deadline-lapse path with a ``socket.timeout`` that is
-        *not* a ``TimeoutError``, as on 3.9, whatever this interpreter is."""
+        *not* a ``TimeoutError``, as on 3.9, whatever this interpreter is:
+        it still surfaces as the builtin ``TimeoutError``."""
         net, transport, client, target = cluster
         legacy = types.SimpleNamespace(**vars(socket))
         legacy.timeout = type("timeout", (OSError,), {})
-        assert not issubclass(legacy.timeout, asyncio.TimeoutError)
+        assert not issubclass(legacy.timeout, TimeoutError)
         monkeypatch.setattr(at, "socket", legacy)
         transport.timeout = 0.0  # every RPC is born expired
         assert transport.probe(client.node_id, target.node_id) is False
@@ -635,3 +687,27 @@ class TestRouteStartsAtItsOrigin:
         with pytest.raises(CodecError, match="outside the certified wire grammar"):
             transport.route(client.node_id, key, LookupRequest(object(), client.node_id))
         assert forwards == []  # refused before any up-call ran
+
+
+class TestThreadBudget:
+    def test_forty_eight_nodes_add_at_most_three_threads(self):
+        """The server side is one selector thread plus handler threads
+        that serve requests, not connections: serving 48 nodes over 48
+        fresh connections adds no thread per node or per connection."""
+        before = set(threading.enumerate())
+        net, transport = build_cluster(48, seed=3, engine="asyncio")
+        try:
+            transport.serve_all()
+            client = min(net.pastry.node_ids)
+            for node in net.nodes():
+                sent = transport.send(client, node.node_id, node.store.holds_file, 1)
+                assert sent == (True, False)
+                # The pool starts a thread for a request that finds no
+                # idle one, and the handler that replied goes idle just
+                # after its reply: let it, so a loaded machine's
+                # scheduling is not counted as a thread per node.
+                time.sleep(0.001)
+            added = [t for t in threading.enumerate() if t not in before]
+            assert len(added) <= 3, sorted(t.name for t in added)
+        finally:
+            transport.close()

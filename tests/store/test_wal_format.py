@@ -14,6 +14,8 @@ import zlib
 import pytest
 
 from repro.net.codec import WireCodec
+from repro.store.recovery import recover_state
+from repro.store.wal import WAL_FILE
 from repro.security.certificates import FileCertificate
 from repro.store import (
     SNAPSHOT_FILE,
@@ -196,3 +198,17 @@ class TestSnapshotRoundtrip:
         path = write_snapshot(vfs, tmp_path, state, codec)
         path.write_bytes(path.read_bytes() + b"junk")
         assert load_snapshot(vfs, path, codec) is None
+
+
+class TestUndecodableRecord:
+    def test_valid_crc_over_a_set_of_a_list_truncates_the_log(self, tmp_path, codec):
+        """A record that checksums but decodes to an unhashable set is
+        cut off like a torn one, not raised out of recovery."""
+        good = frame_record(codec.encode([1, "drop", 10]))
+        bad = frame_record(b"e\x00\x00\x00\x01l\x00\x00\x00\x00")
+        (tmp_path / WAL_FILE).write_bytes(good + bad)
+        state, info = recover_state(Vfs(), tmp_path)
+        assert state.seq == 1 and info.records_replayed == 1
+        assert info.violations == [f"undecodable WAL record at offset {len(good)}"]
+        assert info.truncated_bytes == len(bad)
+        assert (tmp_path / WAL_FILE).read_bytes() == good

@@ -427,8 +427,10 @@ class PastNetwork:
             if ok:
                 for receipt in request.receipts:
                     receipt.verify()
-                if len(request.receipts) < k:
-                    raise RuntimeError("insert accepted with fewer than k receipts")
+                # A repeated or foreign receipt vouches for no replica here.
+                holders = {r.node_id for r in request.receipts if r.file_id == fid}
+                if len(holders) < k:
+                    raise RuntimeError("insert accepted with fewer than k distinct receipts")
                 self._registry[fid] = cert
                 if content is not None:
                     self._contents[fid] = content

@@ -442,19 +442,25 @@ class PastNode(PastryApplication):
         the k closest it must acquire the file (replica or §3.5 pointer to
         the displaced former k-th node); the displaced node may then
         discard its replica.
+
+        Only the files in the key arc whose k-set can hold us both are read,
+        in order, with the arc sized for the store's largest k (it grows with k).
         """
-        for fid in self._responsible_file_ids():
-            cert = self.store.certificate_for(fid)
+        store = self.store
+        if not (store.primaries or store.diverted_in or store.pointers):
+            return
+        for fid in store.file_ids_in_arc(*self.leafset.shared_arc(new_id, store.max_k)):
+            cert = store.certificate_for(fid)
             if cert is None:  # pragma: no cover - entry implies certificate
                 continue
             key = idspace.routing_key(fid)
-            if not self.leafset.may_pick(new_id, key, cert.k):
-                continue  # the newcomer is outside this file's k-set
-            kset = self.leafset.closest_nodes(key, cert.k)
+            # The walk's first k picks are the k-set; the next one is displaced.
+            picks = self.leafset.closest_nodes(key, cert.k + 1)
+            kset = picks[: cert.k]
             if new_id not in kset or self.node_id not in kset:
                 continue
             self._restore_file_invariant(fid, newcomer_id=new_id)
-            displaced = self._displaced_member(key, kset, new_id, cert.k)
+            displaced = picks[cert.k] if len(picks) > cert.k else None
             if displaced is not None:
                 displaced_node = self.network.past_node_or_none(displaced)
                 if displaced_node is None:

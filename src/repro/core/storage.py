@@ -26,9 +26,11 @@ primaries.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import TYPE_CHECKING, AbstractSet, Callable, Dict, Iterable, List, Optional
 
 from ..netsim.faults import READ_CORRUPT, READ_OK
+from ..pastry.idspace import FILE_ID_BITS, ID_BITS, ID_SPACE
 from ..security import FileCertificate
 from ..security.certificates import corrupted_content_hash
 from .cache import CacheManager, make_policy
@@ -155,7 +157,7 @@ class LocalStore:
     __slots__ = (
         "capacity", "used", "_accounting", "node_id", "fault_plan", "now",
         "_cache_checked", "primaries", "diverted_in", "pointers", "cache",
-        "backend",
+        "backend", "max_k",
     )
 
     def __init__(
@@ -186,6 +188,8 @@ class LocalStore:
         self.primaries: Dict[int, StoredReplica] = {}
         self.diverted_in: Dict[int, StoredReplica] = {}
         self.pointers: Dict[int, DiversionPointer] = {}
+        #: High-water mark of the entries' k: sizes the key arc a join reads.
+        self.max_k = 0
         self.cache = CacheManager(
             make_policy(cache_policy),
             available_fn=self.cache_space,
@@ -248,6 +252,8 @@ class LocalStore:
         if certificate.size > self.free:
             raise CapacityError("replica exceeds free space")
         replica = StoredReplica(certificate, diverted=diverted)
+        if certificate.k > self.max_k:  # not max(): this runs k times per insert
+            self.max_k = certificate.k
         if plan is not None:
             now = self.now()
             replica.stored_at = now
@@ -378,6 +384,8 @@ class LocalStore:
     ) -> DiversionPointer:
         pointer = DiversionPointer(certificate, target_id, primary=primary)
         self.pointers[certificate.file_id] = pointer
+        if certificate.k > self.max_k:
+            self.max_k = certificate.k
         if self.backend is not None:
             self.backend.note_pointer(certificate, target_id, primary)
         return pointer
@@ -465,8 +473,10 @@ class LocalStore:
             else:
                 self.primaries[fid] = replica
             self.used += cert.size
+            self.max_k = max(self.max_k, cert.k)
         for fid, (cert, target, primary) in sorted(state.pointers.items()):
             self.pointers[fid] = DiversionPointer(cert, target, primary=primary)
+            self.max_k = max(self.max_k, cert.k)
         self.backend = backend
         return len(state.replicas) + len(state.pointers)
 
@@ -490,6 +500,20 @@ class LocalStore:
         seen.update(self.diverted_in)
         seen.update(self.pointers)
         return sorted(seen)
+
+    def file_ids_in_arc(self, low: int, span: int) -> List[int]:
+        """:meth:`file_ids`, in its order, whose routing key (the fileId's top
+        bits) is one of the ``span`` keys after ``low``: two bisects, and a
+        wrapping arc is the slice from 0 followed by the one up to the top."""
+        fids = self.file_ids()
+        if span >= ID_SPACE:
+            return fids
+        shift = FILE_ID_BITS - ID_BITS
+        first, stop = (low + 1) % ID_SPACE, (low + span + 1) % ID_SPACE
+        start, end = bisect_left(fids, first << shift), bisect_left(fids, stop << shift)
+        if first <= stop:
+            return fids[start:end]
+        return fids[:end] + fids[start:]
 
     def certificate_for(self, file_id: int) -> Optional[FileCertificate]:
         replica = self.get_replica(file_id)

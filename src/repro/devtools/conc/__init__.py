@@ -7,7 +7,7 @@ properties of the engine-pure node logic:
 * **atomicity** — no read-modify-write of shared state spans a
   suspension point without a confirming re-read (:mod:`.analysis`);
 * **non-blocking** — no wall-clock sleeps, sync I/O, or busy-waits that
-  would stall a single-threaded event loop (:mod:`.rules`);
+  would hold a node's dispatch lock and a handler thread (:mod:`.rules`);
 * **seam conformance** — time and the network are reached only through
   the transport seam of :mod:`repro.netsim.transport` (:mod:`.rules`).
 

@@ -39,18 +39,20 @@ ENGINE_PURE_MODULES = (
     "repro.pastry.routingtable",
 )
 
-#: External calls that block the OS thread (poison under an event loop).
+#: External calls that block the OS thread: a live handler waits in them
+#: holding its node's dispatch lock and one of ``MAX_WORKERS`` threads.
+_HOLDS = "holds the node's dispatch lock and a handler thread"
 _BLOCKING_CALLS = {
-    "time.sleep": "wall-clock sleep blocks the event loop",
-    "socket.socket": "raw socket I/O blocks the event loop",
-    "socket.create_connection": "raw socket I/O blocks the event loop",
-    "subprocess.run": "subprocess call blocks the event loop",
-    "subprocess.call": "subprocess call blocks the event loop",
-    "subprocess.check_call": "subprocess call blocks the event loop",
-    "subprocess.check_output": "subprocess call blocks the event loop",
-    "subprocess.Popen": "subprocess call blocks the event loop",
-    "os.system": "subprocess call blocks the event loop",
-    "input": "console input blocks the event loop",
+    "time.sleep": f"wall-clock sleep {_HOLDS}",
+    "socket.socket": f"raw socket I/O {_HOLDS}",
+    "socket.create_connection": f"raw socket I/O {_HOLDS}",
+    "subprocess.run": f"subprocess call {_HOLDS}",
+    "subprocess.call": f"subprocess call {_HOLDS}",
+    "subprocess.check_call": f"subprocess call {_HOLDS}",
+    "subprocess.check_output": f"subprocess call {_HOLDS}",
+    "subprocess.Popen": f"subprocess call {_HOLDS}",
+    "os.system": f"subprocess call {_HOLDS}",
+    "input": f"console input {_HOLDS}",
 }
 
 #: Engine subpackages where synchronous file I/O is also a finding
@@ -122,8 +124,8 @@ class ConcBlockingRule(Rule):
     name = "conc-blocking"
     description = (
         "wall-clock sleeps, sync socket/subprocess/file I/O, and "
-        "unbounded while-loops with no exit: each stalls every other "
-        "handler on the real-network event loop"
+        "unbounded while-loops with no exit: each holds a live node's "
+        "dispatch lock and one of the MAX_WORKERS handler threads"
     )
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:

@@ -315,24 +315,30 @@ class LeafSet:
                 out.append(pick)
         return out
 
-    def may_pick(self, node_id: int, key: int, k: int) -> bool:
-        """False when ``closest_nodes(key, k)`` certainly leaves ``node_id`` out.
+    def shared_arc(self, node_id: int, k: int) -> Tuple[int, int]:
+        """The keys whose ``closest_nodes(key, k)`` can hold ``node_id`` and the owner.
 
-        The walk picks only from the ``k`` ids on each side of the key's
-        bisect point, so with ``node_id`` at ring index ``j`` of ``n`` and
-        ``2k < n`` it can be picked only for keys in the arc
-        ``(ring[j - k], ring[j + k]]``.  One bisect, no walk: a join tests
-        every stored file with this before asking for the file's k-set.
+        Returned as ``(low, span)``: the keys with ``(key - low - 1) % ID_SPACE
+        < span``.  A k-set is ``k`` consecutive ring ids ``lo .. lo + k - 1``,
+        picked only by keys in ``(ring[lo - 1], ring[lo + k]]``; so with
+        ``node_id`` at index ``j``, ``d < k`` slots clockwise of the owner's
+        ``pos``, the arc is ``(ring[j - k], ring[pos + k]]`` (mirrored
+        counterclockwise); it is empty when neither way is under ``k`` slots
+        or ``node_id`` is no member, a full turn on ``2k + 1`` or fewer ids.
         """
-        ring = self._ring
+        ring, pos = self._ring, self._pos
         n = len(ring)
         j = bisect_left(ring, node_id)
-        if j == n or ring[j] != node_id:
-            return False
-        if 2 * k >= n:
-            return True
-        low = ring[j - k]
-        return 0 < (key - low) % _SPACE <= (ring[(j + k) % n] - low) % _SPACE
+        if j == n or ring[j] != node_id or j == pos:
+            return 0, 0
+        if 2 * k + 1 >= n:
+            return 0, _SPACE
+        d = (j - pos) % n  # slots clockwise from the owner to the node
+        if k <= d <= n - k:
+            return 0, 0
+        low = ring[j - k] if d < k else ring[pos - k]
+        high = ring[(pos + k) % n] if d < k else ring[(j + k) % n]
+        return low, (high - low) % _SPACE
 
     def owner_rank(self, key: int) -> int:
         """The owner's index in ``closest_nodes(key, l + 1)``, without the sort.

@@ -146,6 +146,47 @@ class TestReplicationFactor:
         assert "insufficient" in result.failure_reason
 
 
+class TestClientCountsDistinctReceipts:
+    """The client accepts an insert only on k verified receipts for its own
+    fileId from k distinct nodes (security/certificates.py)."""
+
+    @staticmethod
+    def forge(monkeypatch, rewrite):
+        from repro.core.node import PastNode
+
+        real = PastNode.coordinate_insert
+
+        def coordinate(node, request):
+            ok = real(node, request)
+            if ok:
+                request.receipts = rewrite(node, request.receipts)
+            return ok
+
+        monkeypatch.setattr(PastNode, "coordinate_insert", coordinate)
+
+    def test_a_repeated_receipt_does_not_count_twice(self, monkeypatch):
+        net = build_past(n=24, capacity=5_000_000, k=5, seed=40)
+        owner = net.create_client("o")
+        self.forge(monkeypatch, lambda node, rs: rs[:-1] + rs[:1])
+        with pytest.raises(RuntimeError, match="distinct receipts"):
+            net.insert("dup", owner, 1_000, net.nodes()[0].node_id)
+
+    def test_a_receipt_for_another_file_does_not_count(self, monkeypatch):
+        net = build_past(n=24, capacity=5_000_000, k=5, seed=40)
+        owner = net.create_client("o")
+
+        def foreign(node, receipts):
+            last = receipts[-1]
+            signer = net.past_node(last.node_id).smartcard
+            other = signer.issue_store_receipt(last.file_id ^ 1, last.node_id, last.diverted)
+            other.verify()  # validly signed: only its fileId is wrong
+            return receipts[:-1] + [other]
+
+        self.forge(monkeypatch, foreign)
+        with pytest.raises(RuntimeError, match="distinct receipts"):
+            net.insert("foreign", owner, 1_000, net.nodes()[0].node_id)
+
+
 class TestQuotaScalesWithK:
     def test_quota_debit_uses_per_insert_k(self):
         """A k=1 insert (e.g. an erasure shard) debits size x 1, not x k."""

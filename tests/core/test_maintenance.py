@@ -5,7 +5,10 @@ import random
 import pytest
 
 from repro import PastConfig, PastNetwork, audit
+from repro.core.node import PastNode
+from repro.core.storage import LocalStore
 from repro.pastry import idspace
+from repro.pastry.leafset import LeafSet
 from tests.conftest import build_past, fill_network
 
 
@@ -111,6 +114,105 @@ class TestJoinMaintenance:
             len(n.store.primaries) + len(n.store.pointers) for n in net.nodes()
         )
         assert total_entries_after <= total_entries_before + 35
+
+
+def full_scan_maintain_after_join(self, new_id):
+    """The join sweep before the arc query: every local entry, in order."""
+    for fid in self._responsible_file_ids():
+        cert = self.store.certificate_for(fid)
+        key = idspace.routing_key(fid)
+        kset = self.leafset.closest_nodes(key, cert.k)
+        if new_id not in kset or self.node_id not in kset:
+            continue
+        self._restore_file_invariant(fid, newcomer_id=new_id)
+        displaced = self._displaced_member(key, kset, new_id, cert.k)
+        if displaced is not None:
+            displaced_node = self.network.past_node_or_none(displaced)
+            if displaced_node is None or fid not in displaced_node.store.primaries:
+                continue
+            displaced_node.maybe_discard(fid)
+
+
+def mixed_k_overlay(seed=94):
+    """40 nodes holding 240 files whose k cycles through 1, 3, 5 and 7."""
+    net = build_past(n=40, capacity=10**9, k=3, l=16, seed=seed)
+    owner = net.create_client("o")
+    rng = random.Random(seed)
+    node_ids = [n.node_id for n in net.nodes()]
+    for i in range(240):
+        origin = node_ids[rng.randrange(len(node_ids))]
+        assert net.insert(f"m{i}", owner, 1_000, origin, k=(1, 3, 5, 7)[i % 4]).success
+    return net
+
+
+class TestJoinSweepReadsTheArc:
+    def joins(self, monkeypatch, sweep=None):
+        """The (witness, fileId, newcomer) calls that reach the repair during
+        twelve joins, and the RPCs the joins sent."""
+        net = mixed_k_overlay()
+        visits = []
+        restore = PastNode._restore_file_invariant
+
+        def recording(node, fid, newcomer_id=None):
+            visits.append((node.node_id, fid, newcomer_id))
+            return restore(node, fid, newcomer_id)
+
+        monkeypatch.setattr(PastNode, "_restore_file_invariant", recording)
+        if sweep is not None:
+            monkeypatch.setattr(PastNode, "_maintain_after_join", sweep)
+        rpcs = net.pastry.stats.direct_rpcs
+        for _ in range(12):
+            net.add_node(10**9)
+        return visits, net.pastry.stats.direct_rpcs - rpcs
+
+    def test_the_arc_visits_what_the_full_scan_visits_in_its_order(self, monkeypatch):
+        arc = self.joins(monkeypatch)
+        monkeypatch.undo()
+        full = self.joins(monkeypatch, full_scan_maintain_after_join)
+        assert len({fid for _, fid, _ in arc[0]}) > 50
+        assert arc == full
+
+    def test_a_witness_reads_only_the_files_in_its_arc(self, monkeypatch):
+        """A witness 7 or more ring slots from the newcomer (k is at most 7)
+        reads no certificate at all; a nearer one reads only its arc."""
+        net = mixed_k_overlay()
+        monkeypatch.setattr(PastNode, "_restore_file_invariant", lambda *a, **kw: None)
+        reads = []
+        certificate_for = LocalStore.certificate_for
+
+        def counting(store, fid):
+            reads.append(store)
+            return certificate_for(store, fid)
+
+        monkeypatch.setattr(LocalStore, "certificate_for", counting)
+        sweeps = []
+        maintain = PastNode._maintain_after_join
+
+        def sweep(node, new_id):
+            ring = node.leafset.sorted_members_with_owner()
+            fids = node.store.file_ids()
+            del reads[:]
+            maintain(node, new_id)
+            own = sum(store is node.store for store in reads)
+            sweeps.append((node.node_id, new_id, ring, fids, own))
+
+        monkeypatch.setattr(PastNode, "_maintain_after_join", sweep)
+        for _ in range(4):
+            net.add_node(10**9)
+        far = near = 0
+        for owner, new_id, ring, fids, own in sweeps:
+            slots = (ring.index(new_id) - ring.index(owner)) % len(ring)
+            if 7 <= slots <= len(ring) - 7:
+                far += len(fids)
+                assert own == 0
+                continue
+            leafset = LeafSet(owner, 16)
+            leafset.add_all(ring)
+            low, span = leafset.shared_arc(new_id, 7)
+            in_arc = [f for f in fids if (idspace.routing_key(f) - low - 1) % idspace.ID_SPACE < span]
+            assert own <= len(in_arc)
+            near += len(fids) - len(in_arc)
+        assert far > 0 and near > 0  # both kinds skip files the full scan read
 
 
 class TestRecovery:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.errors import CapacityError
 from repro.core.storage import LocalStore
+from repro.pastry import idspace
 from repro.security import FileCertificate
 from repro.security.keys import KeyPair
 
@@ -143,6 +144,24 @@ class TestPointers:
         store.store_replica(cert(2, 10), diverted=True)
         store.add_pointer(cert(3, 10), 42, True)
         assert set(store.file_ids()) == {1, 2, 3}
+
+    def test_file_ids_in_arc_is_the_filtered_scan_in_order(self):
+        """An arc of routing keys cuts the sorted fileIds into one slice, or
+        two when it wraps at 0, in the full scan's ascending order."""
+        space = idspace.ID_SPACE
+        store = make(10**6)
+        keys = [0, 1, 5, space // 2, space - 2, space - 1]
+        for i, key in enumerate(keys):
+            for low_bits in (0, 2**32 - 1):
+                store.add_pointer(cert(key << 32 | low_bits, 10, k=1 + i), 42, True)
+        assert store.max_k == len(keys)
+        for low in (space - 1, 0, 4, space - 2, space // 2 - 1):
+            for span in (0, 1, 2, 6, space - 1, space):
+                scan = [
+                    fid for fid in store.file_ids()
+                    if (idspace.routing_key(fid) - low - 1) % space < span
+                ]
+                assert store.file_ids_in_arc(low, span) == scan, (low, span)
 
 
 class TestSnapshot:

@@ -1,10 +1,12 @@
 """Batch membership updates are exact: one merge equals one add per id.
 
 ``LeafSet.add_all`` merges a whole batch in one sorted pass instead of
-calling ``add`` per id, and ``LeafSet.may_pick`` lets join maintenance skip
-a file before walking its k-set.  Both must agree with the per-id
-definitions they replace, on every ring the strategies below can build.
+calling ``add`` per id, and ``LeafSet.shared_arc`` lets join maintenance read
+only the files whose k-set can hold the newcomer.  Both must agree with the
+per-id definitions they replace, on every ring the strategies below can build.
 """
+
+from bisect import bisect_left
 
 from hypothesis import given, settings, strategies as st
 
@@ -102,47 +104,69 @@ def test_add_all_that_only_trims_forgets_the_global_arc():
 
 @st.composite
 def join_rings(draw):
-    """(leaf set, newcomer, keys): keys include every ring id and both ends
-    of each arc may_pick can use."""
-    owner = draw(st.integers(min_value=0, max_value=SPACE - 1))
+    """(leaf set, node, keys): rings of 1 to l + 1 ids, the node a member or
+    not; keys include every ring id, 0 and the top id, and the ids around
+    the node and the owner out to each side of any arc."""
+    owner = draw(st.one_of(
+        st.integers(min_value=0, max_value=SPACE - 1),
+        st.sampled_from([0, 1, HALF, SPACE - 1]),
+    ))
     l = draw(st.sampled_from([2, 4, 8, 32]))
+    size = draw(st.integers(min_value=0, max_value=l))
     ls = LeafSet(owner, l)
-    ls.add_all(draw(st.lists(id_strategy(owner), min_size=1, max_size=3 * l)))
-    members = ls.sorted_members()
-    if not members:
-        ls.add((owner + 1) % SPACE)
-        members = ls.sorted_members()
-    newcomer = draw(st.sampled_from(members))
+    ls.add_all(draw(st.lists(
+        id_strategy(owner).filter(lambda i: i != owner),
+        min_size=size, max_size=size, unique=True,
+    )))
     ring = list(ls.sorted_members_with_owner())
-    j = ring.index(newcomer)
-    ends = [ring[(j + d) % len(ring)] for d in range(-l, l + 1)]
+    node = draw(st.one_of(st.sampled_from(ring), id_strategy(owner)))
+    ends = [ring[(i + d) % len(ring)]
+            for i in {ring.index(owner), bisect_left(ring, node) % len(ring)}
+            for d in range(-l, l + 1)]
     around = [(e + d) % SPACE for e in ends for d in (-1, 1)]
     extra = draw(st.lists(st.integers(min_value=0, max_value=SPACE - 1), max_size=8))
-    return ls, newcomer, ring + ends + around + extra
+    return ls, node, ring + ends + around + [0, SPACE - 1] + extra
+
+
+def in_arc(arc, key):
+    low, span = arc
+    return (key - low - 1) % SPACE < span
 
 
 @settings(max_examples=300, deadline=None)
 @given(join_rings())
-def test_may_pick_keeps_every_key_the_brute_force_test_keeps(case):
+def test_shared_arc_keeps_every_key_the_brute_force_test_keeps(case):
     """Join maintenance acts on a file only when the newcomer and the owner
-    are both in its k-set; may_pick must keep every key where the first
-    alone holds."""
-    ls, newcomer, keys = case
-    for k in range(1, ls.l // 2 + 2):  # up to the paper's l/2 + 1: 2k >= n occurs
-        for key in keys:
-            if newcomer in ls.closest_nodes(key, k):
-                assert ls.may_pick(newcomer, key, k), (k, key)
+    are both in its k-set; the arc must hold every key where they are."""
+    ls, node, keys = case
+    for k in range(1, ls.l // 2 + 2):  # up to the paper's l/2 + 1: 2k + 1 >= n occurs
+        arc = ls.shared_arc(node, k)
+        low, span = arc
+        if node not in ls:  # the owner included
+            assert span == 0
+            continue
+        edges = [(low + d) % SPACE for d in (0, 1, span, span + 1)]
+        for key in keys + edges:
+            kset = ls.closest_nodes(key, k)
+            if node in kset and ls.owner_id in kset:
+                assert in_arc(arc, key), (k, key)
 
 
-def test_may_pick_skips_keys_outside_the_newcomers_arc():
-    ls = LeafSet(1000, 8)
-    ls.add_all(range(1010, 1090, 10))  # 1000 .. 1080 on the ring, 9 ids
-    assert ls.may_pick(1040, 1040, 2)
-    assert ls.may_pick(1040, 1060, 2)  # the arc's clockwise end is in
-    assert not ls.may_pick(1040, 1020, 2)  # its counterclockwise end is out
-    assert not ls.may_pick(1040, 1061, 2)
-    assert not ls.may_pick(1045, 1040, 2)  # not a member: never picked
-    assert ls.may_pick(1040, 5000, 5)  # 2k >= n: every key can pick it
+def test_shared_arc_is_the_overlap_of_two_k_set_reaches():
+    ls = LeafSet(1040, 8)
+    ls.add_all(range(1000, 1090, 10))  # 1000 .. 1080 on the ring, 9 ids
+    assert ls.shared_arc(1050, 2) == (1030, 30)  # keys 1031 .. 1060
+    assert in_arc(ls.shared_arc(1050, 2), 1060)  # the clockwise end is in
+    assert not in_arc(ls.shared_arc(1050, 2), 1030)  # the counterclockwise end is out
+    assert ls.shared_arc(1030, 2) == (1020, 30)  # counterclockwise of the owner
+    assert ls.shared_arc(1060, 2) == (0, 0)  # two slots away: never in one k-set
+    assert ls.shared_arc(1060, 3) == (1030, 40)
+    assert ls.shared_arc(1045, 2) == (0, 0)  # not a member
+    assert ls.shared_arc(1040, 2) == (0, 0)  # the owner is no member
+    assert ls.shared_arc(1050, 4) == (0, SPACE)  # 2k + 1 >= n: a full turn
+    wrapped = LeafSet(5, 8)
+    wrapped.add_all([SPACE - 20, SPACE - 10, 15, 25, 35, 45])
+    assert wrapped.shared_arc(SPACE - 10, 2) == (SPACE - 20, 35)  # wraps at 0
 
 
 def test_failure_repair_merges_each_witness_leafset_once(monkeypatch):

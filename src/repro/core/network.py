@@ -277,51 +277,8 @@ class PastNetwork:
         # so join-time maintenance hooks can reach it.
         self._past[pastry_node.node_id] = node
         self.total_capacity += capacity
-        if len(self.pastry) == 0:
-            self.pastry._register(pastry_node)
-        else:
-            self._join_existing(pastry_node)
+        self.pastry.join_node(pastry_node)
         return node
-
-    def _join_existing(self, pastry_node) -> None:
-        """Run the Pastry join protocol for a pre-built node object."""
-        net = self.pastry
-        seed = net._nearest_by_proximity(pastry_node.coord)
-        result = net.route(seed.node_id, pastry_node.node_id, message=None)
-        # Confirm-reread: route() suspends at every hop, so a node recorded
-        # on the path may have failed before its state is read; keep only
-        # the ones still registered (as PastryNetwork.join does).
-        path_nodes = []
-        for i in result.path:
-            if i in net._nodes:
-                path_nodes.append(net._nodes[i])
-        if not path_nodes:
-            path_nodes = [seed]
-        terminus = path_nodes[-1]
-        pastry_node.leafset.add(terminus.node_id)
-        pastry_node.leafset.add_all(terminus.leafset.sorted_members())
-        pastry_node.consider_neighbor(seed.node_id)
-        for n_id in seed.neighborhood:
-            pastry_node.consider_neighbor(n_id)
-        for hop in path_nodes:
-            pastry_node.routing_table.consider(hop.node_id)
-            depth = idspace.shared_prefix_length(hop.node_id, pastry_node.node_id, net.b)
-            for row in range(min(depth + 1, pastry_node.routing_table.rows)):
-                pastry_node.routing_table.install_row(row, hop.routing_table.row(row))
-        for member in pastry_node.leafset.sorted_members():
-            pastry_node.routing_table.consider(member)
-        net._register(pastry_node)
-        contacts = set(pastry_node.leafset.sorted_members())
-        contacts.update(pastry_node.routing_table.entries())
-        contacts.update(pastry_node.neighborhood)
-        contacts.update(p.node_id for p in path_nodes)
-        # Sorted: learn() can cascade into repairs and RPCs, so the
-        # announcement order must not depend on set iteration order.
-        for contact_id in sorted(contacts):
-            contact = net.get_live(contact_id)
-            if contact is not None:
-                contact.learn(pastry_node.node_id)
-                net.stats.record_rpc()
 
     def build(self, capacities: List[int], clusters: Optional[List] = None) -> List[PastNode]:
         """Admit a batch of nodes with the given advertised capacities."""

@@ -441,15 +441,20 @@ class PastNode(PastryApplication):
         For every file I am responsible for, if the newcomer is now among
         the k closest it must acquire the file (replica or §3.5 pointer to
         the displaced former k-th node); the displaced node may then
-        discard its replica.
+        discard its replica.  The witnesses that act are the old members
+        of the new k-set; a k = 1 file has none (its k-set is the newcomer
+        alone), so there the displaced holder, the k + 1-th pick, acts.
 
-        Only the files in the key arc whose k-set can hold us both are read,
-        in order, with the arc sized for the store's largest k (it grows with k).
+        Only the files in the key arc whose witnesses can include us are
+        read, in order: the arc is sized for the store's largest k (it grows
+        with k), and for two slots at least, the walk that reaches a k = 1
+        file's displaced holder.
         """
         store = self.store
         if not (store.primaries or store.diverted_in or store.pointers):
             return
-        for fid in store.file_ids_in_arc(*self.leafset.shared_arc(new_id, store.max_k)):
+        arc = self.leafset.shared_arc(new_id, max(store.max_k, 2))
+        for fid in store.file_ids_in_arc(*arc):
             cert = store.certificate_for(fid)
             if cert is None:  # pragma: no cover - entry implies certificate
                 continue
@@ -457,7 +462,7 @@ class PastNode(PastryApplication):
             # The walk's first k picks are the k-set; the next one is displaced.
             picks = self.leafset.closest_nodes(key, cert.k + 1)
             kset = picks[: cert.k]
-            if new_id not in kset or self.node_id not in kset:
+            if new_id not in kset or self.node_id not in (kset if cert.k > 1 else picks):
                 continue
             self._restore_file_invariant(fid, newcomer_id=new_id)
             displaced = picks[cert.k] if len(picks) > cert.k else None
@@ -491,6 +496,23 @@ class PastNode(PastryApplication):
         member = self.network.past_node_or_none(member_id)
         return member is not None and member.store.references_file(fid)
 
+    def _resolve_entry(self, member_id: int, fid: int) -> Optional[int]:
+        """The physical replica ``member_id``'s entry for ``fid`` resolves to:
+        the member for a stored replica, the target of a valid diversion
+        pointer, None for no entry (or a dangling pointer)."""
+        member = self.network.past_node_or_none(member_id)
+        if member is None:
+            return None
+        if member.store.holds_file(fid):
+            return member_id
+        pointer = member.store.pointers.get(fid)
+        if pointer is None:
+            return None
+        holder = self.network.past_node_or_none(pointer.target_id)
+        if holder is not None and holder.store.holds_file(fid):
+            return pointer.target_id
+        return None
+
     def _restore_file_invariant(self, fid: int, newcomer_id: Optional[int] = None) -> None:
         """Ensure each of the k closest nodes holds a replica or a pointer
         to a *distinct* diverted replica.
@@ -510,19 +532,11 @@ class PastNode(PastryApplication):
         needs: List[int] = []
         valid: List[int] = []
         for member_id in kset:  # closest_nodes returns distance order
-            # The physical replica this member's entry resolves to: itself
-            # for a stored replica, the target of a valid diversion pointer.
             member = self.network.past_node_or_none(member_id)
-            target = None
-            if member is not None:
-                if member.store.holds_file(fid):
-                    target = member_id
-                else:
-                    pointer = member.store.pointers.get(fid)
-                    if pointer is not None:
-                        holder = self.network.past_node_or_none(pointer.target_id)
-                        if holder is not None and holder.store.holds_file(fid):
-                            target = pointer.target_id
+            if member is not None and member.store.holds_file(fid):
+                target = member_id  # the common case, kept free of a call
+            else:
+                target = self._resolve_entry(member_id, fid)
             if target is None or target in seen:
                 needs.append(member_id)
                 continue
@@ -540,16 +554,14 @@ class PastNode(PastryApplication):
                 return  # a closer valid holder is responsible
         else:
             # No kset member has a usable entry, but the file may survive
-            # on an outside holder (e.g. a diverted replica whose referrers
-            # all failed at once).  The closest physical holder in the
-            # neighborhood takes responsibility.
-            if not self.store.holds_file(fid):
-                return
+            # outside the kset: a diverted replica whose referrers all
+            # failed at once, or a pointer on the node a join displaced.
+            # The closest node in the neighborhood whose entry resolves to
+            # a replica takes responsibility.
             holders = [
                 m
                 for m in self.leafset.sorted_members_with_owner()
-                if (node := self.network.past_node_or_none(m)) is not None
-                and node.store.holds_file(fid)
+                if self._resolve_entry(m, fid) is not None
             ]
             if idspace.closest_of(holders, key) != self.node_id:
                 return

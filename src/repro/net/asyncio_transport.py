@@ -41,7 +41,7 @@ Semantics relative to ``SimTransport``:
   then be torn mid-frame (the one wire-only fault) by a draw from the
   transport's own RNG, so resets never move the plan's stream.
   ``reliable=True`` skips the plan exactly like the simulator does
-  (join and recovery state exchanges assume a reliable substrate); the
+  (leaf-set and recovery state exchanges assume a reliable substrate); the
   real network can still fail the call.  A plan on the *overlay* is
   rejected at construction.
 * ``route`` starts at the client's access node, like the simulator's:

@@ -257,18 +257,23 @@ class PastryNetwork:
         return node
 
     def join(self, node_id: Optional[int] = None, cluster=None) -> PastryNode:
-        """Add a node via Pastry's join protocol.
+        """Build a node and add it via Pastry's join protocol (:meth:`join_node`)."""
+        return self.join_node(self._make_node(node_id, cluster=cluster, register=False))
+
+    def join_node(self, node: PastryNode) -> PastryNode:
+        """Run Pastry's join protocol (§2.1) for a node built by ``_make_node``.
 
         The newcomer X contacts a proximity-nearby node A and asks it to
         route a join message to X's own id.  X initializes its leaf set
         from the terminal node Z, its neighborhood set from A, and routing
         rows from the nodes encountered along the route, then announces
-        itself to every node that appears in its state.
+        itself to every node that appears in its state.  On an empty
+        overlay the node is registered alone.  PAST admits its nodes
+        through this method too, so the storage layer sees one join.
         """
         if not self._nodes:
-            return self.create_first_node(node_id, cluster=cluster)
-
-        node = self._make_node(node_id, cluster=cluster, register=False)
+            self._register(node)
+            return node
         seed = self._nearest_by_proximity(node.coord)
 
         # Route a join message from the seed towards the new node's id,
@@ -284,15 +289,6 @@ class PastryNetwork:
         # path (the newcomer pulls its own state; see initialize_from_join).
         node.initialize_from_join(seed, path_nodes)
 
-        # Confirm-reread: initialization suspends at each leaf-set
-        # exchange RPC, so the announcement set is collected from the
-        # newcomer's post-exchange tables, re-read here.
-        if len(node.leafset) == 0 and len(node.routing_table) == 0:
-            # Every peer vanished while the exchange was in flight; the
-            # newcomer is registered with nobody to announce to.
-            self._register(node)
-            return node
-
         # Announce arrival to every node that appears in the new node's
         # state, restoring Pastry's invariants (O(log N) messages).
         # Sorted: learn() mutates peer state, so the announcement order
@@ -303,14 +299,13 @@ class PastryNetwork:
         contacts.update(p.node_id for p in path_nodes)
 
         self._register(node)
-        self.stats.record_rpc()
         for contact_id in sorted(contacts):
             if contact_id not in self._nodes:
                 # Confirm-reread: learn() suspends at its own RPCs, so a
                 # contact collected above may fail before its turn comes.
                 continue
             self._nodes[contact_id].learn(node.node_id)
-            self.stats.record_rpc(self.distance(node.node_id, contact_id))
+            self.stats.record_rpc()
         return node
 
     def _cell(self, coord) -> int:

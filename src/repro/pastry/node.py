@@ -176,9 +176,9 @@ class PastryNode:
         When the extremes' donations leave the set short of ``l`` members
         while it has trimmed in the past, the single-donor pull was not
         enough (the donors' own sets can be stale after churn shrinks the
-        ring) — walk the membership to a fixpoint, exactly as a joining
-        node does, so the witness ends the repair with every live node it
-        can transitively reach.
+        ring) — walk the membership to a fixpoint
+        (``_complete_deficient_leafset``), so the witness ends the repair
+        with every live node it can transitively reach.
         """
         pulled: Set[int] = set()
         for donor_id in [d for d in self.leafset.extremes() if d is not None]:
@@ -189,8 +189,7 @@ class PastryNode:
         # liveness check.
         pulled.difference_update(self.leafset.sorted_members_with_owner())
         self.leafset.add_all(filter(self.network.is_live, pulled))
-        if not self.leafset.is_full() and self.leafset.ever_trimmed:
-            self.exchange_leafsets()
+        self._complete_deficient_leafset()
 
     def exchange_leafsets(self) -> int:
         """Pull the leaf sets of current members until ours stops changing.
@@ -198,7 +197,7 @@ class PastryNode:
         One pull from the numerically closest node is *not* always enough
         to complete a leaf set: when more than ``l/2`` nodes cluster on
         one arc of the ring, every node near the cluster's edge has
-        trimmed the far edge from its own leaf set, so a newcomer seeded
+        trimmed the far edge from its own leaf set, so a node refilled
         from a single donor can be blind to live nodes that belong in its
         set.  Adjacent leaf sets overlap, so walking the membership to a
         fixpoint recovers them; each round either brings a strictly
@@ -232,21 +231,19 @@ class PastryNode:
     def initialize_from_join(
         self, seed: "PastryNode", path_nodes: List["PastryNode"]
     ) -> None:
-        """Seed this newcomer's state from its join route (§2.3).
+        """Seed this newcomer's state from its join route (§2.1).
 
         ``seed`` is A, the proximity-nearby contact that routed the join
         message; ``path_nodes`` are the nodes the message traversed,
         ending at Z, the node numerically closest to this one.  Leaf set
-        from Z (then completed by a member exchange), neighborhood set
-        from A, routing rows from every node along the path.
+        from Z, neighborhood set from A, routing rows from every node
+        along the path.  Reads only: no RPC, so nothing here suspends.
+        A leaf set Z cannot complete is completed later, where a
+        deficiency shows (``_repair_leafset`` and ``next_hop``).
         """
         terminus = path_nodes[-1]
-        # Leaf set from Z, completed by exchanging leaf sets with the
-        # members found there — Z alone cannot always supply both sides
-        # (see exchange_leafsets).
         self.leafset.add(terminus.node_id)
         self.leafset.add_all(terminus.leafset.sorted_members())
-        self.exchange_leafsets()
         # Neighborhood set from A (the proximity-nearby contact).
         self.consider_neighbor(seed.node_id)
         for n_id in seed.neighborhood:
@@ -258,12 +255,6 @@ class PastryNode:
             depth = idspace.shared_prefix_length(hop.node_id, self.node_id, self.b)
             for row in range(min(depth + 1, self.routing_table.rows)):
                 self.routing_table.install_row(row, hop.routing_table.row(row))
-        # Confirm-reread: the leaf-set exchange suspends once per
-        # contacted member, so the pre-exchange membership is stale by
-        # now; routing entries are derived from the set's *current*
-        # members, re-read after the last suspension.
-        if len(self.leafset) == 0:
-            return  # every contact vanished while the exchange was in flight
         for member in self.leafset.sorted_members():
             self.routing_table.consider(member)
 

@@ -1,8 +1,11 @@
 """Tests for node admission control (§3.2)."""
 
+import random
+
 import pytest
 
 from repro.core import AdmissionError, PastConfig, PastNetwork
+from repro.pastry import PastryNetwork, idspace
 from tests.conftest import build_past
 
 
@@ -60,3 +63,30 @@ class TestAdmission:
         before = net.total_capacity
         net.add_node(1_500_000)
         assert net.total_capacity == before + 1_500_000
+
+
+def overlay_state(pastry):
+    """Every live node's leaf set, routing table and neighborhood set."""
+    return {
+        node.node_id: (
+            node.leafset.sorted_members(),
+            [node.routing_table.row(r) for r in range(node.routing_table.rows)],
+            node.neighborhood,
+        )
+        for node in map(pastry.node, pastry.node_ids)
+    }
+
+
+@pytest.mark.parametrize("l", [8, 16])
+def test_past_admission_runs_the_one_pastry_join(l):
+    """A PAST node joins through Pastry's own join: the same seed and the
+    same ids leave the same routing state, whichever entry point built it."""
+    rng = random.Random(41)
+    ids = [rng.getrandbits(idspace.ID_BITS) for _ in range(60)]
+    pastry = PastryNetwork(b=4, l=l, seed=41)
+    for node_id in ids:
+        pastry.join(node_id)
+    past = PastNetwork(PastConfig(b=4, l=l, seed=41))
+    for node_id in ids:
+        past.add_node(1_000_000, node_id=node_id)
+    assert overlay_state(past.pastry) == overlay_state(pastry)

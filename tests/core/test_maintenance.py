@@ -121,8 +121,9 @@ def full_scan_maintain_after_join(self, new_id):
     for fid in self._responsible_file_ids():
         cert = self.store.certificate_for(fid)
         key = idspace.routing_key(fid)
-        kset = self.leafset.closest_nodes(key, cert.k)
-        if new_id not in kset or self.node_id not in kset:
+        picks = self.leafset.closest_nodes(key, cert.k + 1)
+        kset = picks[: cert.k]
+        if new_id not in kset or self.node_id not in (kset if cert.k > 1 else picks):
             continue
         self._restore_file_invariant(fid, newcomer_id=new_id)
         displaced = self._displaced_member(key, kset, new_id, cert.k)
@@ -133,16 +134,62 @@ def full_scan_maintain_after_join(self, new_id):
             displaced_node.maybe_discard(fid)
 
 
-def mixed_k_overlay(seed=94):
-    """40 nodes holding 240 files whose k cycles through 1, 3, 5 and 7."""
+def mixed_k_overlay(seed=94, ks=(1, 3, 5, 7)):
+    """40 nodes holding 240 files whose k cycles through ``ks``."""
     net = build_past(n=40, capacity=10**9, k=3, l=16, seed=seed)
     owner = net.create_client("o")
     rng = random.Random(seed)
     node_ids = [n.node_id for n in net.nodes()]
     for i in range(240):
         origin = node_ids[rng.randrange(len(node_ids))]
-        assert net.insert(f"m{i}", owner, 1_000, origin, k=(1, 3, 5, 7)[i % 4]).success
+        assert net.insert(f"m{i}", owner, 1_000, origin, k=ks[i % len(ks)]).success
     return net
+
+
+def failed_lookups(net):
+    """(fileId, origin) pairs whose lookup fails, over every file and origin."""
+    origins = [n.node_id for n in net.nodes()]
+    return [
+        (fid, origin)
+        for fid in net.live_file_ids()
+        for origin in origins
+        if not net.lookup(fid, origin).success
+    ]
+
+
+class TestJoinHandsEveryFileToItsNewcomer:
+    """§3.5 at every k: a newcomer takes over the files it is now among the
+    k closest to, with no repair pass after the join."""
+
+    @pytest.mark.parametrize("ks", [(1, 3, 5, 7), (1,)], ids=["mixed-k", "all-k1"])
+    def test_each_join_leaves_a_clean_audit(self, ks):
+        """A k = 1 file's only witness is the holder the newcomer displaces
+        (the k + 1-th pick), so the sweep must act there too."""
+        net = mixed_k_overlay(ks=ks)
+        for _ in range(5):
+            net.add_node(10**9)
+            report = audit(net)
+            assert report.ok, report.violations[:3]
+        assert failed_lookups(net) == []
+
+    def test_a_k1_file_held_only_through_a_pointer_reaches_the_newcomer(self):
+        """The displaced node's only entry is a §3.3 diversion pointer: no
+        node of the new k + 1 walk holds the replica itself."""
+        net = build_past(n=30, capacity=10**9, k=1, l=16, seed=95)
+        owner = net.create_client("o")
+        fid = net.insert("diverted", owner, 1_000, net.nodes()[0].node_id).file_id
+        key = idspace.routing_key(fid)
+        displaced = net.past_node(net.pastry.numerically_closest_live(key))
+        cert = displaced.store.drop_replica(fid).certificate
+        target = displaced._divert_replica(cert, [displaced.node_id])
+        assert target is not None and fid in displaced.store.pointers
+        assert audit(net).ok
+        newcomer = net.add_node(10**9, node_id=key)[0]
+        assert net.pastry.k_closest_live(key, 2) == [key, displaced.node_id]
+        report = audit(net)
+        assert report.ok, report.violations[:3]
+        assert newcomer.store.references_file(fid)
+        assert failed_lookups(net) == []
 
 
 class TestJoinSweepReadsTheArc:

@@ -179,8 +179,12 @@ class TestClusteredRingJoin:
     sets (the other side staying empty), so a newcomer seeded only from
     its join terminus was blind to live nodes that belong in its leaf set
     and delivered keys at itself while numerically closer nodes existed.
-    The leaf-set exchange at join and the trim-aware ``covers`` fix both
-    halves of that failure.
+    The trim-aware ``covers`` and the fixpoint that completes a trimmed,
+    short leaf set (``_complete_deficient_leafset``: on a failure repair,
+    and before a delivery with no closer node known) fix both halves of
+    that failure.  A join seeds the leaf set from its terminus alone: a
+    leaf-set exchange at join changed no newcomer's set in these
+    schedules or anywhere else in the suite (EXPERIMENTS.md trap 19).
     """
 
     # Two fail/join schedules distilled from hypothesis counterexamples.

@@ -175,12 +175,7 @@ class AntiEntropyScrubber:
     def _drop_stale(self, node: "PastNode", fid: int) -> None:
         """Garbage-collect entries for a reclaimed/unregistered file."""
         node.drop_pointer_and_deref(fid)
-        dropped = node.store.drop_replica(fid)
-        if dropped is not None:
-            for ref in sorted(dropped.referrers):
-                ref_node = self.network.past_node_or_none(ref)
-                if ref_node is not None:
-                    ref_node.store.drop_pointer(fid)
+        node.drop_replica_and_pointers(fid)
         self.network.integrity.scrub_stale_dropped += 1
 
     def _exchange_digests(self, node: "PastNode", fid: int, cert: "FileCertificate") -> None:
@@ -210,16 +205,12 @@ class AntiEntropyScrubber:
                 continue
             holder = member
             if digest is None:
-                pointer = member.store.pointers.get(fid)
-                if pointer is None:
-                    needs_repair = True  # live member without any entry
+                target_id = node._resolve_entry(member_id, fid)
+                if target_id is None:
+                    needs_repair = True  # no entry, or a dangling pointer
                     continue
-                target = net.past_node_or_none(pointer.target_id)
-                if target is None or not target.store.holds_file(fid):
-                    needs_repair = True  # dangling diversion pointer
-                    continue
-                holder = target
-                digest = target.integrity_digest(fid)
+                holder = net.past_node(target_id)
+                digest = holder.integrity_digest(fid)
             if digest != cert.content_hash:
                 net.integrity.scrub_corrupt_found += 1
                 holder.read_repair(fid)

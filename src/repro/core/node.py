@@ -256,10 +256,14 @@ class PastNode(PastryApplication):
             return "no storage within leaf set"
         return self.smartcard.issue_store_receipt(cert.file_id, self.node_id, True)
 
-    def _divert_replica(self, cert: FileCertificate, replica_set: List[int]) -> Optional[int]:
-        """Divert one replica; returns B's nodeId or None if diversion failed."""
+    def _divert_replica(
+        self, cert: FileCertificate, replica_set: List[int], members: Optional[List[int]] = None
+    ) -> Optional[int]:
+        """Divert one replica (§3.3): B, picked among ``members`` (default: my
+        leaf set), accepts it; this node (A) and C point to it.  Returns B's
+        nodeId, or None if diversion failed."""
         key = idspace.routing_key(cert.file_id)
-        b_id = self._choose_diversion_target(cert.file_id, replica_set)
+        b_id = self._choose_diversion_target(cert.file_id, replica_set, members)
         if b_id is None:
             return None
         b_node = self.network.past_node(b_id)
@@ -274,11 +278,12 @@ class PastNode(PastryApplication):
         return b_id
 
     def _choose_diversion_target(
-        self, file_id: int, replica_set: Iterable[int]
+        self, file_id: int, replica_set: Iterable[int], members: Optional[List[int]] = None
     ) -> Optional[int]:
-        """Pick node B per §3.3.1: in my leaf set, not among the k closest,
-        not already holding a diverted replica of this file; maximal free
-        space (or uniform-random, as an ablation)."""
+        """Pick node B per §3.3.1: among ``members`` (ascending; my leaf set
+        by default), not among the k closest, not already holding a diverted
+        replica of this file; maximal free space (or uniform-random, as an
+        ablation)."""
         exclude = set(replica_set)
         exclude.add(self.node_id)
         random_pick = self.config.divert_target_policy == "random"
@@ -287,7 +292,7 @@ class PastNode(PastryApplication):
         # equal free space the one met first is the one to keep.
         candidates = []
         best_id, best_free = None, 0
-        for member_id in self.leafset.sorted_members():
+        for member_id in self.leafset.sorted_members() if members is None else members:
             if member_id in exclude:
                 continue
             member = self.network.past_node_or_none(member_id)
@@ -356,15 +361,20 @@ class PastNode(PastryApplication):
         if pointer is not None and pointer.primary:
             target = self.network.past_node_or_none(pointer.target_id)
             if target is not None:
-                replica = target.store.drop_replica(file_id)
-                if replica is not None:
-                    for ref in sorted(replica.referrers):
-                        if ref != self.node_id:
-                            ref_node = self.network.past_node_or_none(ref)
-                            if ref_node is not None:
-                                ref_node.store.drop_pointer(file_id)
+                target.drop_replica_and_pointers(file_id)
             return
         self.store.drop_replica(file_id)
+
+    def drop_replica_and_pointers(self, fid: int):
+        """Drop this node's replica of ``fid`` and every diversion pointer
+        that names it (its referrers'); returns the dropped replica or None."""
+        replica = self.store.drop_replica(fid)
+        if replica is not None:
+            for ref in sorted(replica.referrers):
+                ref_node = self.network.past_node_or_none(ref)
+                if ref_node is not None:
+                    ref_node.store.drop_pointer(fid)
+        return replica
 
     # -------------------------------------------------------------- reclaim
 
@@ -423,18 +433,6 @@ class PastNode(PastryApplication):
 
     # ---------------------------------------------------------- maintenance
 
-    def _responsible_file_ids(self) -> List[int]:
-        """Files whose invariant this node may need to initiate repairs for.
-
-        Any local entry qualifies — primary or diverted replica, primary or
-        backup pointer — because after churn the designated repair actor
-        (the closest kset member with a valid distinct entry) can be
-        holding any of these.  The actor rule inside
-        :meth:`_restore_file_invariant` still guarantees each repair runs
-        exactly once.
-        """
-        return list(self.store.file_ids())
-
     def _maintain_after_join(self, new_id: int) -> None:
         """Restore the storage invariant after ``new_id`` joined my leaf set.
 
@@ -480,17 +478,11 @@ class PastNode(PastryApplication):
                 displaced_node.maybe_discard(fid)
 
     def _maintain_after_failure(self, failed_id: int) -> None:
-        """Re-create replicas lost to a failed leaf-set member (§3.5)."""
-        for fid in self._responsible_file_ids():
+        """Re-create replicas lost to a failed leaf-set member (§3.5).  Every
+        local entry is checked: after churn the repair's actor can hold any
+        kind, and :meth:`_restore_file_invariant` acts once per file."""
+        for fid in self.store.file_ids():
             self._restore_file_invariant(fid)
-
-    def _displaced_member(
-        self, key: int, kset: List[int], new_id: int, k: int
-    ) -> Optional[int]:
-        """The node pushed out of the k closest by the newcomer, if any."""
-        old_kset = [m for m in self.leafset.closest_nodes(key, k + 1) if m != new_id][:k]
-        displaced = [m for m in old_kset if m not in kset]
-        return displaced[0] if displaced else None
 
     def _member_references(self, member_id: int, fid: int) -> bool:
         member = self.network.past_node_or_none(member_id)
@@ -578,10 +570,10 @@ class PastNode(PastryApplication):
             # coordinator (it is a pure read of the coordinator's leaf
             # set) so only wire-safe values cross the seam.
             is_newcomer = member_id == newcomer_id
-            displaced_id = (
-                self._displaced_member(key, kset, member_id, cert.k)
-                if is_newcomer else None
-            )
+            displaced_id = None
+            if is_newcomer:  # the k + 1-th closest is the member it displaced
+                picks = self.leafset.closest_nodes(key, cert.k + 1)
+                displaced_id = picks[cert.k] if len(picks) > cert.k else None
             delivered, reply = self.network.transport.send(
                 self.node_id, member_id, member.apply_member_repair,
                 fid, cert, displaced_id, is_newcomer, seen,
@@ -698,18 +690,10 @@ class PastNode(PastryApplication):
         for member_id in self.leafset.closest_nodes(key, cert.k + 1):
             if member_id == self.node_id:
                 continue
-            member = self.network.past_node_or_none(member_id)
-            if member is None:
+            holder_id = self._resolve_entry(member_id, fid)
+            if holder_id is None or holder_id == self.node_id:
                 continue
-            holder, holder_id = member, member_id
-            if not member.store.holds_file(fid):
-                pointer = member.store.pointers.get(fid)
-                if pointer is None or pointer.target_id == self.node_id:
-                    continue
-                target = self.network.past_node_or_none(pointer.target_id)
-                if target is None or not target.store.holds_file(fid):
-                    continue
-                holder, holder_id = target, pointer.target_id
+            holder = self.network.past_node(holder_id)
             delivered, verdict = self.network.transport.send(
                 self.node_id, holder_id, holder.store.verify_replica, fid
             )
@@ -725,13 +709,8 @@ class PastNode(PastryApplication):
         :meth:`request_repair` then lets the closest valid holder
         re-create the replica on a disk that accepts writes.
         """
-        dropped = self.store.drop_replica(fid)
-        if dropped is None:
+        if self.drop_replica_and_pointers(fid) is None:
             return
-        for ref in sorted(dropped.referrers):
-            ref_node = self.network.past_node_or_none(ref)
-            if ref_node is not None:
-                ref_node.store.drop_pointer(fid)
         self.network.integrity.re_replications += 1
         self.network.integrity.healed_file_ids.add(fid)
         self.request_repair(fid)
@@ -829,10 +808,9 @@ class PastNode(PastryApplication):
         return self._long_reach_divert(cert, replica_set)
 
     def _long_reach_divert(self, cert: FileCertificate, replica_set: List[int]) -> bool:
-        """§3.5 fallback: search the leaf sets of my two extreme members."""
-        fid = cert.file_id
-        exclude = {*replica_set, *self.leafset.sorted_members_with_owner()}
-        candidates = []
+        """§3.5 fallback: divert to a member of my two extreme members' leaf
+        sets that is in neither my leaf set nor the replica set."""
+        reach: Set[int] = set()
         for extreme_id in self.leafset.extremes():
             if extreme_id is None:
                 continue
@@ -842,22 +820,9 @@ class PastNode(PastryApplication):
             _, extreme_members = self.network.transport.send(
                 self.node_id, extreme_id, extreme.leafset.members, reliable=True
             )
-            for member_id in extreme_members:
-                if member_id in exclude:
-                    continue
-                member = self.network.past_node_or_none(member_id)
-                if member is None or member.store.holds_file(fid):
-                    continue
-                candidates.append(member)
-        if not candidates:
-            return False
-        best = max(candidates, key=lambda n: (n.store.free, -n.node_id))
-        if not best.accept_diverted_replica(cert, referrer_id=self.node_id):
-            return False
-        self.store.add_pointer(cert, best.node_id, primary=True)
-        key = idspace.routing_key(fid)
-        self._install_backup_pointer(cert, best.node_id, key, exclude=set(replica_set))
-        return True
+            reach.update(extreme_members)
+        reach.difference_update(replica_set, self.leafset.sorted_members_with_owner())
+        return self._divert_replica(cert, replica_set, sorted(reach)) is not None
 
     # -------------------------------------------- diverted-replica liveness
 

@@ -1,64 +1,28 @@
 """Real-network implementation of the transport seam over localhost TCP.
 
-:class:`AsyncioTransport` matches the transport contract of
-:mod:`repro.netsim.transport`, so the same engine-pure
-``PastNode``/``PastryNode`` logic that runs under the deterministic
-simulator serves real concurrent traffic:
-every direct RPC and every routed message is encoded by the schema-pinned
-:class:`~repro.net.codec.WireCodec`, crosses a localhost TCP socket to the
-target node's server, and is decoded and dispatched there.  A node
-talking to itself (a handler's self-RPC, a route's first step) skips the
-socket; nothing skips the codec — if a payload cannot survive it, the call
-fails, which is exactly the property the wire analyzer proves statically.
+:class:`AsyncioTransport` keeps the contract of :mod:`repro.netsim.transport`,
+so the engine-pure ``PastNode``/``PastryNode`` logic the simulator runs
+serves real concurrent traffic.  Every direct RPC and routed message goes
+through the schema-pinned :class:`~repro.net.codec.WireCodec`; a node
+talking to itself skips the socket but never the codec, so a payload that
+cannot survive encoding fails the call.
 
-Topology: the *calling* thread (a driver, or a handler thread issuing
-a nested RPC) takes a route's first step itself, at the client's access
-node; otherwise it encodes its request, checks a blocking ``TCP_NODELAY``
-socket out of a per-target free list, sends, reads the reply and decodes
-it.  One *selector* thread (``selectors.DefaultSelector``, started with
-the first server) listens on one socket per node (127.0.0.1,
-kernel-assigned ports): it accepts, reads, frames, and answers pings
-from a pre-encoded pong — nothing else.  Each other complete request
-goes to a *handler* thread of one bounded pool, which decodes it,
-dispatches under the node's lock, encodes the reply and sends it on the
-connection itself, so a leg costs one thread hand-off, and a handler
-that sends nested RPCs (insert coordination fanning out
-``accept_replica``, repair chains) blocks only its own thread.
+Threads (DESIGN.md §4i): the calling thread takes a route's first step
+and does each leg's blocking socket I/O; one selector thread accepts,
+reads and frames for every node's listener; each complete frame goes to
+a handler thread of one bounded pool, which decodes it, dispatches it
+under the node's lock and sends the reply itself.
+
+Where it differs from ``SimTransport``: a route's h overlay hops are h
+socket round trips; faults come from the simulator's own
+:class:`~repro.netsim.faults.FaultPlan` (``install_faults``, skipped by
+``reliable=True`` as in the simulator) plus mid-frame resets drawn from
+the transport's own RNG; and the real network can fail any call, under
+the failure discipline of DESIGN.md §4k.
 
 The module keeps the name it had when an asyncio loop ran the server
 side (``engine="asyncio"``, ``"asyncio-tcp"`` in pinned records); no
 asyncio is imported.
-
-Semantics relative to ``SimTransport``:
-
-* ``call=None`` (RPC to a node the caller already knows is dead) is
-  short-circuited driver-side to ``(False, None)`` after accounting,
-  exactly like the simulator — there is no server to time out against.
-* Injected faults come from the simulator's own
-  :class:`~repro.netsim.faults.FaultPlan`, installed with
-  ``install_faults``: each fault-scoped leg asks ``plan.transmit`` for
-  its loss / delay / duplicate verdict, and a leg that survived may
-  then be torn mid-frame (the one wire-only fault) by a draw from the
-  transport's own RNG, so resets never move the plan's stream.
-  ``reliable=True`` skips the plan exactly like the simulator does
-  (leaf-set and recovery state exchanges assume a reliable substrate); the
-  real network can still fail the call.  A plan on the *overlay* is
-  rejected at construction.
-* ``route`` starts at the client's access node, like the simulator's:
-  the origin runs its ``forward`` up-call on the calling thread, each
-  hop chains the frame to the next hop's server (h overlay hops, h
-  socket round trips), and the message's final state flows back along
-  the chain into ``RouteResult.message``.  A leg the fault plane (or
-  the real network) loses ends the chain with a ``lost`` verdict that
-  rides the replies back — the client sees ``RouteResult.lost``, same
-  as under the simulator, and its retry policy takes over.
-
-Failure discipline (see DESIGN.md §4k): every RPC leg runs under **one**
-wall-clock expiry, ``timeout`` seconds per leg it spans, handed to each
-blocking socket call as its timeout; refused dials to
-live peers re-dial with seeded jittered backoff; per-peer in-flight
-RPCs past a high-water mark are rejected, not queued; and every
-swallowed failure is classified into the :class:`WireStats` counters.
 """
 
 from __future__ import annotations
@@ -282,8 +246,6 @@ class AsyncioTransport:
         self._down: Set[int] = set()
         #: Jittered-backoff draws for re-dials.
         self._backoff_rng = random.Random(derive_seed(seed, "wire-backoff"))
-        self._ping = self.codec.encode({"op": "ping"})
-        self._pong = [self.codec.encode_frame({"ok": alive}) for alive in (False, True)]
         self._t0 = time.perf_counter()
         #: Per-node dispatch locks: a node's handlers are serialized (the
         #: engine state is not thread-safe), re-entrantly so a handler's
@@ -681,8 +643,8 @@ class AsyncioTransport:
         self._selector_thread.start()
 
     def _select_loop(self) -> None:
-        """Selector thread: accept, read, frame and answer pings — never
-        run a handler, never decode beyond the ping byte compare."""
+        """Selector thread: accept, read and frame — never run a handler,
+        never decode."""
         selector = self._selector
         while not self._closed:
             for key, _ in selector.select():
@@ -725,33 +687,19 @@ class AsyncioTransport:
 
     def _frame(self, conn: _Accepted, data: bytes) -> None:
         """Buffer ``data`` and, while no frame of this connection is in
-        service, answer pings and hand the next request to a handler
-        thread — outside ``_io``, which the last handler thread may be
-        waiting on to go idle."""
+        service, hand the next one to a handler thread — outside ``_io``,
+        which the last handler thread may be waiting on to go idle."""
         with self._io:
             conn.buffer += data
-            while not (conn.busy or conn.closed):
-                try:
-                    payload = take_frame(conn.buffer)
-                except CodecError:  # oversize prefix: not a peer to keep
-                    return self._sever(conn)
-                if payload is None:
-                    return
-                if payload != self._ping:
-                    conn.busy = True
-                    break
-                # The codec is deterministic, so a ping is recognised by
-                # its bytes and answered here, without a handler thread.
-                # Sent without blocking: a peer that stopped reading must
-                # not stall every other node's connections.
-                pong = self._pong[conn.node_id in self.overlay._nodes]
-                try:
-                    if conn.sock.send(pong, socket.MSG_DONTWAIT) != len(pong):
-                        raise BlockingIOError("pong cut short")
-                except OSError:
-                    return self._sever(conn)
-            else:
+            if conn.busy or conn.closed:
                 return
+            try:
+                payload = take_frame(conn.buffer)
+            except CodecError:  # oversize prefix: not a peer to keep
+                return self._sever(conn)
+            if payload is None:
+                return
+            conn.busy = True
         self._executor.submit(self._serve_frame, conn, payload)
 
     def _sever(self, conn: _Accepted) -> None:
@@ -780,14 +728,11 @@ class AsyncioTransport:
         *answered*."""
         codec = self.codec
         while True:
-            if payload == self._ping:
-                blob = self._pong[conn.node_id in self.overlay._nodes]
-            else:
-                try:
-                    reply = self._dispatch(conn.node_id, codec.decode(payload))
-                    blob = codec.encode_frame(reply)
-                except Exception:
-                    blob = codec.encode_frame({"error": traceback.format_exc()})
+            try:
+                reply = self._dispatch(conn.node_id, codec.decode(payload))
+                blob = codec.encode_frame(reply)
+            except Exception:
+                blob = codec.encode_frame({"error": traceback.format_exc()})
             try:
                 conn.sock.sendall(blob)
                 sent = True
@@ -831,6 +776,8 @@ class AsyncioTransport:
                     return self._dispatch_call(node_id, frame)
             if frame["op"] == "route":
                 return self._dispatch_route(node_id, frame)
+            if frame["op"] == "ping":
+                return {"ok": node_id in self.overlay._nodes}
             raise CodecError(f"unknown frame op {frame.get('op')!r}")
         except Exception:
             return {"error": traceback.format_exc()}

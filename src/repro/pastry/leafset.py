@@ -324,14 +324,14 @@ class LeafSet:
         ``node_id`` at index ``j``, ``d < k`` slots clockwise of the owner's
         ``pos``, the arc is ``(ring[j - k], ring[pos + k]]`` (mirrored
         counterclockwise); it is empty when neither way is under ``k`` slots
-        or ``node_id`` is no member, a full turn on ``2k + 1`` or fewer ids.
+        or ``node_id`` is no member, a full turn on ``2k`` or fewer ids.
         """
         ring, pos = self._ring, self._pos
         n = len(ring)
         j = bisect_left(ring, node_id)
         if j == n or ring[j] != node_id or j == pos:
             return 0, 0
-        if 2 * k + 1 >= n:
+        if 2 * k >= n:
             return 0, _SPACE
         d = (j - pos) % n  # slots clockwise from the owner to the node
         if k <= d <= n - k:

@@ -458,7 +458,9 @@ class TestMaintainAfterJoinConfirmReread:
             new_id = next((m for m in kset if m != holder.node_id), None)
             if new_id is None:
                 continue
-            displaced = holder._displaced_member(key, kset, new_id, cert.k)
+            picks = holder.leafset.closest_nodes(key, cert.k + 1)
+            old_kset = [m for m in picks if m != new_id][: cert.k]
+            displaced = next((m for m in old_kset if m not in kset), None)
             if displaced is None:
                 continue
             displaced_node = net.past_node_or_none(displaced)

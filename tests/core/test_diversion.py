@@ -232,6 +232,62 @@ class TestDiversionTargetChoice:
         assert asked == [members[0]]
 
 
+class TestLongReachDiversion:
+    """§3.5: when no member of A's leaf set takes the replica under t_div,
+    A asks its two extreme members for their leaf sets (a 2l reach)."""
+
+    def test_a_full_leaf_set_diverts_to_the_freest_node_beyond_it(self, monkeypatch):
+        import random
+
+        from repro import audit
+        from repro.core.node import PastNode
+        from repro.netsim.transport import SimTransport
+
+        net = build_past(n=40, capacity=1_000_000, k=3, l=8, seed=77)
+        owner = net.create_client("owner")
+        fid = net.insert("far", owner, 10_000, net.nodes()[0].node_id).file_id
+        key = idspace.routing_key(fid)
+        a = net.past_node(net.pastry.k_closest_live(key, 3)[0])
+        cert = a.store.drop_replica(fid).certificate
+        replica_set = a.leafset.closest_nodes(key, 3)
+        c_id = a.leafset.closest_nodes(key, 4)[3]
+        near = {a.node_id, *a.leafset.members(), *replica_set}
+        reach = set()
+        for extreme_id in a.leafset.extremes():
+            reach |= net.past_node(extreme_id).leafset.members()
+        candidates = sorted(reach - near)
+        assert len(candidates) >= 3
+        # A and its whole leaf set refuse; beyond it, free space differs.
+        spare = random.Random(77).randrange(1, len(candidates) - 1)
+        bumps = {m: net.past_node(m).store.free for m in near}
+        bumps.update({m: 0 if i == spare else 1_000 * (i + 1)
+                      for i, m in enumerate(candidates)})
+        for m, delta in bumps.items():
+            net.past_node(m).store.used += delta
+        accepts = []
+        real_send = SimTransport.send
+
+        def recording_send(transport, origin_id, target_id, call, *args, **kwargs):
+            if getattr(call, "__func__", None) is PastNode.accept_diverted_replica:
+                accepts.append(target_id)
+            return real_send(transport, origin_id, target_id, call, *args, **kwargs)
+
+        monkeypatch.setattr(SimTransport, "send", recording_send)
+        assert a.replicate_file(cert)
+        monkeypatch.undo()
+        for m, delta in bumps.items():
+            net.past_node(m).store.used -= delta
+        report = audit(net)
+        assert report.ok, report.violations[:3]
+
+        b_id = candidates[spare]
+        assert accepts.count(b_id) == 1 and accepts[-1] == b_id
+        assert a.store.pointers[fid].target_id == b_id and a.store.pointers[fid].primary
+        c_pointer = net.past_node(c_id).store.pointers[fid]
+        assert c_pointer.target_id == b_id and not c_pointer.primary
+        assert net.past_node(b_id).store.diverted_in[fid].referrers == {a.node_id, c_id}
+
+
 class TestFileDiversion:
     def test_resalting_changes_fileid_namespace_region(self):
         """Failed inserts retry with a new salt up to 4 attempts (§3.4)."""

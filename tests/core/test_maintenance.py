@@ -118,7 +118,7 @@ class TestJoinMaintenance:
 
 def full_scan_maintain_after_join(self, new_id):
     """The join sweep before the arc query: every local entry, in order."""
-    for fid in self._responsible_file_ids():
+    for fid in self.store.file_ids():
         cert = self.store.certificate_for(fid)
         key = idspace.routing_key(fid)
         picks = self.leafset.closest_nodes(key, cert.k + 1)
@@ -126,7 +126,8 @@ def full_scan_maintain_after_join(self, new_id):
         if new_id not in kset or self.node_id not in (kset if cert.k > 1 else picks):
             continue
         self._restore_file_invariant(fid, newcomer_id=new_id)
-        displaced = self._displaced_member(key, kset, new_id, cert.k)
+        old_kset = [m for m in picks if m != new_id][: cert.k]
+        displaced = next((m for m in old_kset if m not in kset), None)
         if displaced is not None:
             displaced_node = self.network.past_node_or_none(displaced)
             if displaced_node is None or fid not in displaced_node.store.primaries:

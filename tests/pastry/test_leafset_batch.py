@@ -139,7 +139,7 @@ def test_shared_arc_keeps_every_key_the_brute_force_test_keeps(case):
     """Join maintenance acts on a file only when the newcomer and the owner
     are both in its k-set; the arc must hold every key where they are."""
     ls, node, keys = case
-    for k in range(1, ls.l // 2 + 2):  # up to the paper's l/2 + 1: 2k + 1 >= n occurs
+    for k in range(1, ls.l // 2 + 2):  # up to the paper's l/2 + 1: 2k >= n occurs
         arc = ls.shared_arc(node, k)
         low, span = arc
         if node not in ls:  # the owner included
@@ -163,7 +163,8 @@ def test_shared_arc_is_the_overlap_of_two_k_set_reaches():
     assert ls.shared_arc(1060, 3) == (1030, 40)
     assert ls.shared_arc(1045, 2) == (0, 0)  # not a member
     assert ls.shared_arc(1040, 2) == (0, 0)  # the owner is no member
-    assert ls.shared_arc(1050, 4) == (0, SPACE)  # 2k + 1 >= n: a full turn
+    assert ls.shared_arc(1050, 4) == (1010, 70)  # 2k + 1 = n: still exact
+    assert ls.shared_arc(1050, 5) == (0, SPACE)  # 2k >= n: a full turn
     wrapped = LeafSet(5, 8)
     wrapped.add_all([SPACE - 20, SPACE - 10, 15, 25, 35, 45])
     assert wrapped.shared_arc(SPACE - 10, 2) == (SPACE - 20, 35)  # wraps at 0

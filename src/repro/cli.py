@@ -47,7 +47,7 @@ class CommandFailed(Exception):
 
 
 def cmd_serve(args) -> str:
-    """Boot a real asyncio-TCP cluster and serve insert/lookup traffic.
+    """Boot a real localhost TCP cluster and serve insert/lookup traffic.
 
     Every RPC and routed message crosses a localhost socket through the
     schema-certified wire codec (certified by ``repro check``).

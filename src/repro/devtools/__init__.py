@@ -27,7 +27,7 @@ from .framework import (
     module_from_source,
     run_rules,
 )
-from .rules import get_rules
+from .rules import all_rules
 
 __all__ = [
     "Finding",
@@ -35,8 +35,8 @@ __all__ = [
     "ModuleInfo",
     "ProjectRule",
     "Rule",
+    "all_rules",
     "collect_modules",
-    "get_rules",
     "module_from_source",
     "run_rules",
 ]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..framework import Finding, ModuleInfo, ProjectRule, Rule, import_aliases, qualified_name
+from ..framework import Finding, ModuleInfo, ProjectRule, Rule, imported_names, qualified_name
 from ..flow.analysis import EFFECT_MUTATE
 from ..flow.callgraph import SCHEDULE_METHODS
 from .analysis import get_conc_analysis
@@ -131,11 +131,10 @@ class ConcBlockingRule(Rule):
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
         if _is_below_seam(module):
             return
-        aliases = import_aliases(module.tree)
         engine = module.subpackage in _NO_FILE_IO_SUBPACKAGES
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Call):
-                dotted = qualified_name(node.func, aliases)
+                dotted = qualified_name(node.func, module.aliases)
                 if dotted in _BLOCKING_CALLS:
                     yield self.finding(
                         module, node, f"{dotted}(): {_BLOCKING_CALLS[dotted]}"
@@ -263,7 +262,7 @@ class ConcSeamRule(ProjectRule):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 if node in guarded:
                     continue
-                for name in self._imported_modules(module, node):
+                for name in imported_names(module, node):
                     if name.startswith("repro.netsim.eventsim"):
                         yield self.finding(
                             module, node,
@@ -314,24 +313,6 @@ class ConcSeamRule(ProjectRule):
         if isinstance(node, ast.Name):
             parts.append(node.id)
         return tuple(reversed(parts))
-
-    @staticmethod
-    def _imported_modules(module: ModuleInfo, node: ast.AST) -> List[str]:
-        if isinstance(node, ast.Import):
-            return [alias.name for alias in node.names]
-        assert isinstance(node, ast.ImportFrom)
-        if node.level == 0:
-            base = node.module or ""
-        else:
-            package_parts = module.package.split(".") if module.package else []
-            keep = len(package_parts) - (node.level - 1)
-            if keep < 0:
-                return []
-            base_parts = package_parts[:keep]
-            if node.module:
-                base_parts.append(node.module)
-            base = ".".join(base_parts)
-        return [f"{base}.{alias.name}" if base else alias.name for alias in node.names]
 
     @staticmethod
     def _type_checking_imports(tree: ast.Module) -> Set[ast.AST]:

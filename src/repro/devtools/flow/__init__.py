@@ -22,9 +22,8 @@ from .analysis import (
     FlowAnalysis,
     get_analysis,
 )
-from .callgraph import FunctionInfo, ProjectIndex, project_aliases
+from .callgraph import FunctionInfo, ProjectIndex
 from .rules import (
-    FLOW_SUBPACKAGES,
     OrderingHazardRule,
     RngDisciplineRule,
     SharedMutableStateRule,
@@ -34,7 +33,6 @@ __all__ = [
     "EFFECT_MUTATE",
     "EFFECT_RNG",
     "EFFECT_SCHEDULE",
-    "FLOW_SUBPACKAGES",
     "FlowAnalysis",
     "FunctionInfo",
     "OrderingHazardRule",
@@ -42,5 +40,4 @@ __all__ = [
     "RngDisciplineRule",
     "SharedMutableStateRule",
     "get_analysis",
-    "project_aliases",
 ]

@@ -40,8 +40,8 @@ from .callgraph import (
     RNG_METHODS,
     SCHEDULE_METHODS,
     FunctionInfo,
-    ProjectIndex,
     attribute_root,
+    get_index,
     iter_own_nodes,
 )
 
@@ -106,7 +106,7 @@ class FlowAnalysis:
     """Effects + set-typedness over one module set (built once per run)."""
 
     def __init__(self, modules: Sequence[ModuleInfo]):
-        self.index = ProjectIndex(modules)
+        self.index = get_index(modules)
         self.facts: Dict[str, FunctionFacts] = {}
         #: attribute names assigned a set-typed value anywhere in the project.
         self.set_attrs: Set[str] = set()

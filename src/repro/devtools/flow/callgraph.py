@@ -27,7 +27,7 @@ import ast
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from ..framework import ModuleInfo
+from ..framework import ModuleInfo, shared_analysis
 
 #: Simulator methods that enqueue events on the virtual clock.
 SCHEDULE_METHODS = frozenset({"schedule", "schedule_at", "every"})
@@ -88,42 +88,6 @@ class FunctionInfo:
         return names
 
 
-def project_aliases(module: ModuleInfo) -> Dict[str, str]:
-    """Import-alias map that also resolves *relative* imports.
-
-    The framework's :func:`~repro.devtools.framework.import_aliases` skips
-    relative imports (it only resolves against the stdlib); the call graph
-    needs ``from . import idspace`` to map ``idspace`` to
-    ``repro.pastry.idspace`` so intra-project calls link up.
-    """
-    aliases: Dict[str, str] = {}
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname:
-                    aliases[alias.asname] = alias.name
-                else:
-                    aliases[alias.name.split(".")[0]] = alias.name.split(".")[0]
-        elif isinstance(node, ast.ImportFrom):
-            if node.level == 0:
-                base = node.module or ""
-            else:
-                package_parts = module.package.split(".") if module.package else []
-                keep = len(package_parts) - (node.level - 1)
-                if keep < 0:
-                    continue
-                base_parts = package_parts[:keep]
-                if node.module:
-                    base_parts.append(node.module)
-                base = ".".join(base_parts)
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                origin = f"{base}.{alias.name}" if base else alias.name
-                aliases[alias.asname or alias.name] = origin
-    return aliases
-
-
 def attribute_root(node: ast.AST) -> Optional[str]:
     """The base ``Name`` id of an attribute/subscript chain, if any.
 
@@ -167,11 +131,7 @@ def iter_own_nodes(func: FunctionInfo):
     excluded — their bodies are separate :class:`FunctionInfo` entries.
     """
     nested = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
-    if func.is_module_body:
-        roots: List[ast.AST] = list(func.node.body)
-    else:
-        roots = list(func.node.body)
-    stack = [n for n in roots if not isinstance(n, nested)]
+    stack: List[ast.AST] = [n for n in func.node.body if not isinstance(n, nested)]
     while stack:
         node = stack.pop()
         yield node
@@ -181,15 +141,17 @@ def iter_own_nodes(func: FunctionInfo):
 
 
 class ProjectIndex:
-    """Function registry + alias maps + call resolution over a module set."""
+    """Function registry + call resolution over a module set.
+
+    Built once per module set (:func:`get_index`) and shared by the flow
+    analyses and the wire extractor.
+    """
 
     def __init__(self, modules: Sequence[ModuleInfo]):
         self.modules = list(modules)
         self.functions: Dict[str, FunctionInfo] = {}
         self.by_name: Dict[str, List[str]] = {}
-        self.aliases: Dict[str, Dict[str, str]] = {}
         for module in self.modules:
-            self.aliases[module.name] = project_aliases(module)
             for info in _collect_functions(module):
                 self.functions[info.qualname] = info
                 if info.name != "<module>":
@@ -207,7 +169,7 @@ class ProjectIndex:
         dotted name like ``random.Random`` when the call bottoms out in an
         import, or the bare builtin name for ``sorted(...)`` etc.
         """
-        aliases = self.aliases.get(func.module.name, {})
+        aliases = func.module.aliases
         fn = call.func
         if isinstance(fn, ast.Name):
             name = fn.id
@@ -256,3 +218,7 @@ class ProjectIndex:
         if init in self.functions:
             return [init], None
         return [], dotted
+
+
+def get_index(modules: Sequence[ModuleInfo]) -> ProjectIndex:
+    return shared_analysis(ProjectIndex, modules)

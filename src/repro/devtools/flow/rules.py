@@ -10,9 +10,9 @@ affecting any measured trajectory.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence
 
-from ..framework import Finding, ModuleInfo, ProjectRule
+from ..framework import PURE_SUBPACKAGES, Finding, ModuleInfo, ProjectRule
 from .analysis import (
     EFFECT_MUTATE,
     EFFECT_RNG,
@@ -20,14 +20,11 @@ from .analysis import (
     FlowAnalysis,
     get_analysis,
 )
-from .callgraph import FunctionInfo
-
-#: Subpackages whose behaviour feeds the simulated trajectory.
-FLOW_SUBPACKAGES = frozenset({"pastry", "netsim", "core"})
+from .callgraph import FunctionInfo, iter_own_nodes
 
 
 def _in_scope(module: ModuleInfo) -> bool:
-    return module.subpackage in FLOW_SUBPACKAGES
+    return module.subpackage in PURE_SUBPACKAGES
 
 
 def _scope_functions(analysis: FlowAnalysis) -> List[FunctionInfo]:
@@ -35,21 +32,6 @@ def _scope_functions(analysis: FlowAnalysis) -> List[FunctionInfo]:
         info for info in analysis.index.functions.values()
         if _in_scope(info.module)
     ]
-
-
-def _iter_loops(func: FunctionInfo) -> Iterator[ast.For]:
-    """Every ``for`` loop in the function body (excluding nested defs)."""
-    nested = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
-    stack: List[ast.AST] = [
-        n for n in func.node.body if not isinstance(n, nested)
-    ]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ast.For):
-            yield node
-        for child in ast.iter_child_nodes(node):
-            if not isinstance(child, nested):
-                stack.append(child)
 
 
 class OrderingHazardRule(ProjectRule):
@@ -71,7 +53,9 @@ class OrderingHazardRule(ProjectRule):
     def check_project(self, modules: Sequence[ModuleInfo]) -> Iterator[Finding]:
         analysis = get_analysis(modules)
         for func in _scope_functions(analysis):
-            for loop in _iter_loops(func):
+            for loop in iter_own_nodes(func):
+                if not isinstance(loop, ast.For):
+                    continue
                 reason = analysis.unordered_reason(loop.iter, func)
                 if reason is None:
                     continue
@@ -95,30 +79,24 @@ class OrderingHazardRule(ProjectRule):
 
 
 class RngDisciplineRule(ProjectRule):
-    """RNG construction/consumption discipline for simulation code.
+    """RNG construction discipline for simulation code.
 
-    Two violations: (a) a function reachable from a public simulation
-    entry point constructs its own ``random.Random`` instead of
-    receiving one (``__init__`` and module level are the sanctioned
-    construction sites — they are where seeds are derived); (b) a
-    function that draws from a shared RNG is reached from more than one
-    unordered iteration context, so the draw *order* — and therefore
-    every subsequent draw — depends on set iteration order.
+    A function reachable from a public simulation entry point must not
+    construct its own ``random.Random``; it receives one instead
+    (``__init__`` and module level are the sanctioned construction
+    sites — they are where seeds are derived).  A shared RNG drawn from
+    inside an unordered loop is :class:`OrderingHazardRule`'s finding.
     """
 
     name = "flow-rng-discipline"
     description = (
-        "RNG constructed outside __init__ in simulation code, or a shared "
-        "RNG consumed from multiple unordered iteration contexts"
+        "RNG constructed outside __init__/module level in a function "
+        "reachable from a simulation entry point"
     )
 
     def check_project(self, modules: Sequence[ModuleInfo]) -> Iterator[Finding]:
         analysis = get_analysis(modules)
         scope = _scope_functions(analysis)
-        scope_quals = {f.qualname for f in scope}
-
-        # (a) RNG constructions outside __init__/<module>, reachable from
-        # a public entry point of the simulation layers.
         entries = [
             f for f in scope
             if f.name == "<module>" or not f.name.startswith("_")
@@ -145,71 +123,6 @@ class RngDisciplineRule(ProjectRule):
                         f"rng or seed parameter instead of creating one"
                     ),
                 )
-
-        # (b) shared-RNG draws reached from 2+ unordered loop contexts.
-        contexts: Dict[str, List[Tuple[str, int]]] = {}
-        for func in scope:
-            for loop in _iter_loops(func):
-                if analysis.unordered_reason(loop.iter, func) is None:
-                    continue
-                drawers = self._rng_drawers_in_body(
-                    analysis, loop.body + loop.orelse, func, scope_quals
-                )
-                for qual in drawers:
-                    contexts.setdefault(qual, []).append(
-                        (func.qualname, loop.lineno)
-                    )
-        for qual, sites in sorted(contexts.items()):
-            unique = sorted(set(sites))
-            if len(unique) < 2:
-                continue
-            info = analysis.index.functions[qual]
-            where = ", ".join(f"{ctx} line {line}" for ctx, line in unique)
-            yield Finding(
-                rule=self.name,
-                path=info.module.path,
-                line=info.lineno,
-                message=(
-                    f"{qual} draws from a shared RNG and is reached from "
-                    f"{len(unique)} unordered iteration contexts ({where}); "
-                    f"fix the iteration order or split the RNG stream"
-                ),
-            )
-
-    @staticmethod
-    def _rng_drawers_in_body(
-        analysis: FlowAnalysis,
-        body: Sequence[ast.stmt],
-        func: FunctionInfo,
-        scope_quals: Set[str],
-    ) -> Set[str]:
-        """Project functions with a *direct* RNG draw reachable from body."""
-        shell_effects = analysis.body_effects(body, func)
-        if EFFECT_RNG not in shell_effects:
-            return set()
-        drawers: Set[str] = set()
-        # Direct draw in the loop body itself counts as a context on the
-        # enclosing function.
-        _line, via = shell_effects[EFFECT_RNG]
-        if via is None:
-            drawers.add(func.qualname)
-            return drawers
-        stack = [via]
-        seen: Set[str] = set()
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            facts = analysis.facts.get(current)
-            if facts is None:
-                continue
-            if EFFECT_RNG in facts.direct and current in scope_quals:
-                drawers.add(current)
-            for callee, _l in facts.calls:
-                if EFFECT_RNG in analysis.effects.get(callee, {}):
-                    stack.append(callee)
-        return drawers
 
 
 class SharedMutableStateRule(ProjectRule):

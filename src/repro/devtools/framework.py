@@ -2,7 +2,7 @@
 
 The framework is deliberately small: a :class:`ModuleInfo` bundles one
 parsed source file (path, dotted module name, AST, per-line suppression
-table), a :class:`Rule` inspects one module at a time, and a
+table, import alias map from the one resolver :func:`import_base`), a :class:`Rule` inspects one module at a time, and a
 :class:`ProjectRule` sees the whole module set at once (for cross-file
 properties such as protocol completeness).  :func:`run_rules` applies a
 rule set and filters findings through ``# lint: ignore[...]`` comments.
@@ -14,6 +14,7 @@ import ast
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
@@ -21,9 +22,13 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 #: that physical line, ``# lint: ignore[rule-a,rule-b]`` only the named ones.
 _SUPPRESS_RE = re.compile(r"#\s*lint:\s*ignore(?:\[([A-Za-z0-9_\-, ]*)\])?")
 
+#: The simulator proper: a closed world that must stay free of I/O and
+#: threads and whose trajectory must be a pure function of the seed.
+PURE_SUBPACKAGES = frozenset({"pastry", "netsim", "core"})
+
 
 class LintError(Exception):
-    """Raised for usage errors (unknown rule, unreadable path)."""
+    """Raised for usage errors (unreadable path, unparseable source or baseline)."""
 
 
 @dataclass(frozen=True)
@@ -76,6 +81,30 @@ class ModuleInfo:
         if parts[0] != "repro" or len(parts) < 2:
             return None
         return parts[1]
+
+    @cached_property
+    def aliases(self) -> Dict[str, str]:
+        """Map each imported local name to the dotted origin it was bound from.
+
+        ``import numpy as np`` -> ``{"np": "numpy"}``;
+        ``from random import Random`` -> ``{"Random": "random.Random"}``;
+        ``import os.path`` -> ``{"os": "os"}`` (attribute access goes
+        through the top-level binding); ``from . import idspace`` in
+        ``repro.pastry.network`` -> ``{"idspace": "repro.pastry.idspace"}``.
+        """
+        aliases: Dict[str, str] = {}
+        for node in ast.walk(self.tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for alias, target in zip(node.names, imported_names(self, node)):
+                if alias.asname:
+                    aliases[alias.asname] = target
+                elif isinstance(node, ast.Import):
+                    top = target.split(".")[0]
+                    aliases[top] = top
+                else:
+                    aliases[alias.name] = target
+        return aliases
 
 
 def _parse_suppressions(source: str) -> Dict[int, Optional[Set[str]]]:
@@ -275,27 +304,38 @@ def record_baseline(path: str, findings: Sequence[Finding]) -> str:
 # --------------------------------------------------------------- AST helpers
 
 
-def import_aliases(tree: ast.Module) -> Dict[str, str]:
-    """Map local names to the canonical dotted origin they were bound from.
+def import_base(module: ModuleInfo, node: Union[ast.Import, ast.ImportFrom]) -> Optional[str]:
+    """Absolute dotted module an import statement reads its names from.
 
-    ``import numpy as np`` -> ``{"np": "numpy"}``;
-    ``from random import Random`` -> ``{"Random": "random.Random"}``;
-    ``import os.path`` -> ``{"os": "os"}`` (attribute access goes through
-    the top-level binding).  Relative imports are skipped — they never
-    reach stdlib modules, which is all callers resolve against.
+    ``""`` for ``import a.b`` (its names are absolute already) and ``a.b``
+    for ``from a.b import x``.  A relative level resolves against
+    :attr:`ModuleInfo.package`: ``from ..netsim import x`` in
+    ``repro.pastry.network`` reads from ``repro.netsim``.  ``None`` when
+    the level climbs above the top package — such an import cannot run,
+    so it binds nothing.
     """
-    aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname:
-                    aliases[alias.asname] = alias.name
-                else:
-                    aliases[alias.name.split(".")[0]] = alias.name.split(".")[0]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
-            for alias in node.names:
-                aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
-    return aliases
+    if isinstance(node, ast.Import):
+        return ""
+    if node.level == 0:
+        return node.module or ""
+    parts = module.package.split(".") if module.package else []
+    keep = len(parts) - (node.level - 1)
+    if keep <= 0:
+        return None
+    return ".".join(parts[:keep] + ([node.module] if node.module else []))
+
+
+def imported_names(module: ModuleInfo, node: Union[ast.Import, ast.ImportFrom]) -> List[str]:
+    """Absolute dotted name of each alias of an import, in order.
+
+    ``import a.b`` -> ``["a.b"]``; ``from .m import x, y`` in package
+    ``p`` -> ``["p.m.x", "p.m.y"]``; ``[]`` for an import that escapes
+    the top package.
+    """
+    base = import_base(module, node)
+    if base is None:
+        return []
+    return [f"{base}.{alias.name}" if base else alias.name for alias in node.names]
 
 
 def qualified_name(node: ast.AST, aliases: Dict[str, str]) -> Optional[str]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..framework import Finding, ModuleInfo, Rule, import_aliases, local_definitions, qualified_name
+from ..framework import Finding, ModuleInfo, Rule, local_definitions, qualified_name
 
 #: Module-level ``random`` functions that mutate/consume the global RNG.
 _GLOBAL_RANDOM_FNS = frozenset(
@@ -60,11 +60,10 @@ class UnseededRandomRule(Rule):
     )
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        aliases = import_aliases(module.tree)
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
-            qual = qualified_name(node.func, aliases)
+            qual = qualified_name(node.func, module.aliases)
             if qual is None:
                 continue
             if qual in ("random.SystemRandom", "secrets.SystemRandom"):
@@ -85,11 +84,10 @@ class GlobalRandomRule(Rule):
     )
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        aliases = import_aliases(module.tree)
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
-            qual = qualified_name(node.func, aliases)
+            qual = qualified_name(node.func, module.aliases)
             if qual is None:
                 continue
             parts = qual.split(".")
@@ -119,12 +117,11 @@ class WallClockRule(Rule):
     )
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        aliases = import_aliases(module.tree)
         in_sim_layer = module.subpackage in SIM_SUBPACKAGES
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
-            qual = qualified_name(node.func, aliases)
+            qual = qualified_name(node.func, module.aliases)
             if qual is None:
                 continue
             if qual in _WALL_CLOCK_BANNED:
@@ -152,8 +149,7 @@ class BuiltinHashRule(Rule):
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
         defined = local_definitions(module.tree)
-        aliases = import_aliases(module.tree)
-        if "hash" in defined or "hash" in aliases:
+        if "hash" in defined or "hash" in module.aliases:
             return
         for node in ast.walk(module.tree):
             if (

@@ -25,7 +25,7 @@ from __future__ import annotations
 import ast
 from typing import FrozenSet, Iterator, Mapping, Optional
 
-from ..framework import Finding, ModuleInfo, Rule
+from ..framework import Finding, ModuleInfo, Rule, import_base, imported_names
 
 #: subpackage -> subpackages it may import from (itself is always allowed).
 LAYER_DEPS: Mapping[str, FrozenSet[str]] = {
@@ -53,16 +53,6 @@ LAYER_DEPS: Mapping[str, FrozenSet[str]] = {
 _APP_MODULES = frozenset({"repro", "repro.cli", "repro.__main__"})
 
 
-def _resolve_relative(package: str, level: int, module: Optional[str]) -> Optional[str]:
-    """Absolute dotted target of a relative import, or None if it escapes."""
-    parts = package.split(".") if package else []
-    if level - 1 >= len(parts):
-        return None
-    if level > 1:
-        parts = parts[: len(parts) - (level - 1)]
-    return ".".join(parts + (module.split(".") if module else []))
-
-
 def _target_subpackage(target: str) -> Optional[str]:
     parts = target.split(".")
     if parts[0] != "repro" or len(parts) < 2:
@@ -87,21 +77,14 @@ class LayeringRule(Rule):
         if allowed is None:
             return
         for node in ast.walk(module.tree):
-            targets = []
-            if isinstance(node, ast.Import):
-                targets = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                if node.level > 0:
-                    base = _resolve_relative(module.package, node.level, node.module)
-                    if base is None:
-                        continue
-                    if node.module:
-                        targets = [base]
-                    else:
-                        # ``from . import x, y`` imports sibling submodules.
-                        targets = [f"{base}.{alias.name}" for alias in node.names]
-                elif node.module:
-                    targets = [node.module]
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module:
+                base = import_base(module, node)
+                targets = [] if base is None else [base]
+            else:
+                # ``import a.b`` and ``from . import x, y`` import modules.
+                targets = imported_names(module, node)
             for target in targets:
                 target_sub = _target_subpackage(target)
                 if target_sub is None or target_sub == source_sub:

@@ -13,10 +13,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..framework import Finding, ModuleInfo, Rule, import_aliases, local_definitions, qualified_name
-
-#: Layers that must stay pure (no concurrency, no network, no file I/O).
-PURE_SUBPACKAGES = frozenset({"pastry", "netsim", "core"})
+from ..framework import PURE_SUBPACKAGES, Finding, ModuleInfo, Rule, local_definitions, qualified_name
 
 #: Top-level modules whose import alone signals impurity.
 _BANNED_IMPORTS = frozenset(
@@ -50,7 +47,6 @@ class SimPurityRule(Rule):
         if module.subpackage not in PURE_SUBPACKAGES:
             return
         defined = local_definitions(module.tree)
-        aliases = import_aliases(module.tree)
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -74,7 +70,7 @@ class SimPurityRule(Rule):
                     isinstance(node.func, ast.Name)
                     and node.func.id in _BANNED_CALLS | {"print"}
                     and node.func.id not in defined
-                    and node.func.id not in aliases
+                    and node.func.id not in module.aliases
                 ):
                     yield self.finding(
                         module, node,
@@ -82,7 +78,7 @@ class SimPurityRule(Rule):
                         "must not perform I/O; return data and let callers report it",
                     )
                 else:
-                    qual = qualified_name(node.func, aliases)
+                    qual = qualified_name(node.func, module.aliases)
                     if qual in _BANNED_QUALIFIED:
                         yield self.finding(
                             module, node,

@@ -62,7 +62,8 @@ def scenario_hazard(seed: int) -> ScheduleTrace:
         fire.__qualname__ = f"hazard_event[{name}]"
         return fire
 
-    for name in names:  # lint: ignore[flow-ordering-hazard] -- the bug under test
+    # Set order on purpose: this unordered schedule is the bug under test.
+    for name in names:
         sim.schedule(1.0, make_event(name))
     sim.run()
     return trace

@@ -19,6 +19,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from ..flow.callgraph import get_index
 from ..framework import ModuleInfo, shared_analysis
 
 #: Modules whose dataclasses may cross the seam as message payloads.
@@ -274,9 +275,12 @@ class WireAnalysis:
     # --------------------------------------------------------------- sites
 
     def _collect_sites(self) -> None:
-        for module in self.modules:
-            for funcname, funcdef in _functions(module.tree):
-                self._scan_function(module, funcname, funcdef)
+        # Site keys name a function ``Class.method`` (``.inner`` for a
+        # closure), relative to its module.
+        for func in get_index(self.modules).functions.values():
+            if not func.is_module_body:
+                name = func.qualname[len(func.module.name) + 1:]
+                self._scan_function(func.module, name.replace(".<locals>", ""), func.node)
 
     def _scan_function(
         self, module: ModuleInfo, funcname: str, funcdef: ast.FunctionDef
@@ -434,25 +438,6 @@ class WireAnalysis:
     def message_type_names(self) -> Set[str]:
         """Classes allowed to cross the seam (transitively via fields)."""
         return set(self.message_classes)
-
-
-def _functions(tree: ast.Module):
-    """(qualname, FunctionDef) for every function, methods included."""
-    out = []
-
-    def visit(node: ast.AST, prefix: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qual = f"{prefix}.{child.name}" if prefix else child.name
-                out.append((qual, child))
-                visit(child, qual)
-            elif isinstance(child, ast.ClassDef):
-                visit(child, f"{prefix}.{child.name}" if prefix else child.name)
-            else:
-                visit(child, prefix)
-
-    visit(tree, "")
-    return out
 
 
 def _tested_names(funcdef: ast.FunctionDef) -> Set[str]:

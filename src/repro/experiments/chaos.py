@@ -772,7 +772,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         default="all",
         help="crash-restart runs the durable-WAL kill/restart sweep on "
              "real temp files; live runs the same chaos story over a "
-             "real asyncio-TCP cluster with socket-level fault "
+             "real localhost TCP cluster with socket-level fault "
              "injection; neither is part of 'all'",
     )
     parser.add_argument("--seed", type=int, default=7)

@@ -1,4 +1,4 @@
-"""Live-cluster chaos: the sim chaos oracles over real asyncio TCP.
+"""Live-cluster chaos: the sim chaos oracles over real localhost TCP.
 
 :mod:`repro.experiments.chaos` proves the §2.3/§3.5 robustness claims
 inside the deterministic simulator; this module re-runs the same story

@@ -1,9 +1,9 @@
 """Real-network execution plane for the PAST reproduction.
 
 The deterministic simulator proves the *algorithms*; this package proves
-the *system*: the same engine-pure node logic served over asyncio TCP on
-localhost, every RPC and routed message encoded by a codec generated
-from the statically-certified ``wire_schema.json``.
+the *system*: the same engine-pure node logic served over localhost TCP,
+every RPC and routed message encoded by a codec generated from the
+statically-certified ``wire_schema.json``.
 
 - :mod:`repro.net.codec` — deterministic length-prefixed wire codec,
   type registry pinned by the committed schema.

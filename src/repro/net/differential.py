@@ -3,7 +3,7 @@
 The wire analyzer proves the RPC surface *can* ship; this module proves
 the shipped system *behaves identically*.  The same seeded cluster build
 and insert/lookup/join workload runs once over the in-process simulator
-transport and once over real asyncio TCP, and the final observable state
+transport and once over real localhost TCP, and the final observable state
 — which node holds which replica, where every diversion pointer aims,
 what every lookup returned, and a clean invariant audit — is folded into
 one outcome checksum per engine.  Equal checksums certify that the
@@ -208,7 +208,7 @@ def run_differential(
         "equal": sim_sum == net_sum,
         "sim_view": sim_view,
         "asyncio_view": net_view,
-        # Classified wire-failure counters from the asyncio engine: a
+        # Classified wire-failure counters from the localhost TCP engine: a
         # clean differential run must observe none.
         "wire": wire,
     }

@@ -19,7 +19,6 @@ from repro.devtools.flow import (
     OrderingHazardRule,
     RngDisciplineRule,
     SharedMutableStateRule,
-    project_aliases,
 )
 
 
@@ -42,7 +41,7 @@ class TestCallGraph:
             "from ..netsim import MessageStats\n",
             name="repro.pastry.network",
         )
-        aliases = project_aliases(m)
+        aliases = m.aliases
         assert aliases["idspace"] == "repro.pastry.idspace"
         assert aliases["PastryNode"] == "repro.pastry.node.PastryNode"
         assert aliases["MessageStats"] == "repro.netsim.MessageStats"
@@ -208,6 +207,33 @@ class TestOrderingHazard:
             OrderingHazardRule(), mod(HAZARD_MUTATE, name="repro.experiments.snip")
         ) == []
 
+    def test_flags_both_loops_drawing_one_shared_rng(self):
+        # One shared RNG drawn from two unordered loops: each loop is its
+        # own finding, so the draw-order defect is reported at both sites.
+        m = mod(
+            "import random\n"
+            "class Sim:\n"
+            "    def __init__(self, seed):\n"
+            "        self.rng = random.Random(seed)\n"
+            "    def _draw(self):\n"
+            "        return self.rng.random()\n"
+            "    def a(self, xs):\n"
+            "        out = []\n"
+            "        for x in set(xs):\n"
+            "            out.append(self._draw())\n"
+            "        return out\n"
+            "    def b(self, ys):\n"
+            "        out = []\n"
+            "        for y in frozenset(ys):\n"
+            "            out.append(self._draw())\n"
+            "        return out\n",
+            name="repro.core.sim",
+        )
+        found = findings(OrderingHazardRule(), m)
+        assert [f.line for f in found] == [9, 14]
+        assert all("consumes an RNG via _draw()" in f.message for f in found)
+        assert findings(RngDisciplineRule(), m) == []
+
     def test_suppression_comment_silences_finding(self):
         suppressed = HAZARD_MUTATE.replace(
             "for item in {i for i in items}:",
@@ -265,34 +291,6 @@ class TestRngDiscipline:
         # sanctioned pattern.
         assert findings(RngDisciplineRule(), m) == []
 
-    def test_flags_shared_rng_drawn_from_two_unordered_contexts(self):
-        m = mod(
-            "import random\n"
-            "class Sim:\n"
-            "    def __init__(self, seed):\n"
-            "        self.rng = random.Random(seed)\n"
-            "    def _draw(self):\n"
-            "        return self.rng.random()\n"
-            "    def a(self, xs):\n"
-            "        out = []\n"
-            "        for x in set(xs):\n"
-            "            out.append(self._draw())\n"
-            "        return out\n"
-            "    def b(self, ys):\n"
-            "        out = []\n"
-            "        for y in frozenset(ys):\n"
-            "            out.append(self._draw())\n"
-            "        return out\n",
-            name="repro.core.sim",
-        )
-        found = [
-            f for f in findings(RngDisciplineRule(), m)
-            if "unordered iteration contexts" in f.message
-        ]
-        assert len(found) == 1
-        assert "_draw" in found[0].message
-        assert "2 unordered iteration contexts" in found[0].message
-
     def test_sorted_contexts_do_not_count(self):
         m = mod(
             "import random\n"
@@ -308,6 +306,7 @@ class TestRngDiscipline:
             name="repro.core.sim",
         )
         assert findings(RngDisciplineRule(), m) == []
+        assert findings(OrderingHazardRule(), m) == []
 
 
 # ------------------------------------------------- flow-shared-state

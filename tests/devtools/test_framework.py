@@ -14,12 +14,13 @@ from repro.devtools import (
     Finding,
     LintError,
     Rule,
+    all_rules,
     collect_modules,
     module_from_source,
     run_rules,
 )
-from repro.devtools.framework import import_aliases, qualified_name
-from repro.devtools.rules import get_rules
+from repro.devtools.framework import import_base, imported_names, qualified_name
+from repro.devtools.rules import LayeringRule
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -101,24 +102,68 @@ class TestEngine:
         assert finding.to_dict() == {"rule": "r", "path": "p.py", "line": 3, "message": "m"}
         assert finding.render() == "p.py:3: [r] m"
 
-    def test_get_rules_unknown_name(self):
-        # "perf-hot-sort" was a rule until its catalogue was deleted.
-        for name in ("no-such-rule", "perf-hot-sort"):
-            with pytest.raises(LintError, match="unknown rule"):
-                get_rules([name])
-
     def test_qualified_name_resolves_aliases(self):
-        import ast
+        mod = module_from_source("import numpy as np\nnp.random.default_rng(3)\n")
+        call = mod.tree.body[1].value
+        assert qualified_name(call.func, mod.aliases) == "numpy.random.default_rng"
 
-        tree = ast.parse("import numpy as np\nnp.random.default_rng(3)\n")
-        aliases = import_aliases(tree)
-        call = tree.body[1].value
-        assert qualified_name(call.func, aliases) == "numpy.random.default_rng"
+
+#: One row per import form, read from ``repro.netsim.sub.mod`` (package
+#: ``repro.netsim.sub``): the statement, its absolute base, the absolute
+#: name of each alias (what ``conc-seam`` matches), the alias map, and
+#: the targets ``layering`` reports (netsim may import no other layer).
+IMPORT_FORMS = [
+    ("import repro.core.node", "", ["repro.core.node"],
+     {"repro": "repro"}, ["repro.core.node"]),
+    ("import repro.core.node as rn", "", ["repro.core.node"],
+     {"rn": "repro.core.node"}, ["repro.core.node"]),
+    ("from repro.core import audit", "repro.core", ["repro.core.audit"],
+     {"audit": "repro.core.audit"}, ["repro.core"]),
+    ("from . import x, y", "repro.netsim.sub",
+     ["repro.netsim.sub.x", "repro.netsim.sub.y"],
+     {"x": "repro.netsim.sub.x", "y": "repro.netsim.sub.y"}, []),
+    ("from .m import x", "repro.netsim.sub.m", ["repro.netsim.sub.m.x"],
+     {"x": "repro.netsim.sub.m.x"}, []),
+    ("from ..m import x as y", "repro.netsim.m", ["repro.netsim.m.x"],
+     {"y": "repro.netsim.m.x"}, []),
+    ("from ... import core", "repro", ["repro.core"],
+     {"core": "repro.core"}, ["repro.core"]),
+    # Four levels and more climb above ``repro``: such an import cannot
+    # run, so it binds nothing.
+    ("from .... import x", None, [], {}, []),
+    ("from ..... import x", None, [], {}, []),
+]
+
+
+class TestImportResolver:
+    """:func:`import_base` is the one resolver; layering, conc-seam and
+    the alias map every rule reads all derive their targets from it."""
+
+    @pytest.mark.parametrize(
+        "source,base,names,aliases,layering", IMPORT_FORMS,
+        ids=[row[0] for row in IMPORT_FORMS],
+    )
+    def test_each_import_form(self, source, base, names, aliases, layering):
+        mod = module_from_source(source + "\n", name="repro.netsim.sub.mod", path="mod.py")
+        node = mod.tree.body[0]
+        assert import_base(mod, node) == base
+        assert imported_names(mod, node) == names
+        assert mod.aliases == aliases
+        reported = [
+            f.message.split("(imported '", 1)[1].split("'", 1)[0]
+            for f in LayeringRule().check(mod)
+        ]
+        assert reported == layering
+
+
+def _only(*names):
+    """The named rules of the catalogue: a library caller's selection."""
+    return [rule for rule in all_rules() if rule.name in names]
 
 
 class TestCli:
-    """``repro check`` on single files; the selection tests pin
-    :func:`get_rules`, which resolves rule names for library callers."""
+    """``repro check`` on single files; the selection tests run a subset
+    of :func:`all_rules` through the engine."""
 
     def _run(self, *argv):
         env = dict(os.environ)
@@ -157,29 +202,14 @@ class TestCli:
         assert "no such file" in proc.stderr
 
     def test_select_runs_only_named_rules(self, tmp_path):
-        assert run_rules(self._dirty(tmp_path), get_rules(["builtin-hash"])) == []
+        assert run_rules(self._dirty(tmp_path), _only("builtin-hash")) == []
 
     def test_select_multiple_rules(self, tmp_path):
         findings = run_rules(
-            self._dirty(tmp_path), get_rules(["builtin-hash", "unseeded-random"])
+            self._dirty(tmp_path), _only("builtin-hash", "unseeded-random")
         )
         assert [f.rule for f in findings] == ["unseeded-random"]
 
     def test_ignore_skips_named_rule(self, tmp_path):
-        assert run_rules(self._dirty(tmp_path), get_rules(ignore=["unseeded-random"])) == []
-
-    def test_ignore_composes_with_select(self, tmp_path):
-        rules = get_rules(
-            ["unseeded-random", "builtin-hash"], ignore=["unseeded-random"]
-        )
-        assert [rule.name for rule in rules] == ["builtin-hash"]
-        assert run_rules(self._dirty(tmp_path), rules) == []
-
-    def test_get_rules_ignore_api(self):
-        from repro.devtools.rules import all_rules
-
-        names = {rule.name for rule in get_rules(ignore=["flow-shared-state"])}
-        assert "flow-shared-state" not in names
-        assert len(names) == len(all_rules()) - 1
-        with pytest.raises(LintError):
-            get_rules(ignore=["nope"])
+        rest = [rule for rule in all_rules() if rule.name != "unseeded-random"]
+        assert run_rules(self._dirty(tmp_path), rest) == []

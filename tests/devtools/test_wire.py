@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools import get_rules, module_from_source, run_rules
+from repro.devtools import all_rules, module_from_source, run_rules
 from repro.devtools.wire import (
     DEFAULT_SCHEMA_PATH,
     build_schema,
@@ -378,5 +378,5 @@ class TestRealTreeGates:
 
 class TestCatalogueRegistry:
     def test_wire_rules_not_in_default_set(self):
-        default = {r.name for r in get_rules()}
+        default = {r.name for r in all_rules()}
         assert not default & set(WIRE_RULE_NAMES)

@@ -3,7 +3,7 @@
 The wire analyzer proves the RPC surface *can* ship; these tests prove
 the shipped system *behaves identically*: one seeded build + insert /
 join / lookup workload, run over the in-process simulator and over real
-asyncio TCP, must fold to the same outcome checksum with a clean
+localhost TCP, must fold to the same outcome checksum with a clean
 invariant audit.  The checksum is pinned so either engine drifting —
 not just both drifting apart — fails the suite.
 """

@@ -323,3 +323,43 @@ class TestReconnect:
             assert transport.drain(timeout=10) is True
         finally:
             transport.close()
+
+    def test_first_dial_to_a_restarted_peer_redials_its_new_port(self, monkeypatch):
+        """The restart race: the victim comes back on a new port after the
+        caller read its old one, so the caller's first dial is refused.
+
+        The overlay still counts the victim alive, so the refusal is a
+        race, not a death: ``_redial`` dials the new port once and the RPC
+        is delivered.
+        """
+        net, transport = build_cluster(4, seed=3, engine="asyncio")
+        try:
+            client, victim = _two_nodes(net)
+            # A fresh server and an empty free list: the send must dial.
+            transport.stop_server(victim.node_id)
+            old = transport.ensure_server(victim.node_id)
+            connect = transport._connect
+            dials = []
+
+            def racing_connect(port, expiry):
+                if not dials:
+                    # The restart lands between the port read and the dial.
+                    for _ in range(5):
+                        transport.stop_server(victim.node_id)
+                        if transport.ensure_server(victim.node_id) != old:
+                            break
+                dials.append(port)
+                return connect(port, expiry)
+
+            monkeypatch.setattr(transport, "_connect", racing_connect)
+            ok, holds = transport.send(
+                client.node_id, victim.node_id, victim.store.holds_file, 1
+            )
+            new = transport._ports[victim.node_id]
+            assert new != old
+            assert (ok, holds) == (True, False)
+            assert dials == [old, new]
+            assert transport.wire.reconnects == 1
+            assert transport.wire.refused == 0
+        finally:
+            transport.close()

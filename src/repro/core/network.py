@@ -30,7 +30,7 @@ from ..security import (
     SmartcardIssuer,
     StoreReceipt,
 )
-from ..security.certificates import CertificateError
+from ..security.certificates import CertificateError, one_per_node
 from ..security.smartcard import QuotaExceededError
 from .config import PastConfig
 from .errors import AdmissionError
@@ -382,11 +382,7 @@ class PastNetwork:
             coordinator = self._past.get(coordinator_id)
             ok = coordinator is not None and coordinator.coordinate_insert(request)
             if ok:
-                for receipt in request.receipts:
-                    receipt.verify()
-                # A repeated or foreign receipt vouches for no replica here.
-                holders = {r.node_id for r in request.receipts if r.file_id == fid}
-                if len(holders) < k:
+                if len(one_per_node(request.receipts, fid)) < k:
                     raise RuntimeError("insert accepted with fewer than k distinct receipts")
                 self._registry[fid] = cert
                 if content is not None:

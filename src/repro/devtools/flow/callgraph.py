@@ -122,15 +122,20 @@ def _collect_functions(module: ModuleInfo) -> List[FunctionInfo]:
     return out
 
 
-def iter_own_nodes(func: FunctionInfo):
-    """All AST nodes of a function body, excluding nested def/class/lambda.
+#: Bodies that are :class:`FunctionInfo` entries of their own.
+NESTED_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def iter_own_nodes(func: FunctionInfo, nested=NESTED_SCOPES + (ast.Lambda,)):
+    """All AST nodes of a function body, excluding ``nested`` subtrees.
 
     Effects inside a nested function or lambda belong to *that* callable,
     not to the enclosing one (passing a callback is not performing its
     side effects).  For a module body, nested defs/classes are likewise
     excluded — their bodies are separate :class:`FunctionInfo` entries.
+    The wire scan passes :data:`NESTED_SCOPES`: a lambda has no entry, so
+    a send in its body is the enclosing function's.
     """
-    nested = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
     stack: List[ast.AST] = [n for n in func.node.body if not isinstance(n, nested)]
     while stack:
         node = stack.pop()
@@ -195,8 +200,9 @@ class ProjectIndex:
                     dotted = ".".join([aliases[node.id]] + list(reversed(parts)))
                     return self._project_or_external(dotted)
             # Builtin container mutators are classified by receiver
-            # locality in the effect analysis, never linked by name.
-            if fn.attr in MUTATOR_METHODS:
+            # locality in the effect analysis, never linked by name; a
+            # method on a literal (``b"|".join``) is never a project call.
+            if fn.attr in MUTATOR_METHODS or isinstance(fn.value, ast.Constant):
                 return [], None
             candidates = list(self.by_name.get(fn.attr, []))
             if (

@@ -19,7 +19,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..flow.callgraph import get_index
+from ..flow.callgraph import NESTED_SCOPES, FunctionInfo, get_index, iter_own_nodes
 from ..framework import ModuleInfo, shared_analysis
 
 #: Modules whose dataclasses may cross the seam as message payloads.
@@ -279,19 +279,20 @@ class WireAnalysis:
         # closure), relative to its module.
         for func in get_index(self.modules).functions.values():
             if not func.is_module_body:
-                name = func.qualname[len(func.module.name) + 1:]
-                self._scan_function(func.module, name.replace(".<locals>", ""), func.node)
+                self._scan_function(func)
 
-    def _scan_function(
-        self, module: ModuleInfo, funcname: str, funcdef: ast.FunctionDef
-    ) -> None:
+    def _scan_function(self, func: FunctionInfo) -> None:
+        """Record the sends in ``func``'s own nodes; a closure scans its own."""
+        module, funcdef = func.module, func.node
+        funcname = func.qualname[len(module.name) + 1:].replace(".<locals>", "")
+        own = list(iter_own_nodes(func, NESTED_SCOPES))
         sites: List[SendSite] = []
         call_bindings: Dict[int, str] = {}  # id(call node) -> delivered name
         retry_policy = any(
             "RetryPolicy" in (_annotation_str(arg.annotation) or "")
             for arg in funcdef.args.args + funcdef.args.kwonlyargs
         )
-        for node in ast.walk(funcdef):
+        for node in own:
             if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
                 if len(node.targets) == 1 and isinstance(node.targets[0], ast.Tuple):
                     first = node.targets[0].elts[0]
@@ -314,9 +315,9 @@ class WireAnalysis:
                 self._fill_send(site, node)
                 site.delivered_name = call_bindings.get(id(node))
             elif kind == "route":
-                self._fill_route(site, node, funcdef)
+                self._fill_route(site, node, own)
             sites.append(site)
-        tested = _tested_names(funcdef)
+        tested = _tested_names(own)
         for site in sites:
             if site.delivered_name is not None and site.delivered_name in tested:
                 site.delivered_tested = True
@@ -354,9 +355,7 @@ class WireAnalysis:
             return
         site.handler_expr = ast.unparse(handler)
 
-    def _fill_route(
-        self, site: SendSite, call: ast.Call, funcdef: ast.FunctionDef
-    ) -> None:
+    def _fill_route(self, site: SendSite, call: ast.Call, own: List[ast.AST]) -> None:
         message = None
         for kw in call.keywords:
             if kw.arg == "message":
@@ -368,7 +367,7 @@ class WireAnalysis:
             return
         if isinstance(message, ast.Name):
             wanted = message.id
-            for node in ast.walk(funcdef):
+            for node in own:
                 if (
                     isinstance(node, ast.Assign)
                     and len(node.targets) == 1
@@ -440,8 +439,8 @@ class WireAnalysis:
         return set(self.message_classes)
 
 
-def _tested_names(funcdef: ast.FunctionDef) -> Set[str]:
-    """Names consumed in test position anywhere in the function."""
+def _tested_names(own: List[ast.AST]) -> Set[str]:
+    """Names consumed in test position among a function's own nodes."""
     tested: Set[str] = set()
 
     def harvest(expr: Optional[ast.AST]) -> None:
@@ -451,7 +450,7 @@ def _tested_names(funcdef: ast.FunctionDef) -> Set[str]:
             if isinstance(node, ast.Name):
                 tested.add(node.id)
 
-    for node in ast.walk(funcdef):
+    for node in own:
         if isinstance(node, (ast.If, ast.While, ast.IfExp)):
             harvest(node.test)
         elif isinstance(node, ast.Assert):

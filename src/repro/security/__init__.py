@@ -9,7 +9,7 @@ identical to public-key signatures from the protocol's point of view
 part) while staying cheap enough for million-file traces.
 """
 
-from .keys import KeyPair, SignedBlob, SignatureError
+from .keys import KeyPair
 from .smartcard import Smartcard, SmartcardIssuer
 from .identity import NodeIdentity
 from .certificates import (
@@ -22,8 +22,6 @@ from .certificates import (
 
 __all__ = [
     "KeyPair",
-    "SignedBlob",
-    "SignatureError",
     "Smartcard",
     "SmartcardIssuer",
     "NodeIdentity",

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import Dict, Iterable
 
-from .keys import KeyPair, SignatureError
+from .keys import KeyPair
 
 
 class CertificateError(ValueError):
@@ -53,8 +55,25 @@ def corrupted_content_hash(file_id: int, size: int) -> bytes:
     return hashlib.sha1(b"corrupt|%d|%d" % (file_id, size)).digest()
 
 
+class SignedRecord:
+    """Signing helpers: a record's signed bytes are ``_FORMAT % _fields(record)``.
+
+    For the §2.2 records ``_fields`` is every field but the trailing
+    ``signature``, in declaration order.
+    """
+
+    @classmethod
+    def _sign(cls, key: KeyPair, *fields):
+        """The record of ``fields`` (all but the signature), signed by ``key``."""
+        return cls(*fields, key.sign(cls._FORMAT % fields))
+
+    def _signed_by(self, public: bytes) -> bool:
+        """Does ``signature`` verify over this record's bytes under ``public``?"""
+        return KeyPair.verify(public, self._FORMAT % self._fields(self), self.signature)
+
+
 @dataclass(frozen=True)
-class FileCertificate:
+class FileCertificate(SignedRecord):
     """Signed metadata accompanying every inserted file."""
 
     file_id: int
@@ -66,47 +85,19 @@ class FileCertificate:
     owner_public: bytes
     signature: bytes = field(repr=False, default=b"")
 
-    @staticmethod
-    def issue(
-        file_id: int,
-        size: int,
-        k: int,
-        salt: int,
-        creation_date: int,
-        owner_key: KeyPair,
-        content: bytes = None,
-    ) -> "FileCertificate":
-        if content is not None:
-            digest = content_hash(content)
-        else:
-            digest = simulated_content_hash(file_id, size)
-        message = FileCertificate._message(
-            file_id, digest, size, k, salt, creation_date, owner_key.public
-        )
-        return FileCertificate(
-            file_id=file_id,
-            content_hash=digest,
-            size=size,
-            k=k,
-            salt=salt,
-            creation_date=creation_date,
-            owner_public=owner_key.public,
-            signature=owner_key.sign(message),
-        )
+    _FORMAT = b"filecert|%d|%s|%d|%d|%d|%d|%s"
+    _fields = attrgetter("file_id", "content_hash", "size", "k", "salt",
+                         "creation_date", "owner_public")
 
     @staticmethod
-    def _message(file_id, content_hash, size, k, salt, creation_date, owner_public) -> bytes:
-        return b"|".join(
-            [
-                b"filecert",
-                b"%d" % file_id,
-                content_hash,
-                b"%d" % size,
-                b"%d" % k,
-                b"%d" % salt,
-                b"%d" % creation_date,
-                owner_public,
-            ]
+    def issue(file_id: int, size: int, k: int, salt: int, creation_date: int,
+              owner_key: KeyPair, content: bytes = None) -> "FileCertificate":
+        if content is None:
+            digest = simulated_content_hash(file_id, size)
+        else:
+            digest = content_hash(content)
+        return FileCertificate._sign(
+            owner_key, file_id, digest, size, k, salt, creation_date, owner_key.public
         )
 
     def verify(self) -> None:
@@ -116,16 +107,7 @@ class FileCertificate:
         recompute the content hash of the received file and compare it to
         the certified one, which :meth:`verify_content` models.
         """
-        message = self._message(
-            self.file_id,
-            self.content_hash,
-            self.size,
-            self.k,
-            self.salt,
-            self.creation_date,
-            self.owner_public,
-        )
-        if not KeyPair.verify(self.owner_public, message, self.signature):
+        if not self._signed_by(self.owner_public):
             raise CertificateError("file certificate signature invalid")
         if self.k < 1:
             raise CertificateError("file certificate has non-positive k")
@@ -134,16 +116,16 @@ class FileCertificate:
 
     def verify_content(self, received_size: int, content: bytes = None) -> None:
         """Recompute the content hashcode and compare with the certificate."""
-        if content is not None:
-            if content_hash(content) != self.content_hash:
-                raise CertificateError("content hash mismatch")
-            return
-        if simulated_content_hash(self.file_id, received_size) != self.content_hash:
+        if content is None:
+            digest = simulated_content_hash(self.file_id, received_size)
+        else:
+            digest = content_hash(content)
+        if digest != self.content_hash:
             raise CertificateError("content hash mismatch")
 
 
 @dataclass(frozen=True)
-class StoreReceipt:
+class StoreReceipt(SignedRecord):
     """Issued by a node that accepted responsibility for a replica."""
 
     file_id: int
@@ -152,49 +134,43 @@ class StoreReceipt:
     node_public: bytes
     signature: bytes = field(repr=False, default=b"")
 
+    _FORMAT = b"receipt|%d|%d|%d|%s"
+    _fields = attrgetter("file_id", "node_id", "diverted", "node_public")
+
     @staticmethod
     def issue(file_id: int, node_id: int, diverted: bool, node_key: KeyPair) -> "StoreReceipt":
-        message = StoreReceipt._message(file_id, node_id, diverted, node_key.public)
-        return StoreReceipt(file_id, node_id, diverted, node_key.public, node_key.sign(message))
-
-    @staticmethod
-    def _message(file_id, node_id, diverted, node_public) -> bytes:
-        return b"receipt|%d|%d|%d|" % (file_id, node_id, int(diverted)) + node_public
+        return StoreReceipt._sign(node_key, file_id, node_id, diverted, node_key.public)
 
     def verify(self) -> None:
-        message = self._message(self.file_id, self.node_id, self.diverted, self.node_public)
-        if not KeyPair.verify(self.node_public, message, self.signature):
+        if not self._signed_by(self.node_public):
             raise CertificateError("store receipt signature invalid")
 
 
 @dataclass(frozen=True)
-class ReclaimCertificate:
+class ReclaimCertificate(SignedRecord):
     """Proves the legitimate owner is requesting storage reclamation."""
 
     file_id: int
     owner_public: bytes
     signature: bytes = field(repr=False, default=b"")
 
-    @staticmethod
-    def issue(file_id: int, owner_key: KeyPair) -> "ReclaimCertificate":
-        message = ReclaimCertificate._message(file_id, owner_key.public)
-        return ReclaimCertificate(file_id, owner_key.public, owner_key.sign(message))
+    _FORMAT = b"reclaim|%d|%s"
+    _fields = attrgetter("file_id", "owner_public")
 
     @staticmethod
-    def _message(file_id, owner_public) -> bytes:
-        return b"reclaim|%d|" % file_id + owner_public
+    def issue(file_id: int, owner_key: KeyPair) -> "ReclaimCertificate":
+        return ReclaimCertificate._sign(owner_key, file_id, owner_key.public)
 
     def verify(self, expected_owner_public: bytes) -> None:
         """Replica holders check both signature and ownership."""
         if self.owner_public != expected_owner_public:
             raise CertificateError("reclaim requested by non-owner")
-        message = self._message(self.file_id, self.owner_public)
-        if not KeyPair.verify(self.owner_public, message, self.signature):
+        if not self._signed_by(self.owner_public):
             raise CertificateError("reclaim certificate signature invalid")
 
 
 @dataclass(frozen=True)
-class ReclaimReceipt:
+class ReclaimReceipt(SignedRecord):
     """Issued by a replica holder after freeing the storage."""
 
     file_id: int
@@ -203,18 +179,27 @@ class ReclaimReceipt:
     node_public: bytes
     signature: bytes = field(repr=False, default=b"")
 
+    _FORMAT = b"reclaimed|%d|%d|%d|%s"
+    _fields = attrgetter("file_id", "node_id", "freed_bytes", "node_public")
+
     @staticmethod
     def issue(file_id: int, node_id: int, freed_bytes: int, node_key: KeyPair) -> "ReclaimReceipt":
-        message = ReclaimReceipt._message(file_id, node_id, freed_bytes, node_key.public)
-        return ReclaimReceipt(
-            file_id, node_id, freed_bytes, node_key.public, node_key.sign(message)
-        )
-
-    @staticmethod
-    def _message(file_id, node_id, freed_bytes, node_public) -> bytes:
-        return b"reclaimed|%d|%d|%d|" % (file_id, node_id, freed_bytes) + node_public
+        return ReclaimReceipt._sign(node_key, file_id, node_id, freed_bytes, node_key.public)
 
     def verify(self) -> None:
-        message = self._message(self.file_id, self.node_id, self.freed_bytes, self.node_public)
-        if not KeyPair.verify(self.node_public, message, self.signature):
+        if not self._signed_by(self.node_public):
             raise CertificateError("reclaim receipt signature invalid")
+
+
+def one_per_node(receipts: Iterable, file_id: int) -> Dict[int, object]:
+    """§2.2's receipt rule: a receipt counts once per node, and only for its fileId.
+
+    Verifies every receipt (a forged one raises :class:`CertificateError`)
+    and keeps, per nodeId, the first receipt for ``file_id``.
+    """
+    counted: Dict[int, object] = {}
+    for receipt in receipts:
+        receipt.verify()
+        if receipt.file_id == file_id:
+            counted.setdefault(receipt.node_id, receipt)
+    return counted

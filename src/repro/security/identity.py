@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .certificates import CertificateError
+from .certificates import CertificateError, SignedRecord
 from .keys import KeyPair
 from .smartcard import Smartcard
 
 
 @dataclass(frozen=True)
-class NodeIdentity:
+class NodeIdentity(SignedRecord):
     """A self-signed, issuer-certified (nodeId, address) binding."""
 
     node_id: int
@@ -33,22 +33,21 @@ class NodeIdentity:
     issuer_signature: bytes = field(repr=False)
     signature: bytes = field(repr=False)
 
+    _FORMAT = b"identity|%d|%s|%s"
+    _fields = staticmethod(lambda r: (r.node_id, r.address.encode("utf-8"), r.public_key))
+
     @staticmethod
     def issue(card: Smartcard, node_id: int, address: str) -> "NodeIdentity":
         """Create the identity record a node announces about itself."""
-        message = NodeIdentity._message(node_id, address, card.public_key)
+        signed = (node_id, address.encode("utf-8"), card.public_key)
         return NodeIdentity(
             node_id=node_id,
             address=address,
             public_key=card.public_key,
             issuer_public=card.issuer_public,
             issuer_signature=card.issuer_signature,
-            signature=card.keypair.sign(message),
+            signature=card.keypair.sign(NodeIdentity._FORMAT % signed),
         )
-
-    @staticmethod
-    def _message(node_id: int, address: str, public_key: bytes) -> bytes:
-        return b"identity|%d|" % node_id + address.encode("utf-8") + b"|" + public_key
 
     def verify(self) -> None:
         """Raise :class:`CertificateError` unless the binding is genuine.
@@ -59,6 +58,5 @@ class NodeIdentity:
         """
         if not KeyPair.verify(self.issuer_public, self.public_key, self.issuer_signature):
             raise CertificateError("identity key not certified by issuer")
-        message = self._message(self.node_id, self.address, self.public_key)
-        if not KeyPair.verify(self.public_key, message, self.signature):
+        if not self._signed_by(self.public_key):
             raise CertificateError("identity binding signature invalid")

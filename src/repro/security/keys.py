@@ -17,10 +17,6 @@ import hmac
 from typing import Dict, Tuple
 
 
-class SignatureError(ValueError):
-    """A signature failed verification."""
-
-
 #: Process-local registry mapping public keys to the signer's keyed pads.
 #: This is the simulation stand-in for asymmetric verification; see module
 #: docstring.
@@ -68,19 +64,3 @@ class KeyPair:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"KeyPair(public={self.public.hex()[:12]}...)"
-
-
-class SignedBlob:
-    """A message plus a signature and the signer's public key."""
-
-    __slots__ = ("message", "tag", "public")
-
-    def __init__(self, message: bytes, keypair: KeyPair):
-        self.message = message
-        self.tag = keypair.sign(message)
-        self.public = keypair.public
-
-    def check(self) -> None:
-        """Raise :class:`SignatureError` if the signature does not verify."""
-        if not KeyPair.verify(self.public, self.message, self.tag):
-            raise SignatureError("signature verification failed")

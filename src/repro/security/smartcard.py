@@ -17,6 +17,7 @@ from .certificates import (
     ReclaimCertificate,
     ReclaimReceipt,
     StoreReceipt,
+    one_per_node,
 )
 from .keys import KeyPair
 
@@ -66,24 +67,24 @@ class Smartcard:
         self.quota_used += need
 
     def credit(self, size: int, k: int) -> None:
-        """Credit the quota back (on failed insert or verified reclaim)."""
-        self.quota_used = max(0, self.quota_used - size * k)
+        """Credit the quota back (on failed insert or verified reclaim).
+
+        Raises on an over-credit: that refunds storage never debited.
+        """
+        if size * k > self.quota_used:
+            raise RuntimeError(f"over-credit: {size * k} returned, {self.quota_used} debited")
+        self.quota_used -= size * k
 
     def redeem_reclaim_receipts(self, file_id: int, receipts) -> None:
         """Verify reclaim receipts and credit the storage they freed.
 
-        The credit is the sum of ``freed_bytes`` over the receipts for
-        ``file_id``, one per node: a node that held only a pointer to a
-        diverted replica frees nothing, and its receipt says so.  A receipt
-        for another file, or a second receipt from the same node, is
-        refused (credits nothing); a forged one raises.
+        The credit is the sum of ``freed_bytes`` over the receipts that
+        :func:`one_per_node` counts for ``file_id``: a node that held only
+        a pointer to a diverted replica frees nothing, and its receipt
+        says so.
         """
-        freed = {}
-        for receipt in receipts:
-            receipt.verify()
-            if receipt.file_id == file_id:
-                freed.setdefault(receipt.node_id, receipt.freed_bytes)
-        self.credit(sum(freed.values()), 1)
+        counted = one_per_node(receipts, file_id).values()
+        self.credit(sum(r.freed_bytes for r in counted), 1)
 
     # ---------------------------------------------------- certificate side
 

@@ -48,7 +48,7 @@ def test_tree_passes_the_gate(checked_src, check_reports_across_hash_seeds):
     assert not checked_src.new
     report = checked_src.render(as_json=True)
     payload = json.loads(report)
-    assert payload == {"findings": [], "count": 0, "baselined": 58, "schema": "match"}
+    assert payload == {"findings": [], "count": 0, "baselined": 51, "schema": "match"}
     # ``repro check --json`` prints exactly this result.
     assert check_reports_across_hash_seeds[0] == report + "\n"
 

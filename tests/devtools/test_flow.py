@@ -73,6 +73,19 @@ class TestCallGraph:
         facts = analysis.facts["repro.pastry.leafset.drive"]
         assert any(q.endswith("LeafSet.consider") for q, _ in facts.calls)
 
+    def test_a_call_on_a_literal_links_no_project_function(self):
+        m = mod(
+            "class Overlay:\n"
+            "    def join(self, node):\n"
+            "        self.sim.schedule(1.0, node)\n"
+            "def render(parts):\n"
+            "    return \"\".join(parts)\n",
+            name="repro.core.overlay",
+        )
+        analysis = FlowAnalysis([m])
+        assert analysis.facts["repro.core.overlay.render"].calls == []
+        assert EFFECT_SCHEDULE not in analysis.effects["repro.core.overlay.render"]
+
     def test_effects_propagate_transitively(self):
         m = mod(
             "class Net:\n"

@@ -233,6 +233,36 @@ class TestWireLostPath:
         assert "wire-lost-path" not in rules_of(findings)
 
 
+class TestSendSites:
+    """A send is recorded once, under the function whose body holds it."""
+
+    @staticmethod
+    def site_keys(method):
+        source = CLEAN_RPC + "\n    def later(self, peer, fid: int):\n" + method
+        module = module_from_source(source, name="repro.core.fixture", path="fixture.py")
+        return [
+            site.site_key for site in get_wire_analysis([module]).sites
+            if site.function.startswith("Node.later")
+        ]
+
+    def test_a_send_in_a_closure_is_one_site_under_the_closure(self):
+        assert self.site_keys(
+            "        def call():\n"
+            "            delivered, data = self.transport.send(\n"
+            "                self.node_id, peer.node_id, peer.store.fetch, fid\n"
+            "            )\n"
+            "            return data if delivered else b''\n"
+            "        return call\n"
+        ) == ["repro.core.fixture.Node.later.call"]
+
+    def test_a_send_in_a_lambda_stays_with_the_enclosing_function(self):
+        assert self.site_keys(
+            "        return lambda: self.transport.send(\n"
+            "            self.node_id, peer.node_id, peer.store.fetch, fid\n"
+            "        )\n"
+        ) == ["repro.core.fixture.Node.later"]
+
+
 class TestWireSchemaDrift:
     def _pin(self, tmp_path, source):
         module = module_from_source(source, name="repro.core.fixture", path="fixture.py")

@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from repro.security import KeyPair, SignatureError, SignedBlob
+from repro.security import KeyPair
 
 
 class TestKeyPair:
@@ -105,20 +105,3 @@ class TestTagsAreHmacSha256:
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
 
-
-class TestSignedBlob:
-    def test_check_passes(self):
-        blob = SignedBlob(b"data", KeyPair("alice"))
-        blob.check()  # no exception
-
-    def test_check_rejects_tampered(self):
-        blob = SignedBlob(b"data", KeyPair("alice"))
-        blob.message = b"evil"
-        with pytest.raises(SignatureError):
-            blob.check()
-
-    def test_check_rejects_substituted_signer(self):
-        blob = SignedBlob(b"data", KeyPair("alice"))
-        blob.public = KeyPair("eve").public
-        with pytest.raises(SignatureError):
-            blob.check()

@@ -55,8 +55,10 @@ class TestQuota:
 
     def test_credit_never_goes_negative(self, issuer):
         card = issuer.issue_card("alice", quota=1000)
-        card.credit(500, 2)
-        assert card.quota_used == 0
+        card.debit(100, 3)
+        with pytest.raises(RuntimeError, match="over-credit"):
+            card.credit(500, 2)
+        assert card.quota_used == 300  # a refused credit refunds nothing
 
     def test_redeem_reclaim_receipts_credits(self, issuer):
         card = issuer.issue_card("alice", quota=10_000)

@@ -262,6 +262,8 @@ class PastNode(PastryApplication):
         """Divert one replica (§3.3): B, picked among ``members`` (default: my
         leaf set), accepts it; this node (A) and C point to it.  Returns B's
         nodeId, or None if diversion failed."""
+        if self.config.t_div == 0 < cert.size:
+            return None  # B's test size/free <= t_div fails at every candidate
         key = idspace.routing_key(cert.file_id)
         b_id = self._choose_diversion_target(cert.file_id, replica_set, members)
         if b_id is None:

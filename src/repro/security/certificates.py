@@ -55,21 +55,40 @@ def corrupted_content_hash(file_id: int, size: int) -> bytes:
     return hashlib.sha1(b"corrupt|%d|%d" % (file_id, size)).digest()
 
 
+#: An unmarked record's memo: equal to no key and no size, not even None.
+_UNMARKED = object()
+
+
 class SignedRecord:
     """Signing helpers: a record's signed bytes are ``_FORMAT % _fields(record)``.
 
     For the §2.2 records ``_fields`` is every field but the trailing
     ``signature``, in declaration order.
+
+    A record is checked once per object: ``_signed_under`` remembers the
+    public key its signature verified under.  That is exact because a
+    record is frozen (a forgery is a new object, with no mark), a public
+    key names one signer's pads for good, and only successes are kept.
+    The mark is no dataclass field, so the wire schema does not see it.
     """
+
+    _signed_under = _UNMARKED
 
     @classmethod
     def _sign(cls, key: KeyPair, *fields):
         """The record of ``fields`` (all but the signature), signed by ``key``."""
-        return cls(*fields, key.sign(cls._FORMAT % fields))
+        record = cls(*fields, key.sign(cls._FORMAT % fields))
+        object.__setattr__(record, "_signed_under", key.public)
+        return record
 
     def _signed_by(self, public: bytes) -> bool:
         """Does ``signature`` verify over this record's bytes under ``public``?"""
-        return KeyPair.verify(public, self._FORMAT % self._fields(self), self.signature)
+        if self._signed_under == public:
+            return True
+        if not KeyPair.verify(public, self._FORMAT % self._fields(self), self.signature):
+            return False
+        object.__setattr__(self, "_signed_under", public)
+        return True
 
 
 @dataclass(frozen=True)
@@ -88,6 +107,8 @@ class FileCertificate(SignedRecord):
     _FORMAT = b"filecert|%d|%s|%d|%d|%d|%d|%s"
     _fields = attrgetter("file_id", "content_hash", "size", "k", "salt",
                          "creation_date", "owner_public")
+    #: The size whose simulated content hash ``content_hash`` is, by construction.
+    _hashed_size = _UNMARKED
 
     @staticmethod
     def issue(file_id: int, size: int, k: int, salt: int, creation_date: int,
@@ -96,9 +117,12 @@ class FileCertificate(SignedRecord):
             digest = simulated_content_hash(file_id, size)
         else:
             digest = content_hash(content)
-        return FileCertificate._sign(
+        cert = FileCertificate._sign(
             owner_key, file_id, digest, size, k, salt, creation_date, owner_key.public
         )
+        if content is None:
+            object.__setattr__(cert, "_hashed_size", size)
+        return cert
 
     def verify(self) -> None:
         """Check the owner signature and internal consistency.
@@ -117,6 +141,8 @@ class FileCertificate(SignedRecord):
     def verify_content(self, received_size: int, content: bytes = None) -> None:
         """Recompute the content hashcode and compare with the certificate."""
         if content is None:
+            if received_size == self._hashed_size:
+                return
             digest = simulated_content_hash(self.file_id, received_size)
         else:
             digest = content_hash(content)

@@ -1,10 +1,13 @@
 """Tests for the Insert operation: placement, receipts, quotas, collisions."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from repro.pastry import idspace
+from repro.security import certificates, keys
+from repro.security.certificates import SignedRecord
 from tests.conftest import build_past
 
 
@@ -226,3 +229,46 @@ class TestWritePathSortsOnlyForTheReplicaSet:
             del sorts[:]
             assert net.reclaim(fid, owner, origin.node_id).success
             assert sorts == []
+
+
+class TestEachSignatureIsComputedOnce:
+    """Nodes and clients share the simulator's record objects, so a check
+    after the mint costs nothing: an insert computes one HMAC per record it
+    signs and one simulated content hash per certificate, a reclaim one
+    HMAC per record it signs."""
+
+    def test_hmacs_equal_records_minted(self, monkeypatch):
+        work = Counter()  # "hmac", "sha1", and records minted by type
+
+        def counting(name, fn):
+            def counted(*args):
+                work[name] += 1
+                return fn(*args)
+            return counted
+
+        sign = SignedRecord._sign.__func__
+        net = build_past(n=24, capacity=500_000, k=3, seed=5, t_pri=0.1, t_div=0.05)
+        owner = net.create_client("owner")
+        monkeypatch.setattr(keys, "_tag", counting("hmac", keys._tag))
+        monkeypatch.setattr(certificates, "simulated_content_hash",
+                            counting("sha1", certificates.simulated_content_hash))
+        monkeypatch.setattr(SignedRecord, "_sign", classmethod(
+            lambda cls, *args: counting(cls.__name__, sign)(cls, *args)))
+        rng = random.Random(5)
+        origins = [node.node_id for node in net.nodes()]
+        results = [
+            net.insert(f"f{i}", owner, min(int(rng.lognormvariate(9, 1.5)) + 1, 400_000),
+                       origins[rng.randrange(len(origins))])
+            for i in range(300)
+        ]
+        accepted = [r for r in results if r.success]
+        assert any(r.replica_diversions for r in accepted)  # §3.3 ran
+        assert any(r.attempts > 1 for r in results)  # §3.4 re-salted
+        assert work["hmac"] == work["FileCertificate"] + work["StoreReceipt"]
+        assert work["sha1"] == work["FileCertificate"]
+
+        work.clear()
+        for result in accepted:
+            assert net.reclaim(result.file_id, owner, origins[0]).success
+        assert work["hmac"] == work["ReclaimCertificate"] + work["ReclaimReceipt"]
+        assert work["ReclaimCertificate"] == len(accepted)

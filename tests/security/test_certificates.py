@@ -1,9 +1,11 @@
 """Tests for file certificates, store receipts and reclaim certificates."""
 
+import copy
 import dataclasses
 
 import pytest
 
+from repro.net.codec import WireCodec
 from repro.security import (
     CertificateError,
     FileCertificate,
@@ -13,6 +15,7 @@ from repro.security import (
     SmartcardIssuer,
     StoreReceipt,
 )
+from repro.security import certificates, keys
 from repro.security.keys import KeyPair
 
 #: The signed fields of each signed record, its signer's key field last,
@@ -61,6 +64,13 @@ def verify(record):
         record.verify()
 
 
+def checked(cls):
+    """A golden record of ``cls`` whose signature has been checked once."""
+    record = issue_golden(cls)
+    verify(record)
+    return record
+
+
 def tampered(value):
     if isinstance(value, bool):
         return not value
@@ -76,8 +86,7 @@ class TestSignedRecords:
 
     @pytest.mark.parametrize("cls", list(SIGNED), ids=lambda c: c.__name__)
     def test_golden_tag(self, cls):
-        record = issue_golden(cls)
-        verify(record)
+        record = checked(cls)
         assert record.signature.hex() == SIGNED[cls][1]
 
     @pytest.mark.parametrize("cls", list(SIGNED), ids=lambda c: c.__name__)
@@ -93,14 +102,14 @@ class TestSignedRecords:
         ids=lambda v: v if isinstance(v, str) else v.__name__,
     )
     def test_tampered_field_is_refused(self, cls, name):
-        record = issue_golden(cls)
+        record = checked(cls)  # a forgery of a checked record is a new, unchecked object
         forged = dataclasses.replace(record, **{name: tampered(getattr(record, name))})
         with pytest.raises(CertificateError):
             verify(forged)
 
     @pytest.mark.parametrize("cls", list(SIGNED), ids=lambda c: c.__name__)
     def test_substituted_signer_is_refused(self, cls):
-        record, eve = issue_golden(cls), issue_golden(cls, label="eve")
+        record, eve = checked(cls), issue_golden(cls, label="eve")
         signer = SIGNED[cls][0][-1]
         with pytest.raises(CertificateError):
             verify(dataclasses.replace(record, **{signer: getattr(eve, signer)}))
@@ -191,3 +200,138 @@ class TestReclaim:
         forged = dataclasses.replace(receipt, freed_bytes=1)
         with pytest.raises(CertificateError):
             forged.verify()
+
+
+@pytest.fixture
+def hmacs(monkeypatch):
+    """A running count of the HMACs computed (signatures made or checked)."""
+    count = [0]
+    tag = keys._tag
+
+    def counting(*args):
+        count[0] += 1
+        return tag(*args)
+
+    monkeypatch.setattr(keys, "_tag", counting)
+    return count
+
+
+class TestCheckedOnce:
+    """A record remembers the key its signature verified under; nothing
+    that could change the verdict can reach a remembered success."""
+
+    @pytest.mark.parametrize("cls", list(SIGNED), ids=lambda c: c.__name__)
+    def test_a_second_check_computes_nothing(self, cls, hmacs):
+        record = checked(cls)
+        before = hmacs[0]
+        verify(record)
+        assert hmacs[0] == before + (cls is NodeIdentity)  # the issuer's check is not memoized
+
+    @pytest.mark.parametrize("cls", list(SIGNED), ids=lambda c: c.__name__)
+    def test_a_checked_record_fails_under_another_key(self, cls, hmacs):
+        record = checked(cls)
+        eve = KeyPair("eve").public
+        before = hmacs[0]
+        assert not record._signed_by(eve)
+        assert not record._signed_by(eve)
+        assert hmacs[0] == before + 2
+        assert record._signed_by(getattr(record, SIGNED[cls][0][-1]))
+
+    @pytest.mark.parametrize("cls", list(SIGNED), ids=lambda c: c.__name__)
+    def test_a_failed_check_raises_every_time(self, cls, hmacs):
+        record = issue_golden(cls)
+        forged = dataclasses.replace(record, signature=tampered(record.signature))
+        before = hmacs[0]
+        for _ in range(3):
+            with pytest.raises(CertificateError):
+                verify(forged)
+        assert hmacs[0] == before + 3 * (1 + (cls is NodeIdentity))
+
+    @pytest.mark.parametrize(
+        "cls", [c for c in SIGNED if c is not NodeIdentity], ids=lambda c: c.__name__
+    )
+    def test_a_decoded_record_is_checked_in_full(self, cls, hmacs):
+        """What a TCP node decodes is a new object: it checks every byte."""
+        codec = WireCodec()
+        record = checked(cls)
+        decoded = codec.decode(codec.encode(record))
+        assert decoded == record and decoded is not record
+        before = hmacs[0]
+        verify(decoded)
+        assert hmacs[0] == before + 1
+        forged = codec.decode(codec.encode(dataclasses.replace(record, signature=bytes(32))))
+        with pytest.raises(CertificateError):
+            verify(forged)
+
+    @pytest.mark.parametrize("cls", list(SIGNED), ids=lambda c: c.__name__)
+    def test_a_record_with_no_key_never_verifies(self, cls):
+        """An unchecked record's mark equals no key, None included, built
+        directly or decoded off the wire (which does not check types)."""
+        signer = SIGNED[cls][0][-1]
+        forged = dataclasses.replace(issue_golden(cls), **{signer: None, "signature": bytes(32)})
+        forgeries = [forged]
+        if cls is not NodeIdentity:  # not a wire message
+            codec = WireCodec()
+            forgeries.append(codec.decode(codec.encode(forged)))
+        for record in forgeries:
+            with pytest.raises((CertificateError, TypeError)):
+                verify(record)
+
+    @pytest.mark.parametrize("cls", list(SIGNED), ids=lambda c: c.__name__)
+    def test_a_copy_of_a_checked_record_is_exact(self, cls):
+        record, eve = checked(cls), KeyPair("eve").public
+        for duplicate in (copy.copy(record), copy.deepcopy(record)):
+            assert duplicate == record
+            verify(duplicate)
+            assert not duplicate._signed_by(eve)
+            forged = dataclasses.replace(duplicate, **{SIGNED[cls][0][-1]: eve})
+            with pytest.raises(CertificateError):
+                verify(forged)
+
+    def test_the_mark_is_not_a_field(self):
+        record = checked(FileCertificate)
+        assert "_signed_under" not in {f.name for f in dataclasses.fields(record)}
+        assert "_signed_under" not in repr(record)
+
+    def test_a_key_pair_registers_the_same_pads_every_time(self):
+        first, second = KeyPair("twin", seed=b"s"), KeyPair("twin", seed=b"s")
+        assert second.public == first.public
+        assert keys._KEY_REGISTRY[first.public] == first._pads == second._pads
+
+
+@pytest.fixture
+def hashes(monkeypatch):
+    """The (fileId, size) of every simulated content hash computed after it
+    is set up (request it after ``cert``, whose issue hashes once)."""
+    calls = []
+    real = certificates.simulated_content_hash
+    monkeypatch.setattr(
+        certificates, "simulated_content_hash", lambda *a: calls.append(a) or real(*a)
+    )
+    return calls
+
+
+class TestContentHashOnce:
+    def test_a_simulated_certificate_skips_its_own_size(self, cert, hashes):
+        cert.verify_content(1000)
+        assert hashes == []
+        with pytest.raises(CertificateError):
+            cert.verify_content(999)
+        assert hashes == [(123456, 999)]
+
+    def test_an_unmarked_certificate_skips_no_size(self, cert, hashes):
+        forged = dataclasses.replace(cert, size=None)
+        with pytest.raises(TypeError):
+            forged.verify_content(forged.size)
+        assert hashes == [(123456, None)]
+
+    def test_a_decoded_certificate_hashes_again(self, cert, hashes):
+        codec = WireCodec()
+        codec.decode(codec.encode(cert)).verify_content(1000)
+        assert hashes == [(123456, 1000)]
+
+    def test_a_certificate_over_real_bytes_is_not_marked(self, owner):
+        cert = FileCertificate.issue(7, 3, 1, 0, 0, owner, content=b"abc")
+        cert.verify_content(3, b"abc")
+        with pytest.raises(CertificateError):
+            cert.verify_content(3)  # the simulated hash of (7, 3) is not SHA-1(b"abc")
